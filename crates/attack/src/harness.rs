@@ -486,25 +486,11 @@ impl TwoWorldEngine {
     }
 
     fn collect_world(&self, world: usize) -> Vec<Transcript> {
-        let trials = self.params.trials_per_world;
-        let threads = self
-            .params
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
-            .max(1);
-        let mut out: Vec<Option<Transcript>> = vec![None; trials];
-        let chunk_size = trials.div_ceil(threads).max(1);
-        std::thread::scope(|scope| {
-            for (chunk_index, chunk) in out.chunks_mut(chunk_size).enumerate() {
-                scope.spawn(move || {
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        let trial = chunk_index * chunk_size + offset;
-                        *slot = Some(self.run_trial(world, trial));
-                    }
-                });
-            }
-        });
-        out.into_iter().map(|t| t.expect("every trial ran")).collect()
+        psr_core::par::map(
+            psr_core::par::threads(self.params.threads),
+            self.params.trials_per_world,
+            |trial| self.run_trial(world, trial),
+        )
     }
 
     fn run_trial(&self, world: usize, trial: usize) -> Transcript {

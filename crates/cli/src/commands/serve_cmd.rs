@@ -1,6 +1,6 @@
 //! `psr serve` — batch recommendation serving: read a JSON request list,
-//! fan it across the `RecommendationService` worker pool under per-target
-//! ε budgets, and emit a JSON outcome report.
+//! fan it across `--threads` threads under per-target ε budgets, and emit
+//! a JSON outcome report.
 //!
 //! With `--mutations muts.json` the run becomes *dynamic*: the request
 //! list is split into `batches + 1` contiguous chunks, and after chunk
@@ -12,8 +12,9 @@
 //!
 //! Since the daemon landed, this command is a thin wrapper: it turns the
 //! chunks and the schedule into a [`DaemonEvent`] sequence and drains it
-//! through [`run_daemon`] with no pacing clock — the one-shot path *is*
-//! the daemon loop, so the two can never disagree.
+//! through [`run_daemon`] with no pacing clock and a single job worker,
+//! so each chunk fans out over every `--threads` thread. The one-shot
+//! path *is* the daemon loop, so the two can never disagree.
 
 use psr_core::serving::daemon::{run_daemon, DaemonConfig, DaemonEvent};
 use psr_core::serving::{BatchRequest, RecommendationService, ServeError, Served, ServiceConfig};
@@ -171,7 +172,8 @@ pub fn run(opts: &ServeOptions) {
             });
         }
     }
-    let run = run_daemon(&service, &events, &DaemonConfig::default()).unwrap_or_else(|e| {
+    let config = DaemonConfig { workers: Some(1), ..DaemonConfig::default() };
+    let run = run_daemon(&service, &events, &config).unwrap_or_else(|e| {
         // Mutation events sit at odd positions (after their chunk).
         panic!("applying mutation batch {}: {}", (e.event - 1) / 2, e.source)
     });

@@ -22,6 +22,8 @@
 //!   targets lose their cached candidate/utility state,
 //! * [`experiment`] — the §7 protocol: sample targets, compute per-target
 //!   expected accuracies and theoretical ceilings, in parallel,
+//! * [`par`] — the one executor every parallel loop above runs on: an
+//!   indexed parallel map with index-ordered results,
 //! * [`figures`] — one harness per figure (1(a)–2(c)) plus the in-text
 //!   comparisons, regenerating the paper's series,
 //! * [`cdf`]/[`report`] — the accuracy-CDF aggregation and text rendering
@@ -79,6 +81,7 @@
 pub mod cdf;
 pub mod experiment;
 pub mod figures;
+pub mod par;
 mod pipeline;
 pub mod report;
 pub mod serving;

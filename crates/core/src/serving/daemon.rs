@@ -1,5 +1,5 @@
 //! The always-on ingestion loop: multiplexed request/mutation streams
-//! through the epoch-pinned worker pool, with bounded queues,
+//! through the epoch-pinned job workers, with bounded queues,
 //! backpressure and serving metrics.
 //!
 //! [`run_daemon`] consumes a time-ordered sequence of [`DaemonEvent`]s.
@@ -9,17 +9,24 @@
 //! request batch pins the current epoch, runs budget admission (charging
 //! and fsyncing the ledger in event order, which keeps admission
 //! deterministic), and pushes the fully-admitted job onto a bounded
-//! queue. Worker threads pop jobs and evaluate them against the epoch
-//! each job *pinned at ingestion* — a batch admitted under epoch N drains
+//! queue. Job workers pop jobs and evaluate them against the epoch each
+//! job *pinned at ingestion* — a batch admitted under epoch N drains
 //! under epoch N even if ingestion has swapped in N+3 meanwhile. When the
 //! queue is full the ingestion thread blocks: backpressure, not
 //! unbounded buffering.
 //!
+//! [`DaemonConfig::workers`] jobs drain concurrently, and each fans its
+//! batch across `max(1, service threads / workers)` threads through the
+//! evaluation path of
+//! [`serve_batch_pinned`](RecommendationService::serve_batch_pinned):
+//! the service's threads are the run's total budget.
+//!
 //! Because admission order and per-batch seeds are fixed at ingestion,
 //! the daemon's outputs are **bit-identical** for a given event sequence
-//! regardless of worker count, queue capacity or pacing — the one-shot
-//! `psr serve` path is literally this loop with no clock, and the
-//! conformance tests hold the two equal. The one exception is
+//! regardless of worker count, job width, queue capacity or pacing. The
+//! one-shot `psr serve` path is this loop with no clock and one worker
+//! at the service's full width, and the conformance tests hold the two
+//! equal. The one exception is
 //! [`Epoch::invalidated`](super::Epoch) inside [`AppliedMutations`]: the
 //! per-target cache fills lazily as workers evaluate, so how many
 //! entries a mutation batch evicts depends on how far draining had
@@ -27,17 +34,19 @@
 //! contract.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use psr_gen::seed::split_seed;
 use psr_gen::stream::{ReplayClock, RequestEvent, StreamEvent};
 use psr_graph::EdgeMutation;
+use psr_obs::{Heartbeat, Progress};
 use serde::Serialize;
 
 use super::epoch::EpochPin;
 use super::{BatchRequest, Epoch, MutationError, RecommendationService, ServeError, Served};
+use crate::par;
 
 /// One item of the daemon's input sequence, in non-decreasing `time`
 /// order. Produced by [`multiplex`] from the `psr_gen::stream`
@@ -129,8 +138,11 @@ pub struct DaemonConfig {
     /// Maximum request batches in flight between ingestion and the
     /// workers. A full queue blocks ingestion (backpressure).
     pub queue_capacity: usize,
-    /// Worker threads; `None` falls back to the service's configured
-    /// thread count, then to available parallelism.
+    /// Job workers: how many request batches drain concurrently. `None`
+    /// falls back to the service's configured thread count, then to
+    /// available parallelism. Each job fans out over
+    /// `max(1, service threads / workers)` threads, so `Some(1)` gives a
+    /// single job the service's whole thread budget.
     pub workers: Option<usize>,
     /// Pace ingestion on the events' logical timestamps. `None` (the
     /// one-shot serve path) ingests as fast as admission allows. Pacing
@@ -354,11 +366,11 @@ pub fn run_daemon(
     config: &DaemonConfig,
 ) -> Result<DaemonRun, DaemonError> {
     assert!(config.queue_capacity > 0, "queue capacity must be at least 1");
-    let workers = config
-        .workers
-        .or(service.config().threads)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
-        .max(1);
+    let service_threads = par::threads(service.config().threads);
+    let workers = par::threads(config.workers.or(service.config().threads));
+    // The service's threads are the run's total budget: each concurrently
+    // draining job gets an equal share to fan its batch across.
+    let width = (service_threads / workers).max(1);
 
     let request_batches =
         events.iter().filter(|e| matches!(e, DaemonEvent::Requests { .. })).count();
@@ -371,111 +383,83 @@ pub fn run_daemon(
     let mut ingestion_error: Option<DaemonError> = None;
     // Heartbeat progress counters: operational only, never results.
     let ingested_events = AtomicUsize::new(0);
-    let pushed_batches = AtomicUsize::new(0);
     let drained_batches = AtomicUsize::new(0);
-    let ingestion_done = AtomicBool::new(false);
+    let progress = || {
+        let (ingested, total) = (ingested_events.load(Ordering::Relaxed), events.len());
+        let drained = drained_batches.load(Ordering::Relaxed);
+        Progress {
+            summary: format!(
+                "{ingested}/{total} events ingested, {drained} request batches drained"
+            ),
+            done: ingested,
+            total,
+        }
+    };
     let start = Instant::now();
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some(job) = queue.pop() {
-                    // Same per-batch serve span the one-shot path opens in
-                    // `serve_batch_pinned`; inert when telemetry is off.
-                    let _span = service.telemetry.serve_span(job.pin.version(), job.requests.len());
-                    let outcomes: Vec<Result<Served, ServeError>> = job
-                        .requests
-                        .iter()
-                        .enumerate()
-                        .map(|(index, request)| match &job.admissions[index] {
-                            Some(err) => Err(err.clone()),
-                            None => job.pin.state.evaluate(request, index, job.seed),
-                        })
-                        .collect();
-                    let result = JobResult {
-                        epoch: job.pin.version(),
-                        latency_ns: job.enqueued.elapsed().as_nanos() as u64,
-                        outcomes,
-                    };
-                    results.lock().expect("results lock")[job.slot] = Some(result);
-                    drained_batches.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-
-        if let Some(period) = config.heartbeat {
-            let (ingested_events, drained_batches, pushed_batches, ingestion_done) =
-                (&ingested_events, &drained_batches, &pushed_batches, &ingestion_done);
-            scope.spawn(move || {
-                let total = events.len();
-                let mut next_report = period;
-                loop {
-                    std::thread::sleep(Duration::from_millis(25));
-                    let ingested = ingested_events.load(Ordering::Relaxed);
-                    let drained = drained_batches.load(Ordering::Relaxed);
-                    if ingestion_done.load(Ordering::Relaxed)
-                        && drained >= pushed_batches.load(Ordering::Relaxed)
-                    {
-                        break;
+    Heartbeat::new("psr daemon", config.heartbeat).run(progress, || {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    while let Some(job) = queue.pop() {
+                        // Same per-batch serve span the one-shot path opens
+                        // in `serve_batch_pinned`; inert when telemetry is off.
+                        let _span =
+                            service.telemetry.serve_span(job.pin.version(), job.requests.len());
+                        let outcomes = job.pin.state.evaluate_batch(
+                            job.requests,
+                            &job.admissions,
+                            job.seed,
+                            width,
+                        );
+                        let result = JobResult {
+                            epoch: job.pin.version(),
+                            latency_ns: job.enqueued.elapsed().as_nanos() as u64,
+                            outcomes,
+                        };
+                        results.lock().expect("results lock")[job.slot] = Some(result);
+                        drained_batches.fetch_add(1, Ordering::Relaxed);
                     }
-                    let elapsed = start.elapsed();
-                    if elapsed < next_report {
-                        continue;
-                    }
-                    next_report += period;
-                    let eta = if ingested == 0 {
-                        "?".to_owned()
-                    } else {
-                        let remaining = (total - ingested) as f64 / ingested as f64;
-                        format!("{:.0}", elapsed.as_secs_f64() * remaining)
-                    };
-                    eprintln!(
-                        "[psr daemon] t+{:.0}s: {ingested}/{total} events ingested, \
-                         {drained} request batches drained, ETA {eta}s",
-                        elapsed.as_secs_f64()
-                    );
-                }
-            });
-        }
-
-        // Ingestion runs on the calling thread.
-        let mut last_tick = events.first().map_or(0, DaemonEvent::time);
-        for (index, event) in events.iter().enumerate() {
-            if let Some(clock) = &config.clock {
-                std::thread::sleep(clock.delay(last_tick, event.time()));
+                });
             }
-            last_tick = event.time();
-            match event {
-                DaemonEvent::Mutations { time, mutations } => {
-                    match service.apply_mutations(mutations) {
-                        Ok(epoch) => applied.push(AppliedMutations { time: *time, epoch }),
-                        Err(source) => {
-                            ingestion_error = Some(DaemonError { event: index, source });
-                            break;
+
+            // Ingestion runs on this thread, beside the job workers.
+            let mut last_tick = events.first().map_or(0, DaemonEvent::time);
+            for (index, event) in events.iter().enumerate() {
+                if let Some(clock) = &config.clock {
+                    std::thread::sleep(clock.delay(last_tick, event.time()));
+                }
+                last_tick = event.time();
+                match event {
+                    DaemonEvent::Mutations { time, mutations } => {
+                        match service.apply_mutations(mutations) {
+                            Ok(epoch) => applied.push(AppliedMutations { time: *time, epoch }),
+                            Err(source) => {
+                                ingestion_error = Some(DaemonError { event: index, source });
+                                break;
+                            }
                         }
                     }
+                    DaemonEvent::Requests { seed, requests, .. } => {
+                        let pin = service.pin();
+                        // Admission charges + fsyncs the ledger in event
+                        // order, before the batch can produce any output.
+                        let admissions = service.admit_batch(&pin, requests);
+                        queue.push(Job {
+                            slot: ingested_batches,
+                            pin,
+                            seed: *seed,
+                            requests,
+                            admissions,
+                            enqueued: Instant::now(),
+                        });
+                        ingested_batches += 1;
+                    }
                 }
-                DaemonEvent::Requests { seed, requests, .. } => {
-                    let pin = service.pin();
-                    // Admission charges + fsyncs the ledger in event
-                    // order, before the batch can produce any output.
-                    let admissions = service.admit_batch(&pin, requests);
-                    queue.push(Job {
-                        slot: ingested_batches,
-                        pin,
-                        seed: *seed,
-                        requests,
-                        admissions,
-                        enqueued: Instant::now(),
-                    });
-                    ingested_batches += 1;
-                    pushed_batches.fetch_add(1, Ordering::Relaxed);
-                }
+                ingested_events.fetch_add(1, Ordering::Relaxed);
             }
-            ingested_events.fetch_add(1, Ordering::Relaxed);
-        }
-        ingestion_done.store(true, Ordering::Relaxed);
-        queue.close();
+            queue.close();
+        });
     });
     let wall_ns = start.elapsed().as_nanos() as u64;
     let max_queue_depth = queue.max_depth();

@@ -104,52 +104,61 @@ impl EpochState {
         Arc::clone(cache.entry(target).or_insert(computed))
     }
 
-    /// Evaluates one admitted request: candidate set and utility vector
-    /// from the epoch cache, then `k` slots drawn from them with the
-    /// configured engine.
-    pub(crate) fn evaluate(
+    /// Evaluates a batch on up to `width` threads, in request order:
+    /// refused requests (`Some` admission) come back as their refusal;
+    /// each admitted one takes its candidate set and utility vector from
+    /// the epoch cache and draws `k` slots with the configured engine.
+    /// The one evaluation path of `serve_batch_pinned` and the daemon.
+    pub(crate) fn evaluate_batch(
         &self,
-        request: &BatchRequest,
-        index: usize,
+        requests: &[BatchRequest],
+        admissions: &[Option<ServeError>],
         seed: u64,
-    ) -> Result<Served, ServeError> {
-        // Per-request stream keyed by batch index: reordering worker
-        // threads cannot change any request's result, and duplicate
-        // targets within a batch get independent draws.
-        let mut rng = rng_from_seed(split_seed(seed, 0xBA_0000 + index as u64));
+        width: usize,
+    ) -> Vec<Result<Served, ServeError>> {
+        crate::par::map(width, requests.len(), |index| {
+            if let Some(refusal) = &admissions[index] {
+                return Err(refusal.clone());
+            }
+            let request = &requests[index];
+            // Per-request stream keyed by batch index: the width and the
+            // scheduling cannot change any request's result, and duplicate
+            // targets within a batch get independent draws.
+            let mut rng = rng_from_seed(split_seed(seed, 0xBA_0000 + index as u64));
 
-        let state = self.target_state(request.target);
-        if state.candidates.is_empty() {
-            return Err(ServeError::NoCandidates { target: request.target });
-        }
-        let u = &state.utilities;
-        let k = request.k.min(u.len());
-        let top = topk::topk_with_engine(
-            self.config.engine,
-            u,
-            k,
-            self.config.epsilon_per_request,
-            self.sensitivity,
-            &mut rng,
-        );
+            let state = self.target_state(request.target);
+            if state.candidates.is_empty() {
+                return Err(ServeError::NoCandidates { target: request.target });
+            }
+            let u = &state.utilities;
+            let k = request.k.min(u.len());
+            let top = topk::topk_with_engine(
+                self.config.engine,
+                u,
+                k,
+                self.config.epsilon_per_request,
+                self.sensitivity,
+                &mut rng,
+            );
 
-        // Resolve anonymous zero-class slots to distinct concrete nodes.
-        let zero_slots = top.picks.iter().filter(|p| p.is_none()).count();
-        let mut zero_picks =
-            resolve_zero_class_distinct(zero_slots, u, &state.candidates, &mut rng).into_iter();
-        let recommendations: Vec<NodeId> = top
-            .picks
-            .iter()
-            .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class large enough")))
-            .collect();
+            // Resolve anonymous zero-class slots to distinct concrete nodes.
+            let zero_slots = top.picks.iter().filter(|p| p.is_none()).count();
+            let mut zero_picks =
+                resolve_zero_class_distinct(zero_slots, u, &state.candidates, &mut rng).into_iter();
+            let recommendations: Vec<NodeId> = top
+                .picks
+                .iter()
+                .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class large enough")))
+                .collect();
 
-        Ok(Served {
-            target: request.target,
-            requested_k: request.k,
-            recommendations,
-            zero_class_picks: zero_slots,
-            total_utility: top.total_utility,
-            epsilon_spent: self.config.epsilon_per_request,
+            Ok(Served {
+                target: request.target,
+                requested_k: request.k,
+                recommendations,
+                zero_class_picks: zero_slots,
+                total_utility: top.total_utility,
+                epsilon_spent: self.config.epsilon_per_request,
+            })
         })
     }
 

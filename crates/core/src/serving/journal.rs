@@ -21,16 +21,9 @@
 
 /// FNV-1a 64-bit, the checksum guarding every journal line. Not
 /// cryptographic — it detects torn writes and bit rot, which is all a
-/// single-writer journal needs.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// single-writer journal needs. The same function checksums PSRZ snapshot
+/// bodies; psr-graph owns the one implementation.
+pub use psr_graph::compressed::body_checksum as fnv1a64;
 
 /// Formats a journal line: payload plus its checksum, newline-terminated.
 #[must_use]

@@ -30,17 +30,17 @@
 //!   any result is released.
 //! * **[`daemon`] — the ingestion loop.** [`daemon::run_daemon`]
 //!   multiplexes timestamped request and mutation streams
-//!   (`psr_gen::stream`) through the worker pool with a bounded queue
+//!   (`psr_gen::stream`) through its job workers with a bounded queue
 //!   and backpressure, recording per-epoch latency histograms,
 //!   throughput, queue depth and budget-rejection counts. The one-shot
 //!   `psr serve` path is the same loop run without pacing, drained to
 //!   completion.
 //!
 //! Serving semantics within one epoch are unchanged from the original
-//! batch server: worker-pool evaluation with per-request RNG streams
-//! (bit-identical across thread counts), per-target candidate/utility
-//! caching, the configured top-`k` engine ([`psr_privacy::topk`]) at
-//! ε/k per slot, and admission-time budget enforcement with typed
+//! batch server: parallel evaluation ([`crate::par`]) with per-request
+//! RNG streams (bit-identical across thread counts), per-target
+//! candidate/utility caching, the configured top-`k` engine
+//! ([`psr_privacy::topk`]) at ε/k per slot, and admission-time budget enforcement with typed
 //! refusals. Mutation batches are atomic all-or-nothing, invalidate
 //! exactly the targets within the utility's invalidation radius of a
 //! mutated endpoint, and fold the overlay into a fresh CSR base when it
@@ -101,7 +101,11 @@ pub struct ServiceConfig {
     pub sensitivity_norm: SensitivityNorm,
     /// Override for `Δf` when the utility reports no analytic bound.
     pub sensitivity_override: Option<f64>,
-    /// Worker threads; `None` = available parallelism.
+    /// The service's total thread budget; `None` = available
+    /// parallelism. [`RecommendationService::serve_batch`] fans each batch
+    /// across all of them; [`daemon::run_daemon`] splits them evenly
+    /// among its concurrently draining jobs (see
+    /// [`daemon::DaemonConfig::workers`]). Results never depend on it.
     pub threads: Option<usize>,
     /// Which top-`k` sampler serves the slots. Both engines draw from the
     /// same distribution (chi-square-pinned); Gumbel is the O(|C| + k log
@@ -493,12 +497,6 @@ impl RecommendationService {
         self.pin().state.graph.base().kind()
     }
 
-    /// The current read view, pinned: base CSR plus pending overlay
-    /// mutations as of the current epoch.
-    pub fn view(&self) -> EpochPin {
-        self.pin()
-    }
-
     /// A fresh CSR snapshot of the current edge set (compacts the
     /// overlay; the service itself is unchanged).
     pub fn snapshot(&self) -> Graph {
@@ -667,8 +665,9 @@ impl RecommendationService {
     /// Budget admission runs sequentially in request order *before* any
     /// evaluation (so "which request hit the budget wall" never depends
     /// on scheduling), and the ledger is synced before any evaluation
-    /// begins; admitted requests are then evaluated on the worker pool,
-    /// each with an RNG stream split from `seed` and its request index.
+    /// begins; admitted requests are then evaluated across the configured
+    /// threads, each with an RNG stream split from `seed` and its request
+    /// index.
     pub fn serve_batch(
         &self,
         requests: &[BatchRequest],
@@ -693,33 +692,13 @@ impl RecommendationService {
         // Phase 1 — validation + budget admission + durability point
         // (admission counters fold in inside `admit_batch`).
         let admissions = self.admit_batch(pin, requests);
-        let mut outcomes: Vec<Option<Result<Served, ServeError>>> =
-            admissions.into_iter().map(|r| r.map(Err)).collect();
-
-        // Phase 2 — evaluation of admitted requests on the worker pool.
-        let admitted: Vec<usize> = (0..requests.len()).filter(|&i| outcomes[i].is_none()).collect();
-        let mut served: Vec<Option<Result<Served, ServeError>>> = vec![None; admitted.len()];
-        let threads = self
-            .config
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
-            .max(1);
-        let chunk_size = admitted.len().div_ceil(threads).max(1);
-        let state = &pin.state;
-        std::thread::scope(|scope| {
-            for (chunk, out) in admitted.chunks(chunk_size).zip(served.chunks_mut(chunk_size)) {
-                scope.spawn(move || {
-                    for (slot, &index) in out.iter_mut().zip(chunk) {
-                        *slot = Some(state.evaluate(&requests[index], index, seed));
-                    }
-                });
-            }
-        });
-
-        for (&index, outcome) in admitted.iter().zip(served) {
-            outcomes[index] = outcome;
-        }
-        outcomes.into_iter().map(|o| o.expect("every request evaluated")).collect()
+        // Phase 2 — evaluation of admitted requests on the configured width.
+        pin.state.evaluate_batch(
+            requests,
+            &admissions,
+            seed,
+            crate::par::threads(self.config.threads),
+        )
     }
 
     /// Serves a single request (a one-element batch: same budget charge,
@@ -833,7 +812,7 @@ mod tests {
             assert_eq!(set.len(), 3, "slots must be distinct");
             for &v in &served.recommendations {
                 assert_ne!(v, served.target);
-                assert!(!svc.view().has_edge(served.target, v), "recommended an existing edge");
+                assert!(!svc.pin().has_edge(served.target, v), "recommended an existing edge");
             }
             assert_eq!(served.epsilon_spent, 1.0);
         }
@@ -906,7 +885,7 @@ mod tests {
     fn oversized_k_is_clamped_to_the_candidate_set() {
         let svc = service(ServiceConfig::default());
         let served = svc.serve_one(0, 10_000, 3).unwrap();
-        let candidates = CandidateSet::for_target(&svc.view(), 0);
+        let candidates = CandidateSet::for_target(&svc.pin(), 0);
         assert_eq!(served.requested_k, 10_000);
         assert_eq!(served.recommendations.len(), candidates.len());
         let set: std::collections::HashSet<_> = served.recommendations.iter().collect();
@@ -924,7 +903,7 @@ mod tests {
         });
         let served = svc.serve_one(0, 8, 11).unwrap();
         assert!(served.zero_class_picks > 0, "tiny ε must hit the zero class");
-        let candidates = CandidateSet::for_target(&svc.view(), 0);
+        let candidates = CandidateSet::for_target(&svc.pin(), 0);
         let set: std::collections::HashSet<_> = served.recommendations.iter().collect();
         assert_eq!(set.len(), served.recommendations.len());
         for &v in &served.recommendations {
@@ -944,7 +923,7 @@ mod tests {
                 assert_eq!(set.len(), 3, "{engine:?}: slots must be distinct");
                 for &v in &served.recommendations {
                     assert_ne!(v, served.target);
-                    assert!(!svc.view().has_edge(served.target, v), "{engine:?}");
+                    assert!(!svc.pin().has_edge(served.target, v), "{engine:?}");
                 }
                 // The ε charge is engine-independent: same budget spend.
                 assert_eq!(served.epsilon_spent, 1.0, "{engine:?}");
@@ -1009,19 +988,19 @@ mod tests {
     fn mutations_open_a_new_epoch_and_update_reads() {
         let svc = service(ServiceConfig::default());
         assert_eq!(svc.epoch(), 0);
-        assert!(svc.view().has_edge(0, 1));
+        assert!(svc.pin().has_edge(0, 1));
         let epoch =
             svc.apply_mutations(&[EdgeMutation::delete(0, 1), EdgeMutation::insert(0, 9)]).unwrap();
         assert_eq!(epoch.version, 1);
         assert_eq!(svc.epoch(), 1);
         assert_eq!(epoch.insertions, 1);
         assert_eq!(epoch.deletions, 1);
-        assert!(!svc.view().has_edge(0, 1));
-        assert!(svc.view().has_edge(0, 9));
+        assert!(!svc.pin().has_edge(0, 1));
+        assert!(svc.pin().has_edge(0, 9));
         // Recommendations in the new epoch respect the new edge set.
         let served = svc.serve_one(0, 3, 7).unwrap();
         for &v in &served.recommendations {
-            assert!(!svc.view().has_edge(0, v));
+            assert!(!svc.pin().has_edge(0, v));
             assert_ne!(v, 0);
         }
     }
@@ -1037,7 +1016,7 @@ mod tests {
         assert_eq!(pin.version(), 0);
         assert_eq!(svc.epoch(), 1);
         assert!(pin.has_edge(0, 1), "the pin still reads epoch 0");
-        assert!(!svc.view().has_edge(0, 1), "fresh pins read epoch 1");
+        assert!(!svc.pin().has_edge(0, 1), "fresh pins read epoch 1");
         let replay = svc.serve_batch_pinned(&pin, &requests(2), 21);
         assert_eq!(before, replay, "pinned serving is bit-identical across the swap");
     }
@@ -1080,7 +1059,7 @@ mod tests {
         }
         assert!(err.to_string().contains("mutation #1"));
         assert_eq!(svc.epoch(), 0);
-        assert!(!svc.view().has_edge(0, 9), "partial batch must be rolled back");
+        assert!(!svc.pin().has_edge(0, 9), "partial batch must be rolled back");
         svc.reset_budgets();
         assert_eq!(svc.serve_batch(&requests(2), 9), before, "serving state untouched");
     }
@@ -1128,10 +1107,10 @@ mod tests {
         assert!(muts.len() >= 10);
         let epoch = svc.apply_mutations(&muts).unwrap();
         assert!(epoch.compacted);
-        assert!(svc.view().graph().is_clean(), "overlay folded into the new base");
+        assert!(svc.pin().graph().is_clean(), "overlay folded into the new base");
         assert!(!Arc::ptr_eq(&svc.shared_graph(), &base), "re-based onto a fresh CSR");
         for m in &muts {
-            assert!(svc.view().has_edge(m.u, m.v));
+            assert!(svc.pin().has_edge(m.u, m.v));
         }
     }
 

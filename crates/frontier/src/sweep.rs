@@ -2,24 +2,24 @@
 //!
 //! [`run_sweep`] expands a validated plan into its cells, subtracts the
 //! cells already replayed from the results journal, and fans the rest
-//! across a worker pool. Determinism is structural, not accidental:
-//! each cell derives its own seed stream from the plan seed and the cell
-//! *index* and runs its scenario single-threaded, so the worker count
-//! only changes wall-clock time — never a byte of any result. Completed
-//! cells are journalled (with an `fsync`) the moment they finish, which
-//! makes a kill at any point resumable: the next invocation recomputes
-//! only what never hit the journal, and the assembled report is
-//! bit-identical to an uninterrupted run because cells are ordered by
-//! index, not by completion time.
+//! across `psr_core::par`'s indexed map. Determinism is structural, not
+//! accidental: each cell derives its own seed stream from the plan seed
+//! and the cell *index* and runs its scenario single-threaded, so the
+//! worker count only changes wall-clock time — never a byte of any
+//! result. Completed cells are journalled (with an `fsync`) the moment
+//! they finish, which makes a kill at any point resumable: the next
+//! invocation recomputes only what never hit the journal, and the
+//! assembled report is bit-identical to an uninterrupted run because
+//! cells are ordered by index, not by completion time.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use psr_datasets::{livejournal_like, twitter_like, wiki_vote_like, PresetConfig};
 use psr_graph::{CompressedCsr, Direction, Graph};
-use psr_obs::{fields, Telemetry};
+use psr_obs::{fields, Heartbeat, Progress, Telemetry};
 
 use crate::cell::{run_cell, CellResult, CellSpec};
 use crate::journal::ResultsJournal;
@@ -152,106 +152,49 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
         }
     }
 
-    // Fan out: workers pull cells off a shared counter; each finished
-    // cell is journalled under the lock before being recorded. Slots are
-    // preassigned by index, so completion order is irrelevant.
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
-        .max(1)
-        .min(pending.len().max(1));
-    let next = AtomicUsize::new(0);
-    let sink: Mutex<(Option<&mut ResultsJournal>, Vec<Option<CellResult>>)> =
-        Mutex::new((journal.as_mut(), vec![None; pending.len()]));
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    // Heartbeat progress counters: operational only, never results.
+    // Fan out: each finished cell is journalled under the lock before it
+    // counts as computed. Slots are preassigned by index, so completion
+    // order is irrelevant.
+    let journal = Mutex::new(journal.as_mut());
+    // Heartbeat progress counter: operational only, never results.
     let completed = AtomicUsize::new(0);
-    let finished_workers = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (telemetry, completed, finished_workers) =
-                (&telemetry, &completed, &finished_workers);
-            let (next, sink, errors, pending, graphs) = (&next, &sink, &errors, &pending, &graphs);
-            scope.spawn(move || {
-                loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = pending.get(slot) else { break };
-                    let graph = graphs[spec.dataset].as_ref().expect("dataset preloaded");
-                    let trace = telemetry.trace();
-                    if trace.is_enabled() {
-                        trace.event("frontier.cell.start", fields!["index" => spec.index]);
-                    }
-                    match run_cell(plan, spec, graph) {
-                        Ok(cell) => {
-                            let mut sink = sink.lock().expect("sweep sink");
-                            if let Some(journal) = sink.0.as_mut() {
-                                if let Err(e) = journal.append(&cell) {
-                                    errors
-                                        .lock()
-                                        .expect("sweep errors")
-                                        .push(format!("journalling cell {}: {e}", cell.spec.index));
-                                    break;
-                                }
-                            }
-                            sink.1[slot] = Some(cell);
-                            drop(sink);
-                            if trace.is_enabled() {
-                                trace.event("frontier.cell.finish", fields!["index" => spec.index]);
-                            }
-                            telemetry.metrics().counter("frontier.cells_computed").inc();
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => {
-                            errors.lock().expect("sweep errors").push(e);
-                            break;
-                        }
-                    }
-                }
-                // Signals the heartbeat monitor; every exit path counts.
-                finished_workers.fetch_add(1, Ordering::Relaxed);
-            });
+    let progress = || {
+        let done = completed.load(Ordering::Relaxed);
+        Progress {
+            summary: format!(
+                "{}/{total} cells measured ({done}/{} this run)",
+                resumed + done,
+                pending.len()
+            ),
+            done,
+            total: pending.len(),
         }
+    };
+    let computed_cells = Heartbeat::new("psr frontier", opts.heartbeat).run(progress, || {
+        psr_core::par::try_map(psr_core::par::threads(opts.threads), pending.len(), |slot| {
+            let spec = pending[slot];
+            let graph = graphs[spec.dataset].as_ref().expect("dataset preloaded");
+            let trace = telemetry.trace();
+            if trace.is_enabled() {
+                trace.event("frontier.cell.start", fields!["index" => spec.index]);
+            }
+            let cell = run_cell(plan, spec, graph)?;
+            if let Some(journal) = journal.lock().expect("sweep journal").as_mut() {
+                journal
+                    .append(&cell)
+                    .map_err(|e| format!("journalling cell {}: {e}", cell.spec.index))?;
+            }
+            if trace.is_enabled() {
+                trace.event("frontier.cell.finish", fields!["index" => spec.index]);
+            }
+            telemetry.metrics().counter("frontier.cells_computed").inc();
+            completed.fetch_add(1, Ordering::Relaxed);
+            Ok::<_, String>(cell)
+        })
+    })?;
 
-        if let Some(period) = opts.heartbeat {
-            let (completed, finished_workers) = (&completed, &finished_workers);
-            let (new_cells, already, grand_total) = (pending.len(), resumed, total);
-            scope.spawn(move || {
-                let mut next_report = period;
-                loop {
-                    std::thread::sleep(Duration::from_millis(25));
-                    if finished_workers.load(Ordering::Relaxed) >= threads {
-                        break;
-                    }
-                    let elapsed = start.elapsed();
-                    if elapsed < next_report {
-                        continue;
-                    }
-                    next_report += period;
-                    let done = completed.load(Ordering::Relaxed);
-                    let eta = if done == 0 {
-                        "?".to_owned()
-                    } else {
-                        let remaining = (new_cells - done) as f64 / done as f64;
-                        format!("{:.0}", elapsed.as_secs_f64() * remaining)
-                    };
-                    eprintln!(
-                        "[psr frontier] t+{:.0}s: {}/{grand_total} cells measured \
-                         ({done}/{new_cells} this run), ETA {eta}s",
-                        elapsed.as_secs_f64(),
-                        already + done,
-                    );
-                }
-            });
-        }
-    });
-    if let Some(error) = errors.into_inner().expect("sweep errors").into_iter().next() {
-        return Err(error);
-    }
-
-    let computed_cells = sink.into_inner().expect("sweep sink").1;
     let computed = computed_cells.len();
-    for cell in computed_cells.into_iter().flatten() {
+    for cell in computed_cells {
         let index = cell.spec.index;
         done[index] = Some(cell);
     }

@@ -12,6 +12,7 @@
 //!   key/value fields, buffered in a bounded ring ([`TraceSink`]) and
 //!   exportable as JSONL. Sequence numbers order events; wall-clock
 //!   durations (`elapsed_ns`) are the only nondeterministic payload.
+//! * [`heartbeat`] — the daemon's and the sweep's stderr progress lines.
 //!
 //! **Telemetry is an observer, never a participant.** Instrumented code
 //! must produce bit-identical results with telemetry enabled or
@@ -21,11 +22,13 @@
 //! branch per record op), and a disabled [`TraceSink`] never reads the
 //! clock.
 
+pub mod heartbeat;
 pub mod metrics;
 pub mod trace;
 
 use std::sync::Arc;
 
+pub use heartbeat::{Heartbeat, Progress};
 pub use metrics::{
     Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample, LatencyHistogram,
     LatencySummary, MetricsRegistry, MetricsSnapshot,

@@ -3,8 +3,12 @@
 //! with the one-shot serving path, bounded-queue backpressure, and the
 //! kill/restart acceptance check on a journalled budget ledger.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use psr_core::serving::daemon::{multiplex, run_daemon, DaemonConfig, DaemonEvent};
 use psr_core::serving::{BatchRequest, RecommendationService, ServeError, ServiceConfig};
@@ -14,8 +18,8 @@ use psr_gen::{
     edge_stream, request_stream, rng_from_seed, RequestEvent, RequestStreamParams, StreamEvent,
     StreamParams,
 };
-use psr_graph::Graph;
-use psr_utility::CommonNeighbors;
+use psr_graph::{Graph, GraphView, NodeId};
+use psr_utility::{CandidateSet, CommonNeighbors, Sensitivity, UtilityFunction, UtilityVector};
 
 fn wiki_graph() -> Graph {
     wiki_vote_like(PresetConfig::scaled(0.05, 2011)).unwrap().0
@@ -213,4 +217,60 @@ fn daemon_restart_replays_identical_budget_spend() {
     for (&target, &before) in targets.iter().zip(&spend_before) {
         assert_eq!(service.spent_budget(target), before, "refusals must not charge");
     }
+}
+
+/// Common neighbours, instrumented: records which threads compute
+/// utilities, and holds each computation until a second distinct thread
+/// has entered (bounded by a deadline, after which nobody waits), so a
+/// batch that is evaluated serially shows up as exactly one thread.
+struct ThreadRecordingUtility {
+    threads: Arc<Mutex<HashSet<ThreadId>>>,
+    deadline: Instant,
+}
+
+impl UtilityFunction for ThreadRecordingUtility {
+    fn name(&self) -> String {
+        CommonNeighbors.name()
+    }
+
+    fn utilities(
+        &self,
+        graph: &dyn GraphView,
+        target: NodeId,
+        candidates: &CandidateSet,
+    ) -> UtilityVector {
+        self.threads.lock().unwrap().insert(std::thread::current().id());
+        while self.threads.lock().unwrap().len() < 2 && Instant::now() < self.deadline {
+            std::thread::yield_now();
+        }
+        CommonNeighbors.utilities(graph, target, candidates)
+    }
+
+    fn sensitivity(&self, graph: &dyn GraphView) -> Option<Sensitivity> {
+        CommonNeighbors.sensitivity(graph)
+    }
+}
+
+#[test]
+fn a_single_job_fans_out_over_the_service_threads() {
+    // `psr serve` runs one daemon worker; the service's thread budget must
+    // reach that worker's job instead of leaving it serial.
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    let utility = ThreadRecordingUtility {
+        threads: Arc::clone(&threads),
+        deadline: Instant::now() + Duration::from_secs(10),
+    };
+    let service = RecommendationService::new(
+        psr_datasets::toy::karate_club(),
+        Box::new(utility),
+        ServiceConfig { budget_per_target: f64::INFINITY, threads: Some(2), ..Default::default() },
+    );
+    let requests: Vec<BatchRequest> = (0..8).map(|target| BatchRequest { target, k: 2 }).collect();
+    let events = vec![DaemonEvent::Requests { time: 0, seed: 13, requests }];
+    let run =
+        run_daemon(&service, &events, &DaemonConfig { workers: Some(1), ..Default::default() })
+            .unwrap();
+    assert_eq!(run.metrics.served, 8);
+    let threads = threads.lock().unwrap().len();
+    assert!(threads >= 2, "the job was evaluated on {threads} thread(s)");
 }

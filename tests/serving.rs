@@ -63,7 +63,7 @@ fn served_recommendations_are_valid_and_distinct() {
         assert_eq!(distinct.len(), served.recommendations.len());
         for &v in &served.recommendations {
             assert_ne!(v, request.target);
-            assert!(!service.view().has_edge(request.target, v));
+            assert!(!service.pin().has_edge(request.target, v));
         }
     }
 }
@@ -163,7 +163,7 @@ fn service_and_recommender_share_one_graph() {
     let graph = service.shared_graph();
     let target = graph.nodes().find(|&v| graph.degree(v) > 0).unwrap();
     let served = service.serve_one(target, 1, 3).unwrap();
-    assert!(!service.view().has_edge(target, served.recommendations[0]));
+    assert!(!service.pin().has_edge(target, served.recommendations[0]));
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
     let single = recommender.recommend(target, &mut rng).unwrap();
     assert!(!recommender.graph().has_edge(target, single));
@@ -261,7 +261,7 @@ fn rejected_mutation_batches_roll_back_at_scale() {
         }
     }
     assert_eq!(service.epoch(), 0);
-    assert!(!service.view().has_edge(u, fresh), "partial application leaked");
+    assert!(!service.pin().has_edge(u, fresh), "partial application leaked");
     // Deleting a missing edge reports the typed graph error too.
     let err = service.apply_mutations(&[EdgeMutation::delete(u, fresh)]).unwrap_err();
     assert!(err.to_string().contains("not found"), "{err}");
@@ -295,7 +295,7 @@ fn pinned_batches_drain_bit_identically_while_epochs_advance() {
     };
     let net_edges: i64 =
         schedule.iter().flatten().map(|m| if m.op == MutationOp::Insert { 1 } else { -1 }).sum();
-    let base_edges = service.view().num_edges();
+    let base_edges = service.pin().num_edges();
 
     let pin = service.pin();
     assert_eq!(pin.version(), 0);
