@@ -96,20 +96,35 @@ pub enum Adjacency {
 }
 
 impl Adjacency {
+    /// Every adjacency, in [`Adjacency::NAMES`] order.
+    pub const ALL: [Adjacency; 2] = [Adjacency::Edge, Adjacency::Node];
+    /// Every adjacency name, the `--adjacency` and plan-axis vocabulary.
+    pub const NAMES: [&'static str; 2] = ["edge", "node"];
+
     /// Stable name for reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            Adjacency::Edge => "edge",
-            Adjacency::Node => "node",
-        }
+        Self::NAMES[*self as usize]
     }
 
-    /// The edit distance the Corollary-1 accuracy floor is evaluated at.
-    fn accuracy_t(&self) -> u64 {
+    /// The edit distance the Corollary-1 accuracy bounds are evaluated
+    /// at: 1 for an edge, `t_node_privacy()` for a node rewire.
+    pub fn accuracy_t(&self) -> u64 {
         match self {
             Adjacency::Edge => 1,
             Adjacency::Node => psr_bounds::edit_distance::t_node_privacy(),
         }
+    }
+}
+
+impl std::str::FromStr for Adjacency {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let names = Self::NAMES;
+        Self::ALL
+            .into_iter()
+            .find(|a| a.name() == s)
+            .ok_or_else(|| format!("unknown adjacency {s:?} (expected one of {names:?})"))
     }
 }
 

@@ -77,13 +77,51 @@ pub enum AttackMechanism {
 }
 
 impl AttackMechanism {
-    /// Stable name for reports.
+    /// Every mechanism name, the `--mechanism` and plan-axis vocabulary.
+    pub const NAMES: [&'static str; 4] = ["exponential", "laplace", "smoothing", "non-private"];
+
+    /// The mechanism `name` selects, with its parameter: `epsilon` for
+    /// exponential and Laplace, `x` for smoothing (the other is ignored).
+    /// Fails on an unknown name or a parameter [`Self::validate`]
+    /// rejects.
+    pub fn new(name: &str, epsilon: f64, x: f64) -> Result<Self, String> {
+        let mechanism = match name {
+            "exponential" => AttackMechanism::Exponential { epsilon },
+            "laplace" => AttackMechanism::Laplace { epsilon },
+            "smoothing" => AttackMechanism::Smoothing { x },
+            "non-private" => AttackMechanism::NonPrivateTopK,
+            other => {
+                let names = Self::NAMES;
+                return Err(format!("unknown mechanism {other:?} (expected one of {names:?})"));
+            }
+        };
+        mechanism.validate()?;
+        Ok(mechanism)
+    }
+
+    /// Stable name, the inverse of [`Self::new`].
     pub fn name(&self) -> &'static str {
         match self {
             AttackMechanism::Exponential { .. } => "exponential",
-            AttackMechanism::NonPrivateTopK => "non-private-topk",
             AttackMechanism::Laplace { .. } => "laplace",
             AttackMechanism::Smoothing { .. } => "smoothing",
+            AttackMechanism::NonPrivateTopK => "non-private",
+        }
+    }
+
+    /// Checks the parameter: ε positive and finite, smoothing `x` in
+    /// `[0, 1)`, the domain of Theorem 5's `ε = ln(1 + nx/(1−x))`.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon }
+                if !(epsilon > 0.0 && epsilon.is_finite()) =>
+            {
+                Err(format!("epsilon {epsilon} must be positive and finite"))
+            }
+            AttackMechanism::Smoothing { x } if !(0.0..1.0).contains(&x) => Err(format!(
+                "smoothing x {x} must be in [0, 1) (x = 1 is the non-private baseline)"
+            )),
+            _ => Ok(()),
         }
     }
 
@@ -280,8 +318,8 @@ impl TwoWorldEngine {
     ///
     /// # Panics
     /// Panics on an inconsistent scenario: zero rounds/trials, `k = 0`
-    /// (or `k ≠ 1` for single-draw mechanisms), a smoothing weight
-    /// outside `[0, 1)`, `prefix_rounds` outside `1..rounds` for
+    /// (or `k ≠ 1` for single-draw mechanisms), a mechanism parameter
+    /// [`AttackMechanism::validate`] rejects, `prefix_rounds` outside `1..rounds` for
     /// mid-stream divergence, an empty secret batch, a batch that does
     /// not apply to the base graph, no observers, observers that are not
     /// graph nodes, or observers with no candidates in either world.
@@ -299,12 +337,8 @@ impl TwoWorldEngine {
         if !params.mechanism.serves_through_service() {
             assert_eq!(params.k, 1, "single-draw mechanisms serve exactly one slot");
         }
-        if let AttackMechanism::Smoothing { x } = params.mechanism {
-            assert!(
-                (0.0..1.0).contains(&x),
-                "smoothing x must be in [0,1) — x = 1 is the \
-                 non-private baseline, use AttackMechanism::NonPrivateTopK"
-            );
+        if let Err(e) = params.mechanism.validate() {
+            panic!("{e}");
         }
         if let Divergence::MidStream { prefix_rounds } = divergence {
             assert!(
@@ -832,6 +866,25 @@ pub(crate) fn unique_argmax(u: &UtilityVector) -> Option<NodeId> {
         }
     }
     winner
+}
+
+/// Toggled-graph evaluations a default-scenario search may spend: karate
+/// needs a handful, preset graphs get a bounded prefix scan.
+pub const SEARCH_BUDGET: usize = 4_000;
+
+/// The secret edge (and observers) to attack when none is given: the
+/// first pair [`leaking_secret_edge`] finds within [`SEARCH_BUDGET`], else
+/// [`default_secret_edge`] when it has observers.
+pub fn search_secret_edge(
+    base: &Arc<Graph>,
+    utility: &dyn UtilityFunction,
+    observer_cap: usize,
+) -> Option<((NodeId, NodeId), Vec<NodeId>)> {
+    leaking_secret_edge(base, utility, observer_cap, SEARCH_BUDGET).or_else(|| {
+        let secret = default_secret_edge(base)?;
+        let observers = default_observers(base, secret, observer_cap);
+        (!observers.is_empty()).then_some((secret, observers))
+    })
 }
 
 /// Searches for a secret edge that *visibly* leaks through non-private

@@ -79,8 +79,9 @@ pub use comparison::{
     lemma1_epsilon_floor_from_accuracy, Adjacency, BoundsComparison,
 };
 pub use harness::{
-    default_observers, default_secret_edge, leaking_secret_edge, AttackMechanism, AttackResult,
-    EdgeInferenceScenario, EpochStyle, ScenarioConfig, TranscriptSet, NON_PRIVATE_EPSILON,
+    default_observers, default_secret_edge, leaking_secret_edge, search_secret_edge,
+    AttackMechanism, AttackResult, EdgeInferenceScenario, EpochStyle, ScenarioConfig,
+    TranscriptSet, NON_PRIVATE_EPSILON, SEARCH_BUDGET,
 };
 pub use model::{MechanismModel, ObservationModel, WorldModel};
 pub use node::{

@@ -1,4 +1,11 @@
 //! Hand-rolled argument parsing (no CLI crates in the allowed set).
+//!
+//! Flags several subcommands share are parsed by one flag group each:
+//! the graph source ([`GraphFlags`], filling a [`DatasetSpec`]), serving
+//! ([`ServingFlags`]), telemetry ([`TelemetryFlags`]) and run
+//! ([`RunFlags`]). A subcommand lists which shared flags it accepts and
+//! matches only its own; names are checked against the tables of the
+//! crates that own each axis.
 
 /// Usage text shown on parse errors.
 pub const USAGE: &str = "\
@@ -20,10 +27,12 @@ recommend options:
   --input <path>    SNAP edge list to serve from (default: generated preset)
   --directed        treat the input file as directed
   --preset <name>   wiki|twitter when no --input (default wiki)
+  --scale <0..1]    dataset scale (default 1.0)
   --utility <name>  common-neighbors|weighted-paths (default common-neighbors)
   --gamma <f64>     weighted-paths damping (default 0.005)
   --mechanism <m>   exponential|laplace (default exponential)
   --epsilon <f64>   privacy budget (default 1.0)
+  --seed <u64>      generator and mechanism seed (default 42)
 
 serve options (batch serving over a worker pool):
   --requests <path> JSON array of {\"target\": N, \"k\": M} requests (required)
@@ -155,78 +164,279 @@ options:
   --threads <n>    worker threads (default: all cores)
   --json <path>    also write the result as JSON";
 
-/// Utility functions every serving/attack surface accepts.
-const UTILITIES: [&str; 2] = ["common-neighbors", "weighted-paths"];
-/// Top-k engines every serving/attack surface accepts.
-const ENGINES: [&str; 2] = ["peel", "gumbel"];
-/// Mechanisms the attack harness (and frontier sweeps) cover.
-const ATTACK_MECHANISMS: [&str; 4] = ["exponential", "laplace", "smoothing", "non-private"];
-/// Generated presets the batch/stream serving surfaces accept.
-const SERVING_PRESETS: [&str; 3] = ["wiki", "twitter", "livejournal"];
-/// Presets the attack harness accepts (karate is the demo graph).
-const ATTACK_PRESETS: [&str; 4] = ["karate", "wiki", "twitter", "livejournal"];
+use std::fmt::Display;
+use std::str::FromStr;
 
-/// Validated `--utility` parse shared by `recommend`, `serve`, `daemon`,
-/// `attack` and `frontier` — one allow-list instead of a copy per
-/// subcommand.
-fn parse_utility(raw: &str) -> Result<String, String> {
-    if !UTILITIES.contains(&raw) {
-        return Err(format!("unknown utility {raw:?}"));
-    }
-    Ok(raw.to_owned())
+use psr_attack::{Adjacency, AttackMechanism};
+use psr_datasets::{Backend, DatasetSpec, Preset};
+use psr_privacy::TopKEngine;
+use psr_utility::{UtilityFunction, UtilityKind};
+
+/// Presets `recommend` and `dataset` accept: the paper's two graphs.
+const PAPER_PRESETS: &[Preset] = &[Preset::Wiki, Preset::Twitter];
+/// Presets the serving surfaces and `build-snapshot` accept.
+const SERVING_PRESETS: &[Preset] = &[Preset::Wiki, Preset::Twitter, Preset::LiveJournal];
+/// Presets `attack` accepts (karate is the demo graph).
+const ATTACK_PRESETS: &[Preset] = &Preset::ALL;
+/// Mechanisms `recommend` serves through `psr_core::Recommender`.
+const RECOMMEND_MECHANISMS: [&str; 2] = ["exponential", "laplace"];
+
+/// Graph-source flags every graph-loading subcommand accepts.
+const SOURCE: &[&str] = &["--input", "--directed", "--preset", "--scale"];
+/// Graph-source flags of the subcommands that can read a snapshot.
+const BACKEND: &[&str] = &["--backend", "--snapshot"];
+/// Serving flags of `serve` and `daemon`.
+const SERVING: &[&str] = &["--utility", "--gamma", "--epsilon", "--budget", "--engine"];
+/// Telemetry flags of `daemon` and `frontier`.
+const TELEMETRY: &[&str] = &["--metrics-out", "--trace", "--heartbeat"];
+/// Run flags of `serve`, `daemon` and `attack`.
+const RUN: &[&str] = &["--threads", "--seed", "--json"];
+
+/// One subcommand's arguments, consumed left to right.
+struct Flags<'a> {
+    sub: &'static str,
+    rest: std::slice::Iter<'a, String>,
 }
 
-/// Validated `--engine` parse shared by the same subcommands.
-fn parse_engine(raw: &str) -> Result<String, String> {
-    if !ENGINES.contains(&raw) {
-        return Err(format!("unknown top-k engine {raw:?} (expected peel|gumbel)"));
+impl<'a> Flags<'a> {
+    fn new(sub: &'static str, rest: &'a [String]) -> Self {
+        Flags { sub, rest: rest.iter() }
     }
-    Ok(raw.to_owned())
+
+    /// The next flag that is not one of the `shared` flags; those are
+    /// handed to the first of `groups` that parses them.
+    fn next(
+        &mut self,
+        shared: &[&[&str]],
+        groups: &mut [&mut dyn FlagGroup],
+    ) -> Result<Option<&'a str>, String> {
+        while let Some(flag) = self.rest.next() {
+            if !shared.iter().any(|set| set.contains(&flag.as_str())) {
+                return Ok(Some(flag));
+            }
+            let mut parsed = false;
+            for group in groups.iter_mut() {
+                parsed = parsed || group.flag(flag, self)?;
+            }
+            assert!(parsed, "{flag} is shared by {} but no group parses it", self.sub);
+        }
+        Ok(None)
+    }
+
+    /// The error for a flag this subcommand does not accept.
+    fn unknown(&self, flag: &str) -> String {
+        format!("unknown {} option {flag:?}", self.sub)
+    }
+
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.rest.next().map(String::as_str).ok_or(format!("{flag} expects a value"))
+    }
+
+    fn string(&mut self, flag: &str) -> Result<String, String> {
+        self.value(flag).map(str::to_owned)
+    }
+
+    fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.value(flag)?.parse().map_err(|e| format!("{flag}: {e}"))
+    }
+
+    /// A positive count: a whole number of at least 1.
+    fn count<T: FromStr + Default + PartialEq>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let n: T = self.parse(flag)?;
+        if n == T::default() {
+            return Err(format!("{flag} must be at least 1"));
+        }
+        Ok(n)
+    }
+
+    /// A positive, finite real.
+    fn positive(&mut self, flag: &str) -> Result<f64, String> {
+        let x: f64 = self.parse(flag)?;
+        if !(x > 0.0 && x.is_finite()) {
+            return Err(format!("{flag} must be positive and finite"));
+        }
+        Ok(x)
+    }
 }
 
-/// Validated `--mechanism` parse against a caller-chosen allow-list
-/// (`recommend` serves only exponential/laplace; `attack` and `frontier`
-/// cover the full panel).
-fn parse_mechanism(raw: &str, allowed: &[&str]) -> Result<String, String> {
-    if !allowed.contains(&raw) {
-        return Err(format!("unknown mechanism {raw:?} (expected one of {allowed:?})"));
-    }
-    Ok(raw.to_owned())
-}
-
-/// Validated `--preset` parse against a caller-chosen allow-list.
-fn parse_preset(raw: &str, allowed: &[&str]) -> Result<String, String> {
-    if !allowed.contains(&raw) {
-        return Err(format!("unknown preset {raw:?} (expected one of {allowed:?})"));
-    }
-    Ok(raw.to_owned())
-}
-
-/// Validated `--epsilon` parse: a positive, finite budget.
-fn parse_epsilon(raw: &str) -> Result<f64, String> {
-    let epsilon: f64 = raw.parse().map_err(|e| format!("--epsilon: {e}"))?;
-    if !(epsilon > 0.0 && epsilon.is_finite()) {
-        return Err("--epsilon must be positive".into());
-    }
-    Ok(epsilon)
-}
-
-/// Validated `--heartbeat` parse: a positive whole number of seconds.
-fn parse_heartbeat(raw: &str) -> Result<u64, String> {
-    let secs: u64 = raw.parse().map_err(|e| format!("--heartbeat: {e}"))?;
-    if secs == 0 {
-        return Err("--heartbeat must be at least 1 second".into());
-    }
-    Ok(secs)
+/// A set of flags several subcommands share, parsed in one place.
+trait FlagGroup {
+    /// Parses `flag` (and its value) when it belongs to this group.
+    fn flag(&mut self, flag: &str, args: &mut Flags) -> Result<bool, String>;
 }
 
 /// Validated `--scale` parse: a fraction of the paper-scale dataset.
-fn parse_scale(raw: &str) -> Result<f64, String> {
-    let scale: f64 = raw.parse().map_err(|e| format!("--scale: {e}"))?;
+fn parse_scale(args: &mut Flags, flag: &str) -> Result<f64, String> {
+    let scale: f64 = args.parse(flag)?;
     if !(scale > 0.0 && scale <= 1.0) {
         return Err("--scale must be in (0, 1]".into());
     }
     Ok(scale)
+}
+
+/// Checks `raw` against a subcommand's preset set.
+fn parse_preset(raw: &str, presets: &[Preset]) -> Result<Preset, String> {
+    presets.iter().copied().find(|p| p.name() == raw).ok_or_else(|| {
+        let names: Vec<&str> = presets.iter().map(|p| p.name()).collect();
+        format!("unknown preset {raw:?} (expected one of {names:?})")
+    })
+}
+
+/// The graph-source group: `--input --directed --preset --scale`, plus
+/// `--backend --snapshot` where a subcommand accepts them. The preset
+/// set is the subcommand's.
+struct GraphFlags<'o> {
+    spec: &'o mut DatasetSpec,
+    presets: &'static [Preset],
+    backend_explicit: bool,
+}
+
+impl<'o> GraphFlags<'o> {
+    fn new(spec: &'o mut DatasetSpec, presets: &'static [Preset]) -> Self {
+        GraphFlags { spec, presets, backend_explicit: false }
+    }
+
+    /// Validates the source. A snapshot implies the compressed backend,
+    /// whatever the argument order, unless `--backend` named another.
+    fn finish(self) -> Result<(), String> {
+        if self.spec.snapshot.is_some() && !self.backend_explicit {
+            self.spec.backend = Backend::Compressed.name().to_owned();
+        }
+        self.spec.validate()
+    }
+}
+
+impl FlagGroup for GraphFlags<'_> {
+    fn flag(&mut self, flag: &str, args: &mut Flags) -> Result<bool, String> {
+        match flag {
+            "--input" => self.spec.input = Some(args.string(flag)?),
+            "--directed" => self.spec.directed = true,
+            "--preset" => {
+                let preset = parse_preset(args.value(flag)?, self.presets)?;
+                self.spec.preset = preset.name().to_owned();
+            }
+            "--scale" => self.spec.scale = parse_scale(args, flag)?,
+            "--backend" => {
+                self.spec.backend = args.parse::<Backend>(flag)?.name().to_owned();
+                self.backend_explicit = true;
+            }
+            "--snapshot" => self.spec.snapshot = Some(args.string(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// The serving group: `--utility --gamma --epsilon --budget --engine`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServingFlags {
+    /// Utility function name.
+    pub utility: String,
+    /// Weighted-paths damping.
+    pub gamma: f64,
+    /// Privacy cost ε of one request (one observation for `attack`).
+    pub epsilon: f64,
+    /// Total ε each target may spend.
+    pub budget: f64,
+    /// Top-k engine name: peel|gumbel.
+    pub engine: String,
+}
+
+impl Default for ServingFlags {
+    fn default() -> Self {
+        ServingFlags {
+            utility: UtilityKind::CommonNeighbors.name().to_owned(),
+            gamma: 0.005,
+            epsilon: 1.0,
+            budget: 10.0,
+            engine: TopKEngine::Gumbel.name().to_owned(),
+        }
+    }
+}
+
+impl ServingFlags {
+    /// The utility function `--utility` and `--gamma` name.
+    pub fn utility(&self) -> Result<Box<dyn UtilityFunction>, String> {
+        Ok(self.utility.parse::<UtilityKind>()?.build(self.gamma))
+    }
+
+    /// The top-k engine `--engine` names.
+    pub fn engine(&self) -> Result<TopKEngine, String> {
+        self.engine.parse()
+    }
+}
+
+impl FlagGroup for ServingFlags {
+    fn flag(&mut self, flag: &str, args: &mut Flags) -> Result<bool, String> {
+        match flag {
+            "--utility" => self.utility = args.parse::<UtilityKind>(flag)?.name().to_owned(),
+            "--gamma" => self.gamma = args.parse(flag)?,
+            "--epsilon" => self.epsilon = args.positive(flag)?,
+            "--budget" => self.budget = args.positive(flag)?,
+            "--engine" => self.engine = args.parse::<TopKEngine>(flag)?.name().to_owned(),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// The telemetry group: `--metrics-out --trace --heartbeat`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TelemetryFlags {
+    /// Telemetry metrics-snapshot path (None = telemetry stays off
+    /// unless `--trace` enables it).
+    pub metrics_out: Option<String>,
+    /// Telemetry trace JSONL path (None = no trace export).
+    pub trace: Option<String>,
+    /// Stderr progress-line period in seconds (None = silent).
+    pub heartbeat: Option<u64>,
+}
+
+impl FlagGroup for TelemetryFlags {
+    fn flag(&mut self, flag: &str, args: &mut Flags) -> Result<bool, String> {
+        match flag {
+            "--metrics-out" => self.metrics_out = Some(args.string(flag)?),
+            "--trace" => self.trace = Some(args.string(flag)?),
+            "--heartbeat" => self.heartbeat = Some(args.count(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// The run group: `--threads --seed --json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunFlags {
+    /// Worker threads (None = all cores).
+    pub threads: Option<usize>,
+    /// Master seed.
+    pub seed: u64,
+    /// Optional JSON output path.
+    pub json: Option<String>,
+}
+
+impl Default for RunFlags {
+    fn default() -> Self {
+        RunFlags { threads: None, seed: 42, json: None }
+    }
+}
+
+impl FlagGroup for RunFlags {
+    fn flag(&mut self, flag: &str, args: &mut Flags) -> Result<bool, String> {
+        match flag {
+            "--threads" => self.threads = Some(args.parse(flag)?),
+            "--seed" => self.seed = args.parse(flag)?,
+            "--json" => self.json = Some(args.string(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
 }
 
 /// A parsed CLI invocation.
@@ -301,17 +511,12 @@ pub struct FrontierOptions {
     pub no_journal: bool,
     /// Stop after computing this many new cells.
     pub max_cells: Option<usize>,
-    /// Worker threads (None = all cores).
-    pub threads: Option<usize>,
     /// Write the built-in toy plan to this path and exit.
     pub write_plan: Option<String>,
-    /// Stderr progress-line period in seconds (None = silent).
-    pub heartbeat: Option<u64>,
-    /// Telemetry metrics-snapshot path (None = telemetry stays off
-    /// unless `--trace` enables it).
-    pub metrics_out: Option<String>,
-    /// Telemetry trace JSONL path (None = no trace export).
-    pub trace: Option<String>,
+    /// Telemetry outputs and the heartbeat.
+    pub telemetry: TelemetryFlags,
+    /// Worker threads (`run.threads`; the plan carries the seed).
+    pub run: RunFlags,
 }
 
 impl Default for FrontierOptions {
@@ -322,43 +527,26 @@ impl Default for FrontierOptions {
             journal: None,
             no_journal: false,
             max_cells: None,
-            threads: None,
             write_plan: None,
-            heartbeat: None,
-            metrics_out: None,
-            trace: None,
+            telemetry: TelemetryFlags::default(),
+            run: RunFlags::default(),
         }
     }
 }
 
 fn parse_frontier(rest: &[String]) -> Result<FrontierOptions, String> {
     let mut opts = FrontierOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--plan" => opts.plan = Some(value("--plan")?.clone()),
-            "--out" => opts.out = value("--out")?.clone(),
-            "--journal" => opts.journal = Some(value("--journal")?.clone()),
+    let mut args = Flags::new("frontier", rest);
+    let shared: &[&[&str]] = &[TELEMETRY, &["--threads"]];
+    while let Some(flag) = args.next(shared, &mut [&mut opts.telemetry, &mut opts.run])? {
+        match flag {
+            "--plan" => opts.plan = Some(args.string(flag)?),
+            "--out" => opts.out = args.string(flag)?,
+            "--journal" => opts.journal = Some(args.string(flag)?),
             "--no-journal" => opts.no_journal = true,
-            "--max-cells" => {
-                opts.max_cells =
-                    Some(value("--max-cells")?.parse().map_err(|e| format!("--max-cells: {e}"))?);
-                if opts.max_cells == Some(0) {
-                    return Err("--max-cells must be at least 1".into());
-                }
-            }
-            "--threads" => {
-                opts.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
-            }
-            "--write-plan" => opts.write_plan = Some(value("--write-plan")?.clone()),
-            "--heartbeat" => opts.heartbeat = Some(parse_heartbeat(value("--heartbeat")?)?),
-            "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?.clone()),
-            "--trace" => opts.trace = Some(value("--trace")?.clone()),
-            other => return Err(format!("unknown frontier option {other:?}")),
+            "--max-cells" => opts.max_cells = Some(args.count(flag)?),
+            "--write-plan" => opts.write_plan = Some(args.string(flag)?),
+            other => return Err(args.unknown(other)),
         }
     }
     if opts.no_journal && opts.journal.is_some() {
@@ -375,127 +563,55 @@ fn parse_frontier(rest: &[String]) -> Result<FrontierOptions, String> {
 pub struct BuildSnapshotOptions {
     /// Output snapshot path.
     pub out: String,
-    /// SNAP edge-list path (None = preset).
-    pub input: Option<String>,
-    /// Whether the input file is directed.
-    pub directed: bool,
-    /// Preset name when no input file.
-    pub preset: String,
-    /// Dataset scale for presets.
-    pub scale: f64,
-    /// Generator seed.
-    pub seed: u64,
+    /// The graph to encode.
+    pub graph: DatasetSpec,
     /// Degree-balanced shard count.
     pub shards: usize,
     /// Arcs buffered in RAM before spilling a sorted run.
     pub arc_budget: usize,
-    /// Optional JSON stats path (stdout when absent).
-    pub json: Option<String>,
+    /// Generator seed and the JSON stats path (stdout when absent).
+    pub run: RunFlags,
 }
 
 impl Default for BuildSnapshotOptions {
     fn default() -> Self {
         BuildSnapshotOptions {
             out: String::new(),
-            input: None,
-            directed: false,
-            preset: "livejournal".to_owned(),
-            scale: 1.0,
-            seed: 42,
+            graph: DatasetSpec::from_preset(Preset::LiveJournal),
             shards: 8,
             arc_budget: 4 * 1024 * 1024,
-            json: None,
+            run: RunFlags::default(),
         }
     }
 }
 
 fn parse_build_snapshot(rest: &[String]) -> Result<BuildSnapshotOptions, String> {
     let mut opts = BuildSnapshotOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--out" => opts.out = value("--out")?.clone(),
-            "--input" => opts.input = Some(value("--input")?.clone()),
-            "--directed" => opts.directed = true,
-            "--preset" => opts.preset = parse_preset(value("--preset")?, &SERVING_PRESETS)?,
-            "--scale" => opts.scale = parse_scale(value("--scale")?)?,
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--shards" => {
-                opts.shards = value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--arc-budget" => {
-                opts.arc_budget =
-                    value("--arc-budget")?.parse().map_err(|e| format!("--arc-budget: {e}"))?;
-                if opts.arc_budget == 0 {
-                    return Err("--arc-budget must be at least 1".into());
-                }
-            }
-            "--json" => opts.json = Some(value("--json")?.clone()),
-            other => return Err(format!("unknown build-snapshot option {other:?}")),
+    let mut graph = GraphFlags::new(&mut opts.graph, SERVING_PRESETS);
+    let mut args = Flags::new("build-snapshot", rest);
+    let shared: &[&[&str]] = &[SOURCE, &["--seed", "--json"]];
+    while let Some(flag) = args.next(shared, &mut [&mut graph, &mut opts.run])? {
+        match flag {
+            "--out" => opts.out = args.string(flag)?,
+            "--shards" => opts.shards = args.count(flag)?,
+            "--arc-budget" => opts.arc_budget = args.count(flag)?,
+            other => return Err(args.unknown(other)),
         }
     }
+    graph.finish()?;
     if opts.out.is_empty() {
         return Err("build-snapshot: --out <path> is required".into());
     }
     Ok(opts)
 }
 
-/// Validates a `--backend` value and resolves the `--snapshot` implication
-/// shared by `serve`, `daemon` and `attack`: a snapshot path forces the
-/// compressed backend and excludes `--input` (the snapshot *is* the
-/// input).
-fn resolve_backend(
-    backend: &mut String,
-    backend_explicit: bool,
-    snapshot: Option<&str>,
-    input: Option<&str>,
-) -> Result<(), String> {
-    if !["csr", "compressed"].contains(&backend.as_str()) {
-        return Err(format!("unknown backend {backend:?} (expected csr|compressed)"));
-    }
-    if snapshot.is_some() {
-        if input.is_some() {
-            return Err("--snapshot and --input are mutually exclusive".into());
-        }
-        if backend_explicit && backend == "csr" {
-            return Err("--snapshot requires the compressed backend (drop --backend csr)".into());
-        }
-        *backend = "compressed".to_owned();
-    }
-    Ok(())
-}
-
 /// Options for the `daemon` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonOptions {
-    /// SNAP edge-list path (None = preset).
-    pub input: Option<String>,
-    /// Whether the input file is directed.
-    pub directed: bool,
-    /// Preset name when no input file.
-    pub preset: String,
-    /// Dataset scale for presets.
-    pub scale: f64,
-    /// Graph backing: csr|compressed.
-    pub backend: String,
-    /// PSRZ snapshot to serve from (implies the compressed backend).
-    pub snapshot: Option<String>,
-    /// Utility function name.
-    pub utility: String,
-    /// Weighted-paths damping.
-    pub gamma: f64,
-    /// Privacy cost ε of one request.
-    pub epsilon: f64,
-    /// Total ε each target may spend.
-    pub budget: f64,
-    /// Top-k engine name: peel|gumbel.
-    pub engine: String,
+    /// The graph to serve.
+    pub graph: DatasetSpec,
+    /// Utility, ε, budget and engine.
+    pub serving: ServingFlags,
     /// Requests to generate.
     pub request_events: usize,
     /// Edge mutations to interleave.
@@ -514,35 +630,17 @@ pub struct DaemonOptions {
     pub ledger: Option<String>,
     /// Replay pacing in stream ticks per second (None = no pacing).
     pub rate: Option<f64>,
-    /// Worker threads (None = all cores).
-    pub threads: Option<usize>,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optional JSON report path (stdout when absent).
-    pub json: Option<String>,
-    /// Stderr progress-line period in seconds (None = silent).
-    pub heartbeat: Option<u64>,
-    /// Telemetry metrics-snapshot path (None = telemetry stays off
-    /// unless `--trace` enables it).
-    pub metrics_out: Option<String>,
-    /// Telemetry trace JSONL path (None = no trace export).
-    pub trace: Option<String>,
+    /// Telemetry outputs and the heartbeat.
+    pub telemetry: TelemetryFlags,
+    /// Threads, seed and the JSON report path (stdout when absent).
+    pub run: RunFlags,
 }
 
 impl Default for DaemonOptions {
     fn default() -> Self {
         DaemonOptions {
-            input: None,
-            directed: false,
-            preset: "wiki".to_owned(),
-            scale: 1.0,
-            backend: "csr".to_owned(),
-            snapshot: None,
-            utility: "common-neighbors".to_owned(),
-            gamma: 0.005,
-            epsilon: 1.0,
-            budget: 10.0,
-            engine: "gumbel".to_owned(),
+            graph: DatasetSpec::from_preset(Preset::Wiki),
+            serving: ServingFlags::default(),
             request_events: 256,
             mutation_events: 32,
             insert_fraction: 0.7,
@@ -552,147 +650,51 @@ impl Default for DaemonOptions {
             queue: 8,
             ledger: None,
             rate: None,
-            threads: None,
-            seed: 42,
-            json: None,
-            heartbeat: None,
-            metrics_out: None,
-            trace: None,
+            telemetry: TelemetryFlags::default(),
+            run: RunFlags::default(),
         }
     }
 }
 
 fn parse_daemon(rest: &[String]) -> Result<DaemonOptions, String> {
     let mut opts = DaemonOptions::default();
-    let mut backend_explicit = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--input" => opts.input = Some(value("--input")?.clone()),
-            "--directed" => opts.directed = true,
-            "--preset" => opts.preset = parse_preset(value("--preset")?, &SERVING_PRESETS)?,
-            "--backend" => {
-                opts.backend = value("--backend")?.clone();
-                backend_explicit = true;
-            }
-            "--snapshot" => opts.snapshot = Some(value("--snapshot")?.clone()),
-            "--scale" => opts.scale = parse_scale(value("--scale")?)?,
-            "--utility" => opts.utility = parse_utility(value("--utility")?)?,
-            "--gamma" => {
-                opts.gamma = value("--gamma")?.parse().map_err(|e| format!("--gamma: {e}"))?
-            }
-            "--epsilon" => opts.epsilon = parse_epsilon(value("--epsilon")?)?,
-            "--budget" => {
-                opts.budget = value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?;
-                if !(opts.budget > 0.0 && opts.budget.is_finite()) {
-                    return Err("--budget must be positive and finite".into());
-                }
-            }
-            "--engine" => opts.engine = parse_engine(value("--engine")?)?,
-            "--request-events" => {
-                opts.request_events = value("--request-events")?
-                    .parse()
-                    .map_err(|e| format!("--request-events: {e}"))?;
-                if opts.request_events == 0 {
-                    return Err("--request-events must be at least 1".into());
-                }
-            }
-            "--mutation-events" => {
-                opts.mutation_events = value("--mutation-events")?
-                    .parse()
-                    .map_err(|e| format!("--mutation-events: {e}"))?;
-            }
+    let mut graph = GraphFlags::new(&mut opts.graph, SERVING_PRESETS);
+    let mut args = Flags::new("daemon", rest);
+    let shared: &[&[&str]] = &[SOURCE, BACKEND, SERVING, TELEMETRY, RUN];
+    while let Some(flag) =
+        args.next(shared, &mut [&mut graph, &mut opts.serving, &mut opts.telemetry, &mut opts.run])?
+    {
+        match flag {
+            "--request-events" => opts.request_events = args.count(flag)?,
+            "--mutation-events" => opts.mutation_events = args.parse(flag)?,
             "--insert-fraction" => {
-                opts.insert_fraction = value("--insert-fraction")?
-                    .parse()
-                    .map_err(|e| format!("--insert-fraction: {e}"))?;
+                opts.insert_fraction = args.parse(flag)?;
                 if !(0.0..=1.0).contains(&opts.insert_fraction) {
                     return Err("--insert-fraction must be in [0, 1]".into());
                 }
             }
-            "--k" => {
-                opts.k = value("--k")?.parse().map_err(|e| format!("--k: {e}"))?;
-                if opts.k == 0 {
-                    return Err("--k must be at least 1".into());
-                }
-            }
-            "--batch" => {
-                opts.batch = value("--batch")?.parse().map_err(|e| format!("--batch: {e}"))?;
-                if opts.batch == 0 {
-                    return Err("--batch must be at least 1".into());
-                }
-            }
-            "--mutation-batch" => {
-                opts.mutation_batch = value("--mutation-batch")?
-                    .parse()
-                    .map_err(|e| format!("--mutation-batch: {e}"))?;
-                if opts.mutation_batch == 0 {
-                    return Err("--mutation-batch must be at least 1".into());
-                }
-            }
-            "--queue" => {
-                opts.queue = value("--queue")?.parse().map_err(|e| format!("--queue: {e}"))?;
-                if opts.queue == 0 {
-                    return Err("--queue must be at least 1".into());
-                }
-            }
-            "--ledger" => opts.ledger = Some(value("--ledger")?.clone()),
-            "--rate" => {
-                let rate: f64 = value("--rate")?.parse().map_err(|e| format!("--rate: {e}"))?;
-                if !(rate > 0.0 && rate.is_finite()) {
-                    return Err("--rate must be positive and finite".into());
-                }
-                opts.rate = Some(rate);
-            }
-            "--threads" => {
-                opts.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
-            }
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--json" => opts.json = Some(value("--json")?.clone()),
-            "--heartbeat" => opts.heartbeat = Some(parse_heartbeat(value("--heartbeat")?)?),
-            "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?.clone()),
-            "--trace" => opts.trace = Some(value("--trace")?.clone()),
-            other => return Err(format!("unknown daemon option {other:?}")),
+            "--k" => opts.k = args.count(flag)?,
+            "--batch" => opts.batch = args.count(flag)?,
+            "--mutation-batch" => opts.mutation_batch = args.count(flag)?,
+            "--queue" => opts.queue = args.count(flag)?,
+            "--ledger" => opts.ledger = Some(args.string(flag)?),
+            "--rate" => opts.rate = Some(args.positive(flag)?),
+            other => return Err(args.unknown(other)),
         }
     }
-    resolve_backend(
-        &mut opts.backend,
-        backend_explicit,
-        opts.snapshot.as_deref(),
-        opts.input.as_deref(),
-    )?;
+    graph.finish()?;
     Ok(opts)
 }
 
 /// Options for the `attack` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttackOptions {
-    /// SNAP edge-list path (None = preset).
-    pub input: Option<String>,
-    /// Whether the input file is directed.
-    pub directed: bool,
-    /// Preset name when no input file (`karate` allowed here).
-    pub preset: String,
-    /// Dataset scale for generated presets.
-    pub scale: f64,
-    /// Graph backing: csr|compressed.
-    pub backend: String,
-    /// PSRZ snapshot to attack (implies the compressed backend).
-    pub snapshot: Option<String>,
-    /// Utility function name.
-    pub utility: String,
-    /// Weighted-paths damping.
-    pub gamma: f64,
-    /// Top-k engine name for exponential observations: peel|gumbel.
-    pub engine: String,
+    /// The graph to attack (`karate` allowed here).
+    pub graph: DatasetSpec,
+    /// Utility, per-observation ε and engine (the budget is unused).
+    pub serving: ServingFlags,
     /// Mechanism under attack.
     pub mechanism: String,
-    /// Per-observation ε for exponential/laplace.
-    pub epsilon: f64,
     /// Smoothing mixing weight `x`.
     pub smoothing_x: f64,
     /// Adjacency notion: edge|node.
@@ -711,34 +713,23 @@ pub struct AttackOptions {
     pub k: usize,
     /// Monte-Carlo trials per world.
     pub trials: usize,
-    /// Epoch style: static|insert|delete.
+    /// Epoch style: static|insert|delete|rewire.
     pub epoch: String,
     /// Rounds before the mid-stream mutation.
     pub prefix_rounds: usize,
-    /// Harness worker threads.
-    pub threads: Option<usize>,
-    /// Master seed.
-    pub seed: u64,
-    /// Optional JSON report path (stdout when absent).
-    pub json: Option<String>,
+    /// Harness threads, seed and the JSON report path (stdout when
+    /// absent).
+    pub run: RunFlags,
 }
 
 impl Default for AttackOptions {
     fn default() -> Self {
         AttackOptions {
-            input: None,
-            directed: false,
-            preset: "karate".to_owned(),
-            scale: 1.0,
-            backend: "csr".to_owned(),
-            snapshot: None,
-            utility: "common-neighbors".to_owned(),
-            gamma: 0.005,
-            engine: "gumbel".to_owned(),
+            graph: DatasetSpec::karate(),
+            serving: ServingFlags { epsilon: 0.5, ..ServingFlags::default() },
             mechanism: "exponential".to_owned(),
-            epsilon: 0.5,
             smoothing_x: 0.05,
-            adjacency: "edge".to_owned(),
+            adjacency: Adjacency::Edge.name().to_owned(),
             adversary: "all".to_owned(),
             edge: None,
             node: None,
@@ -748,62 +739,35 @@ impl Default for AttackOptions {
             trials: 48,
             epoch: "static".to_owned(),
             prefix_rounds: 1,
-            threads: None,
-            seed: 42,
-            json: None,
+            run: RunFlags::default(),
         }
     }
 }
 
 fn parse_attack(rest: &[String]) -> Result<AttackOptions, String> {
     let mut opts = AttackOptions::default();
-    let mut backend_explicit = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--input" => opts.input = Some(value("--input")?.clone()),
-            "--directed" => opts.directed = true,
-            "--preset" => opts.preset = parse_preset(value("--preset")?, &ATTACK_PRESETS)?,
-            "--backend" => {
-                opts.backend = value("--backend")?.clone();
-                backend_explicit = true;
-            }
-            "--snapshot" => opts.snapshot = Some(value("--snapshot")?.clone()),
-            "--scale" => opts.scale = parse_scale(value("--scale")?)?,
-            "--utility" => opts.utility = parse_utility(value("--utility")?)?,
-            "--gamma" => {
-                opts.gamma = value("--gamma")?.parse().map_err(|e| format!("--gamma: {e}"))?
-            }
-            "--engine" => opts.engine = parse_engine(value("--engine")?)?,
-            "--mechanism" => {
-                opts.mechanism = parse_mechanism(value("--mechanism")?, &ATTACK_MECHANISMS)?
-            }
-            "--epsilon" => opts.epsilon = parse_epsilon(value("--epsilon")?)?,
+    let mut graph = GraphFlags::new(&mut opts.graph, ATTACK_PRESETS);
+    let mut args = Flags::new("attack", rest);
+    let shared: &[&[&str]] =
+        &[SOURCE, BACKEND, &["--utility", "--gamma", "--epsilon", "--engine"], RUN];
+    while let Some(flag) = args.next(shared, &mut [&mut graph, &mut opts.serving, &mut opts.run])? {
+        match flag {
+            "--mechanism" => opts.mechanism = args.string(flag)?,
             "--smoothing-x" => {
-                opts.smoothing_x =
-                    value("--smoothing-x")?.parse().map_err(|e| format!("--smoothing-x: {e}"))?;
-                if !(0.0..1.0).contains(&opts.smoothing_x) {
-                    return Err("--smoothing-x must be in [0, 1)".into());
-                }
+                let x = args.parse(flag)?;
+                AttackMechanism::Smoothing { x }.validate()?;
+                opts.smoothing_x = x;
             }
-            "--adjacency" => {
-                opts.adjacency = value("--adjacency")?.clone();
-                if !["edge", "node"].contains(&opts.adjacency.as_str()) {
-                    return Err(format!("unknown adjacency {:?}", opts.adjacency));
-                }
-            }
+            "--adjacency" => opts.adjacency = args.parse::<Adjacency>(flag)?.name().to_owned(),
             "--adversary" => {
-                opts.adversary = value("--adversary")?.clone();
+                opts.adversary = args.string(flag)?;
                 if !["reconstruction", "mia", "frequency", "all"].contains(&opts.adversary.as_str())
                 {
                     return Err(format!("unknown adversary {:?}", opts.adversary));
                 }
             }
             "--edge" => {
-                let raw = value("--edge")?;
+                let raw = args.value(flag)?;
                 let (u, v) = raw
                     .split_once(',')
                     .ok_or_else(|| format!("--edge expects \"u,v\", got {raw:?}"))?;
@@ -811,68 +775,31 @@ fn parse_attack(rest: &[String]) -> Result<AttackOptions, String> {
                 let v = v.trim().parse().map_err(|e| format!("--edge v: {e}"))?;
                 opts.edge = Some((u, v));
             }
-            "--node" => {
-                opts.node = Some(value("--node")?.parse().map_err(|e| format!("--node: {e}"))?);
-            }
-            "--observer-cap" => {
-                opts.observer_cap =
-                    value("--observer-cap")?.parse().map_err(|e| format!("--observer-cap: {e}"))?;
-                if opts.observer_cap == 0 {
-                    return Err("--observer-cap must be at least 1".into());
-                }
-            }
-            "--rounds" => {
-                opts.rounds = value("--rounds")?.parse().map_err(|e| format!("--rounds: {e}"))?;
-                if opts.rounds == 0 {
-                    return Err("--rounds must be at least 1".into());
-                }
-            }
-            "--k" => {
-                opts.k = value("--k")?.parse().map_err(|e| format!("--k: {e}"))?;
-                if opts.k == 0 {
-                    return Err("--k must be at least 1".into());
-                }
-            }
-            "--trials" => {
-                opts.trials = value("--trials")?.parse().map_err(|e| format!("--trials: {e}"))?;
-                if opts.trials == 0 {
-                    return Err("--trials must be at least 1".into());
-                }
-            }
+            "--node" => opts.node = Some(args.parse(flag)?),
+            "--observer-cap" => opts.observer_cap = args.count(flag)?,
+            "--rounds" => opts.rounds = args.count(flag)?,
+            "--k" => opts.k = args.count(flag)?,
+            "--trials" => opts.trials = args.count(flag)?,
             "--epoch" => {
-                opts.epoch = value("--epoch")?.clone();
+                opts.epoch = args.string(flag)?;
                 if !["static", "insert", "delete", "rewire"].contains(&opts.epoch.as_str()) {
                     return Err(format!("unknown epoch style {:?}", opts.epoch));
                 }
             }
-            "--prefix-rounds" => {
-                opts.prefix_rounds = value("--prefix-rounds")?
-                    .parse()
-                    .map_err(|e| format!("--prefix-rounds: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
-            }
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--json" => opts.json = Some(value("--json")?.clone()),
-            other => return Err(format!("unknown attack option {other:?}")),
+            "--prefix-rounds" => opts.prefix_rounds = args.parse(flag)?,
+            other => return Err(args.unknown(other)),
         }
     }
-    resolve_backend(
-        &mut opts.backend,
-        backend_explicit,
-        opts.snapshot.as_deref(),
-        opts.input.as_deref(),
-    )?;
+    graph.finish()?;
+    AttackMechanism::new(&opts.mechanism, opts.serving.epsilon, opts.smoothing_x)?;
     if opts.k != 1 && ["laplace", "smoothing"].contains(&opts.mechanism.as_str()) {
         return Err("--k must be 1 for the single-draw laplace/smoothing mechanisms".into());
     }
     if opts.epoch != "static" && !(1..opts.rounds).contains(&opts.prefix_rounds) {
         return Err("--prefix-rounds must be in 1..--rounds for mid-stream epochs".into());
     }
-    match opts.adjacency.as_str() {
-        "edge" => {
+    match opts.adjacency.parse()? {
+        Adjacency::Edge => {
             if opts.node.is_some() {
                 return Err("--node is a node-adjacency option (pass --adjacency node)".into());
             }
@@ -887,7 +814,7 @@ fn parse_attack(rest: &[String]) -> Result<AttackOptions, String> {
                 );
             }
         }
-        "node" => {
+        Adjacency::Node => {
             if opts.edge.is_some() {
                 return Err("--edge is an edge-adjacency option (node adjacency rewires a \
                             whole neighbourhood; pass --node)"
@@ -899,7 +826,6 @@ fn parse_attack(rest: &[String]) -> Result<AttackOptions, String> {
                     .into());
             }
         }
-        _ => unreachable!("validated above"),
     }
     Ok(opts)
 }
@@ -912,39 +838,14 @@ pub struct ServeOptions {
     /// Optional JSON mutation schedule (array of mutation batches)
     /// interleaved with the request chunks.
     pub mutations: Option<String>,
-    /// SNAP edge-list path (None = preset).
-    pub input: Option<String>,
-    /// Whether the input file is directed.
-    pub directed: bool,
-    /// Preset name when no input file.
-    pub preset: String,
-    /// Dataset scale for presets.
-    pub scale: f64,
-    /// Graph backing: csr|compressed.
-    pub backend: String,
-    /// PSRZ snapshot to serve from (implies the compressed backend).
-    pub snapshot: Option<String>,
-    /// Utility function name.
-    pub utility: String,
-    /// Weighted-paths damping.
-    pub gamma: f64,
-    /// Privacy cost ε of one request.
-    pub epsilon: f64,
-    /// Total ε each target may spend.
-    pub budget: f64,
-    /// Top-k engine name: peel|gumbel.
-    pub engine: String,
-    /// Worker threads (None = all cores).
-    pub threads: Option<usize>,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optional JSON report path (stdout when absent).
-    pub json: Option<String>,
-    /// Telemetry metrics-snapshot path (None = telemetry stays off
-    /// unless `--trace` enables it).
-    pub metrics_out: Option<String>,
-    /// Telemetry trace JSONL path (None = no trace export).
-    pub trace: Option<String>,
+    /// The graph to serve.
+    pub graph: DatasetSpec,
+    /// Utility, ε, budget and engine.
+    pub serving: ServingFlags,
+    /// Telemetry outputs (`--heartbeat` is a daemon/frontier flag).
+    pub telemetry: TelemetryFlags,
+    /// Threads, seed and the JSON report path (stdout when absent).
+    pub run: RunFlags,
 }
 
 impl Default for ServeOptions {
@@ -952,75 +853,29 @@ impl Default for ServeOptions {
         ServeOptions {
             requests: String::new(),
             mutations: None,
-            input: None,
-            directed: false,
-            preset: "wiki".to_owned(),
-            scale: 1.0,
-            backend: "csr".to_owned(),
-            snapshot: None,
-            utility: "common-neighbors".to_owned(),
-            gamma: 0.005,
-            epsilon: 1.0,
-            budget: 10.0,
-            engine: "gumbel".to_owned(),
-            threads: None,
-            seed: 42,
-            json: None,
-            metrics_out: None,
-            trace: None,
+            graph: DatasetSpec::from_preset(Preset::Wiki),
+            serving: ServingFlags::default(),
+            telemetry: TelemetryFlags::default(),
+            run: RunFlags::default(),
         }
     }
 }
 
 fn parse_serve(rest: &[String]) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions::default();
-    let mut backend_explicit = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--requests" => opts.requests = value("--requests")?.clone(),
-            "--mutations" => opts.mutations = Some(value("--mutations")?.clone()),
-            "--input" => opts.input = Some(value("--input")?.clone()),
-            "--directed" => opts.directed = true,
-            "--preset" => opts.preset = parse_preset(value("--preset")?, &SERVING_PRESETS)?,
-            "--backend" => {
-                opts.backend = value("--backend")?.clone();
-                backend_explicit = true;
-            }
-            "--snapshot" => opts.snapshot = Some(value("--snapshot")?.clone()),
-            "--scale" => opts.scale = parse_scale(value("--scale")?)?,
-            "--utility" => opts.utility = parse_utility(value("--utility")?)?,
-            "--gamma" => {
-                opts.gamma = value("--gamma")?.parse().map_err(|e| format!("--gamma: {e}"))?
-            }
-            "--epsilon" => opts.epsilon = parse_epsilon(value("--epsilon")?)?,
-            "--budget" => {
-                opts.budget = value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?;
-                if !(opts.budget > 0.0 && opts.budget.is_finite()) {
-                    return Err("--budget must be positive and finite".into());
-                }
-            }
-            "--engine" => opts.engine = parse_engine(value("--engine")?)?,
-            "--threads" => {
-                opts.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
-            }
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--json" => opts.json = Some(value("--json")?.clone()),
-            "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?.clone()),
-            "--trace" => opts.trace = Some(value("--trace")?.clone()),
-            other => return Err(format!("unknown serve option {other:?}")),
+    let mut graph = GraphFlags::new(&mut opts.graph, SERVING_PRESETS);
+    let mut args = Flags::new("serve", rest);
+    let shared: &[&[&str]] = &[SOURCE, BACKEND, SERVING, &["--metrics-out", "--trace"], RUN];
+    while let Some(flag) =
+        args.next(shared, &mut [&mut graph, &mut opts.serving, &mut opts.telemetry, &mut opts.run])?
+    {
+        match flag {
+            "--requests" => opts.requests = args.string(flag)?,
+            "--mutations" => opts.mutations = Some(args.string(flag)?),
+            other => return Err(args.unknown(other)),
         }
     }
-    resolve_backend(
-        &mut opts.backend,
-        backend_explicit,
-        opts.snapshot.as_deref(),
-        opts.input.as_deref(),
-    )?;
+    graph.finish()?;
     if opts.requests.is_empty() {
         return Err("serve: --requests <path> is required".into());
     }
@@ -1032,98 +887,86 @@ fn parse_serve(rest: &[String]) -> Result<ServeOptions, String> {
 pub struct RecommendOptions {
     /// Targets to serve.
     pub targets: Vec<u32>,
-    /// SNAP edge-list path (None = preset).
-    pub input: Option<String>,
-    /// Whether the input file is directed.
-    pub directed: bool,
-    /// Preset name when no input file.
-    pub preset: String,
-    /// Dataset scale for presets.
-    pub scale: f64,
-    /// Utility function name.
-    pub utility: String,
-    /// Weighted-paths damping.
-    pub gamma: f64,
+    /// The graph to serve.
+    pub graph: DatasetSpec,
+    /// Utility and ε (the budget and engine are unused).
+    pub serving: ServingFlags,
     /// Mechanism name.
     pub mechanism: String,
-    /// Privacy budget ε.
-    pub epsilon: f64,
-    /// RNG seed.
-    pub seed: u64,
+    /// Generator and mechanism seed (`run.seed`).
+    pub run: RunFlags,
 }
 
 impl Default for RecommendOptions {
     fn default() -> Self {
         RecommendOptions {
             targets: Vec::new(),
-            input: None,
-            directed: false,
-            preset: "wiki".to_owned(),
-            scale: 1.0,
-            utility: "common-neighbors".to_owned(),
-            gamma: 0.005,
+            graph: DatasetSpec::from_preset(Preset::Wiki),
+            serving: ServingFlags::default(),
             mechanism: "exponential".to_owned(),
-            epsilon: 1.0,
-            seed: 42,
+            run: RunFlags::default(),
         }
     }
 }
 
 fn parse_recommend(rest: &[String]) -> Result<RecommendOptions, String> {
     let mut opts = RecommendOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--target" => {
-                opts.targets.push(value("--target")?.parse().map_err(|e| format!("--target: {e}"))?)
-            }
-            "--input" => opts.input = Some(value("--input")?.clone()),
-            "--directed" => opts.directed = true,
-            "--preset" => opts.preset = parse_preset(value("--preset")?, &["wiki", "twitter"])?,
-            "--scale" => opts.scale = parse_scale(value("--scale")?)?,
-            "--utility" => opts.utility = parse_utility(value("--utility")?)?,
-            "--gamma" => {
-                opts.gamma = value("--gamma")?.parse().map_err(|e| format!("--gamma: {e}"))?
-            }
+    let mut graph = GraphFlags::new(&mut opts.graph, PAPER_PRESETS);
+    let mut args = Flags::new("recommend", rest);
+    let shared: &[&[&str]] = &[SOURCE, &["--utility", "--gamma", "--epsilon", "--seed"]];
+    while let Some(flag) = args.next(shared, &mut [&mut graph, &mut opts.serving, &mut opts.run])? {
+        match flag {
+            "--target" => opts.targets.push(args.parse(flag)?),
             "--mechanism" => {
-                opts.mechanism =
-                    parse_mechanism(value("--mechanism")?, &["exponential", "laplace"])?
+                opts.mechanism = args.string(flag)?;
+                if !RECOMMEND_MECHANISMS.contains(&opts.mechanism.as_str()) {
+                    return Err(format!(
+                        "unknown mechanism {:?} (expected one of {RECOMMEND_MECHANISMS:?})",
+                        opts.mechanism
+                    ));
+                }
             }
-            "--epsilon" => opts.epsilon = parse_epsilon(value("--epsilon")?)?,
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            other => return Err(format!("unknown recommend option {other:?}")),
+            other => return Err(args.unknown(other)),
         }
     }
+    graph.finish()?;
     if opts.targets.is_empty() {
         return Err("recommend: at least one --target is required".into());
     }
     Ok(opts)
 }
 
-/// Options shared by data-bearing subcommands.
+/// Options shared by `figure`, `claims` and `dataset`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Dataset scale in (0, 1].
     pub scale: f64,
-    /// Master seed.
-    pub seed: u64,
     /// Evaluate the Laplace mechanism.
     pub laplace: bool,
     /// Laplace trials.
     pub trials: u32,
-    /// Worker threads.
-    pub threads: Option<usize>,
-    /// Optional JSON output path.
-    pub json: Option<String>,
+    /// Threads, seed and the JSON output path.
+    pub run: RunFlags,
 }
 
 impl Default for Options {
     fn default() -> Self {
-        Options { scale: 1.0, seed: 42, laplace: false, trials: 1000, threads: None, json: None }
+        Options { scale: 1.0, laplace: false, trials: 1000, run: RunFlags::default() }
     }
+}
+
+fn parse_options(sub: &'static str, rest: &[String]) -> Result<Options, String> {
+    let mut opts = Options::default();
+    let mut args = Flags::new(sub, rest);
+    while let Some(flag) = args.next(&[RUN], &mut [&mut opts.run])? {
+        match flag {
+            "--scale" => opts.scale = parse_scale(&mut args, flag)?,
+            "--trials" => opts.trials = args.count(flag)?,
+            "--laplace" => opts.laplace = true,
+            other => return Err(args.unknown(other)),
+        }
+    }
+    Ok(opts)
 }
 
 /// Parses argv (without the program name).
@@ -1138,9 +981,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if !KNOWN.contains(&id.as_str()) {
                 return Err(format!("unknown figure {id:?} (expected one of {KNOWN:?})"));
             }
-            Ok(Command::Figure { id, opts: parse_options(it.as_slice())? })
+            Ok(Command::Figure { id, opts: parse_options("figure", it.as_slice())? })
         }
-        "claims" => Ok(Command::Claims { opts: parse_options(it.as_slice())? }),
+        "claims" => Ok(Command::Claims { opts: parse_options("claims", it.as_slice())? }),
         "bounds" => {
             let topic = it.next().ok_or("bounds: missing topic")?.clone();
             if !["example", "theorems", "planner"].contains(&topic.as_str()) {
@@ -1161,40 +1004,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
         "dataset" => {
             let name = it.next().ok_or("dataset: missing name")?.clone();
-            if !["wiki", "twitter"].contains(&name.as_str()) {
-                return Err(format!("unknown dataset {name:?} (expected wiki|twitter)"));
-            }
-            Ok(Command::Dataset { name, opts: parse_options(it.as_slice())? })
+            parse_preset(&name, PAPER_PRESETS)?;
+            Ok(Command::Dataset { name, opts: parse_options("dataset", it.as_slice())? })
         }
         other => Err(format!("unknown subcommand {other:?}")),
     }
-}
-
-fn parse_options(rest: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--scale" => opts.scale = parse_scale(value("--scale")?)?,
-            "--seed" => {
-                opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--trials" => {
-                opts.trials = value("--trials")?.parse().map_err(|e| format!("--trials: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
-            }
-            "--json" => opts.json = Some(value("--json")?.clone()),
-            "--laplace" => opts.laplace = true,
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    Ok(opts)
 }
 
 #[cfg(test)]
@@ -1212,9 +1026,9 @@ mod tests {
             Command::Figure { id, opts } => {
                 assert_eq!(id, "1a");
                 assert_eq!(opts.scale, 0.5);
-                assert_eq!(opts.seed, 7);
+                assert_eq!(opts.run.seed, 7);
                 assert!(opts.laplace);
-                assert_eq!(opts.json.as_deref(), Some("out.json"));
+                assert_eq!(opts.run.json.as_deref(), Some("out.json"));
             }
             other => panic!("{other:?}"),
         }
@@ -1226,6 +1040,9 @@ mod tests {
         assert!(parse(&argv("figure 1a --bogus")).is_err());
         assert!(parse(&argv("figure 1a --scale nope")).is_err());
         assert!(parse(&argv("figure 1a --scale 2.0")).is_err());
+        for cmd in ["figure 1a", "claims", "dataset wiki"] {
+            assert!(parse(&argv(&format!("{cmd} --trials 0"))).is_err(), "{cmd}");
+        }
     }
 
     #[test]
@@ -1251,8 +1068,8 @@ mod tests {
             Command::Recommend { opts } => {
                 assert_eq!(opts.targets, vec![3, 9]);
                 assert_eq!(opts.mechanism, "laplace");
-                assert_eq!(opts.epsilon, 0.5);
-                assert_eq!(opts.preset, "twitter");
+                assert_eq!(opts.serving.epsilon, 0.5);
+                assert_eq!(opts.graph.preset, "twitter");
             }
             other => panic!("{other:?}"),
         }
@@ -1276,13 +1093,13 @@ mod tests {
         match cmd {
             Command::Serve { opts } => {
                 assert_eq!(opts.requests, "reqs.json");
-                assert_eq!(opts.preset, "twitter");
-                assert_eq!(opts.epsilon, 0.5);
-                assert_eq!(opts.budget, 2.5);
-                assert_eq!(opts.engine, "peel");
-                assert_eq!(opts.threads, Some(4));
-                assert_eq!(opts.seed, 9);
-                assert_eq!(opts.json.as_deref(), Some("out.json"));
+                assert_eq!(opts.graph.preset, "twitter");
+                assert_eq!(opts.serving.epsilon, 0.5);
+                assert_eq!(opts.serving.budget, 2.5);
+                assert_eq!(opts.serving.engine, "peel");
+                assert_eq!(opts.run.threads, Some(4));
+                assert_eq!(opts.run.seed, 9);
+                assert_eq!(opts.run.json.as_deref(), Some("out.json"));
             }
             other => panic!("{other:?}"),
         }
@@ -1305,12 +1122,12 @@ mod tests {
         let cmd = parse(&argv("serve --requests r.json")).unwrap();
         match cmd {
             Command::Serve { opts } => {
-                assert_eq!(opts.epsilon, 1.0);
-                assert_eq!(opts.budget, 10.0);
-                assert_eq!(opts.engine, "gumbel");
-                assert_eq!(opts.preset, "wiki");
-                assert_eq!(opts.threads, None);
-                assert_eq!(opts.json, None);
+                assert_eq!(opts.serving.epsilon, 1.0);
+                assert_eq!(opts.serving.budget, 10.0);
+                assert_eq!(opts.serving.engine, "gumbel");
+                assert_eq!(opts.graph.preset, "wiki");
+                assert_eq!(opts.run.threads, None);
+                assert_eq!(opts.run.json, None);
                 assert_eq!(opts.mutations, None);
             }
             other => panic!("{other:?}"),
@@ -1340,7 +1157,7 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Daemon { opts } => {
-                assert_eq!(opts.preset, "twitter");
+                assert_eq!(opts.graph.preset, "twitter");
                 assert_eq!(opts.request_events, 64);
                 assert_eq!(opts.mutation_events, 8);
                 assert_eq!(opts.insert_fraction, 0.5);
@@ -1350,10 +1167,10 @@ mod tests {
                 assert_eq!(opts.queue, 5);
                 assert_eq!(opts.ledger.as_deref(), Some("spend.ledger"));
                 assert_eq!(opts.rate, Some(100.0));
-                assert_eq!(opts.engine, "peel");
-                assert_eq!(opts.threads, Some(2));
-                assert_eq!(opts.seed, 9);
-                assert_eq!(opts.json.as_deref(), Some("out.json"));
+                assert_eq!(opts.serving.engine, "peel");
+                assert_eq!(opts.run.threads, Some(2));
+                assert_eq!(opts.run.seed, 9);
+                assert_eq!(opts.run.json.as_deref(), Some("out.json"));
             }
             other => panic!("{other:?}"),
         }
@@ -1371,7 +1188,7 @@ mod tests {
                 assert_eq!(opts.queue, 8);
                 assert_eq!(opts.ledger, None);
                 assert_eq!(opts.rate, None);
-                assert_eq!(opts.engine, "gumbel");
+                assert_eq!(opts.serving.engine, "gumbel");
             }
             other => panic!("{other:?}"),
         }
@@ -1397,7 +1214,7 @@ mod tests {
     fn attack_accepts_an_engine() {
         let cmd = parse(&argv("attack --engine peel")).unwrap();
         match cmd {
-            Command::Attack { opts } => assert_eq!(opts.engine, "peel"),
+            Command::Attack { opts } => assert_eq!(opts.serving.engine, "peel"),
             other => panic!("{other:?}"),
         }
         assert!(parse(&argv("attack --engine bogus")).is_err());
@@ -1413,8 +1230,8 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Attack { opts } => {
-                assert_eq!(opts.preset, "wiki");
-                assert_eq!(opts.scale, 0.1);
+                assert_eq!(opts.graph.preset, "wiki");
+                assert_eq!(opts.graph.scale, 0.1);
                 assert_eq!(opts.mechanism, "non-private");
                 assert_eq!(opts.adversary, "mia");
                 assert_eq!(opts.edge, Some((3, 9)));
@@ -1423,8 +1240,8 @@ mod tests {
                 assert_eq!(opts.epoch, "insert");
                 assert_eq!(opts.prefix_rounds, 2);
                 assert_eq!(opts.observer_cap, 3);
-                assert_eq!(opts.seed, 7);
-                assert_eq!(opts.json.as_deref(), Some("out.json"));
+                assert_eq!(opts.run.seed, 7);
+                assert_eq!(opts.run.json.as_deref(), Some("out.json"));
             }
             other => panic!("{other:?}"),
         }
@@ -1436,9 +1253,9 @@ mod tests {
         match cmd {
             Command::Attack { opts } => {
                 assert_eq!(opts, AttackOptions::default());
-                assert_eq!(opts.preset, "karate");
+                assert_eq!(opts.graph.preset, "karate");
                 assert_eq!(opts.mechanism, "exponential");
-                assert_eq!(opts.epsilon, 0.5);
+                assert_eq!(opts.serving.epsilon, 0.5);
                 assert_eq!(opts.adversary, "all");
                 assert_eq!(opts.edge, None);
             }
@@ -1509,12 +1326,12 @@ mod tests {
         match cmd {
             Command::BuildSnapshot { opts } => {
                 assert_eq!(opts.out, "lj.psrz");
-                assert_eq!(opts.preset, "livejournal");
-                assert_eq!(opts.scale, 0.01);
-                assert_eq!(opts.seed, 7);
+                assert_eq!(opts.graph.preset, "livejournal");
+                assert_eq!(opts.graph.scale, 0.01);
+                assert_eq!(opts.run.seed, 7);
                 assert_eq!(opts.shards, 16);
                 assert_eq!(opts.arc_budget, 1_000_000);
-                assert_eq!(opts.json.as_deref(), Some("stats.json"));
+                assert_eq!(opts.run.json.as_deref(), Some("stats.json"));
             }
             other => panic!("{other:?}"),
         }
@@ -1525,7 +1342,7 @@ mod tests {
         let cmd = parse(&argv("build-snapshot --out g.psrz")).unwrap();
         match cmd {
             Command::BuildSnapshot { opts } => {
-                assert_eq!(opts.preset, "livejournal");
+                assert_eq!(opts.graph.preset, "livejournal");
                 assert_eq!(opts.shards, 8);
                 assert_eq!(opts.arc_budget, 4 * 1024 * 1024);
             }
@@ -1542,15 +1359,15 @@ mod tests {
     fn serve_accepts_backend_and_snapshot() {
         let cmd = parse(&argv("serve --requests r.json --backend compressed")).unwrap();
         match cmd {
-            Command::Serve { opts } => assert_eq!(opts.backend, "compressed"),
+            Command::Serve { opts } => assert_eq!(opts.graph.backend, "compressed"),
             other => panic!("{other:?}"),
         }
         // --snapshot implies the compressed backend and excludes --input.
         let cmd = parse(&argv("serve --requests r.json --snapshot g.psrz")).unwrap();
         match cmd {
             Command::Serve { opts } => {
-                assert_eq!(opts.backend, "compressed");
-                assert_eq!(opts.snapshot.as_deref(), Some("g.psrz"));
+                assert_eq!(opts.graph.backend, "compressed");
+                assert_eq!(opts.graph.snapshot.as_deref(), Some("g.psrz"));
             }
             other => panic!("{other:?}"),
         }
@@ -1566,15 +1383,15 @@ mod tests {
         match parse(&argv("daemon --backend compressed --preset livejournal --scale 0.01")).unwrap()
         {
             Command::Daemon { opts } => {
-                assert_eq!(opts.backend, "compressed");
-                assert_eq!(opts.preset, "livejournal");
+                assert_eq!(opts.graph.backend, "compressed");
+                assert_eq!(opts.graph.preset, "livejournal");
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("attack --snapshot g.psrz")).unwrap() {
             Command::Attack { opts } => {
-                assert_eq!(opts.backend, "compressed");
-                assert_eq!(opts.snapshot.as_deref(), Some("g.psrz"));
+                assert_eq!(opts.graph.backend, "compressed");
+                assert_eq!(opts.graph.snapshot.as_deref(), Some("g.psrz"));
             }
             other => panic!("{other:?}"),
         }
@@ -1583,8 +1400,8 @@ mod tests {
         // Defaults stay csr with no snapshot.
         match parse(&argv("daemon")).unwrap() {
             Command::Daemon { opts } => {
-                assert_eq!(opts.backend, "csr");
-                assert_eq!(opts.snapshot, None);
+                assert_eq!(opts.graph.backend, "csr");
+                assert_eq!(opts.graph.snapshot, None);
             }
             other => panic!("{other:?}"),
         }
@@ -1603,7 +1420,7 @@ mod tests {
                 assert_eq!(opts.out, "f.json");
                 assert_eq!(opts.journal.as_deref(), Some("f.journal"));
                 assert_eq!(opts.max_cells, Some(2));
-                assert_eq!(opts.threads, Some(3));
+                assert_eq!(opts.run.threads, Some(3));
                 assert!(!opts.no_journal);
                 assert_eq!(opts.write_plan, None);
             }
@@ -1641,33 +1458,33 @@ mod tests {
         match parse(&argv("serve --requests r.json --metrics-out m.json --trace t.jsonl")).unwrap()
         {
             Command::Serve { opts } => {
-                assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-                assert_eq!(opts.trace.as_deref(), Some("t.jsonl"));
+                assert_eq!(opts.telemetry.metrics_out.as_deref(), Some("m.json"));
+                assert_eq!(opts.telemetry.trace.as_deref(), Some("t.jsonl"));
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("daemon --metrics-out m.json --trace t.jsonl --heartbeat 5")).unwrap() {
             Command::Daemon { opts } => {
-                assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-                assert_eq!(opts.trace.as_deref(), Some("t.jsonl"));
-                assert_eq!(opts.heartbeat, Some(5));
+                assert_eq!(opts.telemetry.metrics_out.as_deref(), Some("m.json"));
+                assert_eq!(opts.telemetry.trace.as_deref(), Some("t.jsonl"));
+                assert_eq!(opts.telemetry.heartbeat, Some(5));
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("frontier --metrics-out m.json --trace t.jsonl --heartbeat 2")).unwrap() {
             Command::Frontier { opts } => {
-                assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-                assert_eq!(opts.trace.as_deref(), Some("t.jsonl"));
-                assert_eq!(opts.heartbeat, Some(2));
+                assert_eq!(opts.telemetry.metrics_out.as_deref(), Some("m.json"));
+                assert_eq!(opts.telemetry.trace.as_deref(), Some("t.jsonl"));
+                assert_eq!(opts.telemetry.heartbeat, Some(2));
             }
             other => panic!("{other:?}"),
         }
         // Telemetry stays off by default, and heartbeats must be positive.
         match parse(&argv("daemon")).unwrap() {
             Command::Daemon { opts } => {
-                assert_eq!(opts.metrics_out, None);
-                assert_eq!(opts.trace, None);
-                assert_eq!(opts.heartbeat, None);
+                assert_eq!(opts.telemetry.metrics_out, None);
+                assert_eq!(opts.telemetry.trace, None);
+                assert_eq!(opts.telemetry.heartbeat, None);
             }
             other => panic!("{other:?}"),
         }
@@ -1691,13 +1508,74 @@ mod tests {
         }
     }
 
+    /// A value each flag accepts on its own (`None`: a switch). `--node`
+    /// also needs node adjacency.
+    fn sample_value(flag: &str) -> Option<&'static str> {
+        Some(match flag {
+            "--directed" | "--laplace" | "--no-journal" => return None,
+            "--node" => "5 --adjacency node",
+            "--edge" => "3,9",
+            "--preset" => "wiki",
+            "--backend" => "compressed",
+            "--utility" => "weighted-paths",
+            "--engine" => "peel",
+            "--mechanism" => "laplace",
+            "--adjacency" => "node",
+            "--adversary" => "mia",
+            "--epoch" => "static",
+            "--scale" | "--gamma" | "--epsilon" | "--budget" | "--rate" | "--insert-fraction"
+            | "--smoothing-x" => "0.5",
+            "--target" | "--threads" | "--seed" | "--trials" | "--k" | "--rounds"
+            | "--observer-cap" | "--prefix-rounds" | "--request-events" | "--mutation-events"
+            | "--batch" | "--mutation-batch" | "--queue" | "--heartbeat" | "--max-cells"
+            | "--shards" | "--arc-budget" => "2",
+            _ => "x.json",
+        })
+    }
+
+    #[test]
+    fn every_flag_in_a_usage_block_parses_for_its_subcommand() {
+        // Each usage block, and the argv prefixes that must accept every
+        // flag it names.
+        let blocks: [(&str, &[&str]); 7] = [
+            ("recommend options", &["recommend --target 1"]),
+            ("serve options", &["serve --requests r.json"]),
+            ("daemon options", &["daemon"]),
+            ("attack options", &["attack"]),
+            ("frontier options", &["frontier"]),
+            ("build-snapshot options", &["build-snapshot --out g.psrz"]),
+            ("options:", &["figure 1a", "claims", "dataset wiki"]),
+        ];
+        for (header, prefixes) in blocks {
+            let start = USAGE.find(&format!("\n{header}")).expect(header) + 1;
+            let block = &USAGE[start..];
+            let block = &block[..block.find("\n\n").unwrap_or(block.len())];
+            let flags: Vec<&str> = block
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|word| word.starts_with("--") && word.len() > 2)
+                .collect();
+            assert!(flags.len() > 3, "{header}: {flags:?}");
+            for prefix in prefixes {
+                for flag in &flags {
+                    let line = match sample_value(flag) {
+                        Some(value) => format!("{prefix} {flag} {value}"),
+                        None => format!("{prefix} {flag}"),
+                    };
+                    if let Err(e) = parse(&argv(&line)) {
+                        panic!("{header}: `{line}` does not parse: {e}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn defaults_are_paper_scale() {
         let cmd = parse(&argv("figure 2a")).unwrap();
         match cmd {
             Command::Figure { opts, .. } => {
                 assert_eq!(opts.scale, 1.0);
-                assert_eq!(opts.seed, 42);
+                assert_eq!(opts.run.seed, 42);
                 assert!(!opts.laplace);
                 assert_eq!(opts.trials, 1000);
             }

@@ -9,15 +9,16 @@
 use std::sync::Arc;
 
 use psr_attack::{
-    default_rewire_target, default_secret_edge, leaking_node_rewire, leaking_secret_edge,
-    node_observers, Adversary, AttackMechanism, AttackResult, BoundsComparison,
+    default_observers, default_rewire_target, leaking_node_rewire, node_observers,
+    search_secret_edge, Adjacency, Adversary, AttackMechanism, AttackResult, BoundsComparison,
     EdgeInferenceScenario, EpochStyle, FrequencyBaseline, LikelihoodRatioMia, NodeEpochStyle,
     NodeIdentityScenario, NodeScenarioConfig, ReconstructionAdversary, RocPoint, ScenarioConfig,
+    SEARCH_BUDGET,
 };
 use psr_graph::io::IdMap;
 use psr_graph::{Graph, GraphView, NodeId};
 use psr_privacy::TopKEngine;
-use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
+use psr_utility::UtilityFunction;
 use serde::Serialize;
 
 use crate::args::AttackOptions;
@@ -129,82 +130,6 @@ struct AttackReport {
     adversaries: Vec<AdversaryRecord>,
 }
 
-/// Loads the attacked graph: `karate` comes from the toy module, the
-/// rest through the shared serving loader. With `--backend compressed`
-/// (or `--snapshot`) the graph is round-tripped through the PSRZ
-/// codec and materialised back — the attack harness mutates per-trial
-/// world copies, so it needs a concrete [`Graph`], and the round trip
-/// proves the attack surface is identical across backings.
-fn load_graph(opts: &AttackOptions) -> (Graph, Option<IdMap>) {
-    if opts.snapshot.is_none() && opts.input.is_none() && opts.preset == "karate" {
-        let karate = psr_datasets::toy::karate_club();
-        if opts.backend == "compressed" {
-            return (round_trip_compressed(&karate), None);
-        }
-        return (karate, None);
-    }
-    let (backend, ids) = super::load_serving_backend(
-        opts.input.as_deref(),
-        opts.directed,
-        &opts.preset,
-        opts.scale,
-        opts.seed,
-        &opts.backend,
-        opts.snapshot.as_deref(),
-    );
-    let graph = match backend {
-        psr_graph::GraphBackend::Csr(arc) => Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()),
-        other => (*other.to_graph_arc()).clone(),
-    };
-    (graph, ids)
-}
-
-/// Encode → open → materialise through the compressed codec.
-fn round_trip_compressed(graph: &Graph) -> Graph {
-    let bytes = psr_graph::CompressedCsr::encode(graph, 1);
-    psr_graph::CompressedCsr::open_bytes(bytes)
-        .expect("a freshly encoded snapshot always validates")
-        .to_graph()
-}
-
-/// Scan budget for the default secret-edge / leaking-rewire search
-/// (toggled-graph evaluations; karate needs a handful, preset graphs get
-/// a bounded prefix scan before falling back to the structural default).
-const SEARCH_BUDGET: usize = 4_000;
-
-fn parse_utility(opts: &AttackOptions) -> Box<dyn UtilityFunction> {
-    match opts.utility.as_str() {
-        "common-neighbors" => Box::new(CommonNeighbors),
-        "weighted-paths" => Box::new(WeightedPaths::paper(opts.gamma)),
-        other => unreachable!("arg parser admits only known utilities, got {other}"),
-    }
-}
-
-fn parse_engine(opts: &AttackOptions) -> TopKEngine {
-    opts.engine
-        .parse()
-        .unwrap_or_else(|e| unreachable!("arg parser admits only known engines: {e}"))
-}
-
-fn parse_mechanism(opts: &AttackOptions) -> AttackMechanism {
-    match opts.mechanism.as_str() {
-        "exponential" => AttackMechanism::Exponential { epsilon: opts.epsilon },
-        "laplace" => AttackMechanism::Laplace { epsilon: opts.epsilon },
-        "smoothing" => AttackMechanism::Smoothing { x: opts.smoothing_x },
-        "non-private" => AttackMechanism::NonPrivateTopK,
-        other => unreachable!("arg parser admits only known mechanisms, got {other}"),
-    }
-}
-
-fn epsilon_per_observation(mechanism: AttackMechanism) -> Option<f64> {
-    match mechanism {
-        AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
-            Some(epsilon)
-        }
-        AttackMechanism::NonPrivateTopK | AttackMechanism::Smoothing { .. } => None,
-    }
-}
-
 /// Scores one transcript set with every requested adversary through an
 /// `attack`+`compare` closure (shared by both adjacency branches).
 fn adversary_records(
@@ -213,7 +138,7 @@ fn adversary_records(
     mut evaluate: impl FnMut(&dyn Adversary) -> (AttackResult, BoundsComparison),
 ) -> Vec<AdversaryRecord> {
     let reconstruction = ReconstructionAdversary;
-    let mia = LikelihoodRatioMia::new(probe, opts.seed);
+    let mia = LikelihoodRatioMia::new(probe, opts.run.seed);
     let frequency = FrequencyBaseline { probe };
     let adversaries: Vec<&dyn Adversary> = match opts.adversary.as_str() {
         "reconstruction" => vec![&reconstruction],
@@ -231,31 +156,97 @@ fn adversary_records(
         .collect()
 }
 
-fn emit(report: &AttackReport, opts: &AttackOptions, headline: String) {
-    let json = serde_json::to_string_pretty(report).expect("serialisable");
-    match &opts.json {
-        Some(path) => {
-            std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("{headline} -> {path}");
+pub fn run(opts: &AttackOptions) -> Result<(), String> {
+    match opts.adjacency.parse()? {
+        Adjacency::Edge => run_edge(opts),
+        Adjacency::Node => run_node(opts),
+    }
+}
+
+/// What both adjacency games share: the attacked graph, materialised in
+/// RAM (the harness mutates per-trial world copies), its original
+/// labels, and the mechanism and engine the options name.
+struct Setup {
+    graph: Arc<Graph>,
+    ids: Option<IdMap>,
+    utility_name: String,
+    mechanism: AttackMechanism,
+    engine: TopKEngine,
+}
+
+impl Setup {
+    /// Loads the graph and resolves the names; the utility goes to the
+    /// scenario.
+    fn load(opts: &AttackOptions) -> Result<(Self, Box<dyn UtilityFunction>), String> {
+        let (backend, ids) = opts.graph.load(opts.run.seed)?;
+        let utility = opts.serving.utility()?;
+        let setup = Setup {
+            graph: backend.to_graph_arc(),
+            ids,
+            utility_name: utility.name(),
+            mechanism: AttackMechanism::new(
+                &opts.mechanism,
+                opts.serving.epsilon,
+                opts.smoothing_x,
+            )?,
+            engine: opts.serving.engine()?,
+        };
+        Ok((setup, utility))
+    }
+
+    fn label(&self, v: NodeId) -> u64 {
+        super::original_label(self.ids.as_ref(), v)
+    }
+
+    /// The report fields both games fill the same way; the
+    /// adjacency-specific ones start empty.
+    fn report(
+        &self,
+        opts: &AttackOptions,
+        transcript_epsilon: Option<f64>,
+        observers: Vec<NodeId>,
+        adversaries: Vec<AdversaryRecord>,
+    ) -> AttackReport {
+        let epsilon_per_observation = match self.mechanism {
+            AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
+                Some(epsilon)
+            }
+            AttackMechanism::NonPrivateTopK | AttackMechanism::Smoothing { .. } => None,
+        };
+        AttackReport {
+            dataset: opts.graph.label(),
+            backend: opts.graph.backend.clone(),
+            utility: self.utility_name.clone(),
+            engine: self.engine.name().to_owned(),
+            mechanism: opts.mechanism.clone(),
+            adjacency: opts.adjacency.clone(),
+            epsilon_per_observation,
+            transcript_epsilon,
+            node_transcript_epsilon: None,
+            node_epsilon_lower: None,
+            node_epsilon_lower_asymptotic: None,
+            secret_edge: None,
+            rewired_node: None,
+            observer_labels: observers.iter().map(|&o| self.label(o)).collect(),
+            observers,
+            rounds: opts.rounds,
+            k: opts.k,
+            trials_per_world: opts.trials,
+            epoch_style: opts.epoch.clone(),
+            adversaries,
         }
-        None => println!("{json}"),
     }
 }
 
-pub fn run(opts: &AttackOptions) {
-    match opts.adjacency.as_str() {
-        "edge" => run_edge(opts),
-        "node" => run_node(opts),
-        other => unreachable!("arg parser admits only known adjacencies, got {other}"),
-    }
+/// Writes the report (to `--json` or stdout).
+fn emit(report: &AttackReport, opts: &AttackOptions, headline: &str) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(report).expect("serialisable");
+    super::emit_json(&json, opts.run.json.as_deref(), headline)
 }
 
-fn run_edge(opts: &AttackOptions) {
-    let (graph, ids) = load_graph(opts);
-    let graph = Arc::new(graph);
-    let utility = parse_utility(opts);
-    let utility_name = utility.name();
-    let mechanism = parse_mechanism(opts);
+fn run_edge(opts: &AttackOptions) -> Result<(), String> {
+    let (setup, utility) = Setup::load(opts)?;
+    let graph = &setup.graph;
 
     let (secret, observers) = match opts.edge {
         Some(edge) => {
@@ -264,31 +255,32 @@ fn run_edge(opts: &AttackOptions) {
             let (u, v) = edge;
             let n = graph.num_nodes() as u32;
             if u == v || u >= n || v >= n {
-                panic!("--edge {u},{v}: endpoints must be two distinct nodes below {n}");
+                return Err(format!(
+                    "--edge {u},{v}: endpoints must be two distinct nodes below {n}"
+                ));
             }
             let exists = graph.has_edge(u, v);
             if opts.epoch == "delete" && !exists {
-                panic!("--edge {u},{v}: --epoch delete needs an edge present in the graph");
+                return Err(format!(
+                    "--edge {u},{v}: --epoch delete needs an edge present in the graph"
+                ));
             }
             if opts.epoch != "delete" && exists {
-                panic!(
+                return Err(format!(
                     "--edge {u},{v}: already an edge of the graph; static/insert styles infer \
                      an *absent* edge (use --epoch delete to attack its removal)"
-                );
+                ));
             }
-            let observers = psr_attack::default_observers(&graph, edge, opts.observer_cap);
+            let observers = default_observers(graph, edge, opts.observer_cap);
             if observers.is_empty() {
-                panic!("--edge {u},{v}: node {u} has no neighbours besides {v} to observe");
+                return Err(format!(
+                    "--edge {u},{v}: node {u} has no neighbours besides {v} to observe"
+                ));
             }
             (edge, observers)
         }
-        None => leaking_secret_edge(&graph, utility.as_ref(), opts.observer_cap, SEARCH_BUDGET)
-            .or_else(|| {
-                let secret = default_secret_edge(&graph)?;
-                let observers = psr_attack::default_observers(&graph, secret, opts.observer_cap);
-                (!observers.is_empty()).then_some((secret, observers))
-            })
-            .unwrap_or_else(|| panic!("no suitable secret edge found; pass --edge u,v")),
+        None => search_secret_edge(graph, utility.as_ref(), opts.observer_cap)
+            .ok_or("no suitable secret edge found; pass --edge u,v")?,
     };
 
     let epochs = match opts.epoch.as_str() {
@@ -302,14 +294,14 @@ fn run_edge(opts: &AttackOptions) {
         rounds: opts.rounds,
         k: opts.k,
         trials_per_world: opts.trials,
-        mechanism,
-        engine: parse_engine(opts),
+        mechanism: setup.mechanism,
+        engine: setup.engine,
         epochs,
-        threads: opts.threads,
-        seed: opts.seed,
+        threads: opts.run.threads,
+        seed: opts.run.seed,
         ..ScenarioConfig::new(secret, observers.clone())
     };
-    let scenario = EdgeInferenceScenario::new(Arc::clone(&graph), utility, config);
+    let scenario = EdgeInferenceScenario::new(Arc::clone(graph), utility, config);
 
     let set = scenario.collect();
     let records = adversary_records(opts, scenario.probe(), |adversary| {
@@ -318,75 +310,51 @@ fn run_edge(opts: &AttackOptions) {
         (result, comparison)
     });
 
-    let label = |v: NodeId| super::original_label(ids.as_ref(), v);
     let report = AttackReport {
-        dataset: opts
-            .snapshot
-            .clone()
-            .or_else(|| opts.input.clone())
-            .unwrap_or_else(|| opts.preset.clone()),
-        backend: opts.backend.clone(),
-        utility: utility_name,
-        engine: parse_engine(opts).name().to_owned(),
-        mechanism: opts.mechanism.clone(),
-        adjacency: "edge".to_owned(),
-        epsilon_per_observation: epsilon_per_observation(mechanism),
-        transcript_epsilon: scenario.transcript_epsilon(),
-        node_transcript_epsilon: None,
-        node_epsilon_lower: None,
-        node_epsilon_lower_asymptotic: None,
         secret_edge: Some(SecretEdgeRecord {
             u: secret.0,
             v: secret.1,
-            label_u: label(secret.0),
-            label_v: label(secret.1),
+            label_u: setup.label(secret.0),
+            label_v: setup.label(secret.1),
         }),
-        rewired_node: None,
-        observer_labels: observers.iter().map(|&o| label(o)).collect(),
-        observers,
-        rounds: opts.rounds,
-        k: opts.k,
-        trials_per_world: opts.trials,
-        epoch_style: opts.epoch.clone(),
-        adversaries: records,
+        ..setup.report(opts, scenario.transcript_epsilon(), observers, records)
     };
 
     let best = report.adversaries.iter().map(|a| a.advantage).fold(0.0, f64::max);
     let headline = format!(
         "attacked edge ({}, {}) on {} with {}: best advantage {best:.3} (ceiling {:.3})",
-        label(secret.0),
-        label(secret.1),
+        setup.label(secret.0),
+        setup.label(secret.1),
         report.dataset,
         report.mechanism,
         report.adversaries.first().map_or(1.0, |a| a.advantage_ceiling),
     );
-    emit(&report, opts, headline);
+    emit(&report, opts, &headline)
 }
 
-fn run_node(opts: &AttackOptions) {
-    let (graph, ids) = load_graph(opts);
-    let graph = Arc::new(graph);
-    let utility = parse_utility(opts);
-    let utility_name = utility.name();
-    let mechanism = parse_mechanism(opts);
+fn run_node(opts: &AttackOptions) -> Result<(), String> {
+    let (setup, utility) = Setup::load(opts)?;
+    let graph = &setup.graph;
 
     let (node, new_neighbours, observers) = match opts.node {
         Some(v) => {
             let n = graph.num_nodes() as u32;
             if v >= n {
-                panic!("--node {v}: must be a node below {n}");
+                return Err(format!("--node {v}: must be a node below {n}"));
             }
-            let new = default_rewire_target(&graph, v).unwrap_or_else(|| {
-                panic!("--node {v}: no disjoint rewire target exists (isolated node?)")
-            });
-            let observers = node_observers(&graph, v, &new, opts.observer_cap);
+            let new = default_rewire_target(graph, v).ok_or_else(|| {
+                format!("--node {v}: no disjoint rewire target exists (isolated node?)")
+            })?;
+            let observers = node_observers(graph, v, &new, opts.observer_cap);
             if observers.is_empty() {
-                panic!("--node {v}: no eligible observer shares a common neighbour with it");
+                return Err(format!(
+                    "--node {v}: no eligible observer shares a common neighbour with it"
+                ));
             }
             (v, new, observers)
         }
-        None => leaking_node_rewire(&graph, utility.as_ref(), opts.observer_cap, SEARCH_BUDGET)
-            .unwrap_or_else(|| panic!("no leaking node rewire found; pass --node v")),
+        None => leaking_node_rewire(graph, utility.as_ref(), opts.observer_cap, SEARCH_BUDGET)
+            .ok_or("no leaking node rewire found; pass --node v")?,
     };
 
     let epochs = match opts.epoch.as_str() {
@@ -399,14 +367,14 @@ fn run_node(opts: &AttackOptions) {
         rounds: opts.rounds,
         k: opts.k,
         trials_per_world: opts.trials,
-        mechanism,
-        engine: parse_engine(opts),
+        mechanism: setup.mechanism,
+        engine: setup.engine,
         epochs,
-        threads: opts.threads,
-        seed: opts.seed,
+        threads: opts.run.threads,
+        seed: opts.run.seed,
         ..NodeScenarioConfig::new(node, new_neighbours.clone(), observers.clone())
     };
-    let scenario = NodeIdentityScenario::new(Arc::clone(&graph), utility, config);
+    let scenario = NodeIdentityScenario::new(Arc::clone(graph), utility, config);
 
     let set = scenario.collect();
     let mut overlay: Option<(Option<f64>, Option<f64>)> = None;
@@ -421,39 +389,19 @@ fn run_node(opts: &AttackOptions) {
     });
     let (node_epsilon_lower, node_epsilon_lower_asymptotic) = overlay.unwrap_or((None, None));
 
-    let label = |v: NodeId| super::original_label(ids.as_ref(), v);
     let rewire_size = scenario.rewire_size();
     let report = AttackReport {
-        dataset: opts
-            .snapshot
-            .clone()
-            .or_else(|| opts.input.clone())
-            .unwrap_or_else(|| opts.preset.clone()),
-        backend: opts.backend.clone(),
-        utility: utility_name,
-        engine: parse_engine(opts).name().to_owned(),
-        mechanism: opts.mechanism.clone(),
-        adjacency: "node".to_owned(),
-        epsilon_per_observation: epsilon_per_observation(mechanism),
-        transcript_epsilon: scenario.transcript_epsilon(),
         node_transcript_epsilon: scenario.node_transcript_epsilon(),
         node_epsilon_lower,
         node_epsilon_lower_asymptotic,
-        secret_edge: None,
         rewired_node: Some(RewiredNodeRecord {
             node,
-            label: label(node),
+            label: setup.label(node),
             old_degree: graph.degree(node),
             new_neighbours: new_neighbours.clone(),
             rewire_size,
         }),
-        observer_labels: observers.iter().map(|&o| label(o)).collect(),
-        observers,
-        rounds: opts.rounds,
-        k: opts.k,
-        trials_per_world: opts.trials,
-        epoch_style: opts.epoch.clone(),
-        adversaries: records,
+        ..setup.report(opts, scenario.transcript_epsilon(), observers, records)
     };
 
     let best_certified =
@@ -461,11 +409,11 @@ fn run_node(opts: &AttackOptions) {
     let headline = format!(
         "attacked node {} on {} with {} ({rewire_size} edges rewired): certified eps >= \
          {best_certified:.3} (Appendix-A floor {:.3}, ln(n)/2 = {:.3})",
-        label(node),
+        setup.label(node),
         report.dataset,
         report.mechanism,
         report.node_epsilon_lower.unwrap_or(f64::NAN),
         report.node_epsilon_lower_asymptotic.unwrap_or(f64::NAN),
     );
-    emit(&report, opts, headline);
+    emit(&report, opts, &headline)
 }

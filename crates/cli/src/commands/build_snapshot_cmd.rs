@@ -10,7 +10,7 @@
 
 use std::path::Path;
 
-use psr_datasets::{livejournal_like_snapshot, PresetConfig};
+use psr_datasets::{livejournal_like_snapshot, Preset, PresetConfig};
 use psr_graph::{CompressedCsr, SnapshotStats};
 use serde::Serialize;
 
@@ -26,23 +26,18 @@ struct BuildReport {
     stats: SnapshotStats,
 }
 
-pub fn run(opts: &BuildSnapshotOptions) {
+pub fn run(opts: &BuildSnapshotOptions) -> Result<(), String> {
     let out = Path::new(&opts.out);
-    let stats = if opts.input.is_none() && opts.preset == "livejournal" {
-        let config = PresetConfig::scaled(opts.scale, opts.seed);
+    let graph = &opts.graph;
+    let stats = if graph.input.is_none() && graph.preset == Preset::LiveJournal.name() {
+        let config = PresetConfig::scaled(graph.scale, opts.run.seed);
         livejournal_like_snapshot(config, opts.arc_budget, opts.shards, out)
-            .unwrap_or_else(|e| panic!("building {}: {e}", opts.out))
+            .map_err(|e| format!("building {}: {e}", opts.out))?
     } else {
-        let (graph, _ids) = super::load_serving_graph(
-            opts.input.as_deref(),
-            opts.directed,
-            &opts.preset,
-            opts.scale,
-            opts.seed,
-        );
-        let bytes = CompressedCsr::encode(&graph, opts.shards);
+        let graph = graph.load(opts.run.seed)?.0.to_graph_arc();
+        let bytes = CompressedCsr::encode(graph.as_ref(), opts.shards);
         let snapshot_bytes = bytes.len() as u64;
-        std::fs::write(out, &bytes).unwrap_or_else(|e| panic!("writing {}: {e}", opts.out));
+        super::write(&opts.out, &bytes)?;
         // Re-open to compute the data-region size (and prove the file we
         // just wrote validates).
         let compressed =
@@ -58,28 +53,22 @@ pub fn run(opts: &BuildSnapshotOptions) {
         }
     };
 
-    let dataset = opts.input.clone().unwrap_or_else(|| opts.preset.clone());
     let report = BuildReport {
         out: opts.out.clone(),
-        preset: dataset,
-        scale: opts.scale,
-        seed: opts.seed,
+        preset: graph.input.clone().unwrap_or_else(|| graph.preset.clone()),
+        scale: graph.scale,
+        seed: opts.run.seed,
         stats,
     };
+    let headline = format!(
+        "wrote {} ({} nodes, {} arcs, {} shards, {} bytes, {} spilled runs)",
+        report.out,
+        report.stats.num_nodes,
+        report.stats.num_arcs,
+        report.stats.shard_count,
+        report.stats.snapshot_bytes,
+        report.stats.spilled_runs,
+    );
     let json = serde_json::to_string_pretty(&report).expect("serialisable");
-    match &opts.json {
-        Some(path) => {
-            std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!(
-                "wrote {} ({} nodes, {} arcs, {} shards, {} bytes, {} spilled runs) -> {path}",
-                report.out,
-                report.stats.num_nodes,
-                report.stats.num_arcs,
-                report.stats.shard_count,
-                report.stats.snapshot_bytes,
-                report.stats.spilled_runs,
-            );
-        }
-        None => println!("{json}"),
-    }
+    super::emit_json(&json, opts.run.json.as_deref(), &headline)
 }

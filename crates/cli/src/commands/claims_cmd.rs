@@ -9,13 +9,13 @@ use psr_utility::CommonNeighbors;
 
 use crate::args::Options;
 
-pub fn run(opts: &Options) {
+pub fn run(opts: &Options) -> Result<(), String> {
     let cfg = FigureConfig {
         scale: opts.scale,
-        seed: opts.seed,
+        seed: opts.run.seed,
         eval_laplace: false,
         laplace_trials: opts.trials,
-        threads: opts.threads,
+        threads: opts.run.threads,
     };
 
     println!("=== §7.2 headline claims, re-derived (scale {}) ===\n", opts.scale);
@@ -54,7 +54,7 @@ pub fn run(opts: &Options) {
     println!("  (paper: 98% ≤ 0.01 at ε=1; 95% ≤ 0.1 and 79% ≤ 0.3 at ε=3)");
 
     println!("\n--- full threshold tables ---");
-    let (graph, _) = wiki_vote_like(PresetConfig::scaled(opts.scale, opts.seed)).unwrap();
+    let (graph, _) = wiki_vote_like(PresetConfig::scaled(opts.scale, opts.run.seed)).unwrap();
     for eps in [0.5, 1.0] {
         let result = run_experiment(
             &graph,
@@ -62,8 +62,8 @@ pub fn run(opts: &Options) {
             &ExperimentConfig {
                 epsilon: eps,
                 eval_laplace: false,
-                seed: opts.seed,
-                threads: opts.threads,
+                seed: opts.run.seed,
+                threads: opts.run.threads,
                 ..Default::default()
             },
         );
@@ -72,7 +72,7 @@ pub fn run(opts: &Options) {
             println!("{}", claim.statement);
         }
     }
-    let (graph, _) = twitter_like(PresetConfig::scaled(opts.scale, opts.seed)).unwrap();
+    let (graph, _) = twitter_like(PresetConfig::scaled(opts.scale, opts.run.seed)).unwrap();
     let result = run_experiment(
         &graph,
         &CommonNeighbors,
@@ -80,8 +80,8 @@ pub fn run(opts: &Options) {
             epsilon: 1.0,
             target_fraction: 0.01,
             eval_laplace: false,
-            seed: opts.seed,
-            threads: opts.threads,
+            seed: opts.run.seed,
+            threads: opts.run.threads,
             ..Default::default()
         },
     );
@@ -93,4 +93,5 @@ pub fn run(opts: &Options) {
         "\ndropped {} of {} sampled twitter targets (all-zero utility, footnote 10)",
         result.targets_dropped, result.targets_sampled
     );
+    Ok(())
 }

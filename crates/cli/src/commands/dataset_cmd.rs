@@ -1,17 +1,14 @@
 //! `psr dataset` — generate and describe a preset graph.
 
-use psr_datasets::{twitter_like, wiki_vote_like, PresetConfig};
+use psr_datasets::{Preset, PresetConfig};
 use psr_graph::algo::{connected_components, degree_histogram};
 
 use crate::args::Options;
 
-pub fn run(name: &str, opts: &Options) {
-    let config = PresetConfig::scaled(opts.scale, opts.seed);
-    let (graph, meta) = match name {
-        "wiki" => wiki_vote_like(config).expect("generation"),
-        "twitter" => twitter_like(config).expect("generation"),
-        other => unreachable!("arg parser admits only known datasets, got {other}"),
-    };
+pub fn run(name: &str, opts: &Options) -> Result<(), String> {
+    let config = PresetConfig::scaled(opts.scale, opts.run.seed);
+    let (graph, meta) =
+        name.parse::<Preset>()?.generate(config).map_err(|e| format!("generating {name}: {e}"))?;
     println!("{}", meta.summary());
     let comp = connected_components(&graph);
     let largest = comp.sizes.iter().max().copied().unwrap_or(0);
@@ -36,9 +33,9 @@ pub fn run(name: &str, opts: &Options) {
         hi *= 2;
     }
 
-    if let Some(path) = &opts.json {
-        std::fs::write(path, serde_json::to_string_pretty(&meta).expect("serialisable"))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    if let Some(path) = &opts.run.json {
+        super::write(path, serde_json::to_string_pretty(&meta).expect("serialisable"))?;
         eprintln!("wrote {path}");
     }
+    Ok(())
 }

@@ -8,13 +8,13 @@ use psr_core::report::{render_figure, render_mechanism_comparison};
 
 use crate::args::Options;
 
-pub fn run(id: &str, opts: &Options) {
+pub fn run(id: &str, opts: &Options) -> Result<(), String> {
     let cfg = FigureConfig {
         scale: opts.scale,
-        seed: opts.seed,
+        seed: opts.run.seed,
         eval_laplace: opts.laplace,
         laplace_trials: opts.trials,
-        threads: opts.threads,
+        threads: opts.run.threads,
     };
     let started = std::time::Instant::now();
     let figure: Option<FigureResult> = match id {
@@ -36,21 +36,23 @@ pub fn run(id: &str, opts: &Options) {
                 render_mechanism_comparison(&cmp.exponential, &cmp.laplace, Some(cmp.max_abs_gap))
             );
             println!("mean |gap| = {:.5} over {} targets", cmp.mean_abs_gap, cmp.exponential.len());
-            maybe_write_json(opts, &serde_json::to_string_pretty(&cmp).expect("serialisable"));
+            maybe_write_json(opts, &serde_json::to_string_pretty(&cmp).expect("serialisable"))?;
             None
         }
         other => unreachable!("arg parser admits only known figures, got {other}"),
     };
     if let Some(figure) = figure {
         println!("{}", render_figure(&figure));
-        maybe_write_json(opts, &serde_json::to_string_pretty(&figure).expect("serialisable"));
+        maybe_write_json(opts, &serde_json::to_string_pretty(&figure).expect("serialisable"))?;
     }
     eprintln!("[{:.1}s]", started.elapsed().as_secs_f64());
+    Ok(())
 }
 
-fn maybe_write_json(opts: &Options, payload: &str) {
-    if let Some(path) = &opts.json {
-        std::fs::write(path, payload).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+fn maybe_write_json(opts: &Options, payload: &str) -> Result<(), String> {
+    if let Some(path) = &opts.run.json {
+        super::write(path, payload)?;
         eprintln!("wrote {path}");
     }
+    Ok(())
 }

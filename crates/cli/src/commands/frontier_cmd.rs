@@ -16,28 +16,16 @@ use psr_frontier::{run_sweep, ExperimentPlan, FrontierReport, SweepOptions};
 use crate::args::FrontierOptions;
 
 /// Entry point for `psr frontier`.
-pub fn run(opts: &FrontierOptions) {
+pub fn run(opts: &FrontierOptions) -> Result<(), String> {
     if let Some(path) = &opts.write_plan {
-        let template = ExperimentPlan::toy().to_json() + "\n";
-        if let Err(e) = std::fs::write(path, template) {
-            eprintln!("error: writing plan template {path}: {e}");
-            std::process::exit(1);
-        }
+        super::write(path, ExperimentPlan::toy().to_json() + "\n")?;
         println!("template plan written to {path}; edit it and run psr frontier --plan {path}");
-        return;
+        return Ok(());
     }
 
     let plan = match &opts.plan {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: reading plan {path}: {e}");
-                std::process::exit(1);
-            });
-            ExperimentPlan::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("error: plan {path}: {e}");
-                std::process::exit(1);
-            })
-        }
+        Some(path) => ExperimentPlan::from_json(&super::read(path)?)
+            .map_err(|e| format!("plan {path}: {e}"))?,
         None => ExperimentPlan::toy(),
     };
 
@@ -56,19 +44,16 @@ pub fn run(opts: &FrontierOptions) {
     // Telemetry goes to the `--metrics-out`/`--trace` side files, never
     // into `frontier.json`: the report is pinned byte-identical across
     // worker counts and kill/resume boundaries, and latency data is not.
-    let telemetry = super::build_telemetry(opts.metrics_out.as_deref(), opts.trace.as_deref());
+    let telemetry = super::build_telemetry(&opts.telemetry);
     let sweep = SweepOptions {
-        threads: opts.threads,
+        threads: opts.run.threads,
         journal: journal.clone(),
         max_cells: opts.max_cells,
         telemetry: Some(telemetry.clone()),
-        heartbeat: opts.heartbeat.map(Duration::from_secs),
+        heartbeat: opts.telemetry.heartbeat.map(Duration::from_secs),
     };
-    let outcome = run_sweep(&plan, &sweep).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    super::finish_telemetry(&telemetry, opts.metrics_out.as_deref(), opts.trace.as_deref());
+    let outcome = run_sweep(&plan, &sweep)?;
+    super::finish_telemetry(&telemetry, &opts.telemetry)?;
 
     if !outcome.complete {
         let measured = outcome.results.len();
@@ -81,17 +66,15 @@ pub fn run(opts: &FrontierOptions) {
             outcome.resumed,
             journal.as_deref().map_or_else(|| "scratch".to_owned(), |p| p.display().to_string()),
         );
-        return;
+        return Ok(());
     }
 
     let report = FrontierReport::assemble(&plan, outcome.fingerprint, outcome.results);
-    if let Err(e) = std::fs::write(&opts.out, report.to_json() + "\n") {
-        eprintln!("error: writing report {}: {e}", opts.out);
-        std::process::exit(1);
-    }
+    super::write(&opts.out, report.to_json() + "\n")?;
     print!("{}", report.render_text());
     println!(
         "report written to {} ({} cells computed now, {} resumed from the journal)",
         opts.out, outcome.computed, outcome.resumed
     );
+    Ok(())
 }

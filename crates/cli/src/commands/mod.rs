@@ -13,19 +13,21 @@ mod serve_cmd;
 
 use std::sync::Arc;
 
-use psr_datasets::{livejournal_like, twitter_like, wiki_vote_like, PresetConfig};
 use psr_graph::io::IdMap;
-use psr_graph::{CompressedCsr, Direction, Graph, GraphBackend};
 use psr_obs::{MetricsSnapshot, Telemetry};
 
-use crate::args::Command;
+use crate::args::{Command, TelemetryFlags};
 
-/// Dispatches a parsed command.
-pub fn run(cmd: Command) {
+/// Dispatches a parsed command. Bad inputs (a missing file, a corrupt
+/// snapshot, a malformed request list) come back as `Err`.
+pub fn run(cmd: Command) -> Result<(), String> {
     match cmd {
         Command::Figure { id, opts } => figure_cmd::run(&id, &opts),
         Command::Claims { opts } => claims_cmd::run(&opts),
-        Command::Bounds { topic } => bounds_cmd::run(&topic),
+        Command::Bounds { topic } => {
+            bounds_cmd::run(&topic);
+            Ok(())
+        }
         Command::Dataset { name, opts } => dataset_cmd::run(&name, &opts),
         Command::Recommend { opts } => recommend_cmd::run(&opts),
         Command::Serve { opts } => serve_cmd::run(&opts),
@@ -36,82 +38,34 @@ pub fn run(cmd: Command) {
     }
 }
 
-/// Loads the graph a serving command works on: a SNAP edge list when
-/// `input` is given (with the file's original node labels as an
-/// [`IdMap`]), a generated preset otherwise (compact ids are the only
-/// labels, so no map). Shared by `recommend`, `serve` and `attack`.
-pub(crate) fn load_serving_graph(
-    input: Option<&str>,
-    directed: bool,
-    preset: &str,
-    scale: f64,
-    seed: u64,
-) -> (Graph, Option<IdMap>) {
-    if let Some(path) = input {
-        let direction = if directed { Direction::Directed } else { Direction::Undirected };
-        let (graph, ids) = psr_datasets::load_snap(std::path::Path::new(path), direction)
-            .unwrap_or_else(|e| panic!("loading {path}: {e}"));
-        return (graph, Some(ids));
-    }
-    let preset_config = PresetConfig::scaled(scale, seed);
-    let graph = match preset {
-        "wiki" => wiki_vote_like(preset_config).expect("generation").0,
-        "twitter" => twitter_like(preset_config).expect("generation").0,
-        "livejournal" => livejournal_like(preset_config).expect("generation").0,
-        other => unreachable!("arg parser admits only known presets, got {other}"),
-    };
-    (graph, None)
+/// Writes an output file, naming the path on failure.
+pub(crate) fn write(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
 }
 
-/// Loads the graph *backing* a serving command works through:
-///
-/// * `--snapshot path` — mmap the PSRZ snapshot directly (zero copies of
-///   the adjacency data; decode-on-demand),
-/// * `--backend compressed` — load/generate the graph as usual, then
-///   round-trip it through the PSRZ codec in RAM (exercises the exact
-///   compressed read path without touching disk),
-/// * `--backend csr` — the plain in-RAM CSR, as before.
-///
-/// Shared by `serve`, `daemon` and `attack`, so every serving surface is
-/// backing-oblivious in the same way.
-pub(crate) fn load_serving_backend(
-    input: Option<&str>,
-    directed: bool,
-    preset: &str,
-    scale: f64,
-    seed: u64,
-    backend: &str,
-    snapshot: Option<&str>,
-) -> (GraphBackend, Option<IdMap>) {
-    if let Some(path) = snapshot {
-        let compressed = match CompressedCsr::open_path(std::path::Path::new(path)) {
-            Ok(compressed) => compressed,
-            Err(e) => {
-                eprintln!("error: opening snapshot {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        return (GraphBackend::Compressed(Arc::new(compressed)), None);
-    }
-    let (graph, ids) = load_serving_graph(input, directed, preset, scale, seed);
-    let backend = match backend {
-        "csr" => GraphBackend::from(graph),
-        "compressed" => {
-            let bytes = CompressedCsr::encode(&graph, 1);
-            let compressed = CompressedCsr::open_bytes(bytes)
-                .expect("a freshly encoded snapshot always validates");
-            GraphBackend::Compressed(Arc::new(compressed))
+/// Reads an input file, naming the path on failure.
+pub(crate) fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
+/// Writes a JSON report to `--json`, printing `headline` and the path, or
+/// prints the report to stdout when no path was given.
+pub(crate) fn emit_json(json: &str, path: Option<&str>, headline: &str) -> Result<(), String> {
+    match path {
+        Some(path) => {
+            write(path, json)?;
+            println!("{headline} -> {path}");
         }
-        other => unreachable!("arg parser admits only known backends, got {other}"),
-    };
-    (backend, ids)
+        None => println!("{json}"),
+    }
+    Ok(())
 }
 
 /// Builds a command's telemetry bundle: live when `--metrics-out` or
 /// `--trace` was given, disabled (every handle a no-op) otherwise.
 /// Shared by `serve`, `daemon` and `frontier`.
-pub(crate) fn build_telemetry(metrics_out: Option<&str>, trace: Option<&str>) -> Arc<Telemetry> {
-    if metrics_out.is_some() || trace.is_some() {
+pub(crate) fn build_telemetry(flags: &TelemetryFlags) -> Arc<Telemetry> {
+    if flags.metrics_out.is_some() || flags.trace.is_some() {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
@@ -123,22 +77,19 @@ pub(crate) fn build_telemetry(metrics_out: Option<&str>, trace: Option<&str>) ->
 /// Returns `None` (and writes nothing) when telemetry was never enabled.
 pub(crate) fn finish_telemetry(
     telemetry: &Telemetry,
-    metrics_out: Option<&str>,
-    trace: Option<&str>,
-) -> Option<MetricsSnapshot> {
+    flags: &TelemetryFlags,
+) -> Result<Option<MetricsSnapshot>, String> {
     if !telemetry.is_enabled() {
-        return None;
+        return Ok(None);
     }
     let snapshot = telemetry.metrics().snapshot();
-    if let Some(path) = metrics_out {
-        let json = serde_json::to_string_pretty(&snapshot).expect("serialisable") + "\n";
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    if let Some(path) = &flags.metrics_out {
+        write(path, serde_json::to_string_pretty(&snapshot).expect("serialisable") + "\n")?;
     }
-    if let Some(path) = trace {
-        std::fs::write(path, telemetry.trace().to_jsonl())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    if let Some(path) = &flags.trace {
+        write(path, telemetry.trace().to_jsonl())?;
     }
-    Some(snapshot)
+    Ok(Some(snapshot))
 }
 
 /// Renders a compact node id under an optional [`IdMap`]: the original

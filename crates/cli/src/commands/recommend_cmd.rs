@@ -4,40 +4,28 @@
 
 use psr_core::{Recommender, RecommenderConfig};
 use psr_privacy::{ExponentialMechanism, LaplaceMechanism, Mechanism};
-use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
 use rand::SeedableRng;
 
 use crate::args::RecommendOptions;
 
-pub fn run(opts: &RecommendOptions) {
-    let (graph, ids) = super::load_serving_graph(
-        opts.input.as_deref(),
-        opts.directed,
-        &opts.preset,
-        opts.scale,
-        opts.seed,
-    );
-    let utility: Box<dyn UtilityFunction> = match opts.utility.as_str() {
-        "common-neighbors" => Box::new(CommonNeighbors),
-        "weighted-paths" => Box::new(WeightedPaths::paper(opts.gamma)),
-        other => unreachable!("arg parser admits only known utilities, got {other}"),
-    };
+pub fn run(opts: &RecommendOptions) -> Result<(), String> {
+    let (backend, ids) = opts.graph.load(opts.run.seed)?;
     let mechanism: Box<dyn Mechanism> = match opts.mechanism.as_str() {
         "exponential" => Box::new(ExponentialMechanism::paper()),
         "laplace" => Box::new(LaplaceMechanism::default()),
         other => unreachable!("arg parser admits only known mechanisms, got {other}"),
     };
     let recommender = Recommender::new(
-        graph,
-        utility,
+        backend.to_graph_arc(),
+        opts.serving.utility()?,
         mechanism,
-        RecommenderConfig { epsilon: opts.epsilon, ..Default::default() },
+        RecommenderConfig { epsilon: opts.serving.epsilon, ..Default::default() },
     );
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(opts.seed);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(opts.run.seed);
     println!(
         "ε = {} private recommendations ({} / {}):",
-        opts.epsilon, opts.utility, opts.mechanism
+        opts.serving.epsilon, opts.serving.utility, opts.mechanism
     );
     for &target in &opts.targets {
         if target as usize >= recommender.graph().num_nodes() {
@@ -56,4 +44,5 @@ pub fn run(opts: &RecommendOptions) {
             None => println!("  {target:>8}: no candidates (fully connected target)"),
         }
     }
+    Ok(())
 }

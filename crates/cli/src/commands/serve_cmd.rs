@@ -21,8 +21,6 @@ use psr_core::serving::{BatchRequest, RecommendationService, ServeError, Served,
 use psr_gen::split_seed;
 use psr_graph::EdgeMutation;
 use psr_obs::MetricsSnapshot;
-use psr_privacy::TopKEngine;
-use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
 use serde::Serialize;
 
 use crate::args::ServeOptions;
@@ -98,52 +96,31 @@ fn chunk_requests(requests: &[BatchRequest], chunks: usize) -> Vec<&[BatchReques
     out
 }
 
-pub fn run(opts: &ServeOptions) {
-    let raw = std::fs::read_to_string(&opts.requests)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", opts.requests));
-    let requests: Vec<BatchRequest> =
-        serde_json::from_str(&raw).unwrap_or_else(|e| panic!("parsing {}: {e}", opts.requests));
-
+pub fn run(opts: &ServeOptions) -> Result<(), String> {
+    let requests: Vec<BatchRequest> = serde_json::from_str(&super::read(&opts.requests)?)
+        .map_err(|e| format!("parsing {}: {e}", opts.requests))?;
     let schedule: Vec<Vec<EdgeMutation>> = match &opts.mutations {
-        Some(path) => {
-            let raw =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-            parse_mutation_schedule(&raw).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
-        }
+        Some(path) => parse_mutation_schedule(&super::read(path)?)
+            .map_err(|e| format!("parsing {path}: {e}"))?,
         None => Vec::new(),
     };
 
-    let (backend, _ids) = super::load_serving_backend(
-        opts.input.as_deref(),
-        opts.directed,
-        &opts.preset,
-        opts.scale,
-        opts.seed,
-        &opts.backend,
-        opts.snapshot.as_deref(),
-    );
-    let utility: Box<dyn UtilityFunction> = match opts.utility.as_str() {
-        "common-neighbors" => Box::new(CommonNeighbors),
-        "weighted-paths" => Box::new(WeightedPaths::paper(opts.gamma)),
-        other => unreachable!("arg parser admits only known utilities, got {other}"),
-    };
+    let (backend, _ids) = opts.graph.load(opts.run.seed)?;
+    let utility = opts.serving.utility()?;
     let utility_name = utility.name();
-    let engine: TopKEngine = opts
-        .engine
-        .parse()
-        .unwrap_or_else(|e| unreachable!("arg parser admits only known engines: {e}"));
+    let engine = opts.serving.engine()?;
     let mut service = RecommendationService::with_backend(
         backend,
         utility,
         ServiceConfig {
-            epsilon_per_request: opts.epsilon,
-            budget_per_target: opts.budget,
+            epsilon_per_request: opts.serving.epsilon,
+            budget_per_target: opts.serving.budget,
             engine,
-            threads: opts.threads,
+            threads: opts.run.threads,
             ..Default::default()
         },
     );
-    let telemetry = super::build_telemetry(opts.metrics_out.as_deref(), opts.trace.as_deref());
+    let telemetry = super::build_telemetry(&opts.telemetry);
     service.set_telemetry(telemetry.clone());
     // Captured before the run: mid-stream compaction re-bases the service
     // onto an in-RAM CSR, and the report should name the backing the run
@@ -159,7 +136,7 @@ pub fn run(opts: &ServeOptions) {
     for (round, chunk) in chunks.iter().enumerate() {
         // Round 0 keeps the static-serve seed derivation so mutation-free
         // runs reproduce exactly what they did before epochs existed.
-        let seed = if round == 0 { opts.seed } else { split_seed(opts.seed, round as u64) };
+        let seed = if round == 0 { opts.run.seed } else { split_seed(opts.run.seed, round as u64) };
         events.push(DaemonEvent::Requests {
             time: 2 * round as u64 + 1,
             seed,
@@ -182,10 +159,9 @@ pub fn run(opts: &ServeOptions) {
         .batches
         .iter()
         .flat_map(|batch| {
-            chunks[batch.index]
-                .iter()
-                .zip(&batch.outcomes)
-                .map(|(request, outcome)| record(request, outcome, batch.epoch, opts.epsilon))
+            chunks[batch.index].iter().zip(&batch.outcomes).map(|(request, outcome)| {
+                record(request, outcome, batch.epoch, opts.serving.epsilon)
+            })
         })
         .collect();
     let epochs: Vec<EpochRecord> = run
@@ -202,15 +178,14 @@ pub fn run(opts: &ServeOptions) {
         .collect();
 
     service.export_gauges();
-    let snapshot =
-        super::finish_telemetry(&telemetry, opts.metrics_out.as_deref(), opts.trace.as_deref());
+    let snapshot = super::finish_telemetry(&telemetry, &opts.telemetry)?;
 
     let report = ServeReport {
         utility: utility_name,
         engine: engine.name().to_owned(),
         backend: backend_kind,
-        epsilon_per_request: opts.epsilon,
-        budget_per_target: opts.budget,
+        epsilon_per_request: opts.serving.epsilon,
+        budget_per_target: opts.serving.budget,
         sensitivity: service.sensitivity(),
         served: records.iter().filter(|r| r.error.is_none()).count(),
         rejected: records.iter().filter(|r| r.error.is_some()).count(),
@@ -218,20 +193,15 @@ pub fn run(opts: &ServeOptions) {
         outcomes: records,
         telemetry: snapshot,
     };
+    let headline = format!(
+        "served {} / rejected {} of {} requests across {} epochs",
+        report.served,
+        report.rejected,
+        requests.len(),
+        report.epochs.len() + 1,
+    );
     let json = serde_json::to_string_pretty(&report).expect("serialisable");
-    match &opts.json {
-        Some(path) => {
-            std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!(
-                "served {} / rejected {} of {} requests across {} epochs -> {path}",
-                report.served,
-                report.rejected,
-                requests.len(),
-                report.epochs.len() + 1,
-            );
-        }
-        None => println!("{json}"),
-    }
+    super::emit_json(&json, opts.run.json.as_deref(), &headline)
 }
 
 fn record(

@@ -1,21 +1,10 @@
 //! `psr` — run any experiment from the reproduction of
 //! "Personalized Social Recommendations — Accurate or Private?".
 //!
-//! ```text
-//! psr figure <1a|1b|2a|2b|2c|lap-vs-exp|lemma3|smoothing> [--scale S] [--seed N]
-//!            [--laplace] [--json PATH]
-//! psr bounds <example|theorems|planner>
-//! psr claims [--scale S] [--seed N]
-//! psr dataset <wiki|twitter> [--scale S] [--seed N]
-//! psr recommend --target <id> [--target <id> ...] [--mechanism M] [--epsilon E]
-//! psr serve --requests <reqs.json> [--epsilon E] [--budget B] [--threads N]
-//!           [--json PATH]
-//! psr attack [--preset karate|wiki|twitter] [--mechanism M] [--epsilon E]
-//!            [--adversary A] [--edge u,v] [--epoch static|insert|delete]
-//!            [--json PATH]
-//! psr frontier [--plan plan.json] [--out frontier.json] [--max-cells N]
-//!              [--threads N]
-//! ```
+//! `psr <subcommand> [options]`; `args::USAGE` lists every subcommand
+//! and flag. A parse error prints `error: …` and the usage; a bad input
+//! (a missing file, a corrupt snapshot, a malformed request list) prints
+//! `error: …`. Both exit with status 1.
 //!
 //! `serve` reads a JSON array of `{"target": N, "k": M}` requests, answers
 //! them in one batch over a shared-graph worker pool with per-target
@@ -39,10 +28,13 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match args::parse(&argv) {
-        Ok(cmd) => {
-            commands::run(cmd);
-            ExitCode::SUCCESS
-        }
+        Ok(cmd) => match commands::run(cmd) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(message) => {
+                eprintln!("error: {message}");
+                ExitCode::FAILURE
+            }
+        },
         Err(message) => {
             eprintln!("error: {message}\n");
             eprintln!("{}", args::USAGE);

@@ -13,16 +13,20 @@
 //! this preserves every behaviour the experiments measure. When the real
 //! SNAP files are available, [`load_snap`] drops them in transparently.
 //! [`toy::karate_club`] ships a small classic graph for examples and
-//! tests.
+//! tests. [`DatasetSpec`] names one graph source (a [`Preset`], an edge
+//! list or a snapshot, through a [`Backend`]) and is the one loader the
+//! CLI and frontier plans share.
 
 pub mod meta;
 pub mod presets;
+pub mod source;
 pub mod toy;
 
 pub use meta::DatasetMeta;
 pub use presets::{
     livejournal_like, livejournal_like_snapshot, twitter_like, wiki_vote_like, PresetConfig,
 };
+pub use source::{Backend, DatasetSpec, Preset};
 
 use std::path::Path;
 

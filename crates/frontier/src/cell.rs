@@ -24,23 +24,19 @@
 use std::sync::Arc;
 
 use psr_attack::{
-    clopper_pearson, default_observers, default_secret_edge, leaking_node_rewire,
-    leaking_secret_edge, Adversary, AttackMechanism, AttackResult, BoundsComparison,
-    EdgeInferenceScenario, EpochStyle, FrequencyBaseline, LikelihoodRatioMia, NodeEpochStyle,
-    NodeIdentityScenario, NodeScenarioConfig, ReconstructionAdversary, ScenarioConfig,
-    TranscriptSet, WorldModel,
+    clopper_pearson, leaking_node_rewire, search_secret_edge, Adjacency, Adversary,
+    AttackMechanism, AttackResult, BoundsComparison, EdgeInferenceScenario, EpochStyle,
+    FrequencyBaseline, LikelihoodRatioMia, NodeEpochStyle, NodeIdentityScenario,
+    NodeScenarioConfig, ReconstructionAdversary, ScenarioConfig, TranscriptSet, WorldModel,
+    SEARCH_BUDGET,
 };
 use psr_gen::split_seed;
 use psr_graph::Graph;
 use psr_privacy::TopKEngine;
-use psr_utility::{CommonNeighbors, UtilityFunction, UtilityVector, WeightedPaths};
+use psr_utility::{UtilityKind, UtilityVector};
 use serde::{Deserialize, Serialize};
 
 use crate::plan::ExperimentPlan;
-
-/// Scan budget for the leaking secret-edge / node-rewire search, shared
-/// with `psr attack`'s default.
-const SEARCH_BUDGET: usize = 4_000;
 
 /// Seed-stream tag for per-cell derivation (`split_seed(plan.seed, TAG ^
 /// index)`): cells draw independent, index-stable streams no matter
@@ -148,41 +144,21 @@ fn finite(x: f64) -> Option<f64> {
     x.is_finite().then_some(x)
 }
 
-fn parse_utility(plan: &ExperimentPlan, spec: &CellSpec) -> Box<dyn UtilityFunction> {
-    match spec.utility.as_str() {
-        "common-neighbors" => Box::new(CommonNeighbors),
-        "weighted-paths" => Box::new(WeightedPaths::paper(plan.gamma)),
-        other => unreachable!("validated plans admit only known utilities, got {other}"),
-    }
-}
-
-fn parse_engine(spec: &CellSpec) -> TopKEngine {
-    spec.engine
-        .parse()
-        .unwrap_or_else(|e| unreachable!("validated plans admit only known engines: {e}"))
-}
-
-fn parse_mechanism(plan: &ExperimentPlan, spec: &CellSpec) -> AttackMechanism {
-    match (spec.mechanism.as_str(), spec.epsilon) {
-        ("exponential", Some(epsilon)) => AttackMechanism::Exponential { epsilon },
-        ("laplace", Some(epsilon)) => AttackMechanism::Laplace { epsilon },
-        ("smoothing", None) => AttackMechanism::Smoothing { x: plan.smoothing_x },
-        ("non-private", None) => AttackMechanism::NonPrivateTopK,
-        (other, eps) => unreachable!("expansion produced ({other}, {eps:?})"),
-    }
-}
-
 /// The Corollary-1 accuracy ceiling for one observation of this cell:
 /// evaluated at the per-observation ε and the adjacency's edit distance
 /// (t = 1 for edge worlds, t = 2 for a node rewire's bound form). 1.0
 /// (vacuous) when the mechanism has no ε or the representative utility
 /// vector is all-zero.
-fn accuracy_ceiling(spec: &CellSpec, representative: &UtilityVector) -> f64 {
-    let Some(epsilon) = spec.epsilon else { return 1.0 };
+fn accuracy_ceiling(
+    epsilon: Option<f64>,
+    adjacency: Adjacency,
+    representative: &UtilityVector,
+) -> f64 {
+    let Some(epsilon) = epsilon else { return 1.0 };
     if representative.is_all_zero() {
         return 1.0;
     }
-    let t = if spec.adjacency == "node" { psr_bounds::edit_distance::t_node_privacy() } else { 1 };
+    let t = adjacency.accuracy_t();
     psr_bounds::best_accuracy_bound(representative, epsilon, t, None).accuracy_bound
 }
 
@@ -250,22 +226,18 @@ pub fn run_cell(
 ) -> Result<CellResult, String> {
     let dataset = plan.datasets[spec.dataset].label();
     let seed = split_seed(plan.seed, CELL_SEED_TAG ^ spec.index as u64);
-    let utility = parse_utility(plan, spec);
-    let mechanism = parse_mechanism(plan, spec);
-    let engine = parse_engine(spec);
+    let utility = spec.utility.parse::<UtilityKind>()?.build(plan.gamma);
+    // ε-free mechanisms (smoothing, non-private) ignore the ε argument.
+    let epsilon = spec.epsilon.unwrap_or(f64::NAN);
+    let mechanism = AttackMechanism::new(&spec.mechanism, epsilon, plan.smoothing_x)?;
+    let engine: TopKEngine = spec.engine.parse()?;
 
-    match spec.adjacency.as_str() {
-        "edge" => {
+    match spec.adjacency.parse()? {
+        Adjacency::Edge => {
             let (secret, observers) =
-                leaking_secret_edge(graph, utility.as_ref(), plan.observer_cap, SEARCH_BUDGET)
-                    .or_else(|| {
-                        let secret = default_secret_edge(graph)?;
-                        let observers = default_observers(graph, secret, plan.observer_cap);
-                        (!observers.is_empty()).then_some((secret, observers))
-                    })
-                    .ok_or_else(|| {
-                        format!("cell {}: no suitable secret edge on {dataset}", spec.index)
-                    })?;
+                search_secret_edge(graph, utility.as_ref(), plan.observer_cap).ok_or_else(
+                    || format!("cell {}: no suitable secret edge on {dataset}", spec.index),
+                )?;
             let config = ScenarioConfig {
                 rounds: plan.rounds,
                 k: plan.k,
@@ -292,14 +264,18 @@ pub fn run_cell(
                 dataset,
                 scenario.transcript_epsilon(),
                 None,
-                accuracy_ceiling(spec, scenario.representative_utilities()),
+                accuracy_ceiling(
+                    spec.epsilon,
+                    Adjacency::Edge,
+                    scenario.representative_utilities(),
+                ),
                 hits,
                 scored,
                 plan,
                 evaluated,
             ))
         }
-        "node" => {
+        Adjacency::Node => {
             let (node, new_neighbours, observers) =
                 leaking_node_rewire(graph, utility.as_ref(), plan.observer_cap, SEARCH_BUDGET)
                     .ok_or_else(|| {
@@ -331,14 +307,17 @@ pub fn run_cell(
                 dataset,
                 scenario.transcript_epsilon(),
                 scenario.node_transcript_epsilon(),
-                accuracy_ceiling(spec, scenario.representative_utilities()),
+                accuracy_ceiling(
+                    spec.epsilon,
+                    Adjacency::Node,
+                    scenario.representative_utilities(),
+                ),
                 hits,
                 scored,
                 plan,
                 evaluated,
             ))
         }
-        other => unreachable!("validated plans admit only known adjacencies, got {other}"),
     }
 }
 

@@ -14,64 +14,17 @@
 //! values would not be a reproducible artefact); [`ExperimentPlan::toy`]
 //! emits a complete karate-club template to start from.
 
+use std::str::FromStr;
+
+use psr_attack::{Adjacency, AttackMechanism};
+use psr_privacy::TopKEngine;
+use psr_utility::UtilityKind;
 use serde::{Deserialize, Serialize};
 
 use crate::cell::CellSpec;
 
-/// Mechanisms a plan may sweep.
-pub const MECHANISMS: &[&str] = &["exponential", "laplace", "smoothing", "non-private"];
-/// Utility functions a plan may sweep.
-pub const UTILITIES: &[&str] = &["common-neighbors", "weighted-paths"];
-/// Adjacency notions a plan may sweep.
-pub const ADJACENCIES: &[&str] = &["edge", "node"];
-/// Top-`k` engines a plan may sweep.
-pub const ENGINES: &[&str] = &["peel", "gumbel"];
-/// Graph backings a dataset axis may pin.
-pub const BACKENDS: &[&str] = &["csr", "compressed"];
-/// Generated presets a dataset axis may name (plus `karate`).
-pub const PRESETS: &[&str] = &["karate", "wiki", "twitter", "livejournal"];
-
 /// One dataset axis of the grid: which graph, through which backing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DatasetSpec {
-    /// `karate`, or a generated preset (`wiki`, `twitter`,
-    /// `livejournal`). Ignored when `input` or `snapshot` is given, but
-    /// still names the dataset in reports.
-    pub preset: String,
-    /// Optional SNAP edge-list path to load instead of a preset.
-    pub input: Option<String>,
-    /// Whether `input` is read as a directed graph.
-    pub directed: bool,
-    /// Preset size multiplier in `(0, 1]`.
-    pub scale: f64,
-    /// Graph backing the cells run through: `csr` or `compressed`
-    /// (round-trips the graph through the PSRZ codec first).
-    pub backend: String,
-    /// Optional PSRZ snapshot path; implies the compressed backing and
-    /// excludes `input`.
-    pub snapshot: Option<String>,
-}
-
-impl DatasetSpec {
-    /// A plain in-RAM karate-club axis, the toy default.
-    #[must_use]
-    pub fn karate() -> Self {
-        DatasetSpec {
-            preset: "karate".to_owned(),
-            input: None,
-            directed: false,
-            scale: 1.0,
-            backend: "csr".to_owned(),
-            snapshot: None,
-        }
-    }
-
-    /// The human-readable dataset label used in reports.
-    #[must_use]
-    pub fn label(&self) -> String {
-        self.snapshot.clone().or_else(|| self.input.clone()).unwrap_or_else(|| self.preset.clone())
-    }
-}
+pub use psr_datasets::DatasetSpec;
 
 /// The declarative sweep grid. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,7 +51,8 @@ pub struct ExperimentPlan {
     pub engines: Vec<String>,
     /// Path-damping γ for `weighted-paths`.
     pub gamma: f64,
-    /// Smoothing-mechanism parameter `x` (Theorem 5).
+    /// Smoothing-mechanism parameter `x` in `[0, 1)` (Theorem 5);
+    /// checked only when `smoothing` is on the mechanism axis.
     pub smoothing_x: f64,
     /// Observation rounds per transcript.
     pub rounds: usize,
@@ -129,7 +83,7 @@ impl ExperimentPlan {
             epsilons: vec![0.5, 2.0],
             engines: vec!["gumbel".to_owned()],
             gamma: 0.5,
-            smoothing_x: 2.0,
+            smoothing_x: 0.05,
             rounds: 2,
             k: 1,
             trials_per_world: 12,
@@ -149,47 +103,25 @@ impl ExperimentPlan {
         serde_json::to_string_pretty(self).expect("plans serialise")
     }
 
-    /// Checks every axis against the same rules the CLI enforces
-    /// point-wise. Returns the first violation.
+    /// Checks every axis against the name tables and parameter checks
+    /// the CLI uses. Returns the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        fn subset(kind: &str, values: &[String], allowed: &[&str]) -> Result<(), String> {
+        fn axis<T: FromStr<Err = String>>(kind: &str, values: &[String]) -> Result<(), String> {
             if values.is_empty() {
                 return Err(format!("plan has an empty {kind} axis"));
             }
-            for v in values {
-                if !allowed.contains(&v.as_str()) {
-                    return Err(format!("unknown {kind} {v:?}; expected one of {allowed:?}"));
-                }
-            }
-            Ok(())
+            values.iter().try_for_each(|v| v.parse::<T>().map(drop))
         }
-        subset("mechanism", &self.mechanisms, MECHANISMS)?;
-        subset("utility", &self.utilities, UTILITIES)?;
-        subset("adjacency", &self.adjacencies, ADJACENCIES)?;
-        subset("engine", &self.engines, ENGINES)?;
+        if self.mechanisms.is_empty() {
+            return Err("plan has an empty mechanism axis".to_owned());
+        }
+        axis::<UtilityKind>("utility", &self.utilities)?;
+        axis::<Adjacency>("adjacency", &self.adjacencies)?;
+        axis::<TopKEngine>("engine", &self.engines)?;
         if self.datasets.is_empty() {
             return Err("plan has an empty dataset axis".to_owned());
         }
-        for d in &self.datasets {
-            if !PRESETS.contains(&d.preset.as_str()) {
-                return Err(format!("unknown preset {:?}; expected one of {PRESETS:?}", d.preset));
-            }
-            if !BACKENDS.contains(&d.backend.as_str()) {
-                return Err(format!(
-                    "unknown backend {:?}; expected one of {BACKENDS:?}",
-                    d.backend
-                ));
-            }
-            if !(d.scale > 0.0 && d.scale <= 1.0) {
-                return Err(format!("scale {} out of range (0, 1]", d.scale));
-            }
-            if d.snapshot.is_some() && d.input.is_some() {
-                return Err("a dataset axis cannot give both snapshot and input".to_owned());
-            }
-            if d.snapshot.is_some() && d.backend != "compressed" {
-                return Err("a snapshot axis must use the compressed backend".to_owned());
-            }
-        }
+        self.datasets.iter().try_for_each(DatasetSpec::validate)?;
         if self.epsilons.is_empty() {
             return Err("plan has an empty epsilon axis".to_owned());
         }
@@ -197,6 +129,11 @@ impl ExperimentPlan {
             if !(eps > 0.0 && eps.is_finite()) {
                 return Err(format!("epsilon {eps} must be positive and finite"));
             }
+        }
+        // Checks each name, and `smoothing_x` only when smoothing is on
+        // the axis.
+        for mechanism in &self.mechanisms {
+            AttackMechanism::new(mechanism, self.epsilons[0], self.smoothing_x)?;
         }
         let scalar_mechanism = self.mechanisms.iter().any(|m| m == "laplace" || m == "smoothing");
         if scalar_mechanism && self.k != 1 {
@@ -213,9 +150,6 @@ impl ExperimentPlan {
         }
         if !(self.gamma > 0.0 && self.gamma < 1.0) {
             return Err(format!("gamma {} out of range (0, 1)", self.gamma));
-        }
-        if !(self.smoothing_x > 1.0 && self.smoothing_x.is_finite()) {
-            return Err(format!("smoothing_x {} must be a finite value above 1", self.smoothing_x));
         }
         Ok(())
     }
@@ -346,5 +280,94 @@ mod tests {
         let mut plan = ExperimentPlan::toy();
         plan.engines.clear();
         assert!(plan.validate().unwrap_err().contains("empty engine axis"));
+
+        // Theorem 5 needs x in [0, 1), but only a smoothing axis uses it.
+        let mut plan = ExperimentPlan::toy();
+        plan.smoothing_x = 2.0;
+        plan.validate().unwrap();
+        plan.mechanisms.push("smoothing".to_owned());
+        assert!(plan.validate().unwrap_err().contains("smoothing x"));
+        plan.smoothing_x = 0.05;
+        plan.validate().unwrap();
+    }
+
+    /// A snapshot-backed plan shaped like the benchmark's frontier grid.
+    /// Its canonical JSON and fingerprint are pinned: moving
+    /// `DatasetSpec` between crates must not change a byte of either, or
+    /// existing journals would be refused.
+    #[test]
+    fn snapshot_plan_json_and_fingerprint_are_pinned() {
+        let plan = ExperimentPlan {
+            name: "bench-frontier-grid".to_owned(),
+            seed: 7919,
+            datasets: vec![DatasetSpec {
+                preset: "wiki".to_owned(),
+                input: None,
+                directed: false,
+                scale: 0.1,
+                backend: "compressed".to_owned(),
+                snapshot: Some("frontier-wiki.psrz".to_owned()),
+            }],
+            mechanisms: vec![
+                "exponential".to_owned(),
+                "laplace".to_owned(),
+                "non-private".to_owned(),
+            ],
+            utilities: vec!["common-neighbors".to_owned()],
+            adjacencies: vec!["edge".to_owned(), "node".to_owned()],
+            epsilons: vec![0.5, 1.0, 2.0],
+            engines: vec!["gumbel".to_owned()],
+            gamma: 0.5,
+            smoothing_x: 2.0,
+            rounds: 2,
+            k: 1,
+            trials_per_world: 8,
+            observer_cap: 2,
+            confidence: 0.95,
+        };
+        plan.validate().unwrap();
+        let expected = r#"{
+  "name": "bench-frontier-grid",
+  "seed": 7919,
+  "datasets": [
+    {
+      "preset": "wiki",
+      "input": null,
+      "directed": false,
+      "scale": 0.1,
+      "backend": "compressed",
+      "snapshot": "frontier-wiki.psrz"
+    }
+  ],
+  "mechanisms": [
+    "exponential",
+    "laplace",
+    "non-private"
+  ],
+  "utilities": [
+    "common-neighbors"
+  ],
+  "adjacencies": [
+    "edge",
+    "node"
+  ],
+  "epsilons": [
+    0.5,
+    1,
+    2
+  ],
+  "engines": [
+    "gumbel"
+  ],
+  "gamma": 0.5,
+  "smoothing_x": 2,
+  "rounds": 2,
+  "k": 1,
+  "trials_per_world": 8,
+  "observer_cap": 2,
+  "confidence": 0.95
+}"#;
+        assert_eq!(plan.to_json(), expected);
+        assert_eq!(format!("{:016x}", plan.fingerprint()), "689e151f6c6a69c6");
     }
 }

@@ -17,13 +17,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use psr_datasets::{livejournal_like, twitter_like, wiki_vote_like, PresetConfig};
-use psr_graph::{CompressedCsr, Direction, Graph};
+use psr_graph::Graph;
 use psr_obs::{fields, Heartbeat, Progress, Telemetry};
 
 use crate::cell::{run_cell, CellResult, CellSpec};
 use crate::journal::ResultsJournal;
-use crate::plan::{DatasetSpec, ExperimentPlan};
+use crate::plan::ExperimentPlan;
 
 /// Knobs of one sweep invocation (everything else lives in the plan).
 #[derive(Debug, Clone, Default)]
@@ -63,43 +62,6 @@ pub struct SweepOutcome {
     pub resumed: usize,
     /// Whether every cell of the grid is now measured.
     pub complete: bool,
-}
-
-/// Loads the graph one dataset axis serves. `karate` comes from the toy
-/// module; presets are generated at the plan seed; a snapshot is opened
-/// and materialised; the `compressed` backend round-trips the graph
-/// through the PSRZ codec (the attack harness mutates per-trial world
-/// copies, so it needs a concrete [`Graph`] — the round trip proves the
-/// attack surface is identical across backings).
-fn load_dataset(spec: &DatasetSpec, seed: u64) -> Result<Graph, String> {
-    if let Some(path) = &spec.snapshot {
-        let compressed = CompressedCsr::open_path(std::path::Path::new(path))
-            .map_err(|e| format!("opening snapshot {path}: {e}"))?;
-        return Ok(compressed.to_graph());
-    }
-    let graph = if let Some(path) = &spec.input {
-        let direction = if spec.directed { Direction::Directed } else { Direction::Undirected };
-        psr_datasets::load_snap(std::path::Path::new(path), direction)
-            .map_err(|e| format!("loading {path}: {e}"))?
-            .0
-    } else if spec.preset == "karate" {
-        psr_datasets::toy::karate_club()
-    } else {
-        let config = PresetConfig::scaled(spec.scale, seed);
-        match spec.preset.as_str() {
-            "wiki" => wiki_vote_like(config).map_err(|e| e.to_string())?.0,
-            "twitter" => twitter_like(config).map_err(|e| e.to_string())?.0,
-            "livejournal" => livejournal_like(config).map_err(|e| e.to_string())?.0,
-            other => unreachable!("validated plans admit only known presets, got {other}"),
-        }
-    };
-    if spec.backend == "compressed" {
-        let bytes = CompressedCsr::encode(&graph, 1);
-        return Ok(CompressedCsr::open_bytes(bytes)
-            .map_err(|e| format!("round-tripping {}: {e}", spec.label()))?
-            .to_graph());
-    }
-    Ok(graph)
 }
 
 /// Runs (or resumes) the sweep a plan declares. See the [module
@@ -144,11 +106,13 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
     }
 
     // Load each needed dataset axis exactly once, shared across workers.
+    // Presets generate at the plan seed; the attack harness mutates
+    // per-trial world copies, so every backing is materialised in RAM.
     let mut graphs: Vec<Option<Arc<Graph>>> = vec![None; plan.datasets.len()];
     for cell in &pending {
         if graphs[cell.dataset].is_none() {
-            graphs[cell.dataset] =
-                Some(Arc::new(load_dataset(&plan.datasets[cell.dataset], plan.seed)?));
+            let (backend, _) = plan.datasets[cell.dataset].load(plan.seed)?;
+            graphs[cell.dataset] = Some(backend.to_graph_arc());
         }
     }
 
@@ -284,6 +248,23 @@ mod tests {
         assert_eq!(third.computed, 0);
         assert_eq!(third.resumed, third.total);
         assert_eq!(third.results, uninterrupted.results);
+    }
+
+    #[test]
+    fn smoothing_sweep_reports_empirical_epsilon() {
+        let plan =
+            ExperimentPlan { mechanisms: vec!["smoothing".to_owned()], ..ExperimentPlan::toy() };
+        let outcome = run_sweep(&plan, &SweepOptions::default()).unwrap();
+        assert!(outcome.complete);
+        assert_eq!(outcome.total, 1, "smoothing has no ε axis");
+        let cell = &outcome.results[0];
+        assert_eq!(cell.spec.mechanism, "smoothing");
+        assert!(cell.transcript_epsilon.is_some_and(|e| e > 0.0), "Theorem 5 budget");
+        assert_eq!(cell.adversaries.len(), 3);
+        for adversary in &cell.adversaries {
+            assert!(adversary.empirical_epsilon.is_finite(), "{adversary:?}");
+            assert!(adversary.empirical_epsilon_lower <= adversary.empirical_epsilon);
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! * [`extra`] — Adamic–Adar, Jaccard and preferential-attachment scores
 //!   (the "other utility functions" of §8's future work).
 //!
+//! [`UtilityKind`] is the name table that turns a utility name (and γ)
+//! into one of the first two, for the CLI and frontier plans alike.
+//!
 //! Each implementation reports its global sensitivity `Δf` (footnote 5)
 //! under the §5/§7 *relaxed* edge neighbourhood — pairs of graphs that
 //! differ in one edge not incident to the target — in both `‖·‖₁` and
@@ -22,6 +25,7 @@
 mod candidates;
 mod common_neighbors;
 pub mod extra;
+mod kind;
 mod pagerank;
 mod sensitivity;
 mod traits;
@@ -30,6 +34,7 @@ mod weighted_paths;
 
 pub use candidates::CandidateSet;
 pub use common_neighbors::CommonNeighbors;
+pub use kind::UtilityKind;
 pub use pagerank::PersonalizedPageRank;
 pub use sensitivity::{empirical_sensitivity, EmpiricalSensitivity, Sensitivity, SensitivityNorm};
 pub use traits::UtilityFunction;
