@@ -99,7 +99,7 @@ fn mutation_reserve(c: &mut Criterion) {
 
     let start = Instant::now();
     let epoch = service.apply_mutations(&forward).expect("valid batch");
-    let dirty_requests = requests_for(epoch.dirty_targets.iter().copied());
+    let dirty_requests = requests_for(epoch.dirty_targets.iter());
     let incremental_outcomes = service.serve_batch(&dirty_requests, BENCH_SEED);
     let incremental = start.elapsed();
 
@@ -135,7 +135,7 @@ fn mutation_reserve(c: &mut Criterion) {
     group.bench_function("incremental_dirty_targets", |b| {
         b.iter(|| {
             let epoch = service.apply_mutations(&forward).expect("valid batch");
-            let dirty_requests = requests_for(epoch.dirty_targets.iter().copied());
+            let dirty_requests = requests_for(epoch.dirty_targets.iter());
             let outcomes = service.serve_batch(&dirty_requests, BENCH_SEED);
             service.apply_mutations(&inverse).expect("inverse batch");
             black_box(outcomes.len())

@@ -39,14 +39,17 @@ struct OutcomeRecord {
     error: Option<String>,
 }
 
-/// One applied mutation batch in the report.
+/// One applied mutation batch in the report. The epoch's `invalidated`
+/// count is left out: it counts cache entries dropped, and how many there
+/// were depends on how far the worker had drained when the batch landed,
+/// so it would make the report differ between runs of the same input.
+/// `psr daemon` reports it as telemetry.
 #[derive(Debug, Serialize)]
 struct EpochRecord {
     version: u64,
     insertions: usize,
     deletions: usize,
     dirty_targets: usize,
-    invalidated: usize,
     compacted: bool,
 }
 
@@ -172,7 +175,6 @@ pub fn run(opts: &ServeOptions) -> Result<(), String> {
             insertions: applied.epoch.insertions,
             deletions: applied.epoch.deletions,
             dirty_targets: applied.epoch.dirty_targets.len(),
-            invalidated: applied.epoch.invalidated,
             compacted: applied.epoch.compacted,
         })
         .collect();

@@ -62,3 +62,43 @@ fn a_malformed_request_list_is_an_error() {
     assert!(stderr.contains("parsing"), "{stderr}");
     let _ = std::fs::remove_file(&requests);
 }
+
+#[test]
+fn a_dynamic_serve_report_is_the_same_at_every_thread_count() {
+    // Each epoch's record holds only what the input fixes: no cache
+    // eviction count, which depends on how far the worker had drained.
+    let requests = scratch("dynamic-requests.json");
+    let mutations = scratch("dynamic-mutations.json");
+    let targets = [3, 4, 3, 7, 3, 11, 4, 3];
+    let list: Vec<String> = targets.iter().map(|t| format!(r#"{{"target":{t},"k":2}}"#)).collect();
+    std::fs::write(&requests, format!("[{}]", list.join(","))).unwrap();
+    std::fs::write(
+        &mutations,
+        r#"[[{"op":"Insert","u":3,"v":300}],[{"op":"Delete","u":3,"v":300}]]"#,
+    )
+    .unwrap();
+    let report = |threads: &str| {
+        let out_path = scratch(&format!("dynamic-report-{threads}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_psr"))
+            .args(["serve", "--requests", requests.to_str().unwrap()])
+            .args(["--mutations", mutations.to_str().unwrap()])
+            .args(["--preset", "wiki", "--scale", "0.05", "--threads", threads, "--json"])
+            .arg(&out_path)
+            .output()
+            .expect("psr runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let bytes = std::fs::read(&out_path).unwrap();
+        let _ = std::fs::remove_file(&out_path);
+        bytes
+    };
+    let one = report("1");
+    let text = String::from_utf8_lossy(&one);
+    assert!(text.contains("\"dirty_targets\""), "{text}");
+    assert!(!text.contains("invalidated"), "{text}");
+    for _ in 0..3 {
+        assert!(report("2") == one, "reports differ between --threads 1 and 2");
+        assert!(report("1") == one, "reports differ between runs at --threads 1");
+    }
+    let _ = std::fs::remove_file(&requests);
+    let _ = std::fs::remove_file(&mutations);
+}

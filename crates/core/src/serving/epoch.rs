@@ -29,7 +29,7 @@ use psr_obs::{fields, Telemetry};
 use psr_privacy::{resolve_zero_class_distinct, topk};
 use psr_utility::{CandidateSet, UtilityFunction, UtilityVector};
 
-use super::{BatchRequest, Epoch, ServeError, Served, ServiceConfig};
+use super::{BatchRequest, DirtyTargets, Epoch, ServeError, Served, ServiceConfig};
 
 /// Records one applied mutation batch into the trace ring
 /// (`epoch.apply` with the batch's shape and invalidation footprint) and
@@ -168,16 +168,15 @@ impl EpochState {
     /// this epoch's own cache is untouched, so pinned readers keep theirs.
     pub(crate) fn cache_without(
         &self,
-        dirty_targets: &[NodeId],
-        all_dirty: bool,
+        dirty_targets: &DirtyTargets,
     ) -> (HashMap<NodeId, Arc<TargetState>>, usize) {
         let cache = self.cache.lock().expect("cache lock");
-        if all_dirty {
+        let DirtyTargets::Listed(dirty) = dirty_targets else {
             return (HashMap::new(), cache.len());
-        }
+        };
         let mut next = cache.clone();
         drop(cache);
-        let invalidated = dirty_targets.iter().filter(|t| next.remove(t).is_some()).count();
+        let invalidated = dirty.iter().filter(|t| next.remove(t).is_some()).count();
         (next, invalidated)
     }
 

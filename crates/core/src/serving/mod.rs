@@ -68,7 +68,6 @@ pub use budget::{BudgetAccountant, BudgetExceeded};
 pub use epoch::EpochPin;
 pub use ledger::{BudgetLedger, JournalLedger};
 
-use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
 
 use epoch::EpochState;
@@ -252,14 +251,57 @@ pub struct Epoch {
     pub deletions: usize,
     /// Targets whose utility state may differ in the new epoch: every
     /// node within the utility's invalidation radius of a mutated
-    /// endpoint (pre- or post-mutation), sorted ascending. All nodes when
-    /// the radius is unbounded or the graph is directed.
-    pub dirty_targets: Vec<NodeId>,
+    /// endpoint (pre- or post-mutation). All nodes when the radius is
+    /// unbounded or the graph is directed.
+    pub dirty_targets: DirtyTargets,
     /// Cached target states actually dropped (≤ `dirty_targets.len()`).
     pub invalidated: usize,
     /// Whether the overlay was folded back into a fresh CSR base after
     /// this batch (reads are unaffected; `shared_graph` identity changes).
     pub compacted: bool,
+}
+
+/// The targets an epoch dirtied: every node, or a sorted list. "Every
+/// node" is one number, so an epoch that dirties a whole graph of
+/// millions costs nothing to report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DirtyTargets {
+    /// All `0..n` nodes of a graph with `n` nodes.
+    All(usize),
+    /// These nodes, sorted ascending and distinct.
+    Listed(Vec<NodeId>),
+}
+
+impl DirtyTargets {
+    /// Number of dirty targets.
+    pub fn len(&self) -> usize {
+        match self {
+            DirtyTargets::All(n) => *n,
+            DirtyTargets::Listed(list) => list.len(),
+        }
+    }
+
+    /// Whether no target is dirty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `target` is dirty.
+    pub fn contains(&self, target: NodeId) -> bool {
+        match self {
+            DirtyTargets::All(n) => (target as usize) < *n,
+            DirtyTargets::Listed(list) => list.binary_search(&target).is_ok(),
+        }
+    }
+
+    /// The dirty targets in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let (all, listed) = match self {
+            DirtyTargets::All(n) => (0..*n as NodeId, &[][..]),
+            DirtyTargets::Listed(list) => (0..0, list.as_slice()),
+        };
+        all.chain(listed.iter().copied())
+    }
 }
 
 /// Fraction of nodes the overlay may dirty before the service re-bases
@@ -330,8 +372,9 @@ pub struct RecommendationService {
     /// next epoch in. Nobody holds it across actual work.
     current: RwLock<Arc<EpochState>>,
     /// Serialises writers (`apply_mutations` / `compact`) so two staged
-    /// epochs can never race each other past the swap point.
-    staging: Mutex<()>,
+    /// epochs can never race each other past the swap point, and holds
+    /// the writers' ball-search scratch between epochs.
+    staging: Mutex<BallSearch>,
     utility: Arc<dyn UtilityFunction>,
     config: ServiceConfig,
     ledger: Mutex<Box<dyn BudgetLedger>>,
@@ -423,7 +466,7 @@ impl RecommendationService {
         );
         RecommendationService {
             current: RwLock::new(Arc::new(state)),
-            staging: Mutex::new(()),
+            staging: Mutex::new(BallSearch::default()),
             utility,
             config,
             ledger: Mutex::new(ledger),
@@ -559,14 +602,14 @@ impl RecommendationService {
     /// epoch throughout (writers serialise among themselves on the
     /// staging lock).
     pub fn apply_mutations(&self, mutations: &[EdgeMutation]) -> Result<Epoch, MutationError> {
-        let _writer = self.staging.lock().expect("staging lock");
+        let mut writer = self.staging.lock().expect("staging lock");
         let old = self.pin().state;
         if mutations.is_empty() {
             return Ok(Epoch {
                 version: old.version,
                 insertions: 0,
                 deletions: 0,
-                dirty_targets: Vec::new(),
+                dirty_targets: DirtyTargets::Listed(Vec::new()),
                 invalidated: 0,
                 compacted: false,
             });
@@ -581,29 +624,30 @@ impl RecommendationService {
         })?;
 
         let num_nodes = staged.num_nodes();
-        let dirty_targets: Vec<NodeId> = match self.utility.invalidation_radius() {
+        let dirty_targets = match self.utility.invalidation_radius() {
             // The radius bound is argued over undirected neighbourhoods;
             // bounding *in*-reachability on directed graphs would need a
             // reverse index the overlay does not keep, so directed graphs
             // conservatively dirty everyone.
             Some(radius) if !staged.is_directed() => {
-                let seeds: BTreeSet<NodeId> = mutations.iter().flat_map(|m| [m.u, m.v]).collect();
-                let mut marked = vec![false; num_nodes];
+                let seeds: Vec<NodeId> = mutations.iter().flat_map(|m| [m.u, m.v]).collect();
                 // The ball must cover both neighbourhoods: a deleted
                 // edge's influence is visible from the pre-mutation
                 // adjacency, an inserted edge's from the post-mutation
                 // one.
-                mark_ball(&old.graph, &seeds, radius, &mut marked);
-                mark_ball(&staged, &seeds, radius, &mut marked);
-                marked.iter().enumerate().filter(|&(_, &m)| m).map(|(v, _)| v as NodeId).collect()
+                let mut ball = Vec::new();
+                writer.mark_ball(&old.graph, &seeds, radius, &mut ball);
+                writer.mark_ball(&staged, &seeds, radius, &mut ball);
+                writer.dedup(&mut ball);
+                ball.sort_unstable();
+                DirtyTargets::Listed(ball)
             }
-            _ => (0..num_nodes as NodeId).collect(),
+            _ => DirtyTargets::All(num_nodes),
         };
 
         // The next epoch inherits every clean target's cached state; the
         // old epoch keeps its full cache for readers still pinned to it.
-        let all_dirty = dirty_targets.len() == num_nodes;
-        let (cache, invalidated) = old.cache_without(&dirty_targets, all_dirty);
+        let (cache, invalidated) = old.cache_without(&dirty_targets);
 
         // Re-calibrate Δf (it may depend on the maximum degree, which the
         // batch can change) and fold the overlay when it got heavy.
@@ -763,33 +807,80 @@ fn calibrate(config: &ServiceConfig, utility: &dyn UtilityFunction, view: &Delta
         .expect("utility reports no sensitivity and no override was given")
 }
 
-/// Marks every node within `radius` hops of any seed (seeds included) in
-/// `view`. Multi-source truncated BFS; `marked` accumulates across calls.
-fn mark_ball(view: &DeltaGraph, seeds: &BTreeSet<NodeId>, radius: usize, marked: &mut [bool]) {
-    let mut dist: Vec<u32> = vec![u32::MAX; view.num_nodes()];
-    let mut queue = VecDeque::new();
-    for &s in seeds {
-        dist[s as usize] = 0;
-        marked[s as usize] = true;
-        queue.push_back(s);
-    }
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        if d as usize >= radius {
-            continue;
-        }
-        for &w in view.neighbors(v) {
-            if dist[w as usize] == u32::MAX {
-                dist[w as usize] = d + 1;
-                marked[w as usize] = true;
-                queue.push_back(w);
+/// Scratch for finding an epoch's mutation ball, kept between epochs so a
+/// search touches only the ball: `stamps[v] == generation` marks `v` as
+/// reached by the search in progress, and a new search bumps the
+/// generation instead of clearing the array.
+#[derive(Debug, Default)]
+struct BallSearch {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl BallSearch {
+    /// Appends to `ball` every node within `radius` hops of any seed
+    /// (seeds included) in `view`: a multi-source BFS, one level per hop,
+    /// that reads lists without caching them. Appends each node once per
+    /// call, in no particular order.
+    fn mark_ball(
+        &mut self,
+        view: &DeltaGraph,
+        seeds: &[NodeId],
+        radius: usize,
+        ball: &mut Vec<NodeId>,
+    ) {
+        let generation = self.next_generation(view.num_nodes());
+        let stamps = &mut self.stamps;
+        let mut reach = |v: NodeId, next: &mut Vec<NodeId>| {
+            if stamps[v as usize] != generation {
+                stamps[v as usize] = generation;
+                next.push(v);
             }
+        };
+        let mut frontier = Vec::new();
+        for &s in seeds {
+            reach(s, &mut frontier);
         }
+        let mut scratch = Vec::new();
+        for _ in 0..radius {
+            ball.extend_from_slice(&frontier);
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for &w in view.neighbors_into(v, &mut scratch) {
+                    reach(w, &mut next);
+                }
+            }
+            frontier = next;
+        }
+        ball.extend_from_slice(&frontier);
+    }
+
+    /// Drops repeated nodes from `ball`, keeping first occurrences.
+    fn dedup(&mut self, ball: &mut Vec<NodeId>) {
+        let generation = self.next_generation(0);
+        let stamps = &mut self.stamps;
+        ball.retain(|&v| std::mem::replace(&mut stamps[v as usize], generation) != generation);
+    }
+
+    /// Starts a new search over at least `num_nodes` nodes: a generation
+    /// no stamp holds yet.
+    fn next_generation(&mut self, num_nodes: usize) -> u32 {
+        if self.stamps.len() < num_nodes {
+            self.stamps.resize(num_nodes, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+        self.generation
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use psr_datasets::toy::karate_club;
     use psr_utility::{CandidateSet, CommonNeighbors};
@@ -1034,7 +1125,7 @@ mod tests {
         let mut expected: BTreeSet<NodeId> = BTreeSet::from([24, 16]);
         expected.extend(graph.neighbors(24).iter().copied());
         expected.extend(graph.neighbors(16).iter().copied());
-        assert_eq!(epoch.dirty_targets, expected.into_iter().collect::<Vec<_>>());
+        assert_eq!(epoch.dirty_targets, DirtyTargets::Listed(expected.into_iter().collect()));
         assert!(epoch.dirty_targets.len() < 34, "must not dirty the whole graph");
         assert_eq!(epoch.invalidated, epoch.dirty_targets.len(), "all were cached");
     }

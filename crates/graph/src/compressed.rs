@@ -219,13 +219,18 @@ impl DecodeWorkspace {
 ///
 /// Neighbour runs are decoded on the fly. [`GraphView::neighbors`] memoises
 /// each node's decoded list in a per-node [`OnceLock`] cell (so repeated
-/// reads are plain slice borrows and only the *touched* working set is ever
-/// materialised); [`CompressedCsr::decode_into`] bypasses the cache using a
-/// caller-owned [`DecodeWorkspace`].
+/// reads are plain slice borrows); [`GraphView::neighbors_into`] returns
+/// the cached list when one exists and otherwise decodes into the caller's
+/// scratch without caching; [`CompressedCsr::decode_into`] always bypasses
+/// the cache using a caller-owned [`DecodeWorkspace`].
 ///
 /// Memory budget: the snapshot bytes (mmap-backed when opened from a path)
 /// plus `num_nodes × size_of::<OnceLock<Box<[NodeId]>>>()` for the cache
-/// spine plus the decoded lists of touched nodes only.
+/// spine plus the decoded lists of nodes read through
+/// [`GraphView::neighbors`] only. On the serving path those are the
+/// targets' own lists (candidate sets, first hops) and the endpoints of
+/// applied mutations; the second hops of utility walks go through
+/// [`GraphView::neighbors_into`] and are never cached.
 #[derive(Debug)]
 pub struct CompressedCsr {
     bytes: Backing,
@@ -240,9 +245,10 @@ pub struct CompressedCsr {
     /// Byte position of the data region within the snapshot.
     data_at: usize,
     cache: Box<[OnceLock<Box<[NodeId]>>]>,
-    /// Cached [`GraphView::neighbors`] reads (no decode happened).
+    /// Reads served from the cache (no decode happened).
     cache_hits: AtomicU64,
-    /// Uncached [`GraphView::neighbors`] reads that decoded the list.
+    /// Uncached reads that decoded the list (through
+    /// [`GraphView::neighbors`] or [`GraphView::neighbors_into`]).
     cache_misses: AtomicU64,
 }
 
@@ -432,15 +438,16 @@ impl CompressedCsr {
             .sum()
     }
 
-    /// [`GraphView::neighbors`] reads served from the decode cache.
+    /// [`GraphView::neighbors`] and [`GraphView::neighbors_into`] reads
+    /// served from the decode cache.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits.load(Ordering::Relaxed)
     }
 
-    /// [`GraphView::neighbors`] reads that had to decode. Two threads
-    /// racing on the same cold node may both count a miss even though one
-    /// decode wins the `OnceLock`, so misses can slightly exceed
-    /// [`CompressedCsr::cached_nodes`].
+    /// Reads that had to decode. A [`GraphView::neighbors_into`] decode
+    /// counts but caches nothing, and two threads racing on the same cold
+    /// node may both count a miss even though one decode wins the
+    /// `OnceLock`, so misses can exceed [`CompressedCsr::cached_nodes`].
     pub fn cache_misses(&self) -> u64 {
         self.cache_misses.load(Ordering::Relaxed)
     }
@@ -551,6 +558,17 @@ impl GraphView for CompressedCsr {
             self.decode_node(ix(v), &mut buf);
             buf.into_boxed_slice()
         })
+    }
+
+    fn neighbors_into<'a>(&'a self, v: NodeId, scratch: &'a mut Vec<NodeId>) -> &'a [NodeId] {
+        assert!(ix(v) < self.num_nodes, "node {v} out of range");
+        if let Some(cached) = self.cache[ix(v)].get() {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return cached;
+        }
+        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.decode_node(ix(v), scratch);
+        scratch
     }
 
     fn degree(&self, v: NodeId) -> usize {
@@ -877,6 +895,22 @@ mod tests {
         assert_eq!(z.to_graph(), g);
         assert_eq!(z.cached_nodes(), g.num_nodes());
         assert!(z.cached_bytes() > 0);
+    }
+
+    #[test]
+    fn scratch_reads_decode_cold_lists_without_caching_them() {
+        let g = undirected_from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]).unwrap();
+        let z = CompressedCsr::open_bytes(CompressedCsr::encode(&g, 2)).unwrap();
+        let mut scratch = Vec::new();
+        for v in g.nodes() {
+            assert_eq!(z.neighbors_into(v, &mut scratch), g.neighbors(v));
+        }
+        assert_eq!(z.cached_nodes(), 0, "cold scratch reads must not fill the cache");
+        assert_eq!((z.cache_hits(), z.cache_misses()), (0, 5));
+        // Once a list is cached, scratch reads borrow it instead.
+        assert_eq!(z.neighbors(2), g.neighbors(2));
+        assert_eq!(z.neighbors_into(2, &mut scratch), g.neighbors(2));
+        assert_eq!((z.cached_nodes(), z.cache_hits(), z.cache_misses()), (1, 1, 6));
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!
 //! Inserting a tombstoned edge cancels the tombstone (and vice versa), so
 //! a node whose edits net out to the base automatically leaves the dirty
-//! set. [`DeltaGraph::compact`] folds the overlay into a fresh CSR in one
+//! set. Each node's lists sit behind an [`Arc`] and are copied on write,
+//! so cloning a `DeltaGraph` (how the serving layer stages an epoch)
+//! copies one pointer per dirty node, not the adjacency lists.
+//! [`DeltaGraph::compact`] folds the overlay into a fresh CSR in one
 //! pass, which is how the serving layer periodically re-bases.
 //!
 //! The edge-neighbourhood semantics of the DP analysis carry over
@@ -72,8 +75,9 @@ impl NodeOverlay {
 pub struct DeltaGraph {
     base: GraphBackend,
     /// Dirty-node overlay, keyed by node id (ordered for deterministic
-    /// iteration of the dirty set).
-    overlay: BTreeMap<NodeId, NodeOverlay>,
+    /// iteration of the dirty set). Entries are shared between clones
+    /// until one of them writes.
+    overlay: BTreeMap<NodeId, Arc<NodeOverlay>>,
     /// Nodes appended past the base's id range by [`DeltaGraph::add_nodes`].
     /// They start isolated; edges touching them live purely in the overlay.
     extra_nodes: usize,
@@ -166,21 +170,22 @@ impl DeltaGraph {
     }
 
     /// Overlay entry for `u`, created from the base adjacency on demand
-    /// (empty for nodes grown past the base).
+    /// (empty for nodes grown past the base) and unshared before the
+    /// write.
     fn arm(&mut self, u: NodeId) -> &mut NodeOverlay {
         let base = &self.base;
-        self.overlay.entry(u).or_insert_with(|| {
-            if ix(u) < base.num_nodes() {
-                NodeOverlay::seeded(base.neighbors(u))
-            } else {
-                NodeOverlay::seeded(&[])
-            }
-        })
+        let entry = self.overlay.entry(u).or_insert_with(|| {
+            let mut scratch = Vec::new();
+            let seed =
+                if ix(u) < base.num_nodes() { base.neighbors_into(u, &mut scratch) } else { &[] };
+            Arc::new(NodeOverlay::seeded(seed))
+        });
+        Arc::make_mut(entry)
     }
 
     /// Drops `u`'s overlay entry if its edits cancelled out.
     fn disarm_if_clean(&mut self, u: NodeId) {
-        if self.overlay.get(&u).is_some_and(NodeOverlay::is_clean) {
+        if self.overlay.get(&u).is_some_and(|entry| entry.is_clean()) {
             self.overlay.remove(&u);
         }
     }
@@ -338,6 +343,22 @@ impl GraphView for DeltaGraph {
             // Grown nodes with no edits yet are isolated, not base reads.
             None if ix(v) >= self.base.num_nodes() => &[],
             None => self.base.neighbors(v),
+        }
+    }
+
+    fn neighbors_into<'a>(&'a self, v: NodeId, scratch: &'a mut Vec<NodeId>) -> &'a [NodeId] {
+        match self.overlay.get(&v) {
+            Some(entry) => &entry.merged,
+            None if ix(v) >= self.base.num_nodes() => &[],
+            None => self.base.neighbors_into(v, scratch),
+        }
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        match self.overlay.get(&v) {
+            Some(entry) => entry.merged.len(),
+            None if ix(v) >= self.base.num_nodes() => 0,
+            None => self.base.degree(v),
         }
     }
 }
@@ -537,6 +558,19 @@ mod tests {
             assert_eq!(GraphView::neighbors(&dc, v), GraphView::neighbors(&dg, v));
         }
         assert_eq!(dc.compact(), dg.compact());
+    }
+
+    #[test]
+    fn clones_share_overlay_entries_until_written() {
+        let mut d = DeltaGraph::new(base());
+        d.insert_edge(0, 4).unwrap();
+        let mut staged = d.clone();
+        assert!(Arc::ptr_eq(&d.overlay[&0], &staged.overlay[&0]));
+        staged.insert_edge(0, 3).unwrap();
+        assert!(!Arc::ptr_eq(&d.overlay[&0], &staged.overlay[&0]), "a write unshares");
+        assert!(Arc::ptr_eq(&d.overlay[&4], &staged.overlay[&4]), "untouched stays shared");
+        assert_eq!(GraphView::neighbors(&d, 0), &[1, 4]);
+        assert_eq!(GraphView::neighbors(&staged, 0), &[1, 3, 4]);
     }
 
     #[test]

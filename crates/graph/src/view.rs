@@ -48,6 +48,19 @@ pub trait GraphView: Send + Sync {
     /// Panics if `v` is out of range.
     fn neighbors(&self, v: NodeId) -> &[NodeId];
 
+    /// Sorted out-neighbour slice of `v`, decoded into `scratch` when the
+    /// backing would otherwise have to materialise and keep it. Walks that
+    /// read each list once (the second hop of a 2-step walk, a ball
+    /// search) use this so they do not grow a decode cache; the default is
+    /// [`GraphView::neighbors`], which never touches `scratch`.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    fn neighbors_into<'a>(&'a self, v: NodeId, scratch: &'a mut Vec<NodeId>) -> &'a [NodeId] {
+        let _ = scratch;
+        self.neighbors(v)
+    }
+
     /// Whether the graph is directed.
     fn is_directed(&self) -> bool {
         self.direction() == Direction::Directed
@@ -125,6 +138,13 @@ macro_rules! forward_graph_view {
             }
             fn neighbors(&self, v: NodeId) -> &[NodeId] {
                 (**self).neighbors(v)
+            }
+            fn neighbors_into<'a>(
+                &'a self,
+                v: NodeId,
+                scratch: &'a mut Vec<NodeId>,
+            ) -> &'a [NodeId] {
+                (**self).neighbors_into(v, scratch)
             }
             fn degree(&self, v: NodeId) -> usize {
                 (**self).degree(v)
@@ -263,6 +283,13 @@ impl GraphView for GraphBackend {
             GraphBackend::Csr(g) => g.neighbors(v),
             GraphBackend::Compressed(z) => GraphView::neighbors(&**z, v),
             GraphBackend::Sharded(s) => GraphView::neighbors(&**s, v),
+        }
+    }
+
+    fn neighbors_into<'a>(&'a self, v: NodeId, scratch: &'a mut Vec<NodeId>) -> &'a [NodeId] {
+        match self {
+            GraphBackend::Compressed(z) => z.neighbors_into(v, scratch),
+            GraphBackend::Csr(_) | GraphBackend::Sharded(_) => self.neighbors(v),
         }
     }
 

@@ -1,7 +1,9 @@
 //! The mechanism abstraction.
 
+use std::collections::HashSet;
+
 use psr_graph::NodeId;
-use psr_utility::UtilityVector;
+use psr_utility::{CandidateSet, UtilityVector};
 use rand::Rng;
 
 /// Outcome of one mechanism invocation.
@@ -58,10 +60,15 @@ pub trait Mechanism: Send + Sync {
 /// from the zero-utility members of `candidates` when needed. Returns
 /// `None` only when the class is empty (cannot happen for draws produced
 /// against the same vector).
+///
+/// `u` must be the utility vector of `candidates`, so that `u.num_zero()`
+/// counts the zero-utility candidates. The uniform choice takes the
+/// rejection path of [`resolve_zero_class_distinct`] when that applies and
+/// otherwise picks the class member at a uniform rank in id order.
 pub fn resolve_recommendation(
     rec: Recommendation,
     u: &UtilityVector,
-    candidates: &psr_utility::CandidateSet,
+    candidates: &CandidateSet,
     rng: &mut dyn rand::RngCore,
 ) -> Option<NodeId> {
     match rec {
@@ -70,6 +77,9 @@ pub fn resolve_recommendation(
             let total = u.num_zero();
             if total == 0 {
                 return None;
+            }
+            if rejection_applies(1, u, candidates) {
+                return sample_by_rejection(1, u, candidates, rng).pop();
             }
             let pick = rng.gen_range(0..total);
             candidates.iter().filter(|&v| u.get(v) == 0.0).nth(pick)
@@ -80,17 +90,32 @@ pub fn resolve_recommendation(
 /// Resolves `count` anonymous zero-utility-class picks (the `None` slots of
 /// a [`crate::topk::TopK`]) to **distinct** concrete node ids, sampled
 /// uniformly without replacement from the zero-utility members of
-/// `candidates` via reservoir sampling. Returns fewer than `count` ids only
-/// when the class itself is smaller — peeling accounting guarantees that
-/// never happens for draws produced against the same vector.
+/// `candidates`. Returns fewer than `count` ids only when the class itself
+/// is smaller — peeling accounting guarantees that never happens for draws
+/// produced against the same vector. `u` must be the utility vector of
+/// `candidates`.
+///
+/// Two samplers share one fixed rule. When the zero class covers at least
+/// half of the id range and `count` is at most half of the class — the
+/// common case, since only a target's two-hop ball can score — ids are
+/// drawn uniformly from `0..num_nodes` and rejected unless they are
+/// zero-class candidates not picked yet: fewer than 4 draws per pick on
+/// average, each two binary searches, so the cost follows `count` instead
+/// of `n`. Otherwise a reservoir pass over every candidate picks them.
+/// Both give every `count`-subset of the class the same probability; the
+/// rejection path also orders the picks uniformly, while the reservoir's
+/// order depends on ids.
 pub fn resolve_zero_class_distinct(
     count: usize,
     u: &UtilityVector,
-    candidates: &psr_utility::CandidateSet,
+    candidates: &CandidateSet,
     rng: &mut dyn rand::RngCore,
 ) -> Vec<NodeId> {
     if count == 0 {
         return Vec::new();
+    }
+    if rejection_applies(count, u, candidates) {
+        return sample_by_rejection(count, u, candidates, rng);
     }
     let mut reservoir: Vec<NodeId> = Vec::with_capacity(count.min(u.num_zero()));
     for (seen, v) in candidates.iter().filter(|&v| u.get(v) == 0.0).enumerate() {
@@ -104,6 +129,37 @@ pub fn resolve_zero_class_distinct(
         }
     }
     reservoir
+}
+
+/// The rule choosing the rejection sampler: the zero class covers at least
+/// half of the id range (so a uniform id lands in it with probability at
+/// least ½) and `count` is at most half of the class (so at least half of
+/// it is still unpicked at every draw). Together they bound the expected
+/// draws per pick by 4.
+fn rejection_applies(count: usize, u: &UtilityVector, candidates: &CandidateSet) -> bool {
+    let class = u.num_zero();
+    class >= candidates.num_nodes().div_ceil(2) && count <= class / 2
+}
+
+/// `count` distinct zero-class members, each drawn as a uniform id from
+/// `0..num_nodes` and kept only when it is a candidate with zero utility
+/// that was not picked before: sequential sampling without replacement.
+fn sample_by_rejection(
+    count: usize,
+    u: &UtilityVector,
+    candidates: &CandidateSet,
+    rng: &mut dyn rand::RngCore,
+) -> Vec<NodeId> {
+    let n = candidates.num_nodes() as NodeId;
+    let mut picks: Vec<NodeId> = Vec::with_capacity(count);
+    let mut picked: HashSet<NodeId> = HashSet::with_capacity(count);
+    while picks.len() < count {
+        let v = rng.gen_range(0..n);
+        if candidates.contains(v) && u.get(v) == 0.0 && picked.insert(v) {
+            picks.push(v);
+        }
+    }
+    picks
 }
 
 #[cfg(test)]

@@ -36,6 +36,11 @@ impl CandidateSet {
         (node as usize) < self.num_nodes && self.excluded.binary_search(&node).is_err()
     }
 
+    /// Size of the id range `0..num_nodes` the candidates are drawn from.
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
     /// Number of candidates.
     pub fn len(&self) -> usize {
         self.num_nodes - self.excluded.len()

@@ -1,12 +1,34 @@
 //! The common-neighbours utility — the paper's running example (§4.1).
 
-use psr_graph::algo::common_neighbor_counts;
+use std::sync::{Mutex, PoisonError};
+
+use psr_graph::algo::CommonNeighborCounter;
 use psr_graph::{GraphView, NodeId};
 
 use crate::candidates::CandidateSet;
 use crate::sensitivity::Sensitivity;
 use crate::traits::UtilityFunction;
 use crate::vector::UtilityVector;
+
+/// Idle 2-step-walk workspaces, shared by every thread that scores
+/// targets. A walk takes one (or makes one when all are busy) and puts it
+/// back, so scoring a target costs its walk rather than a length-n
+/// allocation, and the process holds one length-n array per walk that ever
+/// ran concurrently. A pool rather than a thread-local: serving threads
+/// are short-lived (the daemon spawns its job workers per run, a batch
+/// map spawns per batch), and each new thread would allocate and zero its
+/// own array again.
+static COUNTERS: Mutex<Vec<CommonNeighborCounter>> = Mutex::new(Vec::new());
+
+/// Runs `f` on a pooled [`CommonNeighborCounter`]. A workspace whose walk
+/// panicked is dropped rather than returned, since it may hold counts.
+pub(crate) fn with_counter<T>(f: impl FnOnce(&mut CommonNeighborCounter) -> T) -> T {
+    let idle = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner).pop();
+    let mut counter = idle.unwrap_or_else(|| CommonNeighborCounter::new(0));
+    let out = f(&mut counter);
+    COUNTERS.lock().unwrap_or_else(PoisonError::into_inner).push(counter);
+    out
+}
 
 /// `u^{G,r}_i = C(i, r)`, the number of common neighbours between candidate
 /// `i` and the target `r` (2-step out-walks on directed graphs, §7.1).
@@ -24,7 +46,7 @@ impl UtilityFunction for CommonNeighbors {
         target: NodeId,
         candidates: &CandidateSet,
     ) -> UtilityVector {
-        let raw = common_neighbor_counts(graph, target);
+        let raw = with_counter(|counter| counter.counts(graph, target));
         let sparse: Vec<(NodeId, f64)> = raw
             .into_iter()
             .filter(|&(v, _)| candidates.contains(v))

@@ -14,8 +14,10 @@
 //! one full run covers `5 × cases` random edit sequences. The serving
 //! comparison also cross-checks [`Epoch::dirty_targets`]: every target
 //! whose utility state actually changed must be declared dirty
-//! (soundness of the invalidation-radius optimisation).
+//! (soundness of the invalidation-radius optimisation), and checks it
+//! exactly against a dense-BFS oracle on undirected graphs.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -25,7 +27,7 @@ use psr_gen::{
     BaParams, StreamParams,
 };
 use psr_graph::algo::common_neighbor_counts;
-use psr_graph::{DeltaGraph, Direction, EdgeMutation, Graph, GraphView, MutableGraph};
+use psr_graph::{DeltaGraph, Direction, EdgeMutation, Graph, GraphView, MutableGraph, NodeId};
 use psr_utility::{
     extra::{AdamicAdar, Jaccard, PreferentialAttachment},
     CandidateSet, CommonNeighbors, PersonalizedPageRank, UtilityFunction, WeightedPaths,
@@ -77,6 +79,38 @@ fn bundled_utilities() -> Vec<Box<dyn UtilityFunction>> {
         Box::new(Jaccard),
         Box::new(PreferentialAttachment),
     ]
+}
+
+/// Dense-BFS oracle for an undirected epoch's dirty set: every node
+/// within `radius` hops of a mutated endpoint in the pre- or
+/// post-mutation graph, found with length-n distance arrays.
+fn dense_ball(graphs: [&Graph; 2], mutations: &[EdgeMutation], radius: usize) -> Vec<NodeId> {
+    let n = graphs[0].num_nodes();
+    let mut marked = vec![false; n];
+    for graph in graphs {
+        let mut dist = vec![usize::MAX; n];
+        let mut queue = VecDeque::new();
+        for s in mutations.iter().flat_map(|m| [m.u as usize, m.v as usize]) {
+            if dist[s] == usize::MAX {
+                dist[s] = 0;
+                marked[s] = true;
+                queue.push_back(s);
+            }
+        }
+        while let Some(v) = queue.pop_front() {
+            if dist[v] >= radius {
+                continue;
+            }
+            for &w in graph.neighbors(v as NodeId) {
+                if dist[w as usize] == usize::MAX {
+                    dist[w as usize] = dist[v] + 1;
+                    marked[w as usize] = true;
+                    queue.push_back(w as usize);
+                }
+            }
+        }
+    }
+    (0..n as NodeId).filter(|&v| marked[v as usize]).collect()
 }
 
 /// A deterministic spread of request targets.
@@ -175,6 +209,10 @@ proptest! {
                 let _ = mutated.serve_batch(&requests, split_seed(seed, 7));
                 let epoch = mutated.apply_mutations(&mutations).unwrap();
                 prop_assert_eq!(epoch.version, 1, "{}", name);
+                if base.is_directed() {
+                    // No reverse index: a directed epoch dirties everyone.
+                    prop_assert_eq!(epoch.dirty_targets.len(), base.num_nodes(), "{}", name);
+                }
 
                 // Soundness of the dirty set: any target whose candidate
                 // set or utility vector changed must be declared dirty.
@@ -186,7 +224,7 @@ proptest! {
                             != probe.utilities_for(&rebuilt, target);
                     if changed {
                         prop_assert!(
-                            epoch.dirty_targets.binary_search(&target).is_ok(),
+                            epoch.dirty_targets.contains(target),
                             "{} {}: target {} changed but was not dirtied",
                             name, probe.name(), target
                         );
@@ -205,6 +243,41 @@ proptest! {
                     mutated.serve_batch(&requests, serve_seed),
                     fresh.serve_batch(&requests, serve_seed),
                     "{} {} serving outcomes", name, probe.name()
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On undirected graphs an epoch's dirty set is exactly the mutation
+    /// ball over the old and new edge sets, at radius 1 (common
+    /// neighbours) and 2 (Jaccard): the sparse ball search agrees with a
+    /// dense BFS.
+    #[test]
+    fn undirected_dirty_sets_equal_the_dense_bfs_ball(
+        seed in 0u64..1_000_000,
+        events in 1usize..30,
+    ) {
+        for (name, kind) in CONFIGS {
+            let (base, mutations, rebuilt) = mutated_pair(kind, seed, events);
+            if base.is_directed() {
+                continue;
+            }
+            let base = Arc::new(base);
+            let radii: [(usize, Box<dyn UtilityFunction>); 2] =
+                [(1, Box::new(CommonNeighbors)), (2, Box::new(Jaccard))];
+            for (radius, utility) in radii {
+                prop_assert_eq!(utility.invalidation_radius(), Some(radius));
+                let service =
+                    RecommendationService::new(Arc::clone(&base), utility, ServiceConfig::default());
+                let epoch = service.apply_mutations(&mutations).unwrap();
+                prop_assert_eq!(
+                    epoch.dirty_targets.iter().collect::<Vec<_>>(),
+                    dense_ball([base.as_ref(), &rebuilt], &mutations, radius),
+                    "{} radius {}", name, radius
                 );
             }
         }

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
 use psr_datasets::{livejournal_like_snapshot, twitter_like, wiki_vote_like, PresetConfig};
 use psr_graph::algo::{common_neighbor_count, common_neighbor_counts};
-use psr_graph::{CompressedCsr, Graph, GraphBackend, GraphView, NodeId, ShardedGraph};
-use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
+use psr_graph::{CompressedCsr, DeltaGraph, Graph, GraphBackend, GraphView, NodeId, ShardedGraph};
+use psr_utility::{extra::AdamicAdar, CommonNeighbors, UtilityFunction, WeightedPaths};
 
 fn wiki() -> Graph {
     wiki_vote_like(PresetConfig::scaled(0.05, 2011)).unwrap().0
@@ -139,6 +139,46 @@ fn compressed_serving_materialises_only_the_touched_working_set() {
         touched < compressed.num_nodes(),
         "serving two targets must not materialise the whole graph"
     );
+}
+
+#[test]
+fn utility_walks_read_second_hops_without_caching_them() {
+    // Common neighbours and Adamic–Adar read each second-hop list once,
+    // through `GraphView::neighbors_into`: the vectors are bit-identical
+    // over CSR, compressed and an overlay on compressed, and the decode
+    // cache ends up holding the scored targets' own lists and nothing
+    // else.
+    let graph = wiki();
+    let targets: Vec<NodeId> = graph.nodes().take(200).collect();
+    assert_eq!(targets.len(), 200);
+    let fresh = || Arc::new(CompressedCsr::open_bytes(CompressedCsr::encode(&graph, 4)).unwrap());
+    let compressed = GraphBackend::Compressed(fresh());
+    let overlay = DeltaGraph::with_backend(GraphBackend::Compressed(fresh()));
+    let utilities: [Box<dyn UtilityFunction>; 2] =
+        [Box::new(CommonNeighbors), Box::new(AdamicAdar)];
+    let bits = |u: &psr_utility::UtilityVector| -> Vec<(NodeId, u64)> {
+        u.nonzero().iter().map(|&(v, x)| (v, x.to_bits())).collect()
+    };
+    for utility in &utilities {
+        for &target in &targets {
+            let expect = utility.utilities_for(&graph, target);
+            for (name, view) in
+                [("compressed", &compressed as &dyn GraphView), ("overlay", &overlay)]
+            {
+                let got = utility.utilities_for(view, target);
+                assert_eq!(bits(&got), bits(&expect), "{} {name} target {target}", utility.name());
+                assert_eq!(got.num_zero(), expect.num_zero());
+            }
+        }
+    }
+    let own_lists: usize =
+        targets.iter().map(|&t| graph.degree(t) * std::mem::size_of::<NodeId>()).sum();
+    for (name, backend) in [("compressed", &compressed), ("overlay", overlay.base())] {
+        let stats = backend.cache_stats().expect("compressed backends report a cache");
+        assert_eq!(stats.cached_nodes, targets.len(), "{name}: only the targets are cached");
+        assert_eq!(stats.cached_bytes, own_lists, "{name}: no second-hop list is cached");
+        assert!(stats.misses > stats.cached_nodes as u64, "{name}: second hops were decoded");
+    }
 }
 
 /// The acceptance run (ignored: seconds of work at full scale, release
