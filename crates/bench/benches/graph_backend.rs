@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, Criterion};
 use psr_bench::BENCH_SEED;
 use psr_datasets::{livejournal_like, PresetConfig};
-use psr_graph::{CompressedCsr, DecodeWorkspace, Graph, GraphView, NodeId, ShardedGraph};
+use psr_graph::{CompressedCsr, Graph, GraphView, NodeId, ShardedGraph};
 
 /// Warm compressed reads may cost at most this multiple of a CSR scan.
 const WARM_OVERHEAD_CEILING: f64 = 3.0;
@@ -65,11 +65,12 @@ fn scan<V: GraphView + ?Sized>(view: &V) -> u64 {
     sum
 }
 
-/// The same scan through the cache-free streaming decoder.
-fn scan_workspace(compressed: &CompressedCsr, ws: &mut DecodeWorkspace) -> u64 {
+/// The same scan through [`GraphView::neighbors_into`]. On a snapshot
+/// whose decode cache is empty every list is decoded into `scratch`.
+fn scan_workspace<V: GraphView + ?Sized>(view: &V, scratch: &mut Vec<NodeId>) -> u64 {
     let mut sum = 0u64;
-    for v in 0..compressed.num_nodes() as NodeId {
-        for &t in compressed.decode_into(v, ws) {
+    for v in view.nodes() {
+        for &t in view.neighbors_into(v, scratch) {
             sum = sum.wrapping_add(u64::from(t));
         }
     }
@@ -97,13 +98,16 @@ fn backend_reads(c: &mut Criterion) {
         graph.resident_bytes() as f64,
         "bytes",
     );
+    // `cold` is read only through `neighbors_into`, so its cache stays
+    // empty and every scan of it decodes.
+    let cold = CompressedCsr::open_bytes(bytes.clone()).expect("fresh snapshot validates");
     let compressed = CompressedCsr::open_bytes(bytes).expect("fresh snapshot validates");
     let sharded = ShardedGraph::from_view(&graph, 8);
 
     // Correctness first: all four read paths must see the same adjacency.
     let csr_sum = scan(&graph);
-    let mut ws = DecodeWorkspace::default();
-    assert_eq!(scan_workspace(&compressed, &mut ws), csr_sum, "workspace decode diverged");
+    let mut scratch = Vec::new();
+    assert_eq!(scan_workspace(&cold, &mut scratch), csr_sum, "workspace decode diverged");
     assert_eq!(scan(&compressed), csr_sum, "compressed reads diverged"); // also warms the cache
     assert_eq!(scan(&sharded), csr_sum, "sharded reads diverged");
 
@@ -111,7 +115,8 @@ fn backend_reads(c: &mut Criterion) {
     // and the cache-free first-touch cost, best of 5 each.
     let (csr_time, _) = best_of(5, || scan(&graph));
     let (warm_time, _) = best_of(5, || scan(&compressed));
-    let (cold_time, _) = best_of(5, || scan_workspace(&compressed, &mut ws));
+    let (cold_time, _) = best_of(5, || scan_workspace(&cold, &mut scratch));
+    assert_eq!(cold.cached_nodes(), 0, "workspace decode must not fill the cache");
     let (sharded_time, _) = best_of(5, || scan(&sharded));
     println!(
         "[graph_backend] {} nodes / {} arcs scan: csr {:.2} ms, compressed warm {:.2} ms \
@@ -142,8 +147,8 @@ fn backend_reads(c: &mut Criterion) {
     group.bench_function("csr", |b| b.iter(|| scan(&graph)));
     group.bench_function("compressed_warm", |b| b.iter(|| scan(&compressed)));
     group.bench_function("compressed_workspace", |b| {
-        let mut ws = DecodeWorkspace::default();
-        b.iter(|| scan_workspace(&compressed, &mut ws));
+        let mut scratch = Vec::new();
+        b.iter(|| scan_workspace(&cold, &mut scratch));
     });
     group.bench_function("sharded", |b| b.iter(|| scan(&sharded)));
     group.finish();

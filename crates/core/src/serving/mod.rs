@@ -68,6 +68,7 @@ pub use budget::{BudgetAccountant, BudgetExceeded};
 pub use epoch::EpochPin;
 pub use ledger::{BudgetLedger, JournalLedger};
 
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
 
 use epoch::EpochState;
@@ -372,9 +373,8 @@ pub struct RecommendationService {
     /// next epoch in. Nobody holds it across actual work.
     current: RwLock<Arc<EpochState>>,
     /// Serialises writers (`apply_mutations` / `compact`) so two staged
-    /// epochs can never race each other past the swap point, and holds
-    /// the writers' ball-search scratch between epochs.
-    staging: Mutex<BallSearch>,
+    /// epochs can never race each other past the swap point.
+    staging: Mutex<()>,
     utility: Arc<dyn UtilityFunction>,
     config: ServiceConfig,
     ledger: Mutex<Box<dyn BudgetLedger>>,
@@ -466,7 +466,7 @@ impl RecommendationService {
         );
         RecommendationService {
             current: RwLock::new(Arc::new(state)),
-            staging: Mutex::new(BallSearch::default()),
+            staging: Mutex::new(()),
             utility,
             config,
             ledger: Mutex::new(ledger),
@@ -602,7 +602,7 @@ impl RecommendationService {
     /// epoch throughout (writers serialise among themselves on the
     /// staging lock).
     pub fn apply_mutations(&self, mutations: &[EdgeMutation]) -> Result<Epoch, MutationError> {
-        let mut writer = self.staging.lock().expect("staging lock");
+        let _writer = self.staging.lock().expect("staging lock");
         let old = self.pin().state;
         if mutations.is_empty() {
             return Ok(Epoch {
@@ -630,17 +630,16 @@ impl RecommendationService {
             // reverse index the overlay does not keep, so directed graphs
             // conservatively dirty everyone.
             Some(radius) if !staged.is_directed() => {
-                let seeds: Vec<NodeId> = mutations.iter().flat_map(|m| [m.u, m.v]).collect();
+                let seeds: BTreeSet<NodeId> = mutations.iter().flat_map(|m| [m.u, m.v]).collect();
+                let mut marked = vec![false; num_nodes];
                 // The ball must cover both neighbourhoods: a deleted
                 // edge's influence is visible from the pre-mutation
                 // adjacency, an inserted edge's from the post-mutation
                 // one.
-                let mut ball = Vec::new();
-                writer.mark_ball(&old.graph, &seeds, radius, &mut ball);
-                writer.mark_ball(&staged, &seeds, radius, &mut ball);
-                writer.dedup(&mut ball);
-                ball.sort_unstable();
-                DirtyTargets::Listed(ball)
+                mark_ball(&old.graph, &seeds, radius, &mut marked);
+                mark_ball(&staged, &seeds, radius, &mut marked);
+                let ball = marked.iter().enumerate().filter(|&(_, &m)| m);
+                DirtyTargets::Listed(ball.map(|(v, _)| v as NodeId).collect())
             }
             _ => DirtyTargets::All(num_nodes),
         };
@@ -807,80 +806,35 @@ fn calibrate(config: &ServiceConfig, utility: &dyn UtilityFunction, view: &Delta
         .expect("utility reports no sensitivity and no override was given")
 }
 
-/// Scratch for finding an epoch's mutation ball, kept between epochs so a
-/// search touches only the ball: `stamps[v] == generation` marks `v` as
-/// reached by the search in progress, and a new search bumps the
-/// generation instead of clearing the array.
-#[derive(Debug, Default)]
-struct BallSearch {
-    stamps: Vec<u32>,
-    generation: u32,
-}
-
-impl BallSearch {
-    /// Appends to `ball` every node within `radius` hops of any seed
-    /// (seeds included) in `view`: a multi-source BFS, one level per hop,
-    /// that reads lists without caching them. Appends each node once per
-    /// call, in no particular order.
-    fn mark_ball(
-        &mut self,
-        view: &DeltaGraph,
-        seeds: &[NodeId],
-        radius: usize,
-        ball: &mut Vec<NodeId>,
-    ) {
-        let generation = self.next_generation(view.num_nodes());
-        let stamps = &mut self.stamps;
-        let mut reach = |v: NodeId, next: &mut Vec<NodeId>| {
-            if stamps[v as usize] != generation {
-                stamps[v as usize] = generation;
-                next.push(v);
-            }
-        };
-        let mut frontier = Vec::new();
-        for &s in seeds {
-            reach(s, &mut frontier);
-        }
-        let mut scratch = Vec::new();
-        for _ in 0..radius {
-            ball.extend_from_slice(&frontier);
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &w in view.neighbors_into(v, &mut scratch) {
-                    reach(w, &mut next);
-                }
-            }
-            frontier = next;
-        }
-        ball.extend_from_slice(&frontier);
+/// Marks every node within `radius` hops of any seed (seeds included) in
+/// `view`. Multi-source truncated BFS that reads lists without caching
+/// them; `marked` accumulates across calls.
+fn mark_ball(view: &DeltaGraph, seeds: &BTreeSet<NodeId>, radius: usize, marked: &mut [bool]) {
+    let mut dist: Vec<u32> = vec![u32::MAX; view.num_nodes()];
+    let mut queue = VecDeque::new();
+    let mut scratch = Vec::new();
+    for &s in seeds {
+        dist[s as usize] = 0;
+        marked[s as usize] = true;
+        queue.push_back(s);
     }
-
-    /// Drops repeated nodes from `ball`, keeping first occurrences.
-    fn dedup(&mut self, ball: &mut Vec<NodeId>) {
-        let generation = self.next_generation(0);
-        let stamps = &mut self.stamps;
-        ball.retain(|&v| std::mem::replace(&mut stamps[v as usize], generation) != generation);
-    }
-
-    /// Starts a new search over at least `num_nodes` nodes: a generation
-    /// no stamp holds yet.
-    fn next_generation(&mut self, num_nodes: usize) -> u32 {
-        if self.stamps.len() < num_nodes {
-            self.stamps.resize(num_nodes, 0);
+    while let Some(v) = queue.pop_front() {
+        let d = dist[v as usize];
+        if d as usize >= radius {
+            continue;
         }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamps.fill(0);
-            self.generation = 1;
+        for &w in view.neighbors_into(v, &mut scratch) {
+            if dist[w as usize] == u32::MAX {
+                dist[w as usize] = d + 1;
+                marked[w as usize] = true;
+                queue.push_back(w);
+            }
         }
-        self.generation
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
-
     use super::*;
     use psr_datasets::toy::karate_club;
     use psr_utility::{CandidateSet, CommonNeighbors};

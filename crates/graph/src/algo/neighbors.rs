@@ -108,9 +108,6 @@ fn gallop_intersection_count(a: &[NodeId], b: &[NodeId]) -> u32 {
 #[derive(Debug)]
 pub struct CommonNeighborCounter {
     counts: Vec<u32>,
-    /// Per-node weight sums of [`CommonNeighborCounter::weighted_sums`];
-    /// empty until that is first called.
-    sums: Vec<f64>,
     touched: Vec<NodeId>,
     /// Decode scratch for second-hop lists ([`GraphView::neighbors_into`]).
     scratch: Vec<NodeId>,
@@ -121,17 +118,35 @@ impl CommonNeighborCounter {
     /// on demand, so a counter built against an earlier snapshot stays
     /// valid after a `DeltaGraph` mutation epoch extends the node set.
     pub fn new(n: usize) -> Self {
-        CommonNeighborCounter {
-            counts: vec![0; n],
-            sums: Vec::new(),
-            touched: Vec::new(),
-            scratch: Vec::new(),
-        }
+        CommonNeighborCounter { counts: vec![0; n], touched: Vec::new(), scratch: Vec::new() }
     }
 
     /// See [`common_neighbor_counts`].
     pub fn counts<V: GraphView + ?Sized>(&mut self, graph: &V, r: NodeId) -> Vec<(NodeId, u32)> {
-        self.walk(graph, r, |_| Some(()), |_, ()| {});
+        // Grow rather than assert: the graph behind a long-lived workspace
+        // can gain nodes between epochs (`DeltaGraph::add_nodes`), and a
+        // release-mode out-of-date workspace must not index out of bounds.
+        if self.counts.len() < graph.num_nodes() {
+            self.counts.resize(graph.num_nodes(), 0);
+        }
+        // Branch-light core: instead of a conditional push per visit, the
+        // walk appends every visited id unconditionally and keeps it only
+        // when the count was zero — a data dependency the CPU handles far
+        // better than a mispredicted branch on hub-dense walks.
+        let mut len = self.touched.len();
+        debug_assert_eq!(len, 0);
+        for &a in graph.neighbors(r) {
+            let walk = graph.neighbors_into(a, &mut self.scratch);
+            self.touched.resize(len + walk.len(), 0);
+            for &i in walk {
+                let c = self.counts[ix(i)];
+                self.touched[len] = i;
+                len += (c == 0) as usize;
+                self.counts[ix(i)] = c + 1;
+            }
+            self.touched.truncate(len);
+        }
+        self.touched.sort_unstable();
         let mut out = Vec::with_capacity(self.touched.len());
         for &i in &self.touched {
             out.push((i, self.counts[ix(i)]));
@@ -139,74 +154,6 @@ impl CommonNeighborCounter {
         }
         self.touched.clear();
         out
-    }
-
-    /// For every node `i` reached by a 2-step out-walk `r → a → i` whose
-    /// middle node has a weight, the sum of `weight(a)` over those walks,
-    /// as sparse `(i, sum)` pairs sorted by node id. Middle nodes for
-    /// which `weight` returns `None` are skipped. Each sum adds its terms
-    /// in ascending order of `a`, so it is bit-identical to accumulating
-    /// them in any map keyed by `i` while walking `N(r)` in order.
-    pub fn weighted_sums<V: GraphView + ?Sized>(
-        &mut self,
-        graph: &V,
-        r: NodeId,
-        weight: impl FnMut(NodeId) -> Option<f64>,
-    ) -> Vec<(NodeId, f64)> {
-        if self.sums.len() < graph.num_nodes() {
-            self.sums.resize(graph.num_nodes(), 0.0);
-        }
-        let mut sums = std::mem::take(&mut self.sums);
-        self.walk(graph, r, weight, |i, w| sums[ix(i)] += w);
-        self.sums = sums;
-        let mut out = Vec::with_capacity(self.touched.len());
-        for &i in &self.touched {
-            out.push((i, self.sums[ix(i)]));
-            self.counts[ix(i)] = 0;
-            self.sums[ix(i)] = 0.0;
-        }
-        self.touched.clear();
-        out
-    }
-
-    /// The shared 2-step walk: for every middle node `a` of `N(r)` that
-    /// `middle` gives a value `w`, counts each walk `r → a → i` and calls
-    /// `visit(i, w)`; leaves the reached ids sorted in `touched` with their
-    /// counts in `counts`.
-    fn walk<V: GraphView + ?Sized, W: Copy>(
-        &mut self,
-        graph: &V,
-        r: NodeId,
-        mut middle: impl FnMut(NodeId) -> Option<W>,
-        mut visit: impl FnMut(NodeId, W),
-    ) {
-        // Grow rather than assert: the graph behind a long-lived workspace
-        // can gain nodes between epochs (`DeltaGraph::add_nodes`), and a
-        // release-mode out-of-date workspace must not index out of bounds.
-        if self.counts.len() < graph.num_nodes() {
-            self.counts.resize(graph.num_nodes(), 0);
-        }
-        let CommonNeighborCounter { counts, touched, scratch, .. } = self;
-        // Branch-light core: instead of a conditional push per visit, the
-        // walk appends every visited id unconditionally and keeps it only
-        // when the count was zero — a data dependency the CPU handles far
-        // better than a mispredicted branch on hub-dense walks.
-        let mut len = touched.len();
-        debug_assert_eq!(len, 0);
-        for &a in graph.neighbors(r) {
-            let Some(w) = middle(a) else { continue };
-            let walk = graph.neighbors_into(a, scratch);
-            touched.resize(len + walk.len(), 0);
-            for &i in walk {
-                let c = counts[ix(i)];
-                touched[len] = i;
-                len += (c == 0) as usize;
-                counts[ix(i)] = c + 1;
-                visit(i, w);
-            }
-            touched.truncate(len);
-        }
-        touched.sort_unstable();
     }
 }
 
@@ -271,29 +218,6 @@ mod tests {
         let first = ws.counts(&g, 0);
         let second = ws.counts(&g, 0);
         assert_eq!(first, second, "stale workspace state leaked between calls");
-    }
-
-    #[test]
-    fn weighted_sums_match_ordered_map_accumulation() {
-        let g =
-            undirected_from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-                .unwrap();
-        let weight = |a: NodeId| (a != 2).then(|| 1.0 / (g.degree(a) as f64 + 0.5).ln());
-        let mut ws = CommonNeighborCounter::new(g.num_nodes());
-        for r in g.nodes() {
-            let mut expected = std::collections::BTreeMap::new();
-            for &a in g.neighbors(r) {
-                if let Some(w) = weight(a) {
-                    for &i in g.neighbors(a) {
-                        *expected.entry(i).or_insert(0.0) += w;
-                    }
-                }
-            }
-            let expected: Vec<(NodeId, f64)> = expected.into_iter().collect();
-            assert_eq!(ws.weighted_sums(&g, r, weight), expected, "target {r}");
-            // The same workspace still counts cleanly afterwards.
-            assert_eq!(ws.counts(&g, r), common_neighbor_counts(&g, r), "target {r}");
-        }
     }
 
     #[test]

@@ -192,26 +192,6 @@ impl Backing {
     }
 }
 
-// --- decode workspace ------------------------------------------------------
-
-/// Reusable scratch buffer for cache-free neighbour decoding.
-///
-/// [`CompressedCsr::decode_into`] decodes a node's adjacency into the
-/// workspace and returns a borrow of it — no allocation after warm-up and no
-/// entry in the per-node cache. One workspace per thread is the intended
-/// pattern for streaming scans (validation, benches, out-of-core merges).
-#[derive(Debug, Default)]
-pub struct DecodeWorkspace {
-    buf: Vec<NodeId>,
-}
-
-impl DecodeWorkspace {
-    /// Creates an empty workspace.
-    pub fn new() -> Self {
-        DecodeWorkspace::default()
-    }
-}
-
 // --- CompressedCsr ---------------------------------------------------------
 
 /// A validated, read-only compressed graph snapshot implementing
@@ -221,8 +201,7 @@ impl DecodeWorkspace {
 /// each node's decoded list in a per-node [`OnceLock`] cell (so repeated
 /// reads are plain slice borrows); [`GraphView::neighbors_into`] returns
 /// the cached list when one exists and otherwise decodes into the caller's
-/// scratch without caching; [`CompressedCsr::decode_into`] always bypasses
-/// the cache using a caller-owned [`DecodeWorkspace`].
+/// scratch without caching, the read path for walks and streaming scans.
 ///
 /// Memory budget: the snapshot bytes (mmap-backed when opened from a path)
 /// plus `num_nodes × size_of::<OnceLock<Box<[NodeId]>>>()` for the cache
@@ -380,17 +359,6 @@ impl CompressedCsr {
             out.push(t as NodeId);
             prev = t;
         }
-    }
-
-    /// Decodes node `v`'s neighbour list into `ws`, returning the borrow.
-    /// Does not touch the per-node cache — the streaming read path.
-    ///
-    /// # Panics
-    /// Panics if `v` is out of range.
-    pub fn decode_into<'w>(&self, v: NodeId, ws: &'w mut DecodeWorkspace) -> &'w [NodeId] {
-        assert!(ix(v) < self.num_nodes, "node {v} out of range");
-        self.decode_node(ix(v), &mut ws.buf);
-        &ws.buf
     }
 
     /// The shard manifest embedded in the snapshot.
@@ -886,10 +854,10 @@ mod tests {
         assert_eq!(z.num_edges(), g.num_edges());
         assert_eq!(z.direction(), g.direction());
         assert_eq!(GraphView::max_degree(&z), g.max_degree());
-        let mut ws = DecodeWorkspace::new();
+        let mut scratch = Vec::new();
         for v in g.nodes() {
             assert_eq!(GraphView::degree(&z, v), g.degree(v));
-            assert_eq!(z.decode_into(v, &mut ws), g.neighbors(v));
+            assert_eq!(z.neighbors_into(v, &mut scratch), g.neighbors(v));
             assert_eq!(z.neighbors(v), g.neighbors(v));
         }
         assert_eq!(z.to_graph(), g);

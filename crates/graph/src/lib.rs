@@ -63,7 +63,7 @@ pub use builder::{
     directed_from_edges, undirected_from_edges, Direction, GraphBuilder, OutOfCoreBuilder,
     SnapshotStats,
 };
-pub use compressed::{CacheStats, CompressedCsr, DecodeWorkspace};
+pub use compressed::{CacheStats, CompressedCsr};
 pub use csr::Graph;
 pub use delta::DeltaGraph;
 pub use error::GraphError;

@@ -23,8 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 use psr_graph::compressed::{restamp_checksum, HEADER_LEN};
 use psr_graph::{
-    CompressedCsr, DecodeWorkspace, Direction, GraphBuilder, GraphError, GraphView, NodeId,
-    OutOfCoreBuilder,
+    CompressedCsr, Direction, GraphBuilder, GraphError, GraphView, NodeId, OutOfCoreBuilder,
 };
 
 /// A unique scratch path (no tempfile crate in the offline vendor set).
@@ -78,9 +77,9 @@ proptest! {
         prop_assert_eq!(z.direction(), g.direction());
         prop_assert_eq!(GraphView::max_degree(&z), g.max_degree());
         // All three read paths agree with the CSR.
-        let mut ws = DecodeWorkspace::new();
+        let mut scratch = Vec::new();
         for v in g.nodes() {
-            prop_assert_eq!(z.decode_into(v, &mut ws), g.neighbors(v));
+            prop_assert_eq!(z.neighbors_into(v, &mut scratch), g.neighbors(v));
             prop_assert_eq!(z.neighbors(v), g.neighbors(v));
             prop_assert_eq!(GraphView::degree(&z, v), g.degree(v));
         }
@@ -150,8 +149,8 @@ fn hub_wider_than_a_14_bit_degree_varint_round_trips() {
     let z = CompressedCsr::open_bytes(CompressedCsr::encode(&g, 4)).unwrap();
     assert_eq!(GraphView::degree(&z, 0), LEAVES as usize);
     assert_eq!(GraphView::max_degree(&z), LEAVES as usize);
-    let mut ws = DecodeWorkspace::new();
-    assert_eq!(z.decode_into(0, &mut ws), g.neighbors(0));
+    let mut scratch = Vec::new();
+    assert_eq!(z.neighbors_into(0, &mut scratch), g.neighbors(0));
     assert_eq!(z.to_graph(), g);
 }
 

@@ -17,12 +17,14 @@ use crate::vector::UtilityVector;
 /// ran concurrently. A pool rather than a thread-local: serving threads
 /// are short-lived (the daemon spawns its job workers per run, a batch
 /// map spawns per batch), and each new thread would allocate and zero its
-/// own array again.
+/// own array again. The pool is never released: it keeps its counters,
+/// each sized to the largest graph it has walked, for the life of the
+/// process.
 static COUNTERS: Mutex<Vec<CommonNeighborCounter>> = Mutex::new(Vec::new());
 
 /// Runs `f` on a pooled [`CommonNeighborCounter`]. A workspace whose walk
 /// panicked is dropped rather than returned, since it may hold counts.
-pub(crate) fn with_counter<T>(f: impl FnOnce(&mut CommonNeighborCounter) -> T) -> T {
+fn with_counter<T>(f: impl FnOnce(&mut CommonNeighborCounter) -> T) -> T {
     let idle = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner).pop();
     let mut counter = idle.unwrap_or_else(|| CommonNeighborCounter::new(0));
     let out = f(&mut counter);

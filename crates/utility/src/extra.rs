@@ -6,10 +6,10 @@
 //! the ablation benches ask whether the harsh trade-off is specific to the
 //! analysed utilities (it is not: anything 2-hop-local inherits it).
 
+use psr_graph::algo::common_neighbor_counts;
 use psr_graph::{GraphView, NodeId};
 
 use crate::candidates::CandidateSet;
-use crate::common_neighbors::with_counter;
 use crate::sensitivity::Sensitivity;
 use crate::traits::UtilityFunction;
 use crate::vector::UtilityVector;
@@ -30,14 +30,24 @@ impl UtilityFunction for AdamicAdar {
         target: NodeId,
         candidates: &CandidateSet,
     ) -> UtilityVector {
-        // ln(1) = 0 would divide by zero; a degree-1 middle node cannot
-        // complete a 2-path anyway, so it is skipped.
-        let weight = |z: NodeId| {
+        // Second hops read without caching, so scoring from a compressed
+        // snapshot leaves no decoded lists behind.
+        let mut scratch = Vec::new();
+        let mut acc: std::collections::BTreeMap<NodeId, f64> = std::collections::BTreeMap::new();
+        for &z in graph.neighbors(target) {
             let dz = graph.degree(z);
-            (dz >= 2).then(|| 1.0 / (dz as f64).ln())
-        };
-        let mut sparse = with_counter(|counter| counter.weighted_sums(graph, target, weight));
-        sparse.retain(|&(i, _)| candidates.contains(i));
+            if dz < 2 {
+                continue; // ln(1) = 0 would divide by zero; a degree-1
+                          // middle node cannot complete a 2-path anyway
+            }
+            let w = 1.0 / (dz as f64).ln();
+            for &i in graph.neighbors_into(z, &mut scratch) {
+                if candidates.contains(i) {
+                    *acc.entry(i).or_insert(0.0) += w;
+                }
+            }
+        }
+        let sparse: Vec<(NodeId, f64)> = acc.into_iter().collect();
         let num_zero = candidates.len() - sparse.len();
         UtilityVector::from_sparse(sparse, num_zero)
     }
@@ -84,7 +94,7 @@ impl UtilityFunction for Jaccard {
         // graphs the two provably coincide, so the walk count is reused
         // there instead of re-intersecting per candidate.
         let directed = graph.is_directed();
-        let sparse: Vec<(NodeId, f64)> = with_counter(|counter| counter.counts(graph, target))
+        let sparse: Vec<(NodeId, f64)> = common_neighbor_counts(graph, target)
             .into_iter()
             .filter(|&(v, _)| candidates.contains(v))
             .filter_map(|(v, c)| {

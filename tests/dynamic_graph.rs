@@ -254,8 +254,8 @@ proptest! {
 
     /// On undirected graphs an epoch's dirty set is exactly the mutation
     /// ball over the old and new edge sets, at radius 1 (common
-    /// neighbours) and 2 (Jaccard): the sparse ball search agrees with a
-    /// dense BFS.
+    /// neighbours) and 2 (Jaccard): the serving layer's ball search
+    /// agrees with a dense BFS kept here as the oracle.
     #[test]
     fn undirected_dirty_sets_equal_the_dense_bfs_ball(
         seed in 0u64..1_000_000,
