@@ -20,9 +20,9 @@
 //! * **Appendix A / node adjacency.** For node-neighbouring graphs the
 //!   exchange argument needs only `t = 2` steps, so accuracy forces
 //!   `ε ≥ node_privacy_eps_lower(n, β)` (asymptotically `ln(n)/2`).
-//!   [`compare_node`] overlays a node-identity measurement on those
-//!   floors next to the Lemma-1 curves, with the Corollary-1 accuracy
-//!   floor evaluated at `t = t_node_privacy()`.
+//!   [`compare`] overlays a node-identity measurement on those floors
+//!   next to the Lemma-1 curves, with the Corollary-1 accuracy floor
+//!   evaluated at `t = t_node_privacy()`.
 
 use serde::{Deserialize, Serialize};
 
@@ -175,41 +175,22 @@ pub struct BoundsComparison {
     pub consistent: bool,
 }
 
-/// Overlays an [`AttackResult`] on the theoretical curves.
+/// Overlays an [`AttackResult`] on the theoretical curves of one
+/// adjacency notion.
 ///
 /// `configured_epsilon` is the *transcript-level* budget (per-request ε
 /// times observations per transcript; `None` for the non-private
 /// baseline). `representative` is the utility vector used for the
 /// Corollary-1 accuracy overlay — by convention the first observer's
-/// world-1 vector.
+/// world-1 vector — evaluated at the adjacency's edit distance. Node
+/// adjacency adds Appendix A's node-privacy floors at graph size
+/// `num_nodes` (`β = 1`, the concentrated-utility worst case).
 pub fn compare(
     result: &AttackResult,
     configured_epsilon: Option<f64>,
     representative: Option<&UtilityVector>,
-) -> BoundsComparison {
-    compare_adjacency(result, configured_epsilon, representative, Adjacency::Edge, None)
-}
-
-/// Overlays a node-identity [`AttackResult`] on the theoretical curves:
-/// the Lemma-1 machinery of [`compare`] plus Appendix A's node-privacy
-/// floors at the scenario's graph size (`β = 1`, the concentrated-utility
-/// worst case), with the Corollary-1 accuracy floor evaluated at
-/// `t = t_node_privacy()`.
-pub fn compare_node(
-    result: &AttackResult,
-    configured_epsilon: Option<f64>,
-    representative: Option<&UtilityVector>,
-    num_nodes: usize,
-) -> BoundsComparison {
-    compare_adjacency(result, configured_epsilon, representative, Adjacency::Node, Some(num_nodes))
-}
-
-fn compare_adjacency(
-    result: &AttackResult,
-    configured_epsilon: Option<f64>,
-    representative: Option<&UtilityVector>,
     adjacency: Adjacency,
-    num_nodes: Option<usize>,
+    num_nodes: usize,
 ) -> BoundsComparison {
     let advantage = result.advantage.advantage;
     let advantage_ceiling = configured_epsilon.map_or(1.0, dp_advantage_ceiling);
@@ -219,12 +200,12 @@ fn compare_adjacency(
         }
         _ => None,
     };
-    let (node_epsilon_lower, node_epsilon_lower_asymptotic) = match (adjacency, num_nodes) {
-        (Adjacency::Node, Some(n)) => (
-            Some(psr_bounds::node_privacy::node_privacy_eps_lower(n, 1)),
-            Some(psr_bounds::node_privacy::node_privacy_eps_lower_asymptotic(n)),
+    let (node_epsilon_lower, node_epsilon_lower_asymptotic) = match adjacency {
+        Adjacency::Node => (
+            Some(psr_bounds::node_privacy::node_privacy_eps_lower(num_nodes, 1)),
+            Some(psr_bounds::node_privacy::node_privacy_eps_lower_asymptotic(num_nodes)),
         ),
-        _ => (None, None),
+        Adjacency::Edge => (None, None),
     };
     // Statistical slack on the consistency verdict: the CP lower bound is
     // conservative by construction, so it is compared exactly; the raw
@@ -313,12 +294,12 @@ mod tests {
             scores_world1: s1,
         };
         let u = UtilityVector::from_sparse(vec![(0, 3.0), (1, 2.0)], 95);
-        let edge = compare(&result, None, Some(&u));
+        let n = 7_115usize;
+        let edge = compare(&result, None, Some(&u), Adjacency::Edge, n);
         assert_eq!(edge.adjacency, "edge");
         assert_eq!(edge.node_epsilon_lower, None);
-        let node = compare_node(&result, None, Some(&u), 7_115);
+        let node = compare(&result, None, Some(&u), Adjacency::Node, n);
         assert_eq!(node.adjacency, "node");
-        let n = 7_115usize;
         assert_eq!(
             node.node_epsilon_lower,
             Some(psr_bounds::node_privacy::node_privacy_eps_lower(n, 1))

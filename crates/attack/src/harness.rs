@@ -1,27 +1,25 @@
-//! The attack harness: Monte-Carlo two-world inference trials through the
+//! The attack harness: Monte-Carlo two-world inference games through the
 //! real serving path.
 //!
-//! A scenario fixes two hypothesised **worlds** — graphs differing by a
-//! secret mutation batch — a set of third-party **observers**, and a
-//! mechanism. For the classic edge game ([`EdgeInferenceScenario`]) the
-//! batch is a single edge toggle (Definition 1's edge adjacency, edit
-//! distance 1); the node-identity game ([`crate::node::NodeIdentityScenario`])
-//! drives the same engine with a whole-neighbourhood rewire batch
-//! (Appendix A's node adjacency). Per trial the harness stands up a fresh
+//! A [`TwoWorldGame`] fixes two hypothesised **worlds** — graphs
+//! differing by a [`Secret`] — a set of third-party **observers**, and a
+//! mechanism. An edge secret is a single edge insert or delete
+//! (Definition 1's edge adjacency, edit distance 1); a node secret is a
+//! whole-neighbourhood rewire batch (Appendix A's node adjacency, see
+//! [`crate::node`]). Both reduce to the mutation batch world 1 applies,
+//! so one game plays either. Per trial the harness stands up a fresh
 //! [`RecommendationService`] over the trial's world, serves `rounds`
 //! request batches for the observers, and records the concrete
 //! recommended ids as a [`Transcript`]. Trials run in parallel across a
 //! worker pool with per-trial RNG streams split from the master seed, so
 //! a run is bit-identical regardless of thread count.
 //!
-//! Mid-stream styles ([`EpochStyle::InsertMidStream`] /
-//! [`EpochStyle::DeleteMidStream`], and the node game's rewire epoch)
-//! start both worlds from the *same* base graph and apply the secret
-//! batch through [`RecommendationService::apply_mutations`] between two
-//! rounds — warm caches, selective invalidation and per-epoch Δf
-//! recalibration all stay in play, answering "does the change leak
-//! through incremental re-serving?" rather than only "do two static
-//! graphs distinguish?".
+//! [`Epochs::MidStream`] starts both worlds from the *same* base graph
+//! and applies the secret batch through
+//! [`RecommendationService::apply_mutations`] between two rounds — warm
+//! caches, selective invalidation and per-epoch Δf recalibration all stay
+//! in play, answering "does the change leak through incremental
+//! re-serving?" rather than only "do two static graphs distinguish?".
 //!
 //! The Exponential mechanism and the non-private top-`k` baseline (a huge
 //! ε through the identical code path) are served by the real
@@ -35,12 +33,13 @@ use std::sync::Arc;
 
 use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
 use psr_gen::seed::{rng_from_seed, split_seed};
-use psr_graph::{DeltaGraph, EdgeMutation, Graph, GraphView, NodeId};
+use psr_graph::{rewire_node, DeltaGraph, EdgeMutation, Graph, GraphView, MutationOp, NodeId};
 use psr_privacy::TopKEngine;
 use psr_utility::{CandidateSet, Sensitivity, SensitivityNorm, UtilityFunction, UtilityVector};
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::Adversary;
+use crate::comparison::{Adjacency, BoundsComparison};
 use crate::model::{MechanismModel, ObservationModel, WorldModel};
 use crate::roc::{auc, best_advantage, empirical_epsilon, roc_curve};
 use crate::roc::{Advantage, EmpiricalEpsilon, RocPoint};
@@ -143,37 +142,130 @@ impl AttackMechanism {
     }
 }
 
-/// When the two worlds diverge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochStyle {
-    /// The worlds differ from round 0: world 1's graph contains the
-    /// secret edge, world 0's does not. (The classic static game.)
-    Static,
-    /// Both worlds start *without* the secret edge; after
-    /// `prefix_rounds` rounds, world 1 inserts it through
-    /// [`RecommendationService::apply_mutations`] and serving continues
-    /// incrementally.
-    InsertMidStream {
-        /// Rounds served before the mutation epoch.
-        prefix_rounds: usize,
+/// The secret separating the two worlds: world 0 is the base graph,
+/// world 1 the base with the secret applied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Secret {
+    /// Definition 1's edge adjacency (edit distance 1): world 1 applies
+    /// one edge mutation. An insert needs the edge absent from the base
+    /// graph, a delete needs it present.
+    Edge(EdgeMutation),
+    /// Appendix A's node adjacency: world 1 replaces `node`'s entire
+    /// edge set with `new_neighbours` through the minimal
+    /// [`psr_graph::rewire_node`] batch.
+    Node {
+        /// The node whose neighbourhood is the secret.
+        node: NodeId,
+        /// World 1's replacement neighbourhood (any order; deduplicated).
+        /// Typically disjoint from the base neighbourhood — the
+        /// Appendix-A exchange swaps whole edge sets — but overlap is
+        /// allowed; shared neighbours simply shrink the hypothesis gap.
+        new_neighbours: Vec<NodeId>,
     },
-    /// Both worlds start *with* the secret edge; after `prefix_rounds`
-    /// rounds, world 1 deletes it and serving continues incrementally.
-    DeleteMidStream {
+}
+
+impl Secret {
+    /// Which neighbouring-graph notion the secret plays.
+    pub fn adjacency(&self) -> Adjacency {
+        match self {
+            Secret::Edge(_) => Adjacency::Edge,
+            Secret::Node { .. } => Adjacency::Node,
+        }
+    }
+
+    /// The probe node for appearance-based adversaries: an edge's second
+    /// endpoint, whose utility shifts for observers adjacent to the first;
+    /// or the rewired node itself, whose utility is the one coordinate the
+    /// rewire moves for every eligible observer.
+    pub fn probe(&self) -> NodeId {
+        match *self {
+            Secret::Edge(mutation) => mutation.v,
+            Secret::Node { node, .. } => node,
+        }
+    }
+
+    /// Checks the secret against the base graph and the observers, and
+    /// reduces it to the mutation batch world 1 applies.
+    fn world1_mutations(&self, base: &Graph, observers: &[NodeId]) -> Vec<EdgeMutation> {
+        match self {
+            &Secret::Edge(mutation) => {
+                let EdgeMutation { op, u, v } = mutation;
+                let n = base.num_nodes();
+                assert!(u != v, "secret edge endpoints must differ");
+                assert!(
+                    (u as usize) < n && (v as usize) < n,
+                    "secret endpoints must be graph nodes"
+                );
+                match op {
+                    MutationOp::Insert => assert!(
+                        !base.has_edge(u, v),
+                        "base graph must not contain the secret edge ({u}, {v}) to insert it"
+                    ),
+                    MutationOp::Delete => assert!(
+                        base.has_edge(u, v),
+                        "base graph must contain the secret edge ({u}, {v}) to delete it"
+                    ),
+                }
+                for &o in observers {
+                    assert!(
+                        o != u && o != v,
+                        "observer {o} is a secret endpoint — the candidate policy would leak the \
+                         edge by support alone (see GameConfig::observers)"
+                    );
+                }
+                vec![mutation]
+            }
+            Secret::Node { node, new_neighbours } => {
+                let v = *node;
+                let rewire = rewire_node(base, v, new_neighbours)
+                    .unwrap_or_else(|e| panic!("invalid rewire of node {v}: {e}"));
+                assert!(
+                    !rewire.is_empty(),
+                    "rewiring node {v} to the target set changes no edge — the worlds must differ"
+                );
+                for &o in observers {
+                    assert!(o != v, "observer {o} is the rewired node itself");
+                    if !base.is_directed() {
+                        assert!(
+                            !base.has_edge(o, v) && !new_neighbours.contains(&o),
+                            "observer {o} is adjacent to the rewired node {v} in one of the \
+                             worlds — the candidate policy would leak the rewire by support \
+                             alone (see GameConfig::observers)"
+                        );
+                    }
+                }
+                rewire
+            }
+        }
+    }
+}
+
+/// When world 1 applies the secret.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Epochs {
+    /// The worlds differ from round 0. (The classic static game.)
+    Static,
+    /// Both worlds serve the base graph for `prefix_rounds` rounds, then
+    /// world 1 applies the secret batch through
+    /// [`RecommendationService::apply_mutations`] and serving continues
+    /// incrementally (warm caches, selective invalidation, per-epoch Δf
+    /// recalibration).
+    MidStream {
         /// Rounds served before the mutation epoch.
         prefix_rounds: usize,
     },
 }
 
-/// Full configuration of an edge-inference scenario.
+/// Full configuration of a two-world game.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioConfig {
-    /// The secret edge `(u, v)` the adversary tries to infer.
-    pub secret: (NodeId, NodeId),
+pub struct GameConfig {
+    /// What the adversary tries to infer.
+    pub secret: Secret,
     /// Third-party observers whose recommendations are watched. Must not
-    /// include the secret endpoints: watching an endpoint's own answers
-    /// reveals the edge through the candidate policy itself (the
-    /// recommended-node support changes), which short-circuits the game.
+    /// include a secret endpoint or the rewired node, and for a node
+    /// secret on an undirected graph must not be adjacent to the node in
+    /// *either* world: such an observer's candidate set itself changes,
+    /// leaking the secret by support alone and short-circuiting the game.
     pub observers: Vec<NodeId>,
     /// Request batches served per trial.
     pub rounds: usize,
@@ -184,7 +276,7 @@ pub struct ScenarioConfig {
     /// Mechanism under attack.
     pub mechanism: AttackMechanism,
     /// When the worlds diverge.
-    pub epochs: EpochStyle,
+    pub epochs: Epochs,
     /// Harness worker threads (`None` = available parallelism). Does not
     /// affect results.
     pub threads: Option<usize>,
@@ -203,18 +295,18 @@ pub struct ScenarioConfig {
     pub engine: TopKEngine,
 }
 
-impl ScenarioConfig {
-    /// A scenario with the serving defaults: 4 rounds × k = 1, 48 trials
-    /// per world, Exponential at ε = 0.5, static worlds, 95% confidence.
-    pub fn new(secret: (NodeId, NodeId), observers: Vec<NodeId>) -> Self {
-        ScenarioConfig {
+impl GameConfig {
+    /// A game with the serving defaults: 4 rounds × k = 1, 48 trials per
+    /// world, Exponential at ε = 0.5, static worlds, 95% confidence.
+    pub fn new(secret: Secret, observers: Vec<NodeId>) -> Self {
+        GameConfig {
             secret,
             observers,
             rounds: 4,
             k: 1,
             trials_per_world: 48,
             mechanism: AttackMechanism::Exponential { epsilon: 0.5 },
-            epochs: EpochStyle::Static,
+            epochs: Epochs::Static,
             threads: None,
             seed: 42,
             confidence: 0.95,
@@ -257,48 +349,13 @@ pub struct AttackResult {
     pub mean_accuracy: Option<f64>,
 }
 
-// ---------------------------------------------------------------------
-// The shared two-world engine
-// ---------------------------------------------------------------------
-
-/// When world 1 applies its secret mutation batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Divergence {
-    /// The worlds differ from round 0 (static games).
-    FromStart,
-    /// Both worlds serve the base graph for `prefix_rounds` rounds, then
-    /// world 1 applies the batch through `apply_mutations`.
-    MidStream {
-        /// Rounds served before the mutation epoch.
-        prefix_rounds: usize,
-    },
-}
-
-/// The scenario parameters every two-world game shares, independent of
-/// what the secret mutation batch is.
-#[derive(Debug, Clone)]
-pub(crate) struct EngineParams {
-    pub observers: Vec<NodeId>,
-    pub rounds: usize,
-    pub k: usize,
-    pub trials_per_world: usize,
-    pub mechanism: AttackMechanism,
-    pub threads: Option<usize>,
-    pub seed: u64,
-    pub confidence: f64,
-    pub sensitivity_norm: SensitivityNorm,
-    pub sensitivity_override: Option<f64>,
-    pub engine: TopKEngine,
-}
-
-/// The generic two-world trial driver: world 0 is the untouched base
-/// graph, world 1 is the base with a secret [`EdgeMutation`] batch
-/// applied (from round 0 or mid-stream). [`EdgeInferenceScenario`] drives
-/// it with a single edge toggle, [`crate::node::NodeIdentityScenario`]
-/// with a whole-neighbourhood rewire — the adversaries, statistics and
-/// serving path are shared verbatim, which is what makes the two
-/// adjacency notions comparable.
-pub(crate) struct TwoWorldEngine {
+/// A two-world inference game bound to a graph, a utility function and a
+/// [`GameConfig`]: world 0 is the untouched base graph, world 1 the base
+/// with the secret's mutation batch applied (from round 0 or
+/// mid-stream). Edge and node secrets share the adversaries, statistics
+/// and serving path verbatim, which is what makes the two adjacency
+/// notions comparable. See the [module docs](self).
+pub struct TwoWorldGame {
     base: Arc<Graph>,
     utility: Arc<dyn UtilityFunction>,
     /// Post-divergence graph per world: world 0 always keeps the base
@@ -308,54 +365,57 @@ pub(crate) struct TwoWorldEngine {
     /// The secret batch world 1 applies (already folded into
     /// `worlds[1]`; replayed through `apply_mutations` mid-stream).
     world1_mutations: Vec<EdgeMutation>,
-    divergence: Divergence,
-    params: EngineParams,
+    config: GameConfig,
 }
 
-impl TwoWorldEngine {
-    /// Validates the generic scenario parameters, folds the secret batch
-    /// into the world-1 graph and precomputes both world models.
+impl TwoWorldGame {
+    /// Validates the configuration, reduces the secret to world 1's
+    /// mutation batch, folds it into the world-1 graph and precomputes
+    /// both world models.
     ///
     /// # Panics
-    /// Panics on an inconsistent scenario: zero rounds/trials, `k = 0`
-    /// (or `k ≠ 1` for single-draw mechanisms), a mechanism parameter
-    /// [`AttackMechanism::validate`] rejects, `prefix_rounds` outside `1..rounds` for
-    /// mid-stream divergence, an empty secret batch, a batch that does
-    /// not apply to the base graph, no observers, observers that are not
-    /// graph nodes, or observers with no candidates in either world.
-    pub(crate) fn new(
-        base: Arc<Graph>,
-        utility: Arc<dyn UtilityFunction>,
-        world1_mutations: Vec<EdgeMutation>,
-        divergence: Divergence,
-        params: EngineParams,
+    /// Panics on an inconsistent game: secret edge endpoints out of
+    /// range or equal, a base graph that already has the edge an insert
+    /// adds (or lacks the edge a delete removes), an invalid rewire or
+    /// one that changes no edge, observers that are a secret endpoint,
+    /// the rewired node or (undirected) adjacent to it in either world,
+    /// zero rounds/trials, `k = 0` (or `k ≠ 1` for single-draw
+    /// mechanisms), a mechanism parameter [`AttackMechanism::validate`]
+    /// rejects, `prefix_rounds` outside `1..rounds` for mid-stream
+    /// epochs, no observers, observers that are not graph nodes, or
+    /// observers with no candidates in either world.
+    pub fn new(
+        base: impl Into<Arc<Graph>>,
+        utility: Box<dyn UtilityFunction>,
+        config: GameConfig,
     ) -> Self {
-        assert!(params.rounds >= 1, "need at least one round");
-        assert!(params.trials_per_world >= 1, "need at least one trial per world");
-        assert!(params.k >= 1, "k must be at least 1");
-        assert!(params.confidence > 0.0 && params.confidence < 1.0, "confidence must be in (0,1)");
-        if !params.mechanism.serves_through_service() {
-            assert_eq!(params.k, 1, "single-draw mechanisms serve exactly one slot");
+        let base: Arc<Graph> = base.into();
+        let world1_mutations = config.secret.world1_mutations(&base, &config.observers);
+        assert!(config.rounds >= 1, "need at least one round");
+        assert!(config.trials_per_world >= 1, "need at least one trial per world");
+        assert!(config.k >= 1, "k must be at least 1");
+        assert!(config.confidence > 0.0 && config.confidence < 1.0, "confidence must be in (0,1)");
+        if !config.mechanism.serves_through_service() {
+            assert_eq!(config.k, 1, "single-draw mechanisms serve exactly one slot");
         }
-        if let Err(e) = params.mechanism.validate() {
+        if let Err(e) = config.mechanism.validate() {
             panic!("{e}");
         }
-        if let Divergence::MidStream { prefix_rounds } = divergence {
+        if let Epochs::MidStream { prefix_rounds } = config.epochs {
             assert!(
-                prefix_rounds >= 1 && prefix_rounds < params.rounds,
+                prefix_rounds >= 1 && prefix_rounds < config.rounds,
                 "mid-stream divergence needs 1 ≤ prefix_rounds < rounds"
             );
         }
-        assert!(!world1_mutations.is_empty(), "the worlds must differ in at least one edge");
-        assert!(!params.observers.is_empty(), "need at least one observer");
+        assert!(!config.observers.is_empty(), "need at least one observer");
         let n = base.num_nodes();
-        for &o in &params.observers {
+        for &o in &config.observers {
             assert!((o as usize) < n, "observer {o} is not a graph node");
         }
 
         let worlds = [Arc::clone(&base), toggled(&base, &world1_mutations)];
         for (world, graph) in worlds.iter().enumerate() {
-            for &o in &params.observers {
+            for &o in &config.observers {
                 assert!(
                     !CandidateSet::for_target(graph.as_ref(), o).is_empty(),
                     "observer {o} has no candidates in world {world}"
@@ -363,40 +423,50 @@ impl TwoWorldEngine {
             }
         }
 
-        let mut engine = TwoWorldEngine {
+        let mut game = TwoWorldGame {
             base,
-            utility,
+            utility: Arc::from(utility),
             worlds,
             models: [empty(), empty()],
             world1_mutations,
-            divergence,
-            params,
+            config,
         };
-        engine.models = [engine.world_model(0), engine.world_model(1)];
-        engine
+        game.models = [game.world_model(0), game.world_model(1)];
+        game
     }
 
-    pub(crate) fn base(&self) -> &Arc<Graph> {
-        &self.base
+    /// The game configuration.
+    pub fn config(&self) -> &GameConfig {
+        &self.config
     }
 
-    /// The secret batch separating the worlds (what world 1 applies).
-    pub(crate) fn world1_mutations(&self) -> &[EdgeMutation] {
-        &self.world1_mutations
+    /// The probe node for appearance-based adversaries
+    /// ([`Secret::probe`]).
+    pub fn probe(&self) -> NodeId {
+        self.config.secret.probe()
     }
 
-    pub(crate) fn world_models(&self) -> (&WorldModel, &WorldModel) {
+    /// Number of edges in which the two worlds differ (the edge edit
+    /// distance between them: 1 for an edge secret, `|N(v) Δ new|` for a
+    /// node rewire).
+    pub fn rewire_size(&self) -> usize {
+        self.world1_mutations.len()
+    }
+
+    /// The hypothesis models `(world 0, world 1)` — for mid-stream
+    /// epochs, indexed per transcript entry across the divergence point.
+    pub fn world_models(&self) -> (&WorldModel, &WorldModel) {
         (&self.models[0], &self.models[1])
     }
 
-    /// The transcript-level ε budget released to the adversary per trial:
-    /// per-observation ε summed over all `rounds × observers` entries by
-    /// basic composition (`None` for the non-private baseline). For the
-    /// smoothing mechanism the per-observation ε is Theorem 5's
-    /// `ln(1 + nx/(1−x))` at each observer's candidate count.
-    pub(crate) fn transcript_epsilon(&self) -> Option<f64> {
-        let entries = (self.params.rounds * self.params.observers.len()) as f64;
-        match self.params.mechanism {
+    /// The *edge-composed* transcript budget released to the adversary
+    /// per trial: per-observation ε summed over all `rounds × observers`
+    /// entries by basic composition (`None` for the non-private
+    /// baseline). For the smoothing mechanism the per-observation ε is
+    /// Theorem 5's `ln(1 + nx/(1−x))` at each observer's candidate count.
+    pub fn transcript_epsilon(&self) -> Option<f64> {
+        let entries = (self.config.rounds * self.config.observers.len()) as f64;
+        match self.config.mechanism {
             AttackMechanism::NonPrivateTopK => None,
             AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
                 Some(epsilon * entries)
@@ -417,15 +487,28 @@ impl TwoWorldEngine {
         }
     }
 
+    /// The *node-level* transcript budget of a node secret: the
+    /// edge-composed budget scaled by [`Self::rewire_size`] (see the
+    /// [`crate::node`] docs for the group-privacy argument). `None` for
+    /// edge secrets and the non-private baseline.
+    pub fn node_transcript_epsilon(&self) -> Option<f64> {
+        match self.config.secret {
+            Secret::Edge(_) => None,
+            Secret::Node { .. } => {
+                self.transcript_epsilon().map(|eps| eps * self.rewire_size() as f64)
+            }
+        }
+    }
+
     /// Generates all transcripts for both worlds, trials fanned across
     /// the worker pool (bit-identical for any thread count).
-    pub(crate) fn collect(&self) -> TranscriptSet {
+    pub fn collect(&self) -> TranscriptSet {
         TranscriptSet { world0: self.collect_world(0), world1: self.collect_world(1) }
     }
 
     /// Scores a transcript set with one adversary and aggregates the
     /// attack statistics.
-    pub(crate) fn attack(&self, set: &TranscriptSet, adversary: &dyn Adversary) -> AttackResult {
+    pub fn attack(&self, set: &TranscriptSet, adversary: &dyn Adversary) -> AttackResult {
         let scores0 = adversary.score_all(&set.world0, &self.models[0], &self.models[1]);
         let scores1 = adversary.score_all(&set.world1, &self.models[0], &self.models[1]);
         AttackResult {
@@ -433,26 +516,45 @@ impl TwoWorldEngine {
             roc: roc_curve(&scores0, &scores1),
             auc: auc(&scores0, &scores1),
             advantage: best_advantage(&scores0, &scores1),
-            empirical_epsilon: empirical_epsilon(&scores0, &scores1, self.params.confidence),
+            empirical_epsilon: empirical_epsilon(&scores0, &scores1, self.config.confidence),
             mean_accuracy: self.mean_accuracy(&set.world1),
             scores_world0: scores0,
             scores_world1: scores1,
         }
     }
 
+    /// Collects one transcript set and scores it with every adversary.
+    pub fn run(&self, adversaries: &[&dyn Adversary]) -> Vec<AttackResult> {
+        let set = self.collect();
+        adversaries.iter().map(|a| self.attack(&set, *a)).collect()
+    }
+
+    /// Overlays a result on the theory curves of the secret's adjacency
+    /// ([`crate::comparison::compare`] with this game's transcript ε, the
+    /// first observer's world-1 utility vector and the graph size).
+    pub fn compare(&self, result: &AttackResult) -> BoundsComparison {
+        crate::comparison::compare(
+            result,
+            self.transcript_epsilon(),
+            Some(self.representative_utilities()),
+            self.config.secret.adjacency(),
+            self.base.num_nodes(),
+        )
+    }
+
     /// A representative utility vector (first observer, world 1) for
     /// bounds overlays.
-    pub(crate) fn representative_utilities(&self) -> &UtilityVector {
+    pub fn representative_utilities(&self) -> &UtilityVector {
         &self.models[1].model_for(0).utilities
     }
 
     /// `(phase graphs, round → phase index)` for one world: one phase for
     /// static (or undiverged) worlds, two around the mutation round.
     fn phases(&self, world: usize) -> (Vec<Arc<Graph>>, Vec<usize>) {
-        let rounds = self.params.rounds;
-        match self.divergence {
-            Divergence::FromStart => (vec![Arc::clone(&self.worlds[world])], vec![0; rounds]),
-            Divergence::MidStream { prefix_rounds } => {
+        let rounds = self.config.rounds;
+        match self.config.epochs {
+            Epochs::Static => (vec![Arc::clone(&self.worlds[world])], vec![0; rounds]),
+            Epochs::MidStream { prefix_rounds } => {
                 if world == 0 {
                     // World 0 never diverges from the base graph.
                     (vec![Arc::clone(&self.base)], vec![0; rounds])
@@ -466,10 +568,10 @@ impl TwoWorldEngine {
 
     fn world_model(&self, world: usize) -> WorldModel {
         let (graphs, round_phase) = self.phases(world);
-        let num_observers = self.params.observers.len();
+        let num_observers = self.config.observers.len();
         let mut models = Vec::with_capacity(graphs.len() * num_observers);
         for graph in &graphs {
-            for &observer in &self.params.observers {
+            for &observer in &self.config.observers {
                 models.push(self.observation_model(graph, observer));
             }
         }
@@ -483,10 +585,10 @@ impl TwoWorldEngine {
     fn observation_model(&self, graph: &Arc<Graph>, observer: NodeId) -> ObservationModel {
         let candidates = CandidateSet::for_target(graph.as_ref(), observer);
         let utilities = self.utility.utilities(graph.as_ref(), observer, &candidates);
-        let mechanism = match self.params.mechanism {
+        let mechanism = match self.config.mechanism {
             AttackMechanism::Exponential { .. } | AttackMechanism::NonPrivateTopK => {
                 MechanismModel::Exponential {
-                    epsilon: self.params.mechanism.effective_epsilon(),
+                    epsilon: self.config.mechanism.effective_epsilon(),
                     sensitivity: self.calibrated_sensitivity(graph),
                 }
             }
@@ -500,12 +602,12 @@ impl TwoWorldEngine {
 
     /// Δf exactly as the serving layer calibrates it for `graph`.
     fn calibrated_sensitivity(&self, graph: &Arc<Graph>) -> f64 {
-        self.params
+        self.config
             .sensitivity_override
             .or_else(|| {
                 self.utility
                     .sensitivity(graph.as_ref())
-                    .map(|s| s.value(self.params.sensitivity_norm))
+                    .map(|s| s.value(self.config.sensitivity_norm))
             })
             .expect("utility reports no sensitivity and no override was given")
     }
@@ -516,19 +618,19 @@ impl TwoWorldEngine {
     /// mid-stream trial's pre-divergence prefix is bit-identical across
     /// worlds).
     fn trial_seed(&self, trial: usize) -> u64 {
-        split_seed(self.params.seed, 0xA7AC_0000 ^ trial as u64)
+        split_seed(self.config.seed, 0xA7AC_0000 ^ trial as u64)
     }
 
     fn collect_world(&self, world: usize) -> Vec<Transcript> {
         psr_core::par::map(
-            psr_core::par::threads(self.params.threads),
-            self.params.trials_per_world,
+            psr_core::par::threads(self.config.threads),
+            self.config.trials_per_world,
             |trial| self.run_trial(world, trial),
         )
     }
 
     fn run_trial(&self, world: usize, trial: usize) -> Transcript {
-        if self.params.mechanism.serves_through_service() {
+        if self.config.mechanism.serves_through_service() {
             self.service_trial(world, trial)
         } else {
             self.mechanism_trial(world, trial)
@@ -538,31 +640,31 @@ impl TwoWorldEngine {
     /// One trial through a fresh [`RecommendationService`] (worker pool
     /// pinned to one thread: the harness parallelises across trials).
     fn service_trial(&self, world: usize, trial: usize) -> Transcript {
-        let start = match self.divergence {
-            Divergence::FromStart => Arc::clone(&self.worlds[world]),
-            Divergence::MidStream { .. } => Arc::clone(&self.base),
+        let start = match self.config.epochs {
+            Epochs::Static => Arc::clone(&self.worlds[world]),
+            Epochs::MidStream { .. } => Arc::clone(&self.base),
         };
         let service = RecommendationService::new(
             start,
             Box::new(SharedUtility(Arc::clone(&self.utility))),
             ServiceConfig {
-                epsilon_per_request: self.params.mechanism.effective_epsilon(),
+                epsilon_per_request: self.config.mechanism.effective_epsilon(),
                 budget_per_target: f64::INFINITY,
-                sensitivity_norm: self.params.sensitivity_norm,
-                sensitivity_override: self.params.sensitivity_override,
+                sensitivity_norm: self.config.sensitivity_norm,
+                sensitivity_override: self.config.sensitivity_override,
                 threads: Some(1),
-                engine: self.params.engine,
+                engine: self.config.engine,
             },
         );
         let requests: Vec<BatchRequest> = self
-            .params
+            .config
             .observers
             .iter()
-            .map(|&target| BatchRequest { target, k: self.params.k })
+            .map(|&target| BatchRequest { target, k: self.config.k })
             .collect();
         let trial_seed = self.trial_seed(trial);
-        let mut entries = Vec::with_capacity(self.params.rounds * requests.len());
-        for round in 0..self.params.rounds {
+        let mut entries = Vec::with_capacity(self.config.rounds * requests.len());
+        for round in 0..self.config.rounds {
             if let Some(mutations) = self.mutations_at_round(world, round) {
                 service.apply_mutations(mutations).expect("validated mutation applies");
             }
@@ -570,7 +672,7 @@ impl TwoWorldEngine {
                 let served = outcome.expect("validated scenario serves every observer");
                 entries.push(Observation {
                     observer: served.target,
-                    k: self.params.k,
+                    k: self.config.k,
                     recommendations: served.recommendations,
                 });
             }
@@ -581,8 +683,8 @@ impl TwoWorldEngine {
     /// The mutation batch world `world` applies before round `round`
     /// (only world 1 ever diverges; world 0's history is mutation-free).
     fn mutations_at_round(&self, world: usize, round: usize) -> Option<&[EdgeMutation]> {
-        match self.divergence {
-            Divergence::MidStream { prefix_rounds } if world == 1 && round == prefix_rounds => {
+        match self.config.epochs {
+            Epochs::MidStream { prefix_rounds } if world == 1 && round == prefix_rounds => {
                 Some(&self.world1_mutations)
             }
             _ => None,
@@ -595,15 +697,15 @@ impl TwoWorldEngine {
     fn mechanism_trial(&self, world: usize, trial: usize) -> Transcript {
         let mut rng = rng_from_seed(self.trial_seed(trial));
         let wm = &self.models[world];
-        let num_observers = self.params.observers.len();
-        let mut entries = Vec::with_capacity(self.params.rounds * num_observers);
-        for round in 0..self.params.rounds {
-            for (i, &observer) in self.params.observers.iter().enumerate() {
+        let num_observers = self.config.observers.len();
+        let mut entries = Vec::with_capacity(self.config.rounds * num_observers);
+        for round in 0..self.config.rounds {
+            for (i, &observer) in self.config.observers.iter().enumerate() {
                 let model = wm.model_for(round * num_observers + i);
                 entries.push(Observation {
                     observer,
-                    k: self.params.k,
-                    recommendations: model.sample(self.params.k, &mut rng),
+                    k: self.config.k,
+                    recommendations: model.sample(self.config.k, &mut rng),
                 });
             }
         }
@@ -625,142 +727,6 @@ impl TwoWorldEngine {
             }
         }
         (count > 0).then(|| total / count as f64)
-    }
-}
-
-/// An edge-inference experiment bound to a graph, a utility function and
-/// a [`ScenarioConfig`]. See the [module docs](self).
-pub struct EdgeInferenceScenario {
-    engine: TwoWorldEngine,
-    config: ScenarioConfig,
-}
-
-impl EdgeInferenceScenario {
-    /// Validates the configuration and precomputes both world models.
-    ///
-    /// # Panics
-    /// Panics on an inconsistent scenario: secret endpoints out of range
-    /// or equal, the base graph disagreeing with the epoch style about
-    /// the secret edge, observers that are secret endpoints or have no
-    /// candidates, `k = 0` (or `k ≠ 1` for single-draw mechanisms),
-    /// `prefix_rounds ≥ rounds`, or zero rounds/trials.
-    pub fn new(
-        base: impl Into<Arc<Graph>>,
-        utility: Box<dyn UtilityFunction>,
-        config: ScenarioConfig,
-    ) -> Self {
-        let base: Arc<Graph> = base.into();
-        let utility: Arc<dyn UtilityFunction> = Arc::from(utility);
-        let (u, v) = config.secret;
-        let n = base.num_nodes();
-        assert!(u != v, "secret edge endpoints must differ");
-        assert!((u as usize) < n && (v as usize) < n, "secret endpoints must be graph nodes");
-        match config.epochs {
-            EpochStyle::Static | EpochStyle::InsertMidStream { .. } => {
-                assert!(
-                    !base.has_edge(u, v),
-                    "base graph must not contain the secret edge ({u}, {v}) for this epoch style"
-                );
-            }
-            EpochStyle::DeleteMidStream { .. } => {
-                assert!(
-                    base.has_edge(u, v),
-                    "base graph must contain the secret edge ({u}, {v}) to delete it"
-                );
-            }
-        }
-        for &o in &config.observers {
-            assert!(
-                o != u && o != v,
-                "observer {o} is a secret endpoint — the candidate policy would leak the edge \
-                 by support alone (see ScenarioConfig::observers)"
-            );
-        }
-
-        let (mutations, divergence) = match config.epochs {
-            EpochStyle::Static => (vec![EdgeMutation::insert(u, v)], Divergence::FromStart),
-            EpochStyle::InsertMidStream { prefix_rounds } => {
-                (vec![EdgeMutation::insert(u, v)], Divergence::MidStream { prefix_rounds })
-            }
-            EpochStyle::DeleteMidStream { prefix_rounds } => {
-                (vec![EdgeMutation::delete(u, v)], Divergence::MidStream { prefix_rounds })
-            }
-        };
-        let params = EngineParams {
-            observers: config.observers.clone(),
-            rounds: config.rounds,
-            k: config.k,
-            trials_per_world: config.trials_per_world,
-            mechanism: config.mechanism,
-            threads: config.threads,
-            seed: config.seed,
-            confidence: config.confidence,
-            sensitivity_norm: config.sensitivity_norm,
-            sensitivity_override: config.sensitivity_override,
-            engine: config.engine,
-        };
-        let engine = TwoWorldEngine::new(base, utility, mutations, divergence, params);
-        EdgeInferenceScenario { engine, config }
-    }
-
-    /// The scenario configuration.
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.config
-    }
-
-    /// The probe node for appearance-based adversaries: the secret edge's
-    /// second endpoint, whose utility shifts for observers adjacent to the
-    /// first endpoint.
-    pub fn probe(&self) -> NodeId {
-        self.config.secret.1
-    }
-
-    /// The hypothesis models `(world without edge, world with edge)` —
-    /// for the mid-stream styles, indexed per transcript entry across the
-    /// divergence point.
-    pub fn world_models(&self) -> (&WorldModel, &WorldModel) {
-        self.engine.world_models()
-    }
-
-    /// The transcript-level ε budget released to the adversary per trial
-    /// (see [`TwoWorldEngine::transcript_epsilon`]).
-    pub fn transcript_epsilon(&self) -> Option<f64> {
-        self.engine.transcript_epsilon()
-    }
-
-    /// Generates all transcripts for both worlds, trials fanned across
-    /// the worker pool (bit-identical for any thread count).
-    pub fn collect(&self) -> TranscriptSet {
-        self.engine.collect()
-    }
-
-    /// Scores a transcript set with one adversary and aggregates the
-    /// attack statistics.
-    pub fn attack(&self, set: &TranscriptSet, adversary: &dyn Adversary) -> AttackResult {
-        self.engine.attack(set, adversary)
-    }
-
-    /// Collects one transcript set and scores it with every adversary.
-    pub fn run(&self, adversaries: &[&dyn Adversary]) -> Vec<AttackResult> {
-        let set = self.collect();
-        adversaries.iter().map(|a| self.attack(&set, *a)).collect()
-    }
-
-    /// Overlays a result on the theoretical curves
-    /// ([`crate::comparison::compare`] with this scenario's transcript ε
-    /// and the first observer's world-1 utility vector).
-    pub fn compare(&self, result: &AttackResult) -> crate::comparison::BoundsComparison {
-        crate::comparison::compare(
-            result,
-            self.transcript_epsilon(),
-            Some(self.engine.representative_utilities()),
-        )
-    }
-
-    /// A representative utility vector (first observer, world 1) for
-    /// bounds overlays.
-    pub fn representative_utilities(&self) -> &UtilityVector {
-        self.engine.representative_utilities()
     }
 }
 
@@ -954,16 +920,16 @@ mod tests {
     use psr_datasets::toy::karate_club;
     use psr_utility::CommonNeighbors;
 
-    fn karate_config(mechanism: AttackMechanism) -> ScenarioConfig {
+    fn karate_config(mechanism: AttackMechanism) -> GameConfig {
         let graph = karate_club();
         let secret = default_secret_edge(&graph).expect("karate has an absent CN pair");
         let observers = default_observers(&graph, secret, 4);
         assert!(!observers.is_empty());
-        ScenarioConfig {
+        GameConfig {
             rounds: 2,
             trials_per_world: 16,
             mechanism,
-            ..ScenarioConfig::new(secret, observers)
+            ..GameConfig::new(edge(secret), observers)
         }
     }
 
@@ -971,20 +937,25 @@ mod tests {
     /// top-1 answer deterministic — the configuration the demo claims
     /// are made on. 4 rounds ⇒ world 0 mimics world 1 with probability
     /// at most `tie⁻⁴ ≤ 1/16` per trial.
-    fn leaky_config(mechanism: AttackMechanism) -> ScenarioConfig {
+    fn leaky_config(mechanism: AttackMechanism) -> GameConfig {
         let graph = std::sync::Arc::new(karate_club());
         let (secret, observers) = leaking_secret_edge(&graph, &CommonNeighbors, 4, 20_000)
             .expect("karate has a tie-breaking pair");
-        ScenarioConfig {
+        GameConfig {
             rounds: 4,
             trials_per_world: 16,
             mechanism,
-            ..ScenarioConfig::new(secret, observers)
+            ..GameConfig::new(edge(secret), observers)
         }
     }
 
-    fn scenario(config: ScenarioConfig) -> EdgeInferenceScenario {
-        EdgeInferenceScenario::new(karate_club(), Box::new(CommonNeighbors), config)
+    /// The edge secret world 1 inserts.
+    fn edge((u, v): (NodeId, NodeId)) -> Secret {
+        Secret::Edge(EdgeMutation::insert(u, v))
+    }
+
+    fn scenario(config: GameConfig) -> TwoWorldGame {
+        TwoWorldGame::new(karate_club(), Box::new(CommonNeighbors), config)
     }
 
     #[test]
@@ -999,11 +970,11 @@ mod tests {
 
     #[test]
     fn transcripts_are_identical_across_harness_thread_counts() {
-        let one = scenario(ScenarioConfig {
+        let one = scenario(GameConfig {
             threads: Some(1),
             ..karate_config(AttackMechanism::Exponential { epsilon: 0.5 })
         });
-        let eight = scenario(ScenarioConfig {
+        let eight = scenario(GameConfig {
             threads: Some(8),
             ..karate_config(AttackMechanism::Exponential { epsilon: 0.5 })
         });
@@ -1048,7 +1019,7 @@ mod tests {
 
     #[test]
     fn dp_mechanism_advantage_is_meaningfully_smaller() {
-        let cfg = ScenarioConfig {
+        let cfg = GameConfig {
             trials_per_world: 24,
             ..leaky_config(AttackMechanism::Exponential { epsilon: 0.3 })
         };
@@ -1079,8 +1050,8 @@ mod tests {
 
     #[test]
     fn insert_mid_stream_diverges_only_after_the_epoch() {
-        let cfg = ScenarioConfig {
-            epochs: EpochStyle::InsertMidStream { prefix_rounds: 1 },
+        let cfg = GameConfig {
+            epochs: Epochs::MidStream { prefix_rounds: 1 },
             rounds: 6,
             ..leaky_config(AttackMechanism::NonPrivateTopK)
         };
@@ -1124,16 +1095,16 @@ mod tests {
     fn observers_may_not_be_secret_endpoints() {
         let g = karate_club();
         let secret = default_secret_edge(&g).unwrap();
-        let cfg = ScenarioConfig::new(secret, vec![secret.0]);
-        let _ = EdgeInferenceScenario::new(g, Box::new(CommonNeighbors), cfg);
+        let cfg = GameConfig::new(edge(secret), vec![secret.0]);
+        let _ = TwoWorldGame::new(g, Box::new(CommonNeighbors), cfg);
     }
 
     #[test]
     #[should_panic(expected = "must not contain the secret edge")]
     fn static_base_must_lack_the_secret_edge() {
         let g = karate_club();
-        let cfg = ScenarioConfig::new((0, 1), vec![2]);
-        let _ = EdgeInferenceScenario::new(g, Box::new(CommonNeighbors), cfg);
+        let cfg = GameConfig::new(edge((0, 1)), vec![2]);
+        let _ = TwoWorldGame::new(g, Box::new(CommonNeighbors), cfg);
     }
 
     #[test]
@@ -1142,11 +1113,11 @@ mod tests {
         let g = karate_club();
         let secret = default_secret_edge(&g).unwrap();
         let observers = default_observers(&g, secret, 2);
-        let cfg = ScenarioConfig {
-            epochs: EpochStyle::InsertMidStream { prefix_rounds: 4 },
+        let cfg = GameConfig {
+            epochs: Epochs::MidStream { prefix_rounds: 4 },
             rounds: 4,
-            ..ScenarioConfig::new(secret, observers)
+            ..GameConfig::new(edge(secret), observers)
         };
-        let _ = EdgeInferenceScenario::new(g, Box::new(CommonNeighbors), cfg);
+        let _ = TwoWorldGame::new(g, Box::new(CommonNeighbors), cfg);
     }
 }

@@ -22,14 +22,16 @@
 //!   likelihood-ratio test, a shadow-model membership-inference attack,
 //!   and a frequency/plurality baseline, all behind the
 //!   [`Adversary`] trait.
-//! * [`harness`] — how trials run: Monte-Carlo edge-inference games
-//!   through real [`psr_core::serving::RecommendationService`] batches,
-//!   including `DeltaGraph` mutation epochs ("does an edge insert leak
-//!   through incremental re-serving?"), parallel across a worker pool.
-//! * [`node`] — the Appendix-A game on the same engine: two worlds
-//!   differing in one node's *entire* edge set (a `rewire_node` batch),
-//!   statically or applied mid-stream as a real mutation epoch, overlaid
-//!   on the `ε ≥ ln(n)/2` node-privacy floors.
+//! * [`harness`] — how trials run: the one [`TwoWorldGame`], Monte-Carlo
+//!   inference trials through real
+//!   [`psr_core::serving::RecommendationService`] batches, including
+//!   `DeltaGraph` mutation epochs ("does an edge insert leak through
+//!   incremental re-serving?"), parallel across a worker pool. Its
+//!   [`Secret`] is one edge (Definition 1) or one node's *entire* edge
+//!   set (Appendix A).
+//! * [`node`] — the Appendix-A secret's selection: rewire targets and
+//!   observers for a node whose neighbourhood is replaced, overlaid on
+//!   the `ε ≥ ln(n)/2` node-privacy floors.
 //! * [`roc`] — what gets measured: ROC curves, adversary advantage and a
 //!   Monte-Carlo empirical-ε estimator with Clopper–Pearson confidence.
 //! * [`comparison`] — what theory says about it: Lemma 1's advantage
@@ -40,24 +42,25 @@
 //!
 //! ```
 //! use psr_attack::{
-//!     leaking_secret_edge, AttackMechanism, EdgeInferenceScenario, ReconstructionAdversary,
-//!     ScenarioConfig,
+//!     leaking_secret_edge, AttackMechanism, GameConfig, ReconstructionAdversary, Secret,
+//!     TwoWorldGame,
 //! };
 //! use psr_datasets::toy::karate_club;
+//! use psr_graph::EdgeMutation;
 //! use psr_utility::CommonNeighbors;
 //! use std::sync::Arc;
 //!
 //! let graph = Arc::new(karate_club());
-//! let (secret, observers) =
+//! let ((u, v), observers) =
 //!     leaking_secret_edge(&graph, &CommonNeighbors, 4, 20_000).unwrap();
-//! let config = ScenarioConfig {
+//! let config = GameConfig {
 //!     trials_per_world: 12,
 //!     rounds: 4,
 //!     mechanism: AttackMechanism::NonPrivateTopK,
-//!     ..ScenarioConfig::new(secret, observers)
+//!     ..GameConfig::new(Secret::Edge(EdgeMutation::insert(u, v)), observers)
 //! };
-//! let scenario = EdgeInferenceScenario::new(graph, Box::new(CommonNeighbors), config);
-//! let result = scenario.attack(&scenario.collect(), &ReconstructionAdversary);
+//! let game = TwoWorldGame::new(graph, Box::new(CommonNeighbors), config);
+//! let result = game.attack(&game.collect(), &ReconstructionAdversary);
 //! // Non-private serving separates the worlds at a rate no ε ≤ 1
 //! // differentially private mechanism could permit (Lemma 1's ceiling).
 //! assert!(result.advantage.advantage > psr_attack::dp_advantage_ceiling(1.0));
@@ -75,19 +78,16 @@ pub use adversary::{
     Adversary, FrequencyBaseline, LikelihoodRatioMia, ReconstructionAdversary, SCORE_CLAMP,
 };
 pub use comparison::{
-    compare, compare_node, dp_advantage_ceiling, epsilon_floor_from_advantage,
+    compare, dp_advantage_ceiling, epsilon_floor_from_advantage,
     lemma1_epsilon_floor_from_accuracy, Adjacency, BoundsComparison,
 };
 pub use harness::{
     default_observers, default_secret_edge, leaking_secret_edge, search_secret_edge,
-    AttackMechanism, AttackResult, EdgeInferenceScenario, EpochStyle, ScenarioConfig,
-    TranscriptSet, NON_PRIVATE_EPSILON, SEARCH_BUDGET,
+    AttackMechanism, AttackResult, Epochs, GameConfig, Secret, TranscriptSet, TwoWorldGame,
+    NON_PRIVATE_EPSILON, SEARCH_BUDGET,
 };
 pub use model::{MechanismModel, ObservationModel, WorldModel};
-pub use node::{
-    default_rewire_target, leaking_node_rewire, node_observers, NodeEpochStyle,
-    NodeIdentityScenario, NodeScenarioConfig,
-};
+pub use node::{default_rewire_target, leaking_node_rewire, node_observers};
 pub use roc::{
     auc, best_advantage, clopper_pearson, empirical_epsilon, roc_curve, Advantage,
     EmpiricalEpsilon, RocPoint,

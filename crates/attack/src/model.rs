@@ -71,7 +71,7 @@ const LAPLACE_TAILS: f64 = 45.0;
 /// Everything the adversary knows about one observation under one
 /// hypothesised world: who asked, what their candidates and utilities are
 /// in that world, and which mechanism answered.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObservationModel {
     /// The observer's candidate set in the hypothesised graph.
     pub candidates: CandidateSet,
@@ -287,7 +287,7 @@ impl ObservationModel {
 /// The adversary's side knowledge of one hypothesised world: a model for
 /// every transcript entry. Entries that share an (observer, graph-epoch)
 /// pair share one deduplicated [`ObservationModel`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldModel {
     models: Vec<ObservationModel>,
     entry_model: Vec<usize>,

@@ -11,20 +11,22 @@
 //! `ε ≥ ln(n)/2` floor of [`psr_bounds::node_privacy`] — node-identity
 //! privacy is essentially impossible for accurate recommenders.
 //!
-//! [`NodeIdentityScenario`] instantiates that game empirically on the
-//! same [`crate::harness`] engine the edge game runs on: trials through
-//! real [`psr_core::serving::RecommendationService`] batches (the rewire
-//! epoch style applies the whole batch through `apply_mutations`
-//! mid-stream), the same three adversaries scoring the same
+//! A [`Secret::Node`](crate::Secret::Node) plays that game empirically on
+//! the same [`crate::TwoWorldGame`] the edge game runs on: trials through
+//! real [`psr_core::serving::RecommendationService`] batches (a
+//! mid-stream epoch applies the whole rewire batch through
+//! `apply_mutations`), the same three adversaries scoring the same
 //! [`crate::model::WorldModel`] hypothesis pairs, and the same
-//! Clopper–Pearson-certified empirical-ε estimator. The only thing that
-//! changes is the hypothesis gap — and the theory ceiling the
-//! measurement is overlaid on ([`crate::comparison::compare_node`]).
+//! Clopper–Pearson-certified empirical-ε estimator. The only things that
+//! change are the hypothesis gap and the theory the measurement is
+//! overlaid on ([`crate::comparison::compare`] adds the node-privacy
+//! floors and evaluates the accuracy floor at `t = 2`). This module
+//! holds the node game's secret and observer selection.
 //!
 //! Because a rewire moves `|N(v) Δ new|` edges at once, an ε-edge-DP
 //! mechanism is only `(|batch| · ε)`-DP at node granularity (group
 //! privacy along the edge path between the worlds) — see
-//! [`NodeIdentityScenario::node_transcript_epsilon`]. The acceptance
+//! [`crate::TwoWorldGame::node_transcript_epsilon`]. The acceptance
 //! suite (`tests/node_privacy.rs`) pins both sides: the non-private
 //! baseline's certified ε̂ floor clears every usable budget, while the
 //! DP mechanisms stay within even their *edge-composed* transcript
@@ -32,255 +34,10 @@
 
 use std::sync::Arc;
 
-use psr_graph::{rewire_node, EdgeMutation, Graph, GraphView, NodeId};
-use psr_privacy::TopKEngine;
-use psr_utility::{SensitivityNorm, UtilityFunction, UtilityVector};
+use psr_graph::{rewire_node, Graph, GraphView, NodeId};
+use psr_utility::UtilityFunction;
 
-use crate::adversary::Adversary;
-use crate::harness::{unique_argmax, Divergence, EngineParams, TwoWorldEngine};
-use crate::harness::{AttackMechanism, AttackResult, TranscriptSet};
-use crate::model::WorldModel;
-
-/// When the node-identity worlds diverge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeEpochStyle {
-    /// The worlds differ from round 0: world 1's graph has the node
-    /// rewired, world 0's keeps the base neighbourhood.
-    Static,
-    /// Both worlds serve the base graph for `prefix_rounds` rounds, then
-    /// world 1 applies the whole rewire batch through
-    /// [`psr_core::serving::RecommendationService::apply_mutations`] and
-    /// serving continues incrementally (warm caches, selective
-    /// invalidation, per-epoch Δf recalibration).
-    RewireMidStream {
-        /// Rounds served before the rewire epoch.
-        prefix_rounds: usize,
-    },
-}
-
-/// Full configuration of a node-identity scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeScenarioConfig {
-    /// The node whose entire neighbourhood is the secret.
-    pub node: NodeId,
-    /// World 1's replacement neighbourhood for [`Self::node`] (any order;
-    /// deduplicated). Typically disjoint from the base neighbourhood —
-    /// the Appendix-A exchange swaps whole edge sets — but overlap is
-    /// allowed; shared neighbours simply shrink the hypothesis gap.
-    pub new_neighbours: Vec<NodeId>,
-    /// Third-party observers whose recommendations are watched. Must not
-    /// include the rewired node, and on undirected graphs must not be
-    /// adjacent to it in *either* world: an adjacent observer's candidate
-    /// set itself changes (the rewired node enters or leaves it), leaking
-    /// the rewire by support alone and short-circuiting the game.
-    pub observers: Vec<NodeId>,
-    /// Request batches served per trial.
-    pub rounds: usize,
-    /// Slots per request (must be 1 for the single-draw mechanisms).
-    pub k: usize,
-    /// Monte-Carlo trials per world.
-    pub trials_per_world: usize,
-    /// Mechanism under attack.
-    pub mechanism: AttackMechanism,
-    /// When the worlds diverge.
-    pub epochs: NodeEpochStyle,
-    /// Harness worker threads (`None` = available parallelism). Does not
-    /// affect results.
-    pub threads: Option<usize>,
-    /// Master seed.
-    pub seed: u64,
-    /// Two-sided confidence for the empirical-ε lower bound.
-    pub confidence: f64,
-    /// Δf norm, matching the serving default.
-    pub sensitivity_norm: SensitivityNorm,
-    /// Δf override when the utility reports no analytic bound.
-    pub sensitivity_override: Option<f64>,
-    /// Which top-`k` sampler the attacked service runs (the engines are
-    /// distributionally identical; see `ScenarioConfig::engine`).
-    pub engine: TopKEngine,
-}
-
-impl NodeScenarioConfig {
-    /// A scenario with the serving defaults: 4 rounds × k = 1, 48 trials
-    /// per world, Exponential at ε = 0.5, static worlds, 95% confidence.
-    pub fn new(node: NodeId, new_neighbours: Vec<NodeId>, observers: Vec<NodeId>) -> Self {
-        NodeScenarioConfig {
-            node,
-            new_neighbours,
-            observers,
-            rounds: 4,
-            k: 1,
-            trials_per_world: 48,
-            mechanism: AttackMechanism::Exponential { epsilon: 0.5 },
-            epochs: NodeEpochStyle::Static,
-            threads: None,
-            seed: 42,
-            confidence: 0.95,
-            sensitivity_norm: SensitivityNorm::LInf,
-            sensitivity_override: None,
-            engine: TopKEngine::default(),
-        }
-    }
-}
-
-/// A node-identity inference experiment bound to a graph, a utility
-/// function and a [`NodeScenarioConfig`]. See the [module docs](self).
-pub struct NodeIdentityScenario {
-    engine: TwoWorldEngine,
-    config: NodeScenarioConfig,
-}
-
-impl NodeIdentityScenario {
-    /// Validates the configuration, computes the minimal rewire batch and
-    /// precomputes both world models.
-    ///
-    /// # Panics
-    /// Panics on an inconsistent scenario: the rewired node or a target
-    /// neighbour out of range, a self-loop in the target set, a rewire
-    /// that changes no edge (the worlds must differ), observers that are
-    /// the rewired node or (undirected) adjacent to it in either world,
-    /// plus every generic harness precondition (`k`, rounds, trials,
-    /// prefix bounds, candidate non-emptiness — see
-    /// [`crate::EdgeInferenceScenario::new`]).
-    pub fn new(
-        base: impl Into<Arc<Graph>>,
-        utility: Box<dyn UtilityFunction>,
-        config: NodeScenarioConfig,
-    ) -> Self {
-        let base: Arc<Graph> = base.into();
-        let utility: Arc<dyn UtilityFunction> = Arc::from(utility);
-        let v = config.node;
-        let rewire = rewire_node(base.as_ref(), v, &config.new_neighbours)
-            .unwrap_or_else(|e| panic!("invalid rewire of node {v}: {e}"));
-        assert!(
-            !rewire.is_empty(),
-            "rewiring node {v} to the target set changes no edge — the worlds must differ"
-        );
-        let new_set = |w: NodeId| config.new_neighbours.contains(&w);
-        for &o in &config.observers {
-            assert!(o != v, "observer {o} is the rewired node itself");
-            if !base.is_directed() {
-                assert!(
-                    !base.has_edge(o, v) && !new_set(o),
-                    "observer {o} is adjacent to the rewired node {v} in one of the worlds — \
-                     the candidate policy would leak the rewire by support alone \
-                     (see NodeScenarioConfig::observers)"
-                );
-            }
-        }
-
-        let divergence = match config.epochs {
-            NodeEpochStyle::Static => Divergence::FromStart,
-            NodeEpochStyle::RewireMidStream { prefix_rounds } => {
-                Divergence::MidStream { prefix_rounds }
-            }
-        };
-        let params = EngineParams {
-            observers: config.observers.clone(),
-            rounds: config.rounds,
-            k: config.k,
-            trials_per_world: config.trials_per_world,
-            mechanism: config.mechanism,
-            threads: config.threads,
-            seed: config.seed,
-            confidence: config.confidence,
-            sensitivity_norm: config.sensitivity_norm,
-            sensitivity_override: config.sensitivity_override,
-            engine: config.engine,
-        };
-        let engine = TwoWorldEngine::new(base, utility, rewire, divergence, params);
-        NodeIdentityScenario { engine, config }
-    }
-
-    /// The scenario configuration.
-    pub fn config(&self) -> &NodeScenarioConfig {
-        &self.config
-    }
-
-    /// The minimal [`EdgeMutation`] batch separating the worlds — what
-    /// world 1 applies through `apply_mutations` in the rewire epoch
-    /// style.
-    pub fn rewire(&self) -> &[EdgeMutation] {
-        self.engine.world1_mutations()
-    }
-
-    /// Number of edges in which the two worlds differ (the edge edit
-    /// distance between them, `|N(v) Δ new|`).
-    pub fn rewire_size(&self) -> usize {
-        self.rewire().len()
-    }
-
-    /// The probe node for appearance-based adversaries: the rewired node
-    /// itself, whose utility is the one coordinate the rewire moves for
-    /// every eligible observer.
-    pub fn probe(&self) -> NodeId {
-        self.config.node
-    }
-
-    /// The hypothesis models `(base neighbourhood, rewired)` — for the
-    /// rewire epoch style, indexed per transcript entry across the
-    /// divergence point.
-    pub fn world_models(&self) -> (&WorldModel, &WorldModel) {
-        self.engine.world_models()
-    }
-
-    /// The *edge-composed* transcript budget: per-observation ε summed
-    /// over all `rounds × observers` entries by basic composition, as for
-    /// the edge game (`None` for the non-private baseline). This is what
-    /// the mechanisms were configured to promise per observation under
-    /// **edge** adjacency.
-    pub fn transcript_epsilon(&self) -> Option<f64> {
-        self.engine.transcript_epsilon()
-    }
-
-    /// The *node-level* transcript budget: the edge-composed budget
-    /// scaled by [`Self::rewire_size`]. The two worlds sit at edge edit
-    /// distance `|batch|`, so by group privacy an ε-edge-DP transcript
-    /// release is `(|batch| · ε)`-DP for the node-adjacent pair — the
-    /// honest budget to compare a node-adjacency measurement against.
-    pub fn node_transcript_epsilon(&self) -> Option<f64> {
-        self.transcript_epsilon().map(|eps| eps * self.rewire_size() as f64)
-    }
-
-    /// Generates all transcripts for both worlds, trials fanned across
-    /// the worker pool (bit-identical for any thread count).
-    pub fn collect(&self) -> TranscriptSet {
-        self.engine.collect()
-    }
-
-    /// Scores a transcript set with one adversary and aggregates the
-    /// attack statistics.
-    pub fn attack(&self, set: &TranscriptSet, adversary: &dyn Adversary) -> AttackResult {
-        self.engine.attack(set, adversary)
-    }
-
-    /// Collects one transcript set and scores it with every adversary.
-    pub fn run(&self, adversaries: &[&dyn Adversary]) -> Vec<AttackResult> {
-        let set = self.collect();
-        adversaries.iter().map(|a| self.attack(&set, *a)).collect()
-    }
-
-    /// Overlays a result on the node-adjacency theory curves
-    /// ([`crate::comparison::compare_node`]): Lemma-1 ceilings at the
-    /// edge-composed budget, Corollary-1 accuracy floors at
-    /// `t = t_node_privacy()`, and the Appendix-A node-privacy floors
-    /// `node_privacy_eps_lower(n, 1)` / `ln(n)/2` next to the measured
-    /// advantage and certified ε̂.
-    pub fn compare(&self, result: &AttackResult) -> crate::comparison::BoundsComparison {
-        crate::comparison::compare_node(
-            result,
-            self.transcript_epsilon(),
-            Some(self.engine.representative_utilities()),
-            self.engine.base().num_nodes(),
-        )
-    }
-
-    /// A representative utility vector (first observer, world 1) for
-    /// bounds overlays.
-    pub fn representative_utilities(&self) -> &UtilityVector {
-        self.engine.representative_utilities()
-    }
-}
+use crate::harness::unique_argmax;
 
 /// A deterministic degree-preserving **disjoint** rewire target for `v`:
 /// `degree(v)` nodes outside `N(v) ∪ {v}`, preferring nodes at distance
@@ -419,18 +176,19 @@ pub fn leaking_node_rewire(
 mod tests {
     use super::*;
     use crate::adversary::ReconstructionAdversary;
+    use crate::harness::{AttackMechanism, Epochs, GameConfig, Secret, TwoWorldGame};
     use psr_datasets::toy::karate_club;
     use psr_utility::CommonNeighbors;
 
-    fn leaky(mechanism: AttackMechanism) -> (Arc<Graph>, NodeScenarioConfig) {
+    fn leaky(mechanism: AttackMechanism) -> (Arc<Graph>, GameConfig) {
         let graph = Arc::new(karate_club());
         let (v, new, observers) =
             leaking_node_rewire(&graph, &CommonNeighbors, 4, 20_000).expect("karate leaks");
-        let config = NodeScenarioConfig {
+        let config = GameConfig {
             rounds: 3,
             trials_per_world: 12,
             mechanism,
-            ..NodeScenarioConfig::new(v, new, observers)
+            ..GameConfig::new(Secret::Node { node: v, new_neighbours: new }, observers)
         };
         (graph, config)
     }
@@ -456,10 +214,11 @@ mod tests {
     #[test]
     fn worlds_differ_by_exactly_the_rewire_batch() {
         let (graph, config) = leaky(AttackMechanism::NonPrivateTopK);
-        let s = NodeIdentityScenario::new(Arc::clone(&graph), Box::new(CommonNeighbors), config);
+        let Secret::Node { node, new_neighbours } = config.secret.clone() else { unreachable!() };
+        let s = TwoWorldGame::new(Arc::clone(&graph), Box::new(CommonNeighbors), config);
         assert_eq!(
             s.rewire_size(),
-            graph.degree(s.config().node) + s.config().new_neighbours.len(),
+            graph.degree(node) + new_neighbours.len(),
             "disjoint rewire: |N(v)| deletes + |new| inserts"
         );
         assert!(s.node_transcript_epsilon().is_none(), "non-private has no budget");
@@ -468,7 +227,7 @@ mod tests {
     #[test]
     fn non_private_rewire_separates_the_worlds() {
         let (graph, config) = leaky(AttackMechanism::NonPrivateTopK);
-        let s = NodeIdentityScenario::new(graph, Box::new(CommonNeighbors), config);
+        let s = TwoWorldGame::new(graph, Box::new(CommonNeighbors), config);
         let result = s.attack(&s.collect(), &ReconstructionAdversary);
         assert!(
             result.advantage.advantage > crate::comparison::dp_advantage_ceiling(1.0),
@@ -480,7 +239,7 @@ mod tests {
     #[test]
     fn node_budget_scales_the_edge_budget_by_the_batch() {
         let (graph, config) = leaky(AttackMechanism::Exponential { epsilon: 0.5 });
-        let s = NodeIdentityScenario::new(graph, Box::new(CommonNeighbors), config);
+        let s = TwoWorldGame::new(graph, Box::new(CommonNeighbors), config);
         let edge = s.transcript_epsilon().unwrap();
         let node = s.node_transcript_epsilon().unwrap();
         assert!((node - edge * s.rewire_size() as f64).abs() < 1e-12);
@@ -489,12 +248,9 @@ mod tests {
     #[test]
     fn rewire_mid_stream_shares_the_pre_epoch_prefix() {
         let (graph, config) = leaky(AttackMechanism::NonPrivateTopK);
-        let config = NodeScenarioConfig {
-            epochs: NodeEpochStyle::RewireMidStream { prefix_rounds: 1 },
-            rounds: 4,
-            ..config
-        };
-        let s = NodeIdentityScenario::new(graph, Box::new(CommonNeighbors), config);
+        let config =
+            GameConfig { epochs: Epochs::MidStream { prefix_rounds: 1 }, rounds: 4, ..config };
+        let s = TwoWorldGame::new(graph, Box::new(CommonNeighbors), config);
         let set = s.collect();
         let per_round = s.config().observers.len();
         for (t0, t1) in set.world0.iter().zip(&set.world1) {
@@ -524,8 +280,8 @@ mod tests {
     fn rewire_to_the_same_neighbourhood_is_rejected() {
         let g = karate_club();
         let same: Vec<NodeId> = g.neighbors(0).to_vec();
-        let cfg = NodeScenarioConfig::new(0, same, vec![9]);
-        let _ = NodeIdentityScenario::new(g, Box::new(CommonNeighbors), cfg);
+        let cfg = GameConfig::new(Secret::Node { node: 0, new_neighbours: same }, vec![9]);
+        let _ = TwoWorldGame::new(g, Box::new(CommonNeighbors), cfg);
     }
 
     #[test]
@@ -534,8 +290,8 @@ mod tests {
         let g = karate_club();
         let neighbour = g.neighbors(0)[0];
         let new = default_rewire_target(&g, 0).unwrap();
-        let cfg = NodeScenarioConfig::new(0, new, vec![neighbour]);
-        let _ = NodeIdentityScenario::new(g, Box::new(CommonNeighbors), cfg);
+        let cfg = GameConfig::new(Secret::Node { node: 0, new_neighbours: new }, vec![neighbour]);
+        let _ = TwoWorldGame::new(g, Box::new(CommonNeighbors), cfg);
     }
 
     #[test]
@@ -543,7 +299,7 @@ mod tests {
     fn the_node_may_not_observe_itself() {
         let g = karate_club();
         let new = default_rewire_target(&g, 0).unwrap();
-        let cfg = NodeScenarioConfig::new(0, new, vec![0]);
-        let _ = NodeIdentityScenario::new(g, Box::new(CommonNeighbors), cfg);
+        let cfg = GameConfig::new(Secret::Node { node: 0, new_neighbours: new }, vec![0]);
+        let _ = TwoWorldGame::new(g, Box::new(CommonNeighbors), cfg);
     }
 }

@@ -16,30 +16,29 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psr_attack::{
-    leaking_node_rewire, leaking_secret_edge, Adversary, AttackMechanism, EdgeInferenceScenario,
-    NodeEpochStyle, NodeIdentityScenario, NodeScenarioConfig, ReconstructionAdversary,
-    ScenarioConfig,
+    leaking_node_rewire, leaking_secret_edge, Adversary, AttackMechanism, Epochs, GameConfig,
+    ReconstructionAdversary, Secret, TwoWorldGame,
 };
 use psr_bench::BENCH_SEED;
 use psr_datasets::toy::karate_club;
-use psr_graph::Graph;
+use psr_graph::{EdgeMutation, Graph};
 use psr_utility::CommonNeighbors;
 
 /// The karate-club scenario every attack bench runs (the acceptance
 /// suite's graph, so numbers track the tested path).
-fn scenario(rounds: usize, trials: usize, threads: usize) -> EdgeInferenceScenario {
+fn scenario(rounds: usize, trials: usize, threads: usize) -> TwoWorldGame {
     let graph = Arc::new(karate_club());
-    let (secret, observers) =
+    let ((u, v), observers) =
         leaking_secret_edge(&graph, &CommonNeighbors, 4, 20_000).expect("karate leaks");
-    let config = ScenarioConfig {
+    let config = GameConfig {
         rounds,
         trials_per_world: trials,
         threads: Some(threads),
         seed: BENCH_SEED,
         mechanism: AttackMechanism::Exponential { epsilon: 0.5 },
-        ..ScenarioConfig::new(secret, observers)
+        ..GameConfig::new(Secret::Edge(EdgeMutation::insert(u, v)), observers)
     };
-    EdgeInferenceScenario::new(Arc::clone(&graph) as Arc<Graph>, Box::new(CommonNeighbors), config)
+    TwoWorldGame::new(Arc::clone(&graph) as Arc<Graph>, Box::new(CommonNeighbors), config)
 }
 
 /// Reconstruction scoring vs transcript length: the exact likelihood
@@ -99,20 +98,20 @@ fn attack_harness_throughput(c: &mut Criterion) {
 
 /// The karate node-identity scenario (the acceptance suite's leaking
 /// rewire), statically or across a mid-stream rewire epoch.
-fn node_scenario(rounds: usize, trials: usize, epochs: NodeEpochStyle) -> NodeIdentityScenario {
+fn node_scenario(rounds: usize, trials: usize, epochs: Epochs) -> TwoWorldGame {
     let graph = Arc::new(karate_club());
     let (node, new, observers) =
         leaking_node_rewire(&graph, &CommonNeighbors, 4, 20_000).expect("karate leaks");
-    let config = NodeScenarioConfig {
+    let config = GameConfig {
         rounds,
         trials_per_world: trials,
         threads: Some(4),
         seed: BENCH_SEED,
         mechanism: AttackMechanism::Exponential { epsilon: 0.5 },
         epochs,
-        ..NodeScenarioConfig::new(node, new, observers)
+        ..GameConfig::new(Secret::Node { node, new_neighbours: new }, observers)
     };
-    NodeIdentityScenario::new(Arc::clone(&graph) as Arc<Graph>, Box::new(CommonNeighbors), config)
+    TwoWorldGame::new(Arc::clone(&graph) as Arc<Graph>, Box::new(CommonNeighbors), config)
 }
 
 /// Node-world transcript collection and scoring vs transcript length:
@@ -120,7 +119,7 @@ fn node_scenario(rounds: usize, trials: usize, epochs: NodeEpochStyle) -> NodeId
 /// cost, so both must stay linear in rounds like the edge game.
 fn node_attack_transcript_scaling(c: &mut Criterion) {
     for rounds in [2usize, 8] {
-        let s = node_scenario(rounds, 8, NodeEpochStyle::Static);
+        let s = node_scenario(rounds, 8, Epochs::Static);
         c.bench_function(format!("node_attack_collect_rounds_{rounds}"), |b| {
             b.iter(|| black_box(s.collect()))
         });
@@ -139,7 +138,7 @@ fn node_attack_transcript_scaling(c: &mut Criterion) {
 
     // The rewire epoch pays the apply_mutations + selective-invalidation
     // path inside every world-1 trial; measure it against static worlds.
-    let epoch = node_scenario(4, 8, NodeEpochStyle::RewireMidStream { prefix_rounds: 1 });
+    let epoch = node_scenario(4, 8, Epochs::MidStream { prefix_rounds: 1 });
     c.bench_function("node_attack_collect_rewire_epoch", |b| b.iter(|| black_box(epoch.collect())));
 }
 

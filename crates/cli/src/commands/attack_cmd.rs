@@ -11,13 +11,10 @@ use std::sync::Arc;
 use psr_attack::{
     default_observers, default_rewire_target, leaking_node_rewire, node_observers,
     search_secret_edge, Adjacency, Adversary, AttackMechanism, AttackResult, BoundsComparison,
-    EdgeInferenceScenario, EpochStyle, FrequencyBaseline, LikelihoodRatioMia, NodeEpochStyle,
-    NodeIdentityScenario, NodeScenarioConfig, ReconstructionAdversary, RocPoint, ScenarioConfig,
-    SEARCH_BUDGET,
+    Epochs, FrequencyBaseline, GameConfig, LikelihoodRatioMia, ReconstructionAdversary, RocPoint,
+    Secret, TranscriptSet, TwoWorldGame, SEARCH_BUDGET,
 };
-use psr_graph::io::IdMap;
-use psr_graph::{Graph, GraphView, NodeId};
-use psr_privacy::TopKEngine;
+use psr_graph::{EdgeMutation, Graph, GraphView, NodeId};
 use psr_utility::UtilityFunction;
 use serde::Serialize;
 
@@ -130,13 +127,14 @@ struct AttackReport {
     adversaries: Vec<AdversaryRecord>,
 }
 
-/// Scores one transcript set with every requested adversary through an
-/// `attack`+`compare` closure (shared by both adjacency branches).
-fn adversary_records(
+/// Scores one transcript set with every requested adversary, each
+/// result overlaid on the game's theory.
+fn evaluate(
     opts: &AttackOptions,
-    probe: NodeId,
-    mut evaluate: impl FnMut(&dyn Adversary) -> (AttackResult, BoundsComparison),
-) -> Vec<AdversaryRecord> {
+    game: &TwoWorldGame,
+    set: &TranscriptSet,
+) -> Vec<(AttackResult, BoundsComparison)> {
+    let probe = game.probe();
     let reconstruction = ReconstructionAdversary;
     let mia = LikelihoodRatioMia::new(probe, opts.run.seed);
     let frequency = FrequencyBaseline { probe };
@@ -150,108 +148,24 @@ fn adversary_records(
     adversaries
         .iter()
         .map(|adversary| {
-            let (result, comparison) = evaluate(*adversary);
-            AdversaryRecord::new(&result, &comparison)
+            let result = game.attack(set, *adversary);
+            let comparison = game.compare(&result);
+            (result, comparison)
         })
         .collect()
 }
 
-pub fn run(opts: &AttackOptions) -> Result<(), String> {
-    match opts.adjacency.parse()? {
-        Adjacency::Edge => run_edge(opts),
-        Adjacency::Node => run_node(opts),
-    }
-}
-
-/// What both adjacency games share: the attacked graph, materialised in
-/// RAM (the harness mutates per-trial world copies), its original
-/// labels, and the mechanism and engine the options name.
-struct Setup {
-    graph: Arc<Graph>,
-    ids: Option<IdMap>,
-    utility_name: String,
-    mechanism: AttackMechanism,
-    engine: TopKEngine,
-}
-
-impl Setup {
-    /// Loads the graph and resolves the names; the utility goes to the
-    /// scenario.
-    fn load(opts: &AttackOptions) -> Result<(Self, Box<dyn UtilityFunction>), String> {
-        let (backend, ids) = opts.graph.load(opts.run.seed)?;
-        let utility = opts.serving.utility()?;
-        let setup = Setup {
-            graph: backend.to_graph_arc(),
-            ids,
-            utility_name: utility.name(),
-            mechanism: AttackMechanism::new(
-                &opts.mechanism,
-                opts.serving.epsilon,
-                opts.smoothing_x,
-            )?,
-            engine: opts.serving.engine()?,
-        };
-        Ok((setup, utility))
-    }
-
-    fn label(&self, v: NodeId) -> u64 {
-        super::original_label(self.ids.as_ref(), v)
-    }
-
-    /// The report fields both games fill the same way; the
-    /// adjacency-specific ones start empty.
-    fn report(
-        &self,
-        opts: &AttackOptions,
-        transcript_epsilon: Option<f64>,
-        observers: Vec<NodeId>,
-        adversaries: Vec<AdversaryRecord>,
-    ) -> AttackReport {
-        let epsilon_per_observation = match self.mechanism {
-            AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
-                Some(epsilon)
-            }
-            AttackMechanism::NonPrivateTopK | AttackMechanism::Smoothing { .. } => None,
-        };
-        AttackReport {
-            dataset: opts.graph.label(),
-            backend: opts.graph.backend.clone(),
-            utility: self.utility_name.clone(),
-            engine: self.engine.name().to_owned(),
-            mechanism: opts.mechanism.clone(),
-            adjacency: opts.adjacency.clone(),
-            epsilon_per_observation,
-            transcript_epsilon,
-            node_transcript_epsilon: None,
-            node_epsilon_lower: None,
-            node_epsilon_lower_asymptotic: None,
-            secret_edge: None,
-            rewired_node: None,
-            observer_labels: observers.iter().map(|&o| self.label(o)).collect(),
-            observers,
-            rounds: opts.rounds,
-            k: opts.k,
-            trials_per_world: opts.trials,
-            epoch_style: opts.epoch.clone(),
-            adversaries,
-        }
-    }
-}
-
-/// Writes the report (to `--json` or stdout).
-fn emit(report: &AttackReport, opts: &AttackOptions, headline: &str) -> Result<(), String> {
-    let json = serde_json::to_string_pretty(report).expect("serialisable");
-    super::emit_json(&json, opts.run.json.as_deref(), headline)
-}
-
-fn run_edge(opts: &AttackOptions) -> Result<(), String> {
-    let (setup, utility) = Setup::load(opts)?;
-    let graph = &setup.graph;
-
-    let (secret, observers) = match opts.edge {
+/// The secret edge and its observers: `--edge` checked up front so
+/// ordinary input mistakes read as CLI errors, not library assertion
+/// panics, else the searched default. World 1 deletes the edge under
+/// `--epoch delete` and inserts it otherwise.
+fn edge_secret(
+    opts: &AttackOptions,
+    graph: &Arc<Graph>,
+    utility: &dyn UtilityFunction,
+) -> Result<(Secret, Vec<NodeId>), String> {
+    let ((u, v), observers) = match opts.edge {
         Some(edge) => {
-            // Validate up front so ordinary input mistakes read as CLI
-            // errors, not library assertion panics.
             let (u, v) = edge;
             let n = graph.num_nodes() as u32;
             if u == v || u >= n || v >= n {
@@ -279,63 +193,24 @@ fn run_edge(opts: &AttackOptions) -> Result<(), String> {
             }
             (edge, observers)
         }
-        None => search_secret_edge(graph, utility.as_ref(), opts.observer_cap)
+        None => search_secret_edge(graph, utility, opts.observer_cap)
             .ok_or("no suitable secret edge found; pass --edge u,v")?,
     };
-
-    let epochs = match opts.epoch.as_str() {
-        "static" => EpochStyle::Static,
-        "insert" => EpochStyle::InsertMidStream { prefix_rounds: opts.prefix_rounds },
-        "delete" => EpochStyle::DeleteMidStream { prefix_rounds: opts.prefix_rounds },
-        other => unreachable!("arg parser admits only known edge epoch styles, got {other}"),
+    let mutation = if opts.epoch == "delete" {
+        EdgeMutation::delete(u, v)
+    } else {
+        EdgeMutation::insert(u, v)
     };
-
-    let config = ScenarioConfig {
-        rounds: opts.rounds,
-        k: opts.k,
-        trials_per_world: opts.trials,
-        mechanism: setup.mechanism,
-        engine: setup.engine,
-        epochs,
-        threads: opts.run.threads,
-        seed: opts.run.seed,
-        ..ScenarioConfig::new(secret, observers.clone())
-    };
-    let scenario = EdgeInferenceScenario::new(Arc::clone(graph), utility, config);
-
-    let set = scenario.collect();
-    let records = adversary_records(opts, scenario.probe(), |adversary| {
-        let result = scenario.attack(&set, adversary);
-        let comparison = scenario.compare(&result);
-        (result, comparison)
-    });
-
-    let report = AttackReport {
-        secret_edge: Some(SecretEdgeRecord {
-            u: secret.0,
-            v: secret.1,
-            label_u: setup.label(secret.0),
-            label_v: setup.label(secret.1),
-        }),
-        ..setup.report(opts, scenario.transcript_epsilon(), observers, records)
-    };
-
-    let best = report.adversaries.iter().map(|a| a.advantage).fold(0.0, f64::max);
-    let headline = format!(
-        "attacked edge ({}, {}) on {} with {}: best advantage {best:.3} (ceiling {:.3})",
-        setup.label(secret.0),
-        setup.label(secret.1),
-        report.dataset,
-        report.mechanism,
-        report.adversaries.first().map_or(1.0, |a| a.advantage_ceiling),
-    );
-    emit(&report, opts, &headline)
+    Ok((Secret::Edge(mutation), observers))
 }
 
-fn run_node(opts: &AttackOptions) -> Result<(), String> {
-    let (setup, utility) = Setup::load(opts)?;
-    let graph = &setup.graph;
-
+/// The rewired node, its replacement neighbourhood and its observers:
+/// `--node` checked up front, else the searched leaking rewire.
+fn node_secret(
+    opts: &AttackOptions,
+    graph: &Arc<Graph>,
+    utility: &dyn UtilityFunction,
+) -> Result<(Secret, Vec<NodeId>), String> {
     let (node, new_neighbours, observers) = match opts.node {
         Some(v) => {
             let n = graph.num_nodes() as u32;
@@ -353,67 +228,120 @@ fn run_node(opts: &AttackOptions) -> Result<(), String> {
             }
             (v, new, observers)
         }
-        None => leaking_node_rewire(graph, utility.as_ref(), opts.observer_cap, SEARCH_BUDGET)
+        None => leaking_node_rewire(graph, utility, opts.observer_cap, SEARCH_BUDGET)
             .ok_or("no leaking node rewire found; pass --node v")?,
     };
+    Ok((Secret::Node { node, new_neighbours }, observers))
+}
 
-    let epochs = match opts.epoch.as_str() {
-        "static" => NodeEpochStyle::Static,
-        "rewire" => NodeEpochStyle::RewireMidStream { prefix_rounds: opts.prefix_rounds },
-        other => unreachable!("arg parser admits only known node epoch styles, got {other}"),
+pub fn run(opts: &AttackOptions) -> Result<(), String> {
+    // The harness mutates per-trial world copies, so the attacked graph
+    // is materialised in RAM whatever backend it came through.
+    let (backend, ids) = opts.graph.load(opts.run.seed)?;
+    let graph = backend.to_graph_arc();
+    let label = |v: NodeId| super::original_label(ids.as_ref(), v);
+    let utility = opts.serving.utility()?;
+    let utility_name = utility.name();
+    let mechanism = AttackMechanism::new(&opts.mechanism, opts.serving.epsilon, opts.smoothing_x)?;
+    let engine = opts.serving.engine()?;
+
+    let (secret, observers) = match opts.adjacency.parse()? {
+        Adjacency::Edge => edge_secret(opts, &graph, utility.as_ref())?,
+        Adjacency::Node => node_secret(opts, &graph, utility.as_ref())?,
     };
-
-    let config = NodeScenarioConfig {
+    let epochs = match opts.epoch.as_str() {
+        "static" => Epochs::Static,
+        _ => Epochs::MidStream { prefix_rounds: opts.prefix_rounds },
+    };
+    let config = GameConfig {
         rounds: opts.rounds,
         k: opts.k,
         trials_per_world: opts.trials,
-        mechanism: setup.mechanism,
-        engine: setup.engine,
+        mechanism,
+        engine,
         epochs,
         threads: opts.run.threads,
         seed: opts.run.seed,
-        ..NodeScenarioConfig::new(node, new_neighbours.clone(), observers.clone())
+        ..GameConfig::new(secret, observers.clone())
     };
-    let scenario = NodeIdentityScenario::new(Arc::clone(graph), utility, config);
+    let game = TwoWorldGame::new(Arc::clone(&graph), utility, config);
+    let set = game.collect();
+    let evaluated = evaluate(opts, &game, &set);
 
-    let set = scenario.collect();
-    let mut overlay: Option<(Option<f64>, Option<f64>)> = None;
-    let records = adversary_records(opts, scenario.probe(), |adversary| {
-        let result = scenario.attack(&set, adversary);
-        let comparison = scenario.compare(&result);
-        overlay.get_or_insert((
-            comparison.node_epsilon_lower,
-            comparison.node_epsilon_lower_asymptotic,
-        ));
-        (result, comparison)
-    });
-    let (node_epsilon_lower, node_epsilon_lower_asymptotic) = overlay.unwrap_or((None, None));
-
-    let rewire_size = scenario.rewire_size();
+    let first = &evaluated[0].1;
+    let epsilon_per_observation = match mechanism {
+        AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
+            Some(epsilon)
+        }
+        AttackMechanism::NonPrivateTopK | AttackMechanism::Smoothing { .. } => None,
+    };
+    let secret = &game.config().secret;
+    let (secret_edge, rewired_node) = match secret {
+        Secret::Edge(m) => (
+            Some(SecretEdgeRecord { u: m.u, v: m.v, label_u: label(m.u), label_v: label(m.v) }),
+            None,
+        ),
+        Secret::Node { node, new_neighbours } => (
+            None,
+            Some(RewiredNodeRecord {
+                node: *node,
+                label: label(*node),
+                old_degree: graph.degree(*node),
+                new_neighbours: new_neighbours.clone(),
+                rewire_size: game.rewire_size(),
+            }),
+        ),
+    };
     let report = AttackReport {
-        node_transcript_epsilon: scenario.node_transcript_epsilon(),
-        node_epsilon_lower,
-        node_epsilon_lower_asymptotic,
-        rewired_node: Some(RewiredNodeRecord {
-            node,
-            label: setup.label(node),
-            old_degree: graph.degree(node),
-            new_neighbours: new_neighbours.clone(),
-            rewire_size,
-        }),
-        ..setup.report(opts, scenario.transcript_epsilon(), observers, records)
+        dataset: opts.graph.label(),
+        backend: opts.graph.backend.clone(),
+        utility: utility_name,
+        engine: engine.name().to_owned(),
+        mechanism: opts.mechanism.clone(),
+        adjacency: opts.adjacency.clone(),
+        epsilon_per_observation,
+        transcript_epsilon: game.transcript_epsilon(),
+        node_transcript_epsilon: game.node_transcript_epsilon(),
+        node_epsilon_lower: first.node_epsilon_lower,
+        node_epsilon_lower_asymptotic: first.node_epsilon_lower_asymptotic,
+        secret_edge,
+        rewired_node,
+        observer_labels: observers.iter().map(|&o| label(o)).collect(),
+        observers,
+        rounds: opts.rounds,
+        k: opts.k,
+        trials_per_world: opts.trials,
+        epoch_style: opts.epoch.clone(),
+        adversaries: evaluated.iter().map(|(r, c)| AdversaryRecord::new(r, c)).collect(),
     };
 
-    let best_certified =
-        report.adversaries.iter().map(|a| a.empirical_epsilon_lower).fold(0.0, f64::max);
-    let headline = format!(
-        "attacked node {} on {} with {} ({rewire_size} edges rewired): certified eps >= \
-         {best_certified:.3} (Appendix-A floor {:.3}, ln(n)/2 = {:.3})",
-        setup.label(node),
-        report.dataset,
-        report.mechanism,
-        report.node_epsilon_lower.unwrap_or(f64::NAN),
-        report.node_epsilon_lower_asymptotic.unwrap_or(f64::NAN),
-    );
-    emit(&report, opts, &headline)
+    let headline = match secret {
+        Secret::Edge(m) => {
+            let best = report.adversaries.iter().map(|a| a.advantage).fold(0.0, f64::max);
+            format!(
+                "attacked edge ({}, {}) on {} with {}: best advantage {best:.3} (ceiling {:.3})",
+                label(m.u),
+                label(m.v),
+                report.dataset,
+                report.mechanism,
+                report.adversaries.first().map_or(1.0, |a| a.advantage_ceiling),
+            )
+        }
+        Secret::Node { node, .. } => {
+            let best_certified =
+                report.adversaries.iter().map(|a| a.empirical_epsilon_lower).fold(0.0, f64::max);
+            format!(
+                "attacked node {} on {} with {} ({} edges rewired): certified eps >= \
+                 {best_certified:.3} (Appendix-A floor {:.3}, ln(n)/2 = {:.3})",
+                label(*node),
+                report.dataset,
+                report.mechanism,
+                game.rewire_size(),
+                report.node_epsilon_lower.unwrap_or(f64::NAN),
+                report.node_epsilon_lower_asymptotic.unwrap_or(f64::NAN),
+            )
+        }
+    };
+    let json = serde_json::to_string_pretty(&report).expect("serialisable");
+    super::emit_json(&json, opts.run.json.as_deref(), &headline)
 }

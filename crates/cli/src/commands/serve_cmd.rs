@@ -153,10 +153,10 @@ pub fn run(opts: &ServeOptions) -> Result<(), String> {
         }
     }
     let config = DaemonConfig { workers: Some(1), ..DaemonConfig::default() };
-    let run = run_daemon(&service, &events, &config).unwrap_or_else(|e| {
+    let run = run_daemon(&service, &events, &config).map_err(|e| {
         // Mutation events sit at odd positions (after their chunk).
-        panic!("applying mutation batch {}: {}", (e.event - 1) / 2, e.source)
-    });
+        format!("applying mutation batch {}: {}", (e.event - 1) / 2, e.source)
+    })?;
 
     let records: Vec<OutcomeRecord> = run
         .batches

@@ -64,6 +64,36 @@ fn a_malformed_request_list_is_an_error() {
 }
 
 #[test]
+fn a_mutation_batch_the_graph_rejects_is_an_error() {
+    let requests = scratch("rejected-requests.json");
+    let mutations = scratch("rejected-mutations.json");
+    std::fs::write(&requests, r#"[{"target": 3, "k": 1}]"#).unwrap();
+    let cases = [
+        (r#"[[{"op":"Insert","u":0,"v":1}]]"#, "edge (0, 1) already exists"),
+        (r#"[[{"op":"Insert","u":0,"v":99999999}]]"#, "out of range"),
+    ];
+    for (batch, why) in cases {
+        std::fs::write(&mutations, batch).unwrap();
+        let args = [
+            "serve",
+            "--requests",
+            requests.to_str().unwrap(),
+            "--mutations",
+            mutations.to_str().unwrap(),
+            "--preset",
+            "wiki",
+            "--scale",
+            "0.05",
+        ];
+        let stderr = assert_clean_error(&args);
+        assert!(stderr.contains("applying mutation batch 0: mutation #0"), "{stderr}");
+        assert!(stderr.contains(why), "{stderr}");
+    }
+    let _ = std::fs::remove_file(&requests);
+    let _ = std::fs::remove_file(&mutations);
+}
+
+#[test]
 fn a_dynamic_serve_report_is_the_same_at_every_thread_count() {
     // Each epoch's record holds only what the input fixes: no cache
     // eviction count, which depends on how far the worker had drained.

@@ -25,13 +25,12 @@ use std::sync::Arc;
 
 use psr_attack::{
     clopper_pearson, leaking_node_rewire, search_secret_edge, Adjacency, Adversary,
-    AttackMechanism, AttackResult, BoundsComparison, EdgeInferenceScenario, EpochStyle,
-    FrequencyBaseline, LikelihoodRatioMia, NodeEpochStyle, NodeIdentityScenario,
-    NodeScenarioConfig, ReconstructionAdversary, ScenarioConfig, TranscriptSet, WorldModel,
+    AttackMechanism, AttackResult, BoundsComparison, FrequencyBaseline, GameConfig,
+    LikelihoodRatioMia, ReconstructionAdversary, Secret, TranscriptSet, TwoWorldGame, WorldModel,
     SEARCH_BUDGET,
 };
 use psr_gen::split_seed;
-use psr_graph::Graph;
+use psr_graph::{EdgeMutation, Graph};
 use psr_privacy::TopKEngine;
 use psr_utility::{UtilityKind, UtilityVector};
 use serde::{Deserialize, Serialize};
@@ -232,48 +231,13 @@ pub fn run_cell(
     let mechanism = AttackMechanism::new(&spec.mechanism, epsilon, plan.smoothing_x)?;
     let engine: TopKEngine = spec.engine.parse()?;
 
-    match spec.adjacency.parse()? {
+    let (secret, observers) = match spec.adjacency.parse()? {
         Adjacency::Edge => {
-            let (secret, observers) =
+            let ((u, v), observers) =
                 search_secret_edge(graph, utility.as_ref(), plan.observer_cap).ok_or_else(
                     || format!("cell {}: no suitable secret edge on {dataset}", spec.index),
                 )?;
-            let config = ScenarioConfig {
-                rounds: plan.rounds,
-                k: plan.k,
-                trials_per_world: plan.trials_per_world,
-                mechanism,
-                engine,
-                epochs: EpochStyle::Static,
-                threads: Some(1),
-                seed,
-                confidence: plan.confidence,
-                ..ScenarioConfig::new(secret, observers)
-            };
-            let scenario = EdgeInferenceScenario::new(Arc::clone(graph), utility, config);
-            let set = scenario.collect();
-            let (hits, scored) = exact_hits(scenario.world_models().1, &set);
-            let probe = scenario.probe();
-            let evaluated = evaluate_adversaries(probe, seed, |adv| {
-                let result = scenario.attack(&set, adv);
-                let comparison = scenario.compare(&result);
-                (result, comparison)
-            });
-            Ok(assemble(
-                spec,
-                dataset,
-                scenario.transcript_epsilon(),
-                None,
-                accuracy_ceiling(
-                    spec.epsilon,
-                    Adjacency::Edge,
-                    scenario.representative_utilities(),
-                ),
-                hits,
-                scored,
-                plan,
-                evaluated,
-            ))
+            (Secret::Edge(EdgeMutation::insert(u, v)), observers)
         }
         Adjacency::Node => {
             let (node, new_neighbours, observers) =
@@ -281,72 +245,58 @@ pub fn run_cell(
                     .ok_or_else(|| {
                         format!("cell {}: no leaking node rewire on {dataset}", spec.index)
                     })?;
-            let config = NodeScenarioConfig {
-                rounds: plan.rounds,
-                k: plan.k,
-                trials_per_world: plan.trials_per_world,
-                mechanism,
-                engine,
-                epochs: NodeEpochStyle::Static,
-                threads: Some(1),
-                seed,
-                confidence: plan.confidence,
-                ..NodeScenarioConfig::new(node, new_neighbours, observers)
-            };
-            let scenario = NodeIdentityScenario::new(Arc::clone(graph), utility, config);
-            let set = scenario.collect();
-            let (hits, scored) = exact_hits(scenario.world_models().1, &set);
-            let probe = scenario.probe();
-            let evaluated = evaluate_adversaries(probe, seed, |adv| {
-                let result = scenario.attack(&set, adv);
-                let comparison = scenario.compare(&result);
-                (result, comparison)
-            });
-            Ok(assemble(
-                spec,
-                dataset,
-                scenario.transcript_epsilon(),
-                scenario.node_transcript_epsilon(),
-                accuracy_ceiling(
-                    spec.epsilon,
-                    Adjacency::Node,
-                    scenario.representative_utilities(),
-                ),
-                hits,
-                scored,
-                plan,
-                evaluated,
-            ))
+            (Secret::Node { node, new_neighbours }, observers)
         }
-    }
+    };
+    let config = GameConfig {
+        rounds: plan.rounds,
+        k: plan.k,
+        trials_per_world: plan.trials_per_world,
+        mechanism,
+        engine,
+        threads: Some(1),
+        seed,
+        confidence: plan.confidence,
+        ..GameConfig::new(secret, observers)
+    };
+    let game = TwoWorldGame::new(Arc::clone(graph), utility, config);
+    let set = game.collect();
+    let evaluated = evaluate_adversaries(&game, &set, seed);
+    Ok(assemble(spec, dataset, plan, &game, &set, evaluated))
 }
 
-/// Runs the full adversary panel through an `attack`+`compare` closure.
+/// Scores one transcript set with the full adversary panel, each result
+/// overlaid on the game's theory.
 fn evaluate_adversaries(
-    probe: psr_graph::NodeId,
+    game: &TwoWorldGame,
+    set: &TranscriptSet,
     seed: u64,
-    mut evaluate: impl FnMut(&dyn Adversary) -> (AttackResult, BoundsComparison),
 ) -> Vec<(AttackResult, BoundsComparison)> {
+    let probe = game.probe();
     let reconstruction = ReconstructionAdversary;
     let mia = LikelihoodRatioMia::new(probe, seed);
     let frequency = FrequencyBaseline { probe };
     let panel: [&dyn Adversary; 3] = [&reconstruction, &mia, &frequency];
-    panel.iter().map(|adv| evaluate(*adv)).collect()
+    panel
+        .iter()
+        .map(|adv| {
+            let result = game.attack(set, *adv);
+            let comparison = game.compare(&result);
+            (result, comparison)
+        })
+        .collect()
 }
 
 /// Assembles the final [`CellResult`] from the measured pieces.
-#[allow(clippy::too_many_arguments)]
 fn assemble(
     spec: &CellSpec,
     dataset: String,
-    transcript_epsilon: Option<f64>,
-    node_transcript_epsilon: Option<f64>,
-    accuracy_bound: f64,
-    exact_hits: usize,
-    scored_entries: usize,
     plan: &ExperimentPlan,
+    game: &TwoWorldGame,
+    set: &TranscriptSet,
     evaluated: Vec<(AttackResult, BoundsComparison)>,
 ) -> CellResult {
+    let (exact_hits, scored_entries) = exact_hits(game.world_models().1, set);
     let first = &evaluated[0].1;
     let mean_accuracy = first.mean_accuracy;
     let advantage_ceiling = first.advantage_ceiling;
@@ -365,9 +315,13 @@ fn assemble(
     CellResult {
         spec: spec.clone(),
         dataset,
-        transcript_epsilon: transcript_epsilon.and_then(finite),
-        node_transcript_epsilon: node_transcript_epsilon.and_then(finite),
-        accuracy_bound,
+        transcript_epsilon: game.transcript_epsilon().and_then(finite),
+        node_transcript_epsilon: game.node_transcript_epsilon().and_then(finite),
+        accuracy_bound: accuracy_ceiling(
+            spec.epsilon,
+            game.config().secret.adjacency(),
+            game.representative_utilities(),
+        ),
         advantage_ceiling,
         node_epsilon_lower,
         node_epsilon_lower_asymptotic,

@@ -21,10 +21,11 @@
 use std::sync::Arc;
 
 use psr_attack::{
-    dp_advantage_ceiling, leaking_secret_edge, AttackMechanism, EdgeInferenceScenario,
-    ReconstructionAdversary, ScenarioConfig,
+    dp_advantage_ceiling, leaking_secret_edge, AttackMechanism, GameConfig,
+    ReconstructionAdversary, Secret, TwoWorldGame,
 };
 use psr_datasets::toy::karate_club;
+use psr_graph::EdgeMutation;
 use psr_utility::CommonNeighbors;
 
 fn main() {
@@ -36,17 +37,18 @@ fn main() {
         "secret edge: ({}, {});  observers (friends of {}): {:?}\n",
         secret.0, secret.1, secret.0, observers
     );
+    let edge = Secret::Edge(EdgeMutation::insert(secret.0, secret.1));
 
     // --- The non-private baseline: a few rounds give the edge away. ---
-    let non_private = EdgeInferenceScenario::new(
+    let non_private = TwoWorldGame::new(
         Arc::clone(&graph),
         Box::new(CommonNeighbors),
-        ScenarioConfig {
+        GameConfig {
             rounds: 6,
             trials_per_world: 48,
             mechanism: AttackMechanism::NonPrivateTopK,
             seed: 2011,
-            ..ScenarioConfig::new(secret, observers.clone())
+            ..GameConfig::new(edge.clone(), observers.clone())
         },
     );
     let np = non_private.attack(&non_private.collect(), &ReconstructionAdversary);
@@ -75,16 +77,16 @@ fn main() {
 
     // --- The DP mechanism: one observation, eps = 0.5 of budget. ---
     let eps = 0.5;
-    let private = EdgeInferenceScenario::new(
+    let private = TwoWorldGame::new(
         Arc::clone(&graph),
         Box::new(CommonNeighbors),
-        ScenarioConfig {
+        GameConfig {
             observers: observers[..1].to_vec(),
             rounds: 1,
             trials_per_world: 64,
             mechanism: AttackMechanism::Exponential { epsilon: eps },
             seed: 2011,
-            ..ScenarioConfig::new(secret, observers.clone())
+            ..GameConfig::new(edge, observers.clone())
         },
     );
     let dp = private.attack(&private.collect(), &ReconstructionAdversary);

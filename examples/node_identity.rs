@@ -25,8 +25,8 @@
 use std::sync::Arc;
 
 use psr_attack::{
-    dp_advantage_ceiling, leaking_node_rewire, AttackMechanism, NodeEpochStyle,
-    NodeIdentityScenario, NodeScenarioConfig, ReconstructionAdversary,
+    dp_advantage_ceiling, leaking_node_rewire, AttackMechanism, Epochs, GameConfig,
+    ReconstructionAdversary, Secret, TwoWorldGame,
 };
 use psr_datasets::toy::karate_club;
 use psr_utility::CommonNeighbors;
@@ -42,6 +42,7 @@ fn main() {
         graph.degree(node),
         new_neighbours.len()
     );
+    let rewire = Secret::Node { node, new_neighbours };
     println!(
         "Appendix-A floors: node_privacy_eps_lower({n}, 1) = {:.3}, ln(n)/2 = {:.3}\n",
         psr_bounds::node_privacy::node_privacy_eps_lower(n, 1),
@@ -49,15 +50,15 @@ fn main() {
     );
 
     // --- The non-private baseline: the rewire gives the node away. ---
-    let non_private = NodeIdentityScenario::new(
+    let non_private = TwoWorldGame::new(
         Arc::clone(&graph),
         Box::new(CommonNeighbors),
-        NodeScenarioConfig {
+        GameConfig {
             rounds: 6,
             trials_per_world: 48,
             mechanism: AttackMechanism::NonPrivateTopK,
             seed: 2011,
-            ..NodeScenarioConfig::new(node, new_neighbours.clone(), observers.clone())
+            ..GameConfig::new(rewire.clone(), observers.clone())
         },
     );
     let np = non_private.attack(&non_private.collect(), &ReconstructionAdversary);
@@ -88,16 +89,16 @@ fn main() {
 
     // --- The DP mechanism, attacked across a live rewire epoch. ---
     let eps = 0.5;
-    let private = NodeIdentityScenario::new(
+    let private = TwoWorldGame::new(
         Arc::clone(&graph),
         Box::new(CommonNeighbors),
-        NodeScenarioConfig {
+        GameConfig {
             rounds: 4,
             trials_per_world: 48,
             mechanism: AttackMechanism::Exponential { epsilon: eps },
-            epochs: NodeEpochStyle::RewireMidStream { prefix_rounds: 1 },
+            epochs: Epochs::MidStream { prefix_rounds: 1 },
             seed: 2011,
-            ..NodeScenarioConfig::new(node, new_neighbours, observers.clone())
+            ..GameConfig::new(rewire, observers.clone())
         },
     );
     let dp = private.attack(&private.collect(), &ReconstructionAdversary);

@@ -27,11 +27,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use psr_attack::{
     default_observers, default_secret_edge, dp_advantage_ceiling, leaking_secret_edge,
-    AttackMechanism, EdgeInferenceScenario, EpochStyle, FrequencyBaseline, LikelihoodRatioMia,
-    MechanismModel, ObservationModel, ReconstructionAdversary, ScenarioConfig,
+    AttackMechanism, Epochs, FrequencyBaseline, GameConfig, LikelihoodRatioMia, MechanismModel,
+    ObservationModel, ReconstructionAdversary, Secret, TwoWorldGame,
 };
 use psr_datasets::toy::karate_club;
-use psr_graph::{Graph, NodeId};
+use psr_graph::{EdgeMutation, Graph, NodeId};
 use psr_utility::{CandidateSet, CommonNeighbors, UtilityFunction};
 
 mod common;
@@ -40,21 +40,26 @@ use common::random_graph;
 /// The leaky karate scenario every headline test starts from: a secret
 /// edge whose insertion makes some observer's non-private answer
 /// deterministic, found by the canonical search.
-fn leaky_karate(mechanism: AttackMechanism) -> ScenarioConfig {
+fn leaky_karate(mechanism: AttackMechanism) -> GameConfig {
     let graph = Arc::new(karate_club());
     let (secret, observers) =
         leaking_secret_edge(&graph, &CommonNeighbors, 4, 20_000).expect("karate leaks");
-    ScenarioConfig {
+    GameConfig {
         rounds: 6,
         trials_per_world: 48,
         mechanism,
         seed: 2011, // the paper's year; fixed for the headline numbers
-        ..ScenarioConfig::new(secret, observers)
+        ..GameConfig::new(insert(secret), observers)
     }
 }
 
-fn scenario(config: ScenarioConfig) -> EdgeInferenceScenario {
-    EdgeInferenceScenario::new(karate_club(), Box::new(CommonNeighbors), config)
+/// The edge secret world 1 inserts.
+fn insert((u, v): (NodeId, NodeId)) -> Secret {
+    Secret::Edge(EdgeMutation::insert(u, v))
+}
+
+fn scenario(config: GameConfig) -> TwoWorldGame {
+    TwoWorldGame::new(karate_club(), Box::new(CommonNeighbors), config)
 }
 
 #[test]
@@ -137,13 +142,13 @@ fn single_observation_exponential_stays_within_its_per_request_epsilon() {
     let graph = Arc::new(karate_club());
     let (secret, observers) =
         leaking_secret_edge(&graph, &CommonNeighbors, 4, 20_000).expect("karate leaks");
-    let config = ScenarioConfig {
+    let config = GameConfig {
         observers: observers[..1].to_vec(),
         rounds: 1,
         trials_per_world: 64,
         mechanism: AttackMechanism::Exponential { epsilon: 0.5 },
         seed: 2011,
-        ..ScenarioConfig::new(secret, observers.clone())
+        ..GameConfig::new(insert(secret), observers.clone())
     };
     let s = scenario(config);
     assert_eq!(s.transcript_epsilon(), Some(0.5));
@@ -171,8 +176,8 @@ fn edge_insert_leaks_through_incremental_reserving_when_non_private() {
     // RecommendationService::apply_mutations and serving continues from
     // the warm caches. Non-private incremental re-serving leaks the
     // insert just like static serving.
-    let config = ScenarioConfig {
-        epochs: EpochStyle::InsertMidStream { prefix_rounds: 1 },
+    let config = GameConfig {
+        epochs: Epochs::MidStream { prefix_rounds: 1 },
         ..leaky_karate(AttackMechanism::NonPrivateTopK)
     };
     let s = scenario(config);
@@ -198,11 +203,9 @@ fn dp_serving_suppresses_the_mutation_epoch_leak() {
     // Same epoched scenario at ε = 0.5: the empirical ε stays within the
     // *post-divergence* transcript budget (the identical prefix releases
     // nothing, but budgeting counts it conservatively anyway).
-    for epochs in [EpochStyle::InsertMidStream { prefix_rounds: 1 }, EpochStyle::Static] {
-        let config = ScenarioConfig {
-            epochs,
-            ..leaky_karate(AttackMechanism::Exponential { epsilon: 0.5 })
-        };
+    for epochs in [Epochs::MidStream { prefix_rounds: 1 }, Epochs::Static] {
+        let config =
+            GameConfig { epochs, ..leaky_karate(AttackMechanism::Exponential { epsilon: 0.5 }) };
         let s = scenario(config);
         let budget = s.transcript_epsilon().expect("budgeted");
         let result = s.attack(&s.collect(), &ReconstructionAdversary);
@@ -225,18 +228,18 @@ fn edge_delete_is_as_inferable_as_edge_insert() {
     let base = {
         // Insert the secret edge up front so the scenario can delete it.
         let mut delta = psr_graph::DeltaGraph::new(Arc::clone(&graph));
-        delta.apply(&psr_graph::EdgeMutation::insert(secret.0, secret.1)).unwrap();
+        delta.apply(&EdgeMutation::insert(secret.0, secret.1)).unwrap();
         delta.compact()
     };
-    let config = ScenarioConfig {
-        epochs: EpochStyle::DeleteMidStream { prefix_rounds: 1 },
+    let config = GameConfig {
+        epochs: Epochs::MidStream { prefix_rounds: 1 },
         rounds: 6,
         trials_per_world: 48,
         mechanism: AttackMechanism::NonPrivateTopK,
         seed: 2011,
-        ..ScenarioConfig::new(secret, observers)
+        ..GameConfig::new(Secret::Edge(EdgeMutation::delete(secret.0, secret.1)), observers)
     };
-    let s = EdgeInferenceScenario::new(base, Box::new(CommonNeighbors), config);
+    let s = TwoWorldGame::new(base, Box::new(CommonNeighbors), config);
     let result = s.attack(&s.collect(), &ReconstructionAdversary);
     assert!(
         result.advantage.advantage > dp_advantage_ceiling(1.0),
@@ -252,7 +255,7 @@ fn topk_engines_charge_identical_budgets_and_leak_indistinguishably() {
     // likelihood-ratio adversary cannot tell apart from the peel engine's
     // beyond Monte-Carlo noise. This is the serve-then-measure face of
     // the chi-square conformance suite in psr-privacy.
-    let config = |engine| ScenarioConfig {
+    let config = |engine| GameConfig {
         engine,
         ..leaky_karate(AttackMechanism::Exponential { epsilon: 0.5 })
     };
@@ -372,15 +375,15 @@ proptest! {
         };
         let observers = usable_observers(&graph, secret, 3);
         prop_assume!(!observers.is_empty());
-        let config = ScenarioConfig {
+        let config = GameConfig {
             rounds: 2,
             trials_per_world: 2,
             seed,
             threads: Some(1),
             mechanism: AttackMechanism::Exponential { epsilon: 1.0 },
-            ..ScenarioConfig::new(secret, observers)
+            ..GameConfig::new(insert(secret), observers)
         };
-        let s = EdgeInferenceScenario::new(
+        let s = TwoWorldGame::new(
             Arc::clone(&graph), Box::new(CommonNeighbors), config);
         let (w0, w1) = s.world_models();
         let set = s.collect();
@@ -409,15 +412,15 @@ proptest! {
         };
         let observers = usable_observers(&graph, secret, 2);
         prop_assume!(!observers.is_empty());
-        let config = ScenarioConfig {
+        let config = GameConfig {
             rounds: 2,
             trials_per_world: 12,
             seed,
             threads: Some(2),
             mechanism: AttackMechanism::Exponential { epsilon: 1.0 },
-            ..ScenarioConfig::new(secret, observers)
+            ..GameConfig::new(insert(secret), observers)
         };
-        let s = EdgeInferenceScenario::new(
+        let s = TwoWorldGame::new(
             Arc::clone(&graph), Box::new(CommonNeighbors), config);
         let budget = s.transcript_epsilon().expect("budgeted");
         let set = s.collect();
@@ -449,17 +452,17 @@ proptest! {
         };
         let observers = usable_observers(&graph, secret, 2);
         prop_assume!(!observers.is_empty());
-        let config = |threads| ScenarioConfig {
+        let config = |threads| GameConfig {
             rounds: 2,
             trials_per_world: 5,
             seed,
             threads: Some(threads),
             mechanism: AttackMechanism::Exponential { epsilon: 0.8 },
-            ..ScenarioConfig::new(secret, observers.clone())
+            ..GameConfig::new(insert(secret), observers.clone())
         };
-        let a = EdgeInferenceScenario::new(
+        let a = TwoWorldGame::new(
             Arc::clone(&graph), Box::new(CommonNeighbors), config(1));
-        let b = EdgeInferenceScenario::new(
+        let b = TwoWorldGame::new(
             Arc::clone(&graph), Box::new(CommonNeighbors), config(3));
         prop_assert_eq!(a.collect(), b.collect());
     }

@@ -30,14 +30,15 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use psr_attack::{
-    default_rewire_target, dp_advantage_ceiling, leaking_node_rewire, node_observers,
-    AttackMechanism, FrequencyBaseline, LikelihoodRatioMia, NodeEpochStyle, NodeIdentityScenario,
-    NodeScenarioConfig, ReconstructionAdversary,
+    default_rewire_target, dp_advantage_ceiling, leaking_node_rewire,
+    lemma1_epsilon_floor_from_accuracy, node_observers, Adjacency, AttackMechanism,
+    BoundsComparison, Epochs, FrequencyBaseline, GameConfig, LikelihoodRatioMia,
+    ReconstructionAdversary, Secret, TwoWorldGame,
 };
 use psr_bounds::node_privacy::{node_privacy_eps_lower, node_privacy_eps_lower_asymptotic};
 use psr_datasets::toy::karate_club;
 use psr_datasets::{wiki_vote_like, PresetConfig};
-use psr_graph::{Graph, GraphView, NodeId};
+use psr_graph::{EdgeMutation, Graph, GraphView, NodeId};
 use psr_utility::{CandidateSet, CommonNeighbors};
 
 mod common;
@@ -46,22 +47,27 @@ use common::random_graph;
 /// The leaky karate rewire every headline test starts from: a node whose
 /// rewiring makes some observer's non-private answer deterministically
 /// flip, found by the canonical search.
-fn leaky_karate(mechanism: AttackMechanism) -> (Arc<Graph>, NodeScenarioConfig) {
+fn leaky_karate(mechanism: AttackMechanism) -> (Arc<Graph>, GameConfig) {
     let graph = Arc::new(karate_club());
     let (node, new, observers) =
         leaking_node_rewire(&graph, &CommonNeighbors, 4, 20_000).expect("karate leaks");
-    let config = NodeScenarioConfig {
+    let config = GameConfig {
         rounds: 6,
         trials_per_world: 48,
         mechanism,
         seed: 2011, // the paper's year; fixed for the headline numbers
-        ..NodeScenarioConfig::new(node, new, observers)
+        ..GameConfig::new(rewire(node, new), observers)
     };
     (graph, config)
 }
 
-fn scenario(graph: Arc<Graph>, config: NodeScenarioConfig) -> NodeIdentityScenario {
-    NodeIdentityScenario::new(graph, Box::new(CommonNeighbors), config)
+/// The node secret replacing `node`'s neighbourhood with `new`.
+fn rewire(node: NodeId, new: Vec<NodeId>) -> Secret {
+    Secret::Node { node, new_neighbours: new }
+}
+
+fn scenario(graph: Arc<Graph>, config: GameConfig) -> TwoWorldGame {
+    TwoWorldGame::new(graph, Box::new(CommonNeighbors), config)
 }
 
 #[test]
@@ -159,10 +165,7 @@ fn rewire_epoch_leaks_when_non_private() {
     // applies the whole rewire batch through apply_mutations and serving
     // continues incrementally from the warm caches.
     let (graph, config) = leaky_karate(AttackMechanism::NonPrivateTopK);
-    let config = NodeScenarioConfig {
-        epochs: NodeEpochStyle::RewireMidStream { prefix_rounds: 1 },
-        ..config
-    };
+    let config = GameConfig { epochs: Epochs::MidStream { prefix_rounds: 1 }, ..config };
     let s = scenario(graph, config);
     let set = s.collect();
 
@@ -191,9 +194,9 @@ fn dp_serving_suppresses_the_rewire_epoch_leak() {
     // Same epoched scenario at ε = 0.5, plus the static control: the
     // certified ε stays within the composed transcript budget whether
     // the rewire lands mid-stream or the worlds differ from round 0.
-    for epochs in [NodeEpochStyle::RewireMidStream { prefix_rounds: 1 }, NodeEpochStyle::Static] {
+    for epochs in [Epochs::MidStream { prefix_rounds: 1 }, Epochs::Static] {
         let (graph, config) = leaky_karate(AttackMechanism::Exponential { epsilon: 0.5 });
-        let s = scenario(graph, NodeScenarioConfig { epochs, ..config });
+        let s = scenario(graph, GameConfig { epochs, ..config });
         let budget = s.transcript_epsilon().expect("budgeted");
         let result = s.attack(&s.collect(), &ReconstructionAdversary);
         assert!(
@@ -215,12 +218,12 @@ fn wiki_vote_scale_certifies_above_every_usable_budget() {
     assert!(n > 500, "scaled wiki preset is sized like the paper's graph: {n}");
     let (node, new, observers) =
         leaking_node_rewire(&graph, &CommonNeighbors, 4, 50_000).expect("wiki-scale leaks");
-    let config = NodeScenarioConfig {
+    let config = GameConfig {
         rounds: 4,
         trials_per_world: 64,
         mechanism: AttackMechanism::NonPrivateTopK,
         seed: 2011,
-        ..NodeScenarioConfig::new(node, new, observers)
+        ..GameConfig::new(rewire(node, new), observers)
     };
     let s = scenario(Arc::clone(&graph), config);
     let result = s.attack(&s.collect(), &ReconstructionAdversary);
@@ -237,6 +240,65 @@ fn wiki_vote_scale_certifies_above_every_usable_budget() {
         asymptotic > node_privacy_eps_lower_asymptotic(34),
         "the floor grows with n: ln({n})/2 = {asymptotic}"
     );
+}
+
+#[test]
+fn adjacency_only_changes_the_overlay() {
+    // A rewire in which node v gains one neighbour w plays exactly the
+    // worlds of the edge game on the insert (v, w): same observers and
+    // seed give the same transcripts, models and scores. Only the theory
+    // overlay sees the adjacency — the node floors, and the edit
+    // distance the accuracy floor is evaluated at.
+    let graph = Arc::new(karate_club());
+    let (v, new, observers) =
+        leaking_node_rewire(&graph, &CommonNeighbors, 4, 20_000).expect("karate leaks");
+    let w = new[0];
+    let mut grown = graph.neighbors(v).to_vec();
+    grown.push(w);
+    for mechanism in
+        [AttackMechanism::NonPrivateTopK, AttackMechanism::Exponential { epsilon: 0.5 }]
+    {
+        let config = |secret| GameConfig {
+            rounds: 4,
+            trials_per_world: 16,
+            mechanism,
+            seed: 2011,
+            ..GameConfig::new(secret, observers.clone())
+        };
+        let edge = scenario(Arc::clone(&graph), config(Secret::Edge(EdgeMutation::insert(v, w))));
+        let node = scenario(Arc::clone(&graph), config(rewire(v, grown.clone())));
+        assert_eq!(node.rewire_size(), 1, "the rewire changes exactly one edge");
+
+        let set = edge.collect();
+        assert_eq!(set, node.collect());
+        assert_eq!(edge.world_models(), node.world_models());
+        assert_eq!(edge.transcript_epsilon(), node.transcript_epsilon());
+        assert_eq!(node.node_transcript_epsilon(), node.transcript_epsilon());
+        let result = edge.attack(&set, &ReconstructionAdversary);
+        assert_eq!(result, node.attack(&set, &ReconstructionAdversary));
+
+        let (e, n) = (edge.compare(&result), node.compare(&result));
+        assert_eq!((e.adjacency.as_str(), n.adjacency.as_str()), ("edge", "node"));
+        assert_eq!((e.node_epsilon_lower, e.node_epsilon_lower_asymptotic), (None, None));
+        let size = graph.num_nodes();
+        assert_eq!(n.node_epsilon_lower, Some(node_privacy_eps_lower(size, 1)));
+        assert_eq!(n.node_epsilon_lower_asymptotic, Some(node_privacy_eps_lower_asymptotic(size)));
+        let u = edge.representative_utilities();
+        let accuracy = result.mean_accuracy.expect("karate observers are scorable");
+        let floor = |adjacency: Adjacency| {
+            lemma1_epsilon_floor_from_accuracy(u, accuracy, adjacency.accuracy_t())
+        };
+        assert_eq!(e.accuracy_epsilon_floor, floor(Adjacency::Edge));
+        assert_eq!(n.accuracy_epsilon_floor, floor(Adjacency::Node));
+        let relabelled = BoundsComparison {
+            adjacency: n.adjacency.clone(),
+            accuracy_epsilon_floor: n.accuracy_epsilon_floor,
+            node_epsilon_lower: n.node_epsilon_lower,
+            node_epsilon_lower_asymptotic: n.node_epsilon_lower_asymptotic,
+            ..e
+        };
+        assert_eq!(relabelled, n, "{mechanism:?}: the rest of the overlay is shared");
+    }
 }
 
 // =====================================================================
@@ -275,17 +337,17 @@ proptest! {
     ) {
         let graph = Arc::new(graph);
         let Some((node, new, observers)) = usable_rewire(&graph, 2) else { return Ok(()) };
-        let config = |threads| NodeScenarioConfig {
+        let config = |threads| GameConfig {
             rounds: 2,
             trials_per_world: 5,
             seed,
             threads: Some(threads),
             mechanism: AttackMechanism::Exponential { epsilon: 0.8 },
-            ..NodeScenarioConfig::new(node, new.clone(), observers.clone())
+            ..GameConfig::new(rewire(node, new.clone()), observers.clone())
         };
-        let a = NodeIdentityScenario::new(
+        let a = TwoWorldGame::new(
             Arc::clone(&graph), Box::new(CommonNeighbors), config(1));
-        let b = NodeIdentityScenario::new(
+        let b = TwoWorldGame::new(
             Arc::clone(&graph), Box::new(CommonNeighbors), config(3));
         let (set_a, set_b) = (a.collect(), b.collect());
         prop_assert_eq!(&set_a, &set_b);
@@ -306,19 +368,19 @@ proptest! {
     ) {
         let graph = Arc::new(graph);
         let Some((node, new, observers)) = usable_rewire(&graph, 2) else { return Ok(()) };
-        let config = |epochs| NodeScenarioConfig {
+        let config = |epochs| GameConfig {
             rounds: 3,
             trials_per_world: 4,
             seed,
             threads: Some(1),
             mechanism: AttackMechanism::Exponential { epsilon: 0.6 },
             epochs,
-            ..NodeScenarioConfig::new(node, new.clone(), observers.clone())
+            ..GameConfig::new(rewire(node, new.clone()), observers.clone())
         };
-        let epoch = NodeIdentityScenario::new(
+        let epoch = TwoWorldGame::new(
             Arc::clone(&graph),
             Box::new(CommonNeighbors),
-            config(NodeEpochStyle::RewireMidStream { prefix_rounds }),
+            config(Epochs::MidStream { prefix_rounds }),
         );
         let set = epoch.collect();
         let per_round = epoch.config().observers.len();
@@ -329,8 +391,8 @@ proptest! {
             );
         }
         // World 0 never mutates: the epoch style cannot change it.
-        let stat = NodeIdentityScenario::new(
-            Arc::clone(&graph), Box::new(CommonNeighbors), config(NodeEpochStyle::Static));
+        let stat = TwoWorldGame::new(
+            Arc::clone(&graph), Box::new(CommonNeighbors), config(Epochs::Static));
         prop_assert_eq!(stat.collect().world0, set.world0);
     }
 
@@ -345,15 +407,15 @@ proptest! {
     ) {
         let graph = Arc::new(graph);
         let Some((node, new, observers)) = usable_rewire(&graph, 2) else { return Ok(()) };
-        let config = NodeScenarioConfig {
+        let config = GameConfig {
             rounds: 2,
             trials_per_world: 12,
             seed,
             threads: Some(2),
             mechanism: AttackMechanism::Exponential { epsilon: 1.0 },
-            ..NodeScenarioConfig::new(node, new, observers)
+            ..GameConfig::new(rewire(node, new), observers)
         };
-        let s = NodeIdentityScenario::new(
+        let s = TwoWorldGame::new(
             Arc::clone(&graph), Box::new(CommonNeighbors), config);
         let budget = s.transcript_epsilon().expect("budgeted");
         let set = s.collect();
