@@ -183,6 +183,7 @@ mod tests {
     use crate::model::{MechanismModel, ObservationModel};
     use crate::transcript::Observation;
     use psr_graph::{Direction, GraphBuilder};
+    use psr_privacy::Mechanism;
     use psr_utility::{CandidateSet, UtilityFunction};
 
     /// Worlds: without (w0) and with (w1) the secret edge (1, 4); observer
@@ -219,7 +220,7 @@ mod tests {
     }
 
     fn exponential(epsilon: f64) -> MechanismModel {
-        MechanismModel::Exponential { epsilon, sensitivity: 1.0 }
+        MechanismModel { mechanism: Mechanism::Exponential, epsilon, sensitivity: 1.0 }
     }
 
     #[test]

@@ -21,21 +21,19 @@
 //! in play, answering "does the change leak through incremental
 //! re-serving?" rather than only "do two static graphs distinguish?".
 //!
-//! The Exponential mechanism and the non-private top-`k` baseline (a huge
-//! ε through the identical code path) are served by the real
-//! [`RecommendationService`] batches. The single-draw Laplace and
-//! smoothing mechanisms sample through the same `psr-privacy` primitives
-//! the single-query `psr_core::Recommender` uses
-//! ([`crate::model::ObservationModel::sample`]); the service's top-`k`
-//! peeling engine is exponential-only by design.
+//! Every mechanism is served by real [`RecommendationService`] batches:
+//! the service draws through the one [`psr_privacy::Mechanism`], so the
+//! exponential, Laplace and smoothing mechanisms share one trial path,
+//! and the non-private top-`k` baseline is the exponential mechanism at
+//! a huge ε ([`NON_PRIVATE_EPSILON`]) through the identical code path.
 
 use std::sync::Arc;
 
 use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
-use psr_gen::seed::{rng_from_seed, split_seed};
+use psr_gen::seed::split_seed;
 use psr_graph::{rewire_node, DeltaGraph, EdgeMutation, Graph, GraphView, MutationOp, NodeId};
-use psr_privacy::TopKEngine;
-use psr_utility::{CandidateSet, Sensitivity, SensitivityNorm, UtilityFunction, UtilityVector};
+use psr_privacy::{Mechanism, TopKEngine};
+use psr_utility::{CandidateSet, SensitivityNorm, UtilityFunction, UtilityVector};
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::Adversary;
@@ -51,10 +49,11 @@ use crate::transcript::{Observation, Transcript};
 /// gap, small enough that `ε·u` stays comfortably finite.
 pub const NON_PRIVATE_EPSILON: f64 = 1e6;
 
-/// Which mechanism the scenario serves (and attacks).
+/// Which mechanism the scenario serves (and attacks): a
+/// [`psr_privacy::Mechanism`] with its ε, or the non-private baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackMechanism {
-    /// Top-`k` Exponential peeling through [`RecommendationService`].
+    /// Top-`k` Exponential peeling.
     Exponential {
         /// Per-request privacy budget ε.
         epsilon: f64,
@@ -76,40 +75,32 @@ pub enum AttackMechanism {
 }
 
 impl AttackMechanism {
-    /// Every mechanism name, the `--mechanism` and plan-axis vocabulary.
-    pub const NAMES: [&'static str; 4] = ["exponential", "laplace", "smoothing", "non-private"];
+    /// The name of the non-private baseline, the one name the attack
+    /// vocabulary adds to [`Mechanism::NAMES`].
+    pub const NON_PRIVATE: &'static str = "non-private";
 
-    /// The mechanism `name` selects, with its parameter: `epsilon` for
+    /// The mechanism `name` selects — a name of [`Mechanism::NAMES`] or
+    /// [`Self::NON_PRIVATE`] — with its parameter: `epsilon` for
     /// exponential and Laplace, `x` for smoothing (the other is ignored).
     /// Fails on an unknown name or a parameter [`Self::validate`]
     /// rejects.
     pub fn new(name: &str, epsilon: f64, x: f64) -> Result<Self, String> {
         let mechanism = match name {
-            "exponential" => AttackMechanism::Exponential { epsilon },
-            "laplace" => AttackMechanism::Laplace { epsilon },
-            "smoothing" => AttackMechanism::Smoothing { x },
-            "non-private" => AttackMechanism::NonPrivateTopK,
-            other => {
-                let names = Self::NAMES;
-                return Err(format!("unknown mechanism {other:?} (expected one of {names:?})"));
-            }
+            Self::NON_PRIVATE => AttackMechanism::NonPrivateTopK,
+            _ => match name.parse::<Mechanism>().map_err(|e| {
+                format!("{e}, or {:?} for the non-private baseline", Self::NON_PRIVATE)
+            })? {
+                Mechanism::Exponential => AttackMechanism::Exponential { epsilon },
+                Mechanism::Laplace => AttackMechanism::Laplace { epsilon },
+                Mechanism::Smoothing { .. } => AttackMechanism::Smoothing { x },
+            },
         };
         mechanism.validate()?;
         Ok(mechanism)
     }
 
-    /// Stable name, the inverse of [`Self::new`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            AttackMechanism::Exponential { .. } => "exponential",
-            AttackMechanism::Laplace { .. } => "laplace",
-            AttackMechanism::Smoothing { .. } => "smoothing",
-            AttackMechanism::NonPrivateTopK => "non-private",
-        }
-    }
-
     /// Checks the parameter: ε positive and finite, smoothing `x` in
-    /// `[0, 1)`, the domain of Theorem 5's `ε = ln(1 + nx/(1−x))`.
+    /// `[0, 1)` ([`Mechanism::validate`]).
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon }
@@ -117,27 +108,20 @@ impl AttackMechanism {
             {
                 Err(format!("epsilon {epsilon} must be positive and finite"))
             }
-            AttackMechanism::Smoothing { x } if !(0.0..1.0).contains(&x) => Err(format!(
-                "smoothing x {x} must be in [0, 1) (x = 1 is the non-private baseline)"
-            )),
-            _ => Ok(()),
+            _ => self.served().0.validate(),
         }
     }
 
-    /// Whether transcripts are generated by [`RecommendationService`]
-    /// batches (as opposed to single-draw mechanism sampling).
-    pub fn serves_through_service(&self) -> bool {
-        matches!(self, AttackMechanism::Exponential { .. } | AttackMechanism::NonPrivateTopK)
-    }
-
-    /// The ε handed to the serving path.
-    fn effective_epsilon(&self) -> f64 {
+    /// The mechanism and per-request ε the attacked service runs:
+    /// the non-private baseline is the exponential mechanism at
+    /// [`NON_PRIVATE_EPSILON`]; smoothing charges by its `x`, so its ε
+    /// is a placeholder the service ignores.
+    pub fn served(&self) -> (Mechanism, f64) {
         match *self {
-            AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
-                epsilon
-            }
-            AttackMechanism::NonPrivateTopK => NON_PRIVATE_EPSILON,
-            AttackMechanism::Smoothing { .. } => unreachable!("smoothing is not ε-parameterised"),
+            AttackMechanism::Exponential { epsilon } => (Mechanism::Exponential, epsilon),
+            AttackMechanism::NonPrivateTopK => (Mechanism::Exponential, NON_PRIVATE_EPSILON),
+            AttackMechanism::Laplace { epsilon } => (Mechanism::Laplace, epsilon),
+            AttackMechanism::Smoothing { x } => (Mechanism::Smoothing { x }, 1.0),
         }
     }
 }
@@ -395,7 +379,7 @@ impl TwoWorldGame {
         assert!(config.trials_per_world >= 1, "need at least one trial per world");
         assert!(config.k >= 1, "k must be at least 1");
         assert!(config.confidence > 0.0 && config.confidence < 1.0, "confidence must be in (0,1)");
-        if !config.mechanism.serves_through_service() {
+        if config.mechanism.served().0.is_single_draw() {
             assert_eq!(config.k, 1, "single-draw mechanisms serve exactly one slot");
         }
         if let Err(e) = config.mechanism.validate() {
@@ -585,31 +569,30 @@ impl TwoWorldGame {
     fn observation_model(&self, graph: &Arc<Graph>, observer: NodeId) -> ObservationModel {
         let candidates = CandidateSet::for_target(graph.as_ref(), observer);
         let utilities = self.utility.utilities(graph.as_ref(), observer, &candidates);
-        let mechanism = match self.config.mechanism {
-            AttackMechanism::Exponential { .. } | AttackMechanism::NonPrivateTopK => {
-                MechanismModel::Exponential {
-                    epsilon: self.config.mechanism.effective_epsilon(),
-                    sensitivity: self.calibrated_sensitivity(graph),
-                }
-            }
-            AttackMechanism::Laplace { epsilon } => {
-                MechanismModel::Laplace { epsilon, sensitivity: self.calibrated_sensitivity(graph) }
-            }
-            AttackMechanism::Smoothing { x } => MechanismModel::Smoothing { x },
+        let config = self.service_config();
+        let mechanism = MechanismModel {
+            mechanism: config.mechanism,
+            epsilon: config.epsilon_per_request,
+            // Δf exactly as the serving layer calibrates it for `graph`.
+            sensitivity: config.sensitivity(self.utility.as_ref(), graph.as_ref()),
         };
         ObservationModel { candidates, utilities, mechanism }
     }
 
-    /// Δf exactly as the serving layer calibrates it for `graph`.
-    fn calibrated_sensitivity(&self, graph: &Arc<Graph>) -> f64 {
-        self.config
-            .sensitivity_override
-            .or_else(|| {
-                self.utility
-                    .sensitivity(graph.as_ref())
-                    .map(|s| s.value(self.config.sensitivity_norm))
-            })
-            .expect("utility reports no sensitivity and no override was given")
+    /// The configuration every trial's service runs: the attacked
+    /// mechanism, no budget limit, one worker thread (the harness
+    /// parallelises across trials).
+    fn service_config(&self) -> ServiceConfig {
+        let (mechanism, epsilon_per_request) = self.config.mechanism.served();
+        ServiceConfig {
+            mechanism,
+            epsilon_per_request,
+            budget_per_target: f64::INFINITY,
+            sensitivity_norm: self.config.sensitivity_norm,
+            sensitivity_override: self.config.sensitivity_override,
+            threads: Some(1),
+            engine: self.config.engine,
+        }
     }
 
     /// Per-trial seed, deliberately *world-independent*: trial `i` of
@@ -625,37 +608,19 @@ impl TwoWorldGame {
         psr_core::par::map(
             psr_core::par::threads(self.config.threads),
             self.config.trials_per_world,
-            |trial| self.run_trial(world, trial),
+            |trial| self.service_trial(world, trial),
         )
     }
 
-    fn run_trial(&self, world: usize, trial: usize) -> Transcript {
-        if self.config.mechanism.serves_through_service() {
-            self.service_trial(world, trial)
-        } else {
-            self.mechanism_trial(world, trial)
-        }
-    }
-
-    /// One trial through a fresh [`RecommendationService`] (worker pool
-    /// pinned to one thread: the harness parallelises across trials).
+    /// One trial through a fresh [`RecommendationService`].
     fn service_trial(&self, world: usize, trial: usize) -> Transcript {
         let start = match self.config.epochs {
             Epochs::Static => Arc::clone(&self.worlds[world]),
             Epochs::MidStream { .. } => Arc::clone(&self.base),
         };
-        let service = RecommendationService::new(
-            start,
-            Box::new(SharedUtility(Arc::clone(&self.utility))),
-            ServiceConfig {
-                epsilon_per_request: self.config.mechanism.effective_epsilon(),
-                budget_per_target: f64::INFINITY,
-                sensitivity_norm: self.config.sensitivity_norm,
-                sensitivity_override: self.config.sensitivity_override,
-                threads: Some(1),
-                engine: self.config.engine,
-            },
-        );
+        let service = RecommendationService::builder(start, Arc::clone(&self.utility))
+            .config(self.service_config())
+            .build();
         let requests: Vec<BatchRequest> = self
             .config
             .observers
@@ -691,27 +656,6 @@ impl TwoWorldGame {
         }
     }
 
-    /// One trial of a single-draw mechanism, sampled from the exact
-    /// per-entry models through the same `psr-privacy` primitives the
-    /// single-query `Recommender` path uses.
-    fn mechanism_trial(&self, world: usize, trial: usize) -> Transcript {
-        let mut rng = rng_from_seed(self.trial_seed(trial));
-        let wm = &self.models[world];
-        let num_observers = self.config.observers.len();
-        let mut entries = Vec::with_capacity(self.config.rounds * num_observers);
-        for round in 0..self.config.rounds {
-            for (i, &observer) in self.config.observers.iter().enumerate() {
-                let model = wm.model_for(round * num_observers + i);
-                entries.push(Observation {
-                    observer,
-                    k: self.config.k,
-                    recommendations: model.sample(self.config.k, &mut rng),
-                });
-            }
-        }
-        Transcript { entries }
-    }
-
     /// Mean per-entry accuracy over world-1 transcripts, skipping
     /// entries whose observer has an all-zero vector (§7.1 footnote 10).
     fn mean_accuracy(&self, world1: &[Transcript]) -> Option<f64> {
@@ -744,42 +688,6 @@ fn toggled(base: &Arc<Graph>, mutations: &[EdgeMutation]) -> Arc<Graph> {
 /// Placeholder world model swapped out during construction.
 fn empty() -> WorldModel {
     WorldModel::new(Vec::new(), Vec::new())
-}
-
-/// Delegating wrapper so one `Arc<dyn UtilityFunction>` can feed the
-/// boxed-utility constructor of every per-trial service.
-struct SharedUtility(Arc<dyn UtilityFunction>);
-
-impl UtilityFunction for SharedUtility {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn utilities(
-        &self,
-        graph: &dyn GraphView,
-        target: NodeId,
-        candidates: &CandidateSet,
-    ) -> UtilityVector {
-        self.0.utilities(graph, target, candidates)
-    }
-
-    fn sensitivity(&self, graph: &dyn GraphView) -> Option<Sensitivity> {
-        self.0.sensitivity(graph)
-    }
-
-    fn edit_distance_t(
-        &self,
-        graph: &dyn GraphView,
-        target: NodeId,
-        u: &UtilityVector,
-    ) -> Option<u64> {
-        self.0.edit_distance_t(graph, target, u)
-    }
-
-    fn invalidation_radius(&self) -> Option<usize> {
-        self.0.invalidation_radius()
-    }
 }
 
 /// Picks a deterministic default secret edge for a graph: the smallest
@@ -1036,7 +944,7 @@ mod tests {
     }
 
     #[test]
-    fn laplace_and_smoothing_trials_run_without_a_service() {
+    fn laplace_and_smoothing_trials_run_through_the_service() {
         for mech in
             [AttackMechanism::Laplace { epsilon: 0.5 }, AttackMechanism::Smoothing { x: 0.05 }]
         {

@@ -16,7 +16,8 @@
 //!
 //! The serving path resolves anonymous zero-utility-class draws to
 //! uniformly random *distinct* members
-//! ([`psr_privacy::resolve_zero_class_distinct`]). The uniform resolution
+//! ([`psr_privacy::resolve_zero_class_distinct`], inside
+//! [`psr_privacy::Mechanism::sample`]). The uniform resolution
 //! cancels the class multiplicity exactly: at every peel round, the
 //! probability of any *concrete* still-available pick `v` is
 //! `w(v) / Σ_remaining w`, whether `v` is a live entry or a zero-class
@@ -25,37 +26,22 @@
 //! peeling likelihood below walks exactly that recursion in log space.
 
 use psr_graph::NodeId;
-use psr_privacy::{
-    resolve_recommendation, resolve_zero_class_distinct, topk, Laplace, LaplaceMechanism,
-    LinearSmoothing, Mechanism,
-};
+use psr_privacy::{topk, Laplace, Mechanism, TopKEngine};
 use psr_utility::{CandidateSet, UtilityVector};
 
-/// Which mechanism (and calibration) produced an observation.
+/// Which mechanism (and calibration) produced an observation: the
+/// served [`Mechanism`] at request budget `epsilon` (split ε/k across
+/// the exponential mechanism's slots; ignored by smoothing) and
+/// sensitivity Δf. A huge `epsilon` on the exponential mechanism models
+/// the non-private top-`k` baseline through the same code path.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MechanismModel {
-    /// Top-`k` Exponential-mechanism peeling (`psr_privacy::topk`) at
-    /// request budget `epsilon` split over the served slots — the
-    /// `RecommendationService` path. A huge `epsilon` models the
-    /// non-private top-`k` baseline through the same code path.
-    Exponential {
-        /// Request-level privacy budget ε (split ε/k across slots).
-        epsilon: f64,
-        /// Calibrated sensitivity Δf.
-        sensitivity: f64,
-    },
-    /// Single-draw Laplace noisy-argmax (Definition 6).
-    Laplace {
-        /// Privacy parameter ε.
-        epsilon: f64,
-        /// Calibrated sensitivity Δf.
-        sensitivity: f64,
-    },
-    /// Single-draw linear smoothing (Definition 7 / Theorem 5).
-    Smoothing {
-        /// Mixing weight `x`: probability of playing `R_best`.
-        x: f64,
-    },
+pub struct MechanismModel {
+    /// The mechanism that answered.
+    pub mechanism: Mechanism,
+    /// Request-level privacy budget ε.
+    pub epsilon: f64,
+    /// Calibrated sensitivity Δf.
+    pub sensitivity: f64,
 }
 
 /// Number of trapezoid intervals for the Laplace win-probability
@@ -88,15 +74,14 @@ impl ObservationModel {
     /// repeated id, more picks than candidates) — a support mismatch that
     /// by itself breaks ε-DP for any finite ε.
     pub fn log_prob(&self, picks: &[NodeId]) -> f64 {
-        match self.mechanism {
-            MechanismModel::Exponential { epsilon, sensitivity } => {
-                self.exponential_topk_log_prob(picks, epsilon, sensitivity)
-            }
-            MechanismModel::Laplace { epsilon, sensitivity } => {
+        let MechanismModel { mechanism, epsilon, sensitivity } = self.mechanism;
+        match mechanism {
+            Mechanism::Exponential => self.exponential_topk_log_prob(picks, epsilon, sensitivity),
+            Mechanism::Laplace => {
                 assert_eq!(picks.len(), 1, "Laplace observations are single draws");
                 self.laplace_win_log_prob(picks[0], epsilon, sensitivity)
             }
-            MechanismModel::Smoothing { x } => {
+            Mechanism::Smoothing { x } => {
                 assert_eq!(picks.len(), 1, "smoothing observations are single draws");
                 self.smoothing_log_prob(picks[0], x)
             }
@@ -216,40 +201,22 @@ impl ObservationModel {
         p.ln()
     }
 
-    /// Simulates one output of this model through the same primitives the
-    /// real serving path uses — the shadow-model sampler behind the
-    /// membership-inference attack.
+    /// Simulates one output of this model through the mechanism the
+    /// serving path draws with — the shadow-model sampler behind the
+    /// membership-inference attack. The exponential mechanism runs its
+    /// peeling engine, the same distribution as either serving engine.
     pub fn sample(&self, k: usize, rng: &mut dyn rand::RngCore) -> Vec<NodeId> {
-        match self.mechanism {
-            MechanismModel::Exponential { epsilon, sensitivity } => {
-                let k = k.min(self.utilities.len());
-                let top = topk::topk_exponential(&self.utilities, k, epsilon, sensitivity, rng);
-                let zero_slots = top.picks.iter().filter(|p| p.is_none()).count();
-                let mut zero_picks =
-                    resolve_zero_class_distinct(zero_slots, &self.utilities, &self.candidates, rng)
-                        .into_iter();
-                top.picks
-                    .iter()
-                    .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class member")))
-                    .collect()
-            }
-            MechanismModel::Laplace { epsilon, sensitivity } => {
-                assert_eq!(k, 1, "Laplace observations are single draws");
-                let mech = LaplaceMechanism::default();
-                let rec = mech.recommend(&self.utilities, epsilon, sensitivity, rng);
-                resolve_recommendation(rec, &self.utilities, &self.candidates, rng)
-                    .into_iter()
-                    .collect()
-            }
-            MechanismModel::Smoothing { x } => {
-                assert_eq!(k, 1, "smoothing observations are single draws");
-                let mech = LinearSmoothing::new(x);
-                let rec = mech.recommend(&self.utilities, 0.0, 1.0, rng);
-                resolve_recommendation(rec, &self.utilities, &self.candidates, rng)
-                    .into_iter()
-                    .collect()
-            }
-        }
+        let MechanismModel { mechanism, epsilon, sensitivity } = self.mechanism;
+        let draw = mechanism.sample(
+            TopKEngine::Peel,
+            &self.utilities,
+            &self.candidates,
+            k,
+            epsilon,
+            sensitivity,
+            rng,
+        );
+        draw.picks
     }
 
     /// Monte-Carlo estimate of `Pr[probe ∈ output]` with add-one
@@ -375,7 +342,11 @@ mod tests {
 
     #[test]
     fn exponential_probabilities_normalise_for_k_1_and_2() {
-        let m = model(MechanismModel::Exponential { epsilon: 1.3, sensitivity: 1.0 });
+        let m = model(MechanismModel {
+            mechanism: Mechanism::Exponential,
+            epsilon: 1.3,
+            sensitivity: 1.0,
+        });
         for k in [1usize, 2, 3] {
             let total: f64 = sequences(&[3, 4, 5], k).iter().map(|seq| m.log_prob(seq).exp()).sum();
             assert!((total - 1.0).abs() < 1e-9, "k={k}: total {total}");
@@ -384,7 +355,11 @@ mod tests {
 
     #[test]
     fn exponential_matches_single_draw_closed_form() {
-        let m = model(MechanismModel::Exponential { epsilon: 1.0, sensitivity: 1.0 });
+        let m = model(MechanismModel {
+            mechanism: Mechanism::Exponential,
+            epsilon: 1.0,
+            sensitivity: 1.0,
+        });
         let z = 2f64.exp() + 1f64.exp() + 1.0;
         assert!((m.log_prob(&[3]).exp() - 2f64.exp() / z).abs() < 1e-12);
         assert!((m.log_prob(&[4]).exp() - 1f64.exp() / z).abs() < 1e-12);
@@ -393,7 +368,11 @@ mod tests {
 
     #[test]
     fn exponential_sampling_frequencies_match_log_prob() {
-        let m = model(MechanismModel::Exponential { epsilon: 1.0, sensitivity: 1.0 });
+        let m = model(MechanismModel {
+            mechanism: Mechanism::Exponential,
+            epsilon: 1.0,
+            sensitivity: 1.0,
+        });
         let mut r = rng(1);
         let trials = 40_000;
         let mut counts: std::collections::HashMap<Vec<NodeId>, u32> = Default::default();
@@ -409,7 +388,11 @@ mod tests {
 
     #[test]
     fn impossible_picks_have_zero_probability() {
-        let m = model(MechanismModel::Exponential { epsilon: 1.0, sensitivity: 1.0 });
+        let m = model(MechanismModel {
+            mechanism: Mechanism::Exponential,
+            epsilon: 1.0,
+            sensitivity: 1.0,
+        });
         assert_eq!(m.log_prob(&[0]), f64::NEG_INFINITY, "the target itself");
         assert_eq!(m.log_prob(&[1]), f64::NEG_INFINITY, "an existing neighbour");
         assert_eq!(m.log_prob(&[3, 3]), f64::NEG_INFINITY, "repeated pick");
@@ -420,7 +403,11 @@ mod tests {
 
     #[test]
     fn non_private_epsilon_stays_finite_and_picks_the_argmax() {
-        let m = model(MechanismModel::Exponential { epsilon: 1e6, sensitivity: 1.0 });
+        let m = model(MechanismModel {
+            mechanism: Mechanism::Exponential,
+            epsilon: 1e6,
+            sensitivity: 1.0,
+        });
         let lp_best = m.log_prob(&[3]);
         assert!((lp_best - 0.0).abs() < 1e-9, "argmax is near-certain, got {lp_best}");
         let lp_worse = m.log_prob(&[4]);
@@ -430,7 +417,8 @@ mod tests {
 
     #[test]
     fn laplace_win_probabilities_normalise_and_order() {
-        let m = model(MechanismModel::Laplace { epsilon: 0.8, sensitivity: 1.0 });
+        let m =
+            model(MechanismModel { mechanism: Mechanism::Laplace, epsilon: 0.8, sensitivity: 1.0 });
         let p3 = m.log_prob(&[3]).exp();
         let p4 = m.log_prob(&[4]).exp();
         let p5 = m.log_prob(&[5]).exp();
@@ -454,7 +442,11 @@ mod tests {
         let m = ObservationModel {
             candidates,
             utilities: utilities.clone(),
-            mechanism: MechanismModel::Laplace { epsilon: eps, sensitivity: sens },
+            mechanism: MechanismModel {
+                mechanism: Mechanism::Laplace,
+                epsilon: eps,
+                sensitivity: sens,
+            },
         };
         let gap = utilities.get(3) - utilities.get(4);
         assert_eq!(gap, 1.0);
@@ -465,7 +457,8 @@ mod tests {
 
     #[test]
     fn laplace_sampling_frequencies_match_win_probabilities() {
-        let m = model(MechanismModel::Laplace { epsilon: 1.0, sensitivity: 1.0 });
+        let m =
+            model(MechanismModel { mechanism: Mechanism::Laplace, epsilon: 1.0, sensitivity: 1.0 });
         let mut r = rng(2);
         let trials = 40_000;
         let mut hits: std::collections::HashMap<NodeId, u32> = Default::default();
@@ -482,7 +475,11 @@ mod tests {
 
     #[test]
     fn smoothing_probabilities_are_theorem5_exact() {
-        let m = model(MechanismModel::Smoothing { x: 0.4 });
+        let m = model(MechanismModel {
+            mechanism: Mechanism::Smoothing { x: 0.4 },
+            epsilon: 1.0,
+            sensitivity: 1.0,
+        });
         let n = 3.0;
         assert!((m.log_prob(&[3]).exp() - (0.4 + 0.6 / n)).abs() < 1e-12);
         assert!((m.log_prob(&[4]).exp() - 0.6 / n).abs() < 1e-12);
@@ -493,7 +490,11 @@ mod tests {
 
     #[test]
     fn appearance_probability_tracks_exact_for_high_eps() {
-        let m = model(MechanismModel::Exponential { epsilon: 50.0, sensitivity: 1.0 });
+        let m = model(MechanismModel {
+            mechanism: Mechanism::Exponential,
+            epsilon: 50.0,
+            sensitivity: 1.0,
+        });
         let mut r = rng(3);
         let p = m.appearance_probability(3, 1, 400, &mut r);
         assert!(p > 0.9, "argmax nearly always appears, got {p}");
@@ -503,7 +504,11 @@ mod tests {
 
     #[test]
     fn accuracy_of_scores_picks_against_the_top_k() {
-        let m = model(MechanismModel::Exponential { epsilon: 1.0, sensitivity: 1.0 });
+        let m = model(MechanismModel {
+            mechanism: Mechanism::Exponential,
+            epsilon: 1.0,
+            sensitivity: 1.0,
+        });
         assert_eq!(m.accuracy_of(&[3]), Some(1.0));
         assert_eq!(m.accuracy_of(&[5]), Some(0.0));
         assert_eq!(m.accuracy_of(&[3, 4]), Some(1.0));
@@ -513,7 +518,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "entry model index out of range")]
     fn world_model_rejects_bad_indices() {
-        let m = model(MechanismModel::Smoothing { x: 0.1 });
+        let m = model(MechanismModel {
+            mechanism: Mechanism::Smoothing { x: 0.1 },
+            epsilon: 1.0,
+            sensitivity: 1.0,
+        });
         let _ = WorldModel::new(vec![m], vec![0, 1]);
     }
 }

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use psr_bench::{median_target, wiki_graph};
 use psr_bounds::{best_accuracy_bound, corollary1_accuracy_upper_bound};
-use psr_privacy::{ExponentialMechanism, ExponentialScaling, Laplace, LaplaceMechanism, Mechanism};
+use psr_privacy::{laplace_accuracy, Laplace, Mechanism};
 use psr_utility::{CommonNeighbors, SensitivityNorm, UtilityFunction};
 use rand::SeedableRng;
 
@@ -14,22 +14,20 @@ fn rng() -> rand::rngs::StdRng {
 }
 
 /// Ablation 1 — Exponential scaling: the paper's `exp(εu/Δ)` vs the
-/// textbook `exp(εu/2Δ)`. Same cost, different accuracy; Criterion
-/// measures cost, the printed note records the accuracy gap.
+/// textbook `exp(εu/2Δ)`, which is the paper's form at ε/2. Same cost,
+/// different accuracy; Criterion measures cost, the printed note records
+/// the accuracy gap.
 fn ablation_exp_scaling(c: &mut Criterion) {
     let g = wiki_graph();
     let u = CommonNeighbors.utilities_for(&g, median_target(&g));
     let mut group = c.benchmark_group("ablation_exp_scaling");
-    for (name, scaling) in
-        [("paper", ExponentialScaling::Paper), ("standard_half", ExponentialScaling::StandardHalf)]
-    {
-        let mech = ExponentialMechanism { scaling };
+    for (name, eps) in [("paper", 1.0), ("standard_half", 0.5)] {
         let mut r = rng();
-        let acc = mech.expected_accuracy(&u, 1.0, 1.0, &mut r);
+        let acc = Mechanism::Exponential.expected_accuracy(&u, eps, 1.0, &mut r);
         println!("[ablation_exp_scaling] {name}: expected accuracy {acc:.4}");
         group.bench_function(name, |b| {
             let mut r = rng();
-            b.iter(|| mech.expected_accuracy(&u, 1.0, 1.0, &mut r));
+            b.iter(|| Mechanism::Exponential.expected_accuracy(&u, eps, 1.0, &mut r));
         });
     }
     group.finish();
@@ -45,7 +43,7 @@ fn ablation_sensitivity_norm(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_sensitivity_norm");
     for (name, norm) in [("l1", SensitivityNorm::L1), ("linf", SensitivityNorm::LInf)] {
         let delta = sens.value(norm);
-        let mech = ExponentialMechanism::paper();
+        let mech = Mechanism::Exponential;
         let mut r = rng();
         let acc = mech.expected_accuracy(&u, 1.0, delta, &mut r);
         println!("[ablation_sensitivity_norm] {name} (Δ = {delta}): accuracy {acc:.4}");
@@ -68,9 +66,8 @@ fn ablation_laplace_grouping(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("grouped_exact_100_trials", |b| {
-        let mech = LaplaceMechanism { trials: 100 };
         let mut r = rng();
-        b.iter(|| mech.expected_accuracy(&u, 1.0, 1.0, &mut r));
+        b.iter(|| laplace_accuracy(&u, 1.0, 1.0, 100, &mut r));
     });
     group.bench_function("naive_per_candidate_100_trials", |b| {
         let noise = Laplace::for_mechanism(1.0, 1.0);

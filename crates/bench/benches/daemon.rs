@@ -34,7 +34,9 @@ fn bench_config() -> ServiceConfig {
 }
 
 fn service_over(graph: &Arc<psr_graph::Graph>) -> RecommendationService {
-    RecommendationService::new(Arc::clone(graph), Box::new(CommonNeighbors), bench_config())
+    RecommendationService::builder(Arc::clone(graph), Arc::new(CommonNeighbors))
+        .config(bench_config())
+        .build()
 }
 
 /// The multiplexed workload: request and mutation streams drawn from the
@@ -154,12 +156,11 @@ fn daemon_ledger(c: &mut Criterion) {
         b.iter(|| {
             let path = scratch_path();
             let ledger = JournalLedger::open(&path, f64::INFINITY).expect("open journal");
-            let service = RecommendationService::with_ledger(
-                Arc::clone(&graph),
-                Box::new(CommonNeighbors),
-                bench_config(),
-                Box::new(ledger),
-            );
+            let service =
+                RecommendationService::builder(Arc::clone(&graph), Arc::new(CommonNeighbors))
+                    .config(bench_config())
+                    .ledger(Box::new(ledger))
+                    .build();
             let served = run_daemon(&service, &events, &config).unwrap().metrics.served;
             drop(service);
             let _ = std::fs::remove_file(&path);

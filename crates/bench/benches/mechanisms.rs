@@ -3,8 +3,8 @@
 #![allow(missing_docs)] // `criterion_main!` expands an undocumented `fn main`
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use psr_bench::{median_target, wiki_graph};
-use psr_privacy::{ExponentialMechanism, LaplaceMechanism, LinearSmoothing, Mechanism};
-use psr_utility::{CommonNeighbors, UtilityFunction, UtilityVector};
+use psr_privacy::{laplace_accuracy, Mechanism, TopKEngine};
+use psr_utility::{CandidateSet, CommonNeighbors, UtilityFunction, UtilityVector};
 use rand::SeedableRng;
 
 fn rng() -> rand::rngs::StdRng {
@@ -12,10 +12,13 @@ fn rng() -> rand::rngs::StdRng {
 }
 
 /// A realistic utility vector: mid-degree wiki target under common
-/// neighbours (a handful of non-zero scores, thousands of zeros).
-fn wiki_vector() -> UtilityVector {
+/// neighbours (a handful of non-zero scores, thousands of zeros), with
+/// its candidate set.
+fn wiki_vector() -> (CandidateSet, UtilityVector) {
     let g = wiki_graph();
-    CommonNeighbors.utilities_for(&g, median_target(&g))
+    let candidates = CandidateSet::for_target(&g, median_target(&g));
+    let u = CommonNeighbors.utilities(&g, median_target(&g), &candidates);
+    (candidates, u)
 }
 
 /// A synthetic wide vector stressing the non-zero path.
@@ -25,41 +28,33 @@ fn wide_vector(nonzero: u32, zeros: usize) -> UtilityVector {
 
 fn bench_mechanisms(c: &mut Criterion) {
     let mut group = c.benchmark_group("mechanisms");
-    let wiki = wiki_vector();
-
-    group.bench_function("exponential_recommend_wiki_target", |b| {
-        let mech = ExponentialMechanism::paper();
-        let mut r = rng();
-        b.iter(|| mech.recommend(&wiki, 1.0, 1.0, &mut r));
-    });
+    let (candidates, wiki) = wiki_vector();
+    let mut recommend = |name: &str, mechanism: Mechanism| {
+        group.bench_function(name, |b| {
+            let mut r = rng();
+            b.iter(|| {
+                mechanism.sample(TopKEngine::Gumbel, &wiki, &candidates, 1, 1.0, 1.0, &mut r)
+            });
+        });
+    };
+    recommend("exponential_recommend_wiki_target", Mechanism::Exponential);
+    recommend("laplace_recommend_wiki_target", Mechanism::Laplace);
+    recommend("smoothing_recommend_wiki_target", Mechanism::Smoothing { x: 0.5 });
     group.bench_function("exponential_expected_accuracy_wiki_target", |b| {
-        let mech = ExponentialMechanism::paper();
         let mut r = rng();
-        b.iter(|| mech.expected_accuracy(&wiki, 1.0, 1.0, &mut r));
-    });
-    group.bench_function("laplace_recommend_wiki_target", |b| {
-        let mech = LaplaceMechanism::default();
-        let mut r = rng();
-        b.iter(|| mech.recommend(&wiki, 1.0, 1.0, &mut r));
+        b.iter(|| Mechanism::Exponential.expected_accuracy(&wiki, 1.0, 1.0, &mut r));
     });
     group.bench_function("laplace_1000_trials_wiki_target", |b| {
-        let mech = LaplaceMechanism { trials: 1000 };
         let mut r = rng();
-        b.iter(|| mech.expected_accuracy(&wiki, 1.0, 1.0, &mut r));
-    });
-    group.bench_function("smoothing_recommend_wiki_target", |b| {
-        let mech = LinearSmoothing::new(0.5);
-        let mut r = rng();
-        b.iter(|| mech.recommend(&wiki, 1.0, 1.0, &mut r));
+        b.iter(|| laplace_accuracy(&wiki, 1.0, 1.0, 1000, &mut r));
     });
 
     // Scaling in the non-zero support size.
     for nonzero in [16u32, 256, 4096] {
         let v = wide_vector(nonzero, 100_000);
         group.bench_function(format!("exponential_accuracy_nnz_{nonzero}"), |b| {
-            let mech = ExponentialMechanism::paper();
             let mut r = rng();
-            b.iter(|| mech.expected_accuracy(&v, 1.0, 1.0, &mut r));
+            b.iter(|| Mechanism::Exponential.expected_accuracy(&v, 1.0, 1.0, &mut r));
         });
     }
 

@@ -35,12 +35,15 @@ fn mutation_batch(base: &Graph, events: usize) -> (Vec<EdgeMutation>, Vec<EdgeMu
 }
 
 fn service_over(graph: impl Into<Arc<Graph>>) -> RecommendationService {
-    RecommendationService::new(
-        graph,
-        Box::new(CommonNeighbors),
+    let graph: Arc<Graph> = graph.into();
+    RecommendationService::builder(graph, Arc::new(CommonNeighbors))
         // Unbounded budget: throughput measurement, not policy.
-        ServiceConfig { budget_per_target: f64::INFINITY, threads: Some(4), ..Default::default() },
-    )
+        .config(ServiceConfig {
+            budget_per_target: f64::INFINITY,
+            threads: Some(4),
+            ..Default::default()
+        })
+        .build()
 }
 
 fn requests_for(targets: impl Iterator<Item = u32>) -> Vec<BatchRequest> {

@@ -47,12 +47,15 @@ fn obs_overhead(c: &mut Criterion) {
     let graph = Arc::new(wiki_graph());
     let requests = workload(&graph);
 
-    let plain =
-        RecommendationService::new(Arc::clone(&graph), Box::new(CommonNeighbors), bench_config());
+    let plain = RecommendationService::builder(Arc::clone(&graph), Arc::new(CommonNeighbors))
+        .config(bench_config())
+        .build();
     let telemetry = Telemetry::enabled();
-    let mut instrumented =
-        RecommendationService::new(Arc::clone(&graph), Box::new(CommonNeighbors), bench_config());
-    instrumented.set_telemetry(telemetry);
+    let instrumented =
+        RecommendationService::builder(Arc::clone(&graph), Arc::new(CommonNeighbors))
+            .config(bench_config())
+            .telemetry(telemetry)
+            .build();
 
     // Warm-up both arms, and hold telemetry to its side-effect-free
     // contract: identical outcomes or the timing comparison is void.

@@ -1,8 +1,8 @@
 //! Serving-path throughput: the batched `RecommendationService` worker
-//! pool against the sequential single-query `Recommender` loop it
-//! replaces, on the Wikipedia-vote-scale preset. The printed comparison
-//! is the headline: answering one batch through the pool must beat
-//! looping `Recommender::recommend` over the same requests.
+//! pool against a sequential loop of single requests
+//! (`RecommendationService::serve_one`), on the Wikipedia-vote-scale
+//! preset. The printed comparison is the headline: answering one batch
+//! through the pool must beat looping `serve_one` over the same requests.
 //!
 //! A second headline races the two top-k engines — the one-pass
 //! Gumbel-max sampler against the k-round exponential peel it replaces —
@@ -16,10 +16,8 @@ use std::time::Instant;
 use criterion::{criterion_group, Criterion};
 use psr_bench::{ba_graph_10k, wiki_graph, BENCH_SEED};
 use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
-use psr_core::{Recommender, RecommenderConfig};
-use psr_privacy::{ExponentialMechanism, TopKEngine};
+use psr_privacy::TopKEngine;
 use psr_utility::CommonNeighbors;
-use rand::SeedableRng;
 
 /// A deterministic request batch: every connected node asks for `k`
 /// recommendations, capped at `max_requests` targets.
@@ -37,32 +35,18 @@ fn service_over(graph: &Arc<psr_graph::Graph>) -> RecommendationService {
 }
 
 fn engine_service_over(graph: &Arc<psr_graph::Graph>, engine: TopKEngine) -> RecommendationService {
-    RecommendationService::new(
-        Arc::clone(graph),
-        Box::new(CommonNeighbors),
+    RecommendationService::builder(Arc::clone(graph), Arc::new(CommonNeighbors))
         // Unbounded budget: throughput measurement, not policy.
-        ServiceConfig { budget_per_target: f64::INFINITY, engine, ..Default::default() },
-    )
+        .config(ServiceConfig { budget_per_target: f64::INFINITY, engine, ..Default::default() })
+        .build()
 }
 
-fn recommender_over(graph: &Arc<psr_graph::Graph>) -> Recommender {
-    Recommender::new(
-        Arc::clone(graph),
-        Box::new(CommonNeighbors),
-        Box::new(ExponentialMechanism::paper()),
-        RecommenderConfig::default(),
-    )
-}
-
-/// Runs the sequential baseline once: one `recommend` call per slot.
-fn run_sequential(rec: &Recommender, requests: &[BatchRequest]) -> usize {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(BENCH_SEED);
+/// Runs the sequential baseline once: one `serve_one` call per request.
+fn run_sequential(service: &RecommendationService, requests: &[BatchRequest]) -> usize {
     let mut answered = 0;
-    for request in requests {
-        for _ in 0..request.k {
-            if rec.recommend(request.target, &mut rng).is_some() {
-                answered += 1;
-            }
+    for (i, request) in requests.iter().enumerate() {
+        if let Ok(served) = service.serve_one(request.target, request.k, BENCH_SEED + i as u64) {
+            answered += served.recommendations.len();
         }
     }
     answered
@@ -71,7 +55,6 @@ fn run_sequential(rec: &Recommender, requests: &[BatchRequest]) -> usize {
 fn serving_throughput(c: &mut Criterion) {
     let graph = Arc::new(wiki_graph());
     let service = service_over(&graph);
-    let recommender = recommender_over(&graph);
 
     for k in [1usize, 5] {
         let requests = batch(&graph, k, 192);
@@ -81,7 +64,7 @@ fn serving_throughput(c: &mut Criterion) {
         let served = service.serve_batch(&requests, BENCH_SEED);
         let batch_time = start.elapsed();
         let start = Instant::now();
-        let answered = run_sequential(&recommender, &requests);
+        let answered = run_sequential(&service, &requests);
         let sequential_time = start.elapsed();
         assert!(served.iter().all(Result::is_ok));
         println!(
@@ -99,7 +82,7 @@ fn serving_throughput(c: &mut Criterion) {
             b.iter(|| service.serve_batch(&requests, BENCH_SEED));
         });
         group.bench_function("sequential_recommender", |b| {
-            b.iter(|| run_sequential(&recommender, &requests));
+            b.iter(|| run_sequential(&service, &requests));
         });
         group.finish();
     }

@@ -30,7 +30,8 @@ recommend options:
   --scale <0..1]    dataset scale (default 1.0)
   --utility <name>  common-neighbors|weighted-paths (default common-neighbors)
   --gamma <f64>     weighted-paths damping (default 0.005)
-  --mechanism <m>   exponential|laplace (default exponential)
+  --mechanism <m>   exponential|laplace|smoothing (default exponential;
+                    smoothing mixes at x = 0.05 and ignores --epsilon)
   --epsilon <f64>   privacy budget (default 1.0)
   --seed <u64>      generator and mechanism seed (default 42)
 
@@ -169,7 +170,7 @@ use std::str::FromStr;
 
 use psr_attack::{Adjacency, AttackMechanism};
 use psr_datasets::{Backend, DatasetSpec, Preset};
-use psr_privacy::TopKEngine;
+use psr_privacy::{Mechanism, TopKEngine};
 use psr_utility::{UtilityFunction, UtilityKind};
 
 /// Presets `recommend` and `dataset` accept: the paper's two graphs.
@@ -178,8 +179,6 @@ const PAPER_PRESETS: &[Preset] = &[Preset::Wiki, Preset::Twitter];
 const SERVING_PRESETS: &[Preset] = &[Preset::Wiki, Preset::Twitter, Preset::LiveJournal];
 /// Presets `attack` accepts (karate is the demo graph).
 const ATTACK_PRESETS: &[Preset] = &Preset::ALL;
-/// Mechanisms `recommend` serves through `psr_core::Recommender`.
-const RECOMMEND_MECHANISMS: [&str; 2] = ["exponential", "laplace"];
 
 /// Graph-source flags every graph-loading subcommand accepts.
 const SOURCE: &[&str] = &["--input", "--directed", "--preset", "--scale"];
@@ -755,7 +754,7 @@ fn parse_attack(rest: &[String]) -> Result<AttackOptions, String> {
             "--mechanism" => opts.mechanism = args.string(flag)?,
             "--smoothing-x" => {
                 let x = args.parse(flag)?;
-                AttackMechanism::Smoothing { x }.validate()?;
+                Mechanism::Smoothing { x }.validate()?;
                 opts.smoothing_x = x;
             }
             "--adjacency" => opts.adjacency = args.parse::<Adjacency>(flag)?.name().to_owned(),
@@ -791,8 +790,8 @@ fn parse_attack(rest: &[String]) -> Result<AttackOptions, String> {
         }
     }
     graph.finish()?;
-    AttackMechanism::new(&opts.mechanism, opts.serving.epsilon, opts.smoothing_x)?;
-    if opts.k != 1 && ["laplace", "smoothing"].contains(&opts.mechanism.as_str()) {
+    let mechanism = AttackMechanism::new(&opts.mechanism, opts.serving.epsilon, opts.smoothing_x)?;
+    if opts.k != 1 && mechanism.served().0.is_single_draw() {
         return Err("--k must be 1 for the single-draw laplace/smoothing mechanisms".into());
     }
     if opts.epoch != "static" && !(1..opts.rounds).contains(&opts.prefix_rounds) {
@@ -891,8 +890,8 @@ pub struct RecommendOptions {
     pub graph: DatasetSpec,
     /// Utility and ε (the budget and engine are unused).
     pub serving: ServingFlags,
-    /// Mechanism name.
-    pub mechanism: String,
+    /// The mechanism that draws the recommendations.
+    pub mechanism: Mechanism,
     /// Generator and mechanism seed (`run.seed`).
     pub run: RunFlags,
 }
@@ -903,7 +902,7 @@ impl Default for RecommendOptions {
             targets: Vec::new(),
             graph: DatasetSpec::from_preset(Preset::Wiki),
             serving: ServingFlags::default(),
-            mechanism: "exponential".to_owned(),
+            mechanism: Mechanism::Exponential,
             run: RunFlags::default(),
         }
     }
@@ -917,15 +916,7 @@ fn parse_recommend(rest: &[String]) -> Result<RecommendOptions, String> {
     while let Some(flag) = args.next(shared, &mut [&mut graph, &mut opts.serving, &mut opts.run])? {
         match flag {
             "--target" => opts.targets.push(args.parse(flag)?),
-            "--mechanism" => {
-                opts.mechanism = args.string(flag)?;
-                if !RECOMMEND_MECHANISMS.contains(&opts.mechanism.as_str()) {
-                    return Err(format!(
-                        "unknown mechanism {:?} (expected one of {RECOMMEND_MECHANISMS:?})",
-                        opts.mechanism
-                    ));
-                }
-            }
+            "--mechanism" => opts.mechanism = args.parse(flag)?,
             other => return Err(args.unknown(other)),
         }
     }
@@ -1067,7 +1058,7 @@ mod tests {
         match cmd {
             Command::Recommend { opts } => {
                 assert_eq!(opts.targets, vec![3, 9]);
-                assert_eq!(opts.mechanism, "laplace");
+                assert_eq!(opts.mechanism, Mechanism::Laplace);
                 assert_eq!(opts.serving.epsilon, 0.5);
                 assert_eq!(opts.graph.preset, "twitter");
             }

@@ -10,6 +10,7 @@
 //! JSON report carries the full [`DaemonMetrics`] block — throughput,
 //! queue depth, budget rejections and per-epoch latency quantiles.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use psr_core::serving::daemon::{multiplex, run_daemon, DaemonConfig, DaemonMetrics};
@@ -91,21 +92,16 @@ pub fn run(opts: &DaemonOptions) -> Result<(), String> {
         threads: opts.run.threads,
         ..Default::default()
     };
-    let mut service = match &opts.ledger {
-        Some(path) => {
-            let ledger = JournalLedger::open(path, opts.serving.budget)
-                .map_err(|e| format!("opening budget ledger {path}: {e}"))?;
-            RecommendationService::with_backend_and_ledger(
-                backend,
-                utility,
-                config,
-                Box::new(ledger),
-            )
-        }
-        None => RecommendationService::with_backend(backend, utility, config),
-    };
     let telemetry = super::build_telemetry(&opts.telemetry);
-    service.set_telemetry(telemetry.clone());
+    let mut builder = RecommendationService::builder(backend, Arc::from(utility))
+        .config(config)
+        .telemetry(telemetry.clone());
+    if let Some(path) = &opts.ledger {
+        let ledger = JournalLedger::open(path, opts.serving.budget)
+            .map_err(|e| format!("opening budget ledger {path}: {e}"))?;
+        builder = builder.ledger(Box::new(ledger));
+    }
+    let service = builder.build();
     // Captured before the run: mid-stream compaction re-bases the service
     // onto an in-RAM CSR, and the report should name the backing the
     // daemon *started* serving from.

@@ -1,48 +1,62 @@
 //! `psr recommend` — serve ε-private recommendations, the paper's system
 //! as a product: load a graph (SNAP edge list or preset), pick a utility
-//! and mechanism, emit suggestions for the requested targets.
+//! and mechanism, emit one suggestion per requested target. Each target
+//! is one request to a [`RecommendationService`].
 
-use psr_core::{Recommender, RecommenderConfig};
-use psr_privacy::{ExponentialMechanism, LaplaceMechanism, Mechanism};
+use std::sync::Arc;
+
+use psr_core::{RecommendationService, ServeError, ServiceConfig};
+use psr_gen::split_seed;
+use psr_utility::{CandidateSet, UtilityFunction};
 use rand::SeedableRng;
 
 use crate::args::RecommendOptions;
 
 pub fn run(opts: &RecommendOptions) -> Result<(), String> {
     let (backend, ids) = opts.graph.load(opts.run.seed)?;
-    let mechanism: Box<dyn Mechanism> = match opts.mechanism.as_str() {
-        "exponential" => Box::new(ExponentialMechanism::paper()),
-        "laplace" => Box::new(LaplaceMechanism::default()),
-        other => unreachable!("arg parser admits only known mechanisms, got {other}"),
-    };
-    let recommender = Recommender::new(
-        backend.to_graph_arc(),
-        opts.serving.utility()?,
-        mechanism,
-        RecommenderConfig { epsilon: opts.serving.epsilon, ..Default::default() },
-    );
+    let utility: Arc<dyn UtilityFunction> = Arc::from(opts.serving.utility()?);
+    let epsilon = opts.serving.epsilon;
+    let service = RecommendationService::builder(backend, Arc::clone(&utility))
+        .config(ServiceConfig {
+            mechanism: opts.mechanism,
+            epsilon_per_request: epsilon,
+            budget_per_target: f64::INFINITY,
+            threads: Some(1),
+            ..Default::default()
+        })
+        .build();
+    let pin = service.pin();
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(opts.run.seed);
     println!(
-        "ε = {} private recommendations ({} / {}):",
-        opts.serving.epsilon, opts.serving.utility, opts.mechanism
+        "ε = {epsilon} private recommendations ({} / {}):",
+        opts.serving.utility,
+        opts.mechanism.name()
     );
-    for &target in &opts.targets {
-        if target as usize >= recommender.graph().num_nodes() {
-            println!("  {target:>8}: not a node in this graph");
-            continue;
-        }
-        match recommender.recommend(target, &mut rng) {
-            Some(v) => {
-                let acc = recommender
-                    .expected_accuracy(target, &mut rng)
-                    .map_or("n/a".to_owned(), |a| format!("{a:.3}"));
-                // Name the pick by its source-file label when one exists.
-                let label = super::original_label(ids.as_ref(), v);
-                println!("  {target:>8}: recommend {label} (expected accuracy {acc})");
+    for (i, &target) in opts.targets.iter().enumerate() {
+        let served = match service.serve_one(target, 1, split_seed(opts.run.seed, i as u64)) {
+            Ok(served) => served,
+            Err(ServeError::UnknownTarget { .. }) => {
+                println!("  {target:>8}: not a node in this graph");
+                continue;
             }
-            None => println!("  {target:>8}: no candidates (fully connected target)"),
-        }
+            Err(ServeError::NoCandidates { .. }) => {
+                println!("  {target:>8}: no candidates (fully connected target)");
+                continue;
+            }
+            Err(e) => return Err(e.to_string()),
+        };
+        let candidates = CandidateSet::for_target(&pin, target);
+        let u = utility.utilities(&pin, target, &candidates);
+        let acc = if u.is_all_zero() {
+            "n/a".to_owned()
+        } else {
+            let acc = opts.mechanism.expected_accuracy(&u, epsilon, pin.sensitivity(), &mut rng);
+            format!("{acc:.3}")
+        };
+        // Name the pick by its source-file label when one exists.
+        let label = super::original_label(ids.as_ref(), served.recommendations[0]);
+        println!("  {target:>8}: recommend {label} (expected accuracy {acc})");
     }
     Ok(())
 }

@@ -16,6 +16,8 @@
 //! so each chunk fans out over every `--threads` thread. The one-shot
 //! path *is* the daemon loop, so the two can never disagree.
 
+use std::sync::Arc;
+
 use psr_core::serving::daemon::{run_daemon, DaemonConfig, DaemonEvent};
 use psr_core::serving::{BatchRequest, RecommendationService, ServeError, Served, ServiceConfig};
 use psr_gen::split_seed;
@@ -112,19 +114,17 @@ pub fn run(opts: &ServeOptions) -> Result<(), String> {
     let utility = opts.serving.utility()?;
     let utility_name = utility.name();
     let engine = opts.serving.engine()?;
-    let mut service = RecommendationService::with_backend(
-        backend,
-        utility,
-        ServiceConfig {
+    let telemetry = super::build_telemetry(&opts.telemetry);
+    let service = RecommendationService::builder(backend, Arc::from(utility))
+        .config(ServiceConfig {
             epsilon_per_request: opts.serving.epsilon,
             budget_per_target: opts.serving.budget,
             engine,
             threads: opts.run.threads,
             ..Default::default()
-        },
-    );
-    let telemetry = super::build_telemetry(&opts.telemetry);
-    service.set_telemetry(telemetry.clone());
+        })
+        .telemetry(telemetry.clone())
+        .build();
     // Captured before the run: mid-stream compaction re-bases the service
     // onto an in-RAM CSR, and the report should name the backing the run
     // *started* from.

@@ -15,7 +15,7 @@
 
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::{Graph, NodeId};
-use psr_privacy::{ExponentialMechanism, LaplaceMechanism, Mechanism};
+use psr_privacy::{laplace_accuracy, Mechanism};
 use psr_utility::{CandidateSet, SensitivityNorm, UtilityFunction};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -122,16 +122,11 @@ pub fn evaluate_target(
         .edit_distance_t(graph, target, &u)
         .unwrap_or_else(|| psr_bounds::edit_distance::t_generic_upper(graph.max_degree() as u64));
 
-    let exp = ExponentialMechanism::paper();
-    let accuracy_exponential = exp.expected_accuracy(&u, config.epsilon, sensitivity, rng);
-    let accuracy_laplace = config.eval_laplace.then(|| {
-        LaplaceMechanism { trials: config.laplace_trials }.expected_accuracy(
-            &u,
-            config.epsilon,
-            sensitivity,
-            rng,
-        )
-    });
+    let accuracy_exponential =
+        Mechanism::Exponential.expected_accuracy(&u, config.epsilon, sensitivity, rng);
+    let accuracy_laplace = config
+        .eval_laplace
+        .then(|| laplace_accuracy(&u, config.epsilon, sensitivity, config.laplace_trials, rng));
     let bound = psr_bounds::best_accuracy_bound(&u, config.epsilon, t, None);
 
     Some(TargetEvaluation {

@@ -128,7 +128,7 @@ mod tests {
         assert!((acc.points[49].1 - 0.5).abs() < 1e-12);
         // Constant ε at n=1000 pins x (and so accuracy) near zero:
         // invert ε(x) ≤ 1 → x ≤ (e−1)/(e−1+n).
-        let x_at_eps1 = psr_privacy::LinearSmoothing::x_for_epsilon(1.0, 1000);
+        let x_at_eps1 = psr_privacy::smoothing_x_for_epsilon(1.0, 1000);
         assert!(x_at_eps1 < 0.002);
     }
 }

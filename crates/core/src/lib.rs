@@ -11,12 +11,12 @@
 //! both against the bounds on real graphs. This crate ties the workspace
 //! together:
 //!
-//! * [`Recommender`] — serve a single ε-private recommendation for a
-//!   target node (the paper's deliverable, as an API),
-//! * [`serving`] — the batch deployment of that API: a
-//!   [`RecommendationService`] fans `(target, k)` request batches across
-//!   a worker pool, enforces per-target ε budgets, and serves a *mutable*
-//!   graph through versioned epochs
+//! * [`serving`] — the paper's deliverable as an API: a
+//!   [`RecommendationService`] serves ε-private recommendations from any
+//!   of the paper's mechanisms (one [`psr_privacy::Mechanism`]), one
+//!   request ([`RecommendationService::serve_one`]) or a `(target, k)`
+//!   batch across a worker pool at a time, enforces per-target ε budgets,
+//!   and serves a *mutable* graph through versioned epochs
 //!   ([`serving::RecommendationService::apply_mutations`]): edge
 //!   mutations land in a `psr_graph::DeltaGraph` overlay, and only dirty
 //!   targets lose their cached candidate/utility state,
@@ -31,20 +31,22 @@
 //!
 //! ## Sharing one graph across consumers
 //!
-//! Both [`Recommender`] and [`serving::RecommendationService`] keep their
-//! graph behind an [`std::sync::Arc`], and their constructors accept
-//! either an owned [`psr_graph::Graph`] or an existing `Arc<Graph>`. A
-//! deployment therefore loads the graph once and hands the same handle to
-//! every service, recommender and experiment
-//! (`service.shared_graph()` / `recommender.shared_graph()`), instead of
-//! cloning a multi-million-edge structure per consumer.
+//! A [`serving::RecommendationService`] keeps its graph behind an
+//! [`std::sync::Arc`], and its builder accepts an owned
+//! [`psr_graph::Graph`], an existing `Arc<Graph>` or any
+//! [`psr_graph::GraphBackend`]. A deployment therefore loads the graph
+//! once and hands the same handle to every service and experiment
+//! (`service.shared_graph()`), instead of cloning a multi-million-edge
+//! structure per consumer.
 //!
 //! ## Privacy-budget semantics
 //!
-//! Every request served by a [`serving::RecommendationService`] costs its
-//! configured ε (the request's `k` slots are peeled at ε/k each, so basic
-//! composition charges ε per request), and repeated requests about one
-//! target compose additively. The service's
+//! Every request served by a [`serving::RecommendationService`] costs
+//! what its mechanism charges ([`psr_privacy::Mechanism::charge`]): the
+//! configured ε for the exponential mechanism (the request's `k` slots
+//! are peeled at ε/k each, so basic composition charges ε per request)
+//! and for Laplace, Theorem 5's `ln(1 + n·x/(1−x))` for smoothing. Repeated
+//! requests about one target compose additively. The service's
 //! [`serving::BudgetAccountant`] admits requests sequentially in batch
 //! order, *charges at admission time* (a request that later finds no
 //! candidates has still queried the graph — refunds would be unsound),
@@ -58,31 +60,30 @@
 //! ## Quickstart
 //!
 //! ```
-//! use psr_core::{Recommender, RecommenderConfig};
-//! use psr_datasets::toy::karate_club;
-//! use psr_utility::CommonNeighbors;
-//! use psr_privacy::ExponentialMechanism;
-//! use rand::rngs::StdRng;
-//! use rand::SeedableRng;
+//! use std::sync::Arc;
 //!
-//! let graph = karate_club();
-//! let rec = Recommender::new(
-//!     graph,
-//!     Box::new(CommonNeighbors),
-//!     Box::new(ExponentialMechanism::paper()),
-//!     RecommenderConfig { epsilon: 1.0, ..Default::default() },
-//! );
-//! // Seeded for reproducibility; `rand::thread_rng()` works the same way.
-//! let mut rng = StdRng::seed_from_u64(42);
-//! let suggestion = rec.recommend(0, &mut rng).unwrap();
-//! assert!(suggestion != 0);
+//! use psr_core::{RecommendationService, ServiceConfig};
+//! use psr_datasets::toy::karate_club;
+//! use psr_privacy::Mechanism;
+//! use psr_utility::CommonNeighbors;
+//!
+//! let service = RecommendationService::builder(karate_club(), Arc::new(CommonNeighbors))
+//!     .config(ServiceConfig {
+//!         mechanism: Mechanism::Exponential,
+//!         epsilon_per_request: 1.0,
+//!         ..Default::default()
+//!     })
+//!     .build();
+//! // One ε-private suggestion for member 0; the seed makes it reproducible.
+//! let served = service.serve_one(0, 1, 42).unwrap();
+//! assert!(served.recommendations[0] != 0);
+//! assert_eq!(served.epsilon_spent, 1.0);
 //! ```
 
 pub mod cdf;
 pub mod experiment;
 pub mod figures;
 pub mod par;
-mod pipeline;
 pub mod report;
 pub mod serving;
 
@@ -90,8 +91,7 @@ pub use cdf::AccuracyCdf;
 pub use experiment::{
     evaluate_target, run_experiment, ExperimentConfig, ExperimentResult, TargetEvaluation,
 };
-pub use pipeline::{Recommender, RecommenderConfig};
 pub use serving::{
     BatchRequest, BudgetLedger, EpochPin, JournalLedger, RecommendationService, ServeError, Served,
-    ServiceConfig,
+    ServiceBuilder, ServiceConfig,
 };

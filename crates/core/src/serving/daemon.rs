@@ -548,6 +548,8 @@ pub fn run_daemon(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use psr_datasets::toy::karate_club;
     use psr_gen::rng_from_seed;
     use psr_gen::stream::{edge_stream, request_stream, RequestStreamParams, StreamParams};
@@ -556,11 +558,9 @@ mod tests {
     use crate::serving::ServiceConfig;
 
     fn service() -> RecommendationService {
-        RecommendationService::new(
-            karate_club(),
-            Box::new(CommonNeighbors),
-            ServiceConfig { budget_per_target: f64::INFINITY, ..Default::default() },
-        )
+        RecommendationService::builder(karate_club(), Arc::new(CommonNeighbors))
+            .config(ServiceConfig { budget_per_target: f64::INFINITY, ..Default::default() })
+            .build()
     }
 
     fn streams() -> (Vec<RequestEvent>, Vec<StreamEvent>) {
@@ -682,15 +682,13 @@ mod tests {
 
     #[test]
     fn metrics_account_for_every_request() {
-        let svc = RecommendationService::new(
-            karate_club(),
-            Box::new(CommonNeighbors),
-            ServiceConfig {
+        let svc = RecommendationService::builder(karate_club(), Arc::new(CommonNeighbors))
+            .config(ServiceConfig {
                 epsilon_per_request: 1.0,
                 budget_per_target: 2.0,
                 ..Default::default()
-            },
-        );
+            })
+            .build();
         // Eight requests for one target at budget 2 ⇒ 2 served, 6 budget
         // rejections; an unknown target adds one "other" rejection.
         let mut batch: Vec<BatchRequest> = vec![BatchRequest { target: 0, k: 2 }; 8];

@@ -26,7 +26,6 @@ use std::sync::{Arc, Mutex};
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::{DeltaGraph, Direction, GraphView, NodeId};
 use psr_obs::{fields, Telemetry};
-use psr_privacy::{resolve_zero_class_distinct, topk};
 use psr_utility::{CandidateSet, UtilityFunction, UtilityVector};
 
 use super::{BatchRequest, DirtyTargets, Epoch, ServeError, Served, ServiceConfig};
@@ -107,7 +106,7 @@ impl EpochState {
     /// Evaluates a batch on up to `width` threads, in request order:
     /// refused requests (`Some` admission) come back as their refusal;
     /// each admitted one takes its candidate set and utility vector from
-    /// the epoch cache and draws `k` slots with the configured engine.
+    /// the epoch cache and draws its slots from the configured mechanism.
     /// The one evaluation path of `serve_batch_pinned` and the daemon.
     pub(crate) fn evaluate_batch(
         &self,
@@ -130,34 +129,25 @@ impl EpochState {
             if state.candidates.is_empty() {
                 return Err(ServeError::NoCandidates { target: request.target });
             }
-            let u = &state.utilities;
-            let k = request.k.min(u.len());
-            let top = topk::topk_with_engine(
-                self.config.engine,
-                u,
-                k,
-                self.config.epsilon_per_request,
+            let config = &self.config;
+            let draw = config.mechanism.sample(
+                config.engine,
+                &state.utilities,
+                &state.candidates,
+                request.k,
+                config.epsilon_per_request,
                 self.sensitivity,
                 &mut rng,
             );
-
-            // Resolve anonymous zero-class slots to distinct concrete nodes.
-            let zero_slots = top.picks.iter().filter(|p| p.is_none()).count();
-            let mut zero_picks =
-                resolve_zero_class_distinct(zero_slots, u, &state.candidates, &mut rng).into_iter();
-            let recommendations: Vec<NodeId> = top
-                .picks
-                .iter()
-                .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class large enough")))
-                .collect();
-
             Ok(Served {
                 target: request.target,
                 requested_k: request.k,
-                recommendations,
-                zero_class_picks: zero_slots,
-                total_utility: top.total_utility,
-                epsilon_spent: self.config.epsilon_per_request,
+                recommendations: draw.picks,
+                zero_class_picks: draw.zero_class_picks,
+                total_utility: draw.total_utility,
+                epsilon_spent: config
+                    .mechanism
+                    .charge(config.epsilon_per_request, state.candidates.len()),
             })
         })
     }

@@ -2,15 +2,16 @@
 //! shared graph, under per-target privacy budgets, across graph epochs —
 //! structured so the service can run as an always-on daemon.
 //!
-//! The single-query [`crate::Recommender`] answers one ε-private
-//! recommendation per call and recomputes the target's candidate set and
-//! utility vector every time. Real workloads (Appendix A's "multiple
-//! recommendations"; the measurement setting of Laro et al. 2023) look
-//! different: bursts of requests, several slots per target, a *cumulative*
-//! privacy budget that must eventually say no — and a social graph that
-//! keeps mutating underneath, while the service keeps answering. The
-//! [`RecommendationService`] packages that deployment shape in three
-//! layers:
+//! The [`RecommendationService`] is the one place a recommendation is
+//! drawn: every mechanism of the paper (Definitions 5–7, one
+//! [`psr_privacy::Mechanism`]) is served through it, and a single query
+//! is a one-request batch ([`RecommendationService::serve_one`]). Real
+//! workloads (Appendix A's "multiple recommendations"; the measurement
+//! setting of Laro et al. 2023) look like bursts of requests, several
+//! slots per target, a *cumulative* privacy budget that must eventually
+//! say no — and a social graph that keeps mutating underneath, while the
+//! service keeps answering. The service packages that deployment shape
+//! in three layers:
 //!
 //! * **[`epoch`] — RCU-style epoch-pinned reads.** All read state (the
 //!   [`psr_graph::DeltaGraph`] view, the calibrated Δf, the per-target
@@ -36,12 +37,14 @@
 //!   `psr serve` path is the same loop run without pacing, drained to
 //!   completion.
 //!
-//! Serving semantics within one epoch are unchanged from the original
-//! batch server: parallel evaluation ([`crate::par`]) with per-request
-//! RNG streams (bit-identical across thread counts), per-target
-//! candidate/utility caching, the configured top-`k` engine
-//! ([`psr_privacy::topk`]) at ε/k per slot, and admission-time budget enforcement with typed
-//! refusals. Mutation batches are atomic all-or-nothing, invalidate
+//! Serving semantics within one epoch: parallel evaluation
+//! ([`crate::par`]) with per-request RNG streams (bit-identical across
+//! thread counts), per-target candidate/utility caching, one
+//! [`psr_privacy::Mechanism::sample`] per request (the exponential
+//! mechanism peels `k` slots with the configured top-`k` engine at ε/k
+//! each; Laplace and smoothing serve one slot), and admission-time budget
+//! enforcement with typed refusals. The charge comes from the mechanism
+//! ([`psr_privacy::Mechanism::charge`]). Mutation batches are atomic all-or-nothing, invalidate
 //! exactly the targets within the utility's invalidation radius of a
 //! mutated endpoint, and fold the overlay into a fresh CSR base when it
 //! covers more than a quarter of the nodes.
@@ -76,7 +79,8 @@ use psr_graph::{
     DeltaGraph, EdgeMutation, Graph, GraphBackend, GraphError, GraphView, MutationOp, NodeId,
 };
 use psr_obs::{fields, Counter, SpanGuard, Telemetry};
-use psr_privacy::TopKEngine;
+use psr_privacy::{Mechanism, TopKEngine};
+use psr_utility::CandidateSet;
 use psr_utility::{SensitivityNorm, UtilityFunction};
 use serde::{Deserialize, Serialize};
 
@@ -92,7 +96,11 @@ pub struct BatchRequest {
 /// Configuration of a [`RecommendationService`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
-    /// Privacy cost ε of one request (split ε/k across its `k` slots).
+    /// Which mechanism draws the recommendations (Definitions 5–7).
+    pub mechanism: Mechanism,
+    /// Privacy budget ε of one request (split ε/k across its `k` slots).
+    /// The exponential and Laplace mechanisms charge it; smoothing
+    /// ignores it and charges Theorem 5's ε for its `x` instead.
     pub epsilon_per_request: f64,
     /// Total ε each target may consume over the service's lifetime
     /// (`f64::INFINITY` disables enforcement).
@@ -113,9 +121,24 @@ pub struct ServiceConfig {
     pub engine: TopKEngine,
 }
 
+impl ServiceConfig {
+    /// The Δf this configuration calibrates for `view`: the override if
+    /// set, else the utility's sensitivity under the configured norm.
+    ///
+    /// # Panics
+    /// Panics if the utility reports no sensitivity and none is
+    /// overridden.
+    pub fn sensitivity(&self, utility: &dyn UtilityFunction, view: &dyn GraphView) -> f64 {
+        self.sensitivity_override
+            .or_else(|| utility.sensitivity(view).map(|s| s.value(self.sensitivity_norm)))
+            .expect("utility reports no sensitivity and no override was given")
+    }
+}
+
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
+            mechanism: Mechanism::Exponential,
             epsilon_per_request: 1.0,
             // Ten unit-ε requests per target before refusal: a concrete
             // stance on the cumulative budget Appendix A leaves open.
@@ -167,10 +190,13 @@ pub enum ServeError {
         /// Number of nodes in the served graph.
         num_nodes: usize,
     },
-    /// `k` was zero (not charged).
+    /// `k` was zero, or above one under a single-draw mechanism (Laplace,
+    /// smoothing). Not charged.
     InvalidK {
         /// The refused target.
         target: NodeId,
+        /// The requested slot count.
+        k: usize,
     },
     /// The target is connected to every other node, so no candidate
     /// exists. The request *was* charged: deciding there is nothing to
@@ -192,9 +218,14 @@ impl std::fmt::Display for ServeError {
             ServeError::UnknownTarget { target, num_nodes } => {
                 write!(f, "target {target}: not a node of this graph ({num_nodes} nodes)")
             }
-            ServeError::InvalidK { target } => {
+            ServeError::InvalidK { target, k: 0 } => {
                 write!(f, "target {target}: k must be at least 1")
             }
+            ServeError::InvalidK { target, k } => write!(
+                f,
+                "target {target}: k = {k}, but the laplace and smoothing mechanisms serve \
+                 exactly one slot"
+            ),
             ServeError::NoCandidates { target } => {
                 write!(f, "target {target}: no candidates (fully connected target)")
             }
@@ -333,10 +364,6 @@ impl ServingTelemetry {
         }
     }
 
-    fn disabled() -> Self {
-        ServingTelemetry::attach(Telemetry::disabled())
-    }
-
     /// Opens the per-batch serve span (inert guard, no clock read, when
     /// tracing is off — the field vector is only built when live).
     fn serve_span(&self, epoch: u64, requests: usize) -> SpanGuard<'_> {
@@ -383,79 +410,73 @@ pub struct RecommendationService {
     telemetry: ServingTelemetry,
 }
 
-impl RecommendationService {
-    /// Assembles a service at epoch 0 with a volatile in-memory budget
-    /// ledger. Accepts an owned [`Graph`] or an [`Arc<Graph>`] already
-    /// shared with other consumers.
-    ///
-    /// # Panics
-    /// Panics if ε or the budget is not positive, or if the utility
-    /// function reports no sensitivity and none is overridden.
-    pub fn new(
-        graph: impl Into<Arc<Graph>>,
-        utility: Box<dyn UtilityFunction>,
-        config: ServiceConfig,
-    ) -> Self {
-        Self::with_backend(GraphBackend::Csr(graph.into()), utility, config)
+/// Assembles a [`RecommendationService`] at epoch 0 from a graph or any
+/// [`GraphBackend`] and a shared utility function; the configuration,
+/// budget ledger and telemetry are optional. Obtained from
+/// [`RecommendationService::builder`].
+pub struct ServiceBuilder {
+    backend: GraphBackend,
+    utility: Arc<dyn UtilityFunction>,
+    config: ServiceConfig,
+    ledger: Option<Box<dyn BudgetLedger>>,
+    telemetry: Option<Arc<Telemetry>>,
+}
+
+impl ServiceBuilder {
+    /// The service configuration (default: [`ServiceConfig::default`]).
+    pub fn config(mut self, config: ServiceConfig) -> Self {
+        self.config = config;
+        self
     }
 
-    /// Assembles a service at epoch 0 over any [`GraphBackend`] — in-RAM
-    /// CSR, compressed (possibly mmap-backed) snapshot, or sharded
-    /// segments — with a volatile in-memory budget ledger. The serving
-    /// pipeline reads the base purely through [`psr_graph::GraphView`], so
-    /// outcomes are bit-identical across backings (the `graph_backend`
+    /// An explicit budget ledger — typically a [`JournalLedger`] carrying
+    /// spend replayed from a previous run (default: a volatile in-memory
+    /// [`BudgetAccountant`] at the configured budget).
+    pub fn ledger(mut self, ledger: Box<dyn BudgetLedger>) -> Self {
+        self.ledger = Some(ledger);
+        self
+    }
+
+    /// A telemetry bundle: serve spans, admission counters and epoch
+    /// events flow into its trace ring and metrics registry, and the
+    /// budget ledger is instrumented (fsync latency histogram).
+    /// Telemetry is observational only — serving outcomes are
+    /// bit-identical with a live bundle and without one (the `telemetry`
     /// conformance suite asserts this).
-    ///
-    /// # Panics
-    /// Same contract as [`RecommendationService::new`].
-    pub fn with_backend(
-        backend: GraphBackend,
-        utility: Box<dyn UtilityFunction>,
-        config: ServiceConfig,
-    ) -> Self {
-        let ledger = Box::new(BudgetAccountant::new(config.budget_per_target));
-        Self::with_backend_and_ledger(backend, utility, config, ledger)
+    pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
+        self.telemetry = Some(telemetry);
+        self
     }
 
-    /// Assembles a service at epoch 0 over an explicit budget ledger —
-    /// typically a [`JournalLedger`] carrying spend replayed from a
-    /// previous run.
+    /// Builds the service at epoch 0. The serving pipeline reads the base
+    /// purely through [`psr_graph::GraphView`], so outcomes are
+    /// bit-identical across backings (the `graph_backend` conformance
+    /// suite asserts this).
     ///
     /// # Panics
-    /// Panics if ε is not positive, if the utility reports no sensitivity
-    /// and none is overridden, or if the ledger's budget disagrees with
-    /// the configured one (a ledger replayed against a different budget
-    /// would mis-account every target).
-    pub fn with_ledger(
-        graph: impl Into<Arc<Graph>>,
-        utility: Box<dyn UtilityFunction>,
-        config: ServiceConfig,
-        ledger: Box<dyn BudgetLedger>,
-    ) -> Self {
-        Self::with_backend_and_ledger(GraphBackend::Csr(graph.into()), utility, config, ledger)
-    }
-
-    /// [`RecommendationService::with_backend`] over an explicit budget
-    /// ledger (see [`RecommendationService::with_ledger`]).
-    ///
-    /// # Panics
-    /// Same contract as [`RecommendationService::with_ledger`].
-    pub fn with_backend_and_ledger(
-        backend: GraphBackend,
-        utility: Box<dyn UtilityFunction>,
-        config: ServiceConfig,
-        ledger: Box<dyn BudgetLedger>,
-    ) -> Self {
+    /// Panics if ε is not positive, if the mechanism's parameter is
+    /// invalid ([`Mechanism::validate`]), if the utility reports no
+    /// sensitivity and none is overridden, or if the ledger's budget
+    /// disagrees with the configured one (a ledger replayed against a
+    /// different budget would mis-account every target).
+    pub fn build(self) -> RecommendationService {
+        let ServiceBuilder { backend, utility, config, ledger, telemetry } = self;
         assert!(config.epsilon_per_request > 0.0, "epsilon must be positive");
+        if let Err(e) = config.mechanism.validate() {
+            panic!("{e}");
+        }
+        let mut ledger =
+            ledger.unwrap_or_else(|| Box::new(BudgetAccountant::new(config.budget_per_target)));
         assert!(
             ledger.budget_per_target() == config.budget_per_target,
             "ledger budget {} disagrees with configured budget {}",
             ledger.budget_per_target(),
             config.budget_per_target,
         );
+        let telemetry = telemetry.unwrap_or_else(Telemetry::disabled);
+        ledger.instrument(telemetry.metrics());
         let graph = DeltaGraph::with_backend(backend);
-        let utility: Arc<dyn UtilityFunction> = Arc::from(utility);
-        let sensitivity = calibrate(&config, utility.as_ref(), &graph);
+        let sensitivity = config.sensitivity(utility.as_ref(), &graph);
         let state = EpochState::new(
             0,
             graph,
@@ -470,23 +491,45 @@ impl RecommendationService {
             utility,
             config,
             ledger: Mutex::new(ledger),
-            telemetry: ServingTelemetry::disabled(),
+            telemetry: ServingTelemetry::attach(telemetry),
+        }
+    }
+}
+
+impl RecommendationService {
+    /// Starts assembling a service over `graph` — an owned [`Graph`], an
+    /// [`Arc<Graph>`] already shared with other consumers, or any
+    /// [`GraphBackend`] (in-RAM CSR, compressed and possibly mmap-backed
+    /// snapshot, sharded segments) — scored by `utility`.
+    pub fn builder(
+        graph: impl Into<GraphBackend>,
+        utility: Arc<dyn UtilityFunction>,
+    ) -> ServiceBuilder {
+        ServiceBuilder {
+            backend: graph.into(),
+            utility,
+            config: ServiceConfig::default(),
+            ledger: None,
+            telemetry: None,
         }
     }
 
-    /// Attaches a telemetry bundle: serve spans, admission counters and
-    /// epoch events flow into its trace ring and metrics registry, and
-    /// the budget ledger is instrumented (fsync latency histogram).
-    /// Telemetry is observational only — serving outcomes are
-    /// bit-identical with a live bundle and with the default disabled one
-    /// (the `telemetry` conformance suite asserts this).
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.ledger.get_mut().expect("ledger lock").instrument(telemetry.metrics());
-        self.telemetry = ServingTelemetry::attach(telemetry);
+    /// [`RecommendationService::builder`] with a configuration and a
+    /// ledger, in one call.
+    ///
+    /// # Panics
+    /// Same contract as [`ServiceBuilder::build`].
+    pub fn with_backend_and_ledger(
+        backend: GraphBackend,
+        utility: Box<dyn UtilityFunction>,
+        config: ServiceConfig,
+        ledger: Box<dyn BudgetLedger>,
+    ) -> Self {
+        Self::builder(backend, Arc::from(utility)).config(config).ledger(ledger).build()
     }
 
     /// The attached telemetry bundle (the always-on disabled bundle
-    /// unless [`RecommendationService::set_telemetry`] was called).
+    /// unless [`ServiceBuilder::telemetry`] attached one).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry.telemetry
     }
@@ -520,7 +563,7 @@ impl RecommendationService {
     }
 
     /// A shared handle to the current epoch's CSR base, for wiring
-    /// [`crate::Recommender`]s or further services to the same instance.
+    /// further services or experiments to the same instance.
     /// Pending overlay mutations (if any) are *not* visible through it;
     /// [`RecommendationService::snapshot`] materialises them.
     ///
@@ -650,7 +693,7 @@ impl RecommendationService {
 
         // Re-calibrate Δf (it may depend on the maximum degree, which the
         // batch can change) and fold the overlay when it got heavy.
-        let sensitivity = calibrate(&self.config, self.utility.as_ref(), &staged);
+        let sensitivity = self.config.sensitivity(self.utility.as_ref(), &staged);
         let compacted = staged.num_dirty() as f64 > COMPACT_DIRTY_FRACTION * num_nodes as f64;
         if compacted {
             staged = DeltaGraph::new(staged.compact());
@@ -787,23 +830,22 @@ fn admit(
     if (request.target as usize) >= num_nodes {
         return Some(ServeError::UnknownTarget { target: request.target, num_nodes });
     }
-    if request.k == 0 {
-        return Some(ServeError::InvalidK { target: request.target });
+    let mechanism = state.config.mechanism;
+    if request.k == 0 || (request.k > 1 && mechanism.is_single_draw()) {
+        return Some(ServeError::InvalidK { target: request.target, k: request.k });
     }
-    match ledger.try_charge(request.target, state.config.epsilon_per_request) {
+    // Only smoothing's charge depends on the target: its candidate count.
+    let num_candidates = match mechanism {
+        Mechanism::Smoothing { .. } => CandidateSet::for_target(&state.graph, request.target).len(),
+        Mechanism::Exponential | Mechanism::Laplace => 0,
+    };
+    let charge = mechanism.charge(state.config.epsilon_per_request, num_candidates);
+    match ledger.try_charge(request.target, charge) {
         Ok(()) => None,
         Err(BudgetExceeded { target, requested, remaining }) => {
             Some(ServeError::BudgetExhausted { target, requested, remaining })
         }
     }
-}
-
-/// Δf for the current graph under the configured norm/override.
-fn calibrate(config: &ServiceConfig, utility: &dyn UtilityFunction, view: &DeltaGraph) -> f64 {
-    config
-        .sensitivity_override
-        .or_else(|| utility.sensitivity(view).map(|s| s.value(config.sensitivity_norm)))
-        .expect("utility reports no sensitivity and no override was given")
 }
 
 /// Marks every node within `radius` hops of any seed (seeds included) in
@@ -840,7 +882,9 @@ mod tests {
     use psr_utility::{CandidateSet, CommonNeighbors};
 
     fn service(config: ServiceConfig) -> RecommendationService {
-        RecommendationService::new(karate_club(), Box::new(CommonNeighbors), config)
+        RecommendationService::builder(karate_club(), Arc::new(CommonNeighbors))
+            .config(config)
+            .build()
     }
 
     fn requests(k: usize) -> Vec<BatchRequest> {
@@ -921,7 +965,7 @@ mod tests {
             outcomes[0],
             Err(ServeError::UnknownTarget { target: 999, num_nodes: 34 })
         ));
-        assert!(matches!(outcomes[1], Err(ServeError::InvalidK { target: 3 })));
+        assert!(matches!(outcomes[1], Err(ServeError::InvalidK { target: 3, k: 0 })));
         assert_eq!(svc.remaining_budget(999), 10.0);
         assert_eq!(svc.remaining_budget(3), 10.0);
     }
@@ -1001,15 +1045,76 @@ mod tests {
     }
 
     #[test]
-    fn shares_graph_with_recommenders() {
-        let svc = service(ServiceConfig::default());
-        let rec = crate::Recommender::new(
-            svc.shared_graph(),
-            Box::new(CommonNeighbors),
-            Box::new(psr_privacy::ExponentialMechanism::paper()),
-            crate::RecommenderConfig::default(),
-        );
-        assert!(std::ptr::eq(svc.shared_graph().as_ref() as *const Graph, rec.graph()));
+    fn services_share_one_graph_instance() {
+        let shared = Arc::new(karate_club());
+        let a =
+            RecommendationService::builder(Arc::clone(&shared), Arc::new(CommonNeighbors)).build();
+        let b = RecommendationService::builder(a.shared_graph(), Arc::new(CommonNeighbors)).build();
+        assert!(Arc::ptr_eq(&a.shared_graph(), &b.shared_graph()), "both must alias one graph");
+        assert!(Arc::ptr_eq(&shared, &b.shared_graph()));
+    }
+
+    #[test]
+    fn recommendations_are_valid_candidates() {
+        let svc = service(ServiceConfig { budget_per_target: f64::INFINITY, ..Default::default() });
+        for target in 0..34u32 {
+            for seed in 0..5 {
+                let v = svc.serve_one(target, 1, seed).unwrap().recommendations[0];
+                assert_ne!(v, target);
+                assert!(!svc.pin().has_edge(target, v), "recommended an existing neighbour");
+            }
+        }
+    }
+
+    #[test]
+    fn high_eps_recommends_top_utility_node() {
+        let svc = service(ServiceConfig {
+            epsilon_per_request: 500.0,
+            budget_per_target: f64::INFINITY,
+            ..Default::default()
+        });
+        let u = CommonNeighbors.utilities_for(&karate_club(), 0);
+        for seed in 0..10 {
+            let got = svc.serve_one(0, 1, seed).unwrap().recommendations[0];
+            // Ties possible: any argmax-utility node qualifies.
+            assert_eq!(u.get(got), u.u_max());
+        }
+    }
+
+    #[test]
+    fn laplace_variant_works_too() {
+        let svc = service(ServiceConfig { mechanism: Mechanism::Laplace, ..Default::default() });
+        let served = svc.serve_one(5, 1, 4).unwrap();
+        assert_eq!(served.recommendations.len(), 1);
+        assert!(served.recommendations[0] < 34);
+        assert!(!svc.pin().has_edge(5, served.recommendations[0]));
+        assert_eq!(served.epsilon_spent, 1.0);
+    }
+
+    #[test]
+    fn single_draw_mechanisms_refuse_two_slots_uncharged() {
+        for mechanism in [Mechanism::Laplace, Mechanism::Smoothing { x: 0.05 }] {
+            let svc = service(ServiceConfig { mechanism, ..Default::default() });
+            let outcome = svc.serve_one(5, 2, 1);
+            assert_eq!(outcome, Err(ServeError::InvalidK { target: 5, k: 2 }), "{mechanism:?}");
+            assert_eq!(svc.spent_budget(5), 0.0);
+        }
+    }
+
+    #[test]
+    fn smoothing_charges_theorem_5() {
+        let mechanism = Mechanism::Smoothing { x: 0.05 };
+        let svc = service(ServiceConfig { mechanism, ..Default::default() });
+        let served = svc.serve_one(5, 1, 2).unwrap();
+        let n = CandidateSet::for_target(&karate_club(), 5).len();
+        assert_eq!(served.epsilon_spent, mechanism.charge(1.0, n));
+        assert_eq!(svc.spent_budget(5), served.epsilon_spent);
+    }
+
+    #[test]
+    fn sensitivity_override_respected() {
+        let svc = service(ServiceConfig { sensitivity_override: Some(7.5), ..Default::default() });
+        assert_eq!(svc.sensitivity(), 7.5);
     }
 
     #[test]
@@ -1021,12 +1126,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "disagrees with configured budget")]
     fn mismatched_ledger_budget_rejected() {
-        let _ = RecommendationService::with_ledger(
-            karate_club(),
-            Box::new(CommonNeighbors),
-            ServiceConfig::default(),
-            Box::new(BudgetAccountant::new(3.0)),
-        );
+        let _ = RecommendationService::builder(karate_club(), Arc::new(CommonNeighbors))
+            .ledger(Box::new(BudgetAccountant::new(3.0)))
+            .build();
     }
 
     #[test]

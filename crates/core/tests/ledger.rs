@@ -19,6 +19,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use psr_core::serving::{BatchRequest, ServeError};
@@ -190,12 +191,10 @@ fn killed_service_replays_identical_spend_within_composed_budget() {
 
     let spend_before: Vec<f64> = {
         let ledger = JournalLedger::open(&path, budget).unwrap();
-        let service = RecommendationService::with_ledger(
-            karate_club(),
-            Box::new(CommonNeighbors),
-            config,
-            Box::new(ledger),
-        );
+        let service = RecommendationService::builder(karate_club(), Arc::new(CommonNeighbors))
+            .config(config)
+            .ledger(Box::new(ledger))
+            .build();
         // Two full rounds drain every target to 1.5 of the 2.0 budget.
         for round in 0..2 {
             for outcome in service.serve_batch(&requests, 100 + round) {
@@ -214,12 +213,10 @@ fn killed_service_replays_identical_spend_within_composed_budget() {
             "target {target}: replayed spend must be identical to the pre-kill spend"
         );
     }
-    let service = RecommendationService::with_ledger(
-        karate_club(),
-        Box::new(CommonNeighbors),
-        config,
-        Box::new(ledger),
-    );
+    let service = RecommendationService::builder(karate_club(), Arc::new(CommonNeighbors))
+        .config(config)
+        .ledger(Box::new(ledger))
+        .build();
     // A third round must now be refused for every target: 1.5 + 0.75
     // composes past the 2.0 budget, and the restart remembered it.
     for (request, outcome) in requests.iter().zip(service.serve_batch(&requests, 300)) {

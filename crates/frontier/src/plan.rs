@@ -133,14 +133,13 @@ impl ExperimentPlan {
         // Checks each name, and `smoothing_x` only when smoothing is on
         // the axis.
         for mechanism in &self.mechanisms {
-            AttackMechanism::new(mechanism, self.epsilons[0], self.smoothing_x)?;
-        }
-        let scalar_mechanism = self.mechanisms.iter().any(|m| m == "laplace" || m == "smoothing");
-        if scalar_mechanism && self.k != 1 {
-            return Err(format!(
-                "k = {} but laplace/smoothing release scalar observations; k must be 1",
-                self.k
-            ));
+            let mechanism = AttackMechanism::new(mechanism, self.epsilons[0], self.smoothing_x)?;
+            if mechanism.served().0.is_single_draw() && self.k != 1 {
+                return Err(format!(
+                    "k = {} but laplace/smoothing release scalar observations; k must be 1",
+                    self.k
+                ));
+            }
         }
         if self.rounds == 0 || self.k == 0 || self.trials_per_world == 0 || self.observer_cap == 0 {
             return Err("rounds, k, trials_per_world and observer_cap must be positive".to_owned());

@@ -1,110 +1,79 @@
-//! The Laplace mechanism (Definition 6).
+//! The Laplace mechanism (Definition 6): the grouped noisy-argmax
+//! sampler behind [`crate::Mechanism::Laplace`].
+//!
+//! Evaluation strategy: utilities take few distinct values (common
+//! neighbours are small integers; the zero class dominates), and within a
+//! value class the noisy maximum is the class value plus the max of
+//! `count` i.i.d. Laplace draws — sampled *exactly* through the quantile of
+//! `F^count` ([`Laplace::sample_max_of`]). One trial therefore costs
+//! `O(#classes)` instead of `O(n)`, which is what makes 1,000-trial
+//! evaluation (§7.1) over ~10⁵-candidate vectors tractable. This is a
+//! sampling optimisation, not an approximation: the induced distribution
+//! over winners is identical to naive per-candidate noising.
 
+use psr_graph::NodeId;
 use psr_utility::UtilityVector;
 use rand::Rng;
 
 use crate::laplace_dist::Laplace;
-use crate::mechanism::{Mechanism, Recommendation};
 
-/// The Laplace mechanism: perturb every candidate's utility with
-/// independent `Lap(Δf/ε)` noise and recommend the noisy argmax.
+/// One noisy-argmax draw over the grouped representation; returns the
+/// winning group's index into `groups`.
+fn winning_group(groups: &[(f64, usize)], noise: &Laplace, rng: &mut (impl Rng + ?Sized)) -> usize {
+    debug_assert!(!groups.is_empty());
+    let mut best_idx = 0usize;
+    let mut best_val = f64::NEG_INFINITY;
+    for (idx, &(value, count)) in groups.iter().enumerate() {
+        let noisy = value + noise.sample_max_of(count, rng);
+        if noisy > best_val {
+            best_val = noisy;
+            best_idx = idx;
+        }
+    }
+    best_idx
+}
+
+/// Perturbs every utility with `Lap(Δf/ε)` noise and returns the noisy
+/// argmax: a uniform member of the winning value class (exchangeable by
+/// symmetry of the i.i.d. noise), or `None` when the zero class wins.
+pub(crate) fn laplace_winner(
+    u: &UtilityVector,
+    eps: f64,
+    sensitivity: f64,
+    rng: &mut dyn rand::RngCore,
+) -> Option<NodeId> {
+    let noise = Laplace::for_mechanism(sensitivity, eps);
+    let groups = u.grouped_desc();
+    let (value, count) = groups[winning_group(&groups, &noise, rng)];
+    if value == 0.0 {
+        return None;
+    }
+    let pick = rng.gen_range(0..count);
+    let mut class = u.nonzero().iter().filter(|&&(_, ui)| ui == value);
+    class.nth(pick).map(|&(v, _)| v)
+}
+
+/// Monte-Carlo expected accuracy `E[u_rec] / u_max` of the Laplace
+/// mechanism over `trials` independent runs (§7.1: "1,000 independent
+/// trials of A_L(ε), averaging the utilities").
 ///
-/// Evaluation strategy: utilities take few distinct values (common
-/// neighbours are small integers; the zero class dominates), and within a
-/// value class the noisy maximum is the class value plus the max of
-/// `count` i.i.d. Laplace draws — sampled *exactly* through the quantile of
-/// `F^count` ([`Laplace::sample_max_of`]). One trial therefore costs
-/// `O(#classes)` instead of `O(n)`, which is what makes 1,000-trial
-/// evaluation (§7.1) over ~10⁵-candidate vectors tractable. This is a
-/// sampling optimisation, not an approximation: the induced distribution
-/// over winners is identical to naive per-candidate noising.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaplaceMechanism {
-    /// Monte-Carlo trials used by [`Mechanism::expected_accuracy`]
-    /// (the paper uses 1,000).
-    pub trials: u32,
-}
-
-impl Default for LaplaceMechanism {
-    fn default() -> Self {
-        LaplaceMechanism { trials: 1000 }
+/// # Panics
+/// Panics if `u` is all-zero (accuracy is undefined).
+pub fn laplace_accuracy(
+    u: &UtilityVector,
+    eps: f64,
+    sensitivity: f64,
+    trials: u32,
+    rng: &mut dyn rand::RngCore,
+) -> f64 {
+    assert!(!u.is_all_zero(), "accuracy undefined for all-zero utility vectors");
+    let noise = Laplace::for_mechanism(sensitivity, eps);
+    let groups = u.grouped_desc();
+    let mut total = 0.0;
+    for _ in 0..trials {
+        total += groups[winning_group(&groups, &noise, rng)].0;
     }
-}
-
-impl LaplaceMechanism {
-    /// One noisy-argmax draw over the grouped representation; returns the
-    /// winning group's index into `groups`.
-    fn winning_group(
-        groups: &[(f64, usize)],
-        noise: &Laplace,
-        rng: &mut (impl Rng + ?Sized),
-    ) -> usize {
-        debug_assert!(!groups.is_empty());
-        let mut best_idx = 0usize;
-        let mut best_val = f64::NEG_INFINITY;
-        for (idx, &(value, count)) in groups.iter().enumerate() {
-            let noisy = value + noise.sample_max_of(count, rng);
-            if noisy > best_val {
-                best_val = noisy;
-                best_idx = idx;
-            }
-        }
-        best_idx
-    }
-}
-
-impl Mechanism for LaplaceMechanism {
-    fn name(&self) -> String {
-        "laplace".to_owned()
-    }
-
-    fn recommend(
-        &self,
-        u: &UtilityVector,
-        eps: f64,
-        sensitivity: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Recommendation {
-        assert!(!u.is_empty(), "no candidates");
-        let noise = Laplace::for_mechanism(sensitivity, eps);
-        let groups = u.grouped_desc();
-        let win = Self::winning_group(&groups, &noise, rng);
-        let (value, count) = groups[win];
-        if value == 0.0 {
-            return Recommendation::ZeroUtilityClass;
-        }
-        // Uniform member of the winning class (exchangeable by symmetry of
-        // the i.i.d. noise).
-        let pick = rng.gen_range(0..count);
-        let node = u
-            .nonzero()
-            .iter()
-            .filter(|&&(_, ui)| ui == value)
-            .nth(pick)
-            .map(|&(v, _)| v)
-            .expect("class member exists");
-        Recommendation::Node(node)
-    }
-
-    /// Monte-Carlo expected accuracy over `trials` independent runs (§7.1:
-    /// "1,000 independent trials of A_L(ε), averaging the utilities").
-    fn expected_accuracy(
-        &self,
-        u: &UtilityVector,
-        eps: f64,
-        sensitivity: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> f64 {
-        assert!(!u.is_all_zero(), "accuracy undefined for all-zero utility vectors");
-        let noise = Laplace::for_mechanism(sensitivity, eps);
-        let groups = u.grouped_desc();
-        let mut total = 0.0;
-        for _ in 0..self.trials {
-            let win = Self::winning_group(&groups, &noise, rng);
-            total += groups[win].0;
-        }
-        total / self.trials as f64 / u.u_max()
-    }
+    total / trials as f64 / u.u_max()
 }
 
 #[cfg(test)]
@@ -123,14 +92,13 @@ mod tests {
         // u = (3, 1, 0, 0): compare grouped winner frequencies against
         // naive per-candidate noising.
         let u = UtilityVector::from_sparse(vec![(0, 3.0), (1, 1.0)], 2);
-        let mech = LaplaceMechanism::default();
         let noise = Laplace::for_mechanism(1.0, 1.0);
         let mut r = rng(11);
         let trials = 120_000;
 
         let mut grouped_top = 0usize;
         for _ in 0..trials {
-            if let Recommendation::Node(0) = mech.recommend(&u, 1.0, 1.0, &mut r) {
+            if laplace_winner(&u, 1.0, 1.0, &mut r) == Some(0) {
                 grouped_top += 1;
             }
         }
@@ -154,12 +122,11 @@ mod tests {
         // n = 2: Lemma 3 gives the exact win probability.
         let (u1, u2, eps) = (2.5, 1.0, 0.8);
         let u = UtilityVector::from_sparse(vec![(0, u1), (1, u2)], 0);
-        let mech = LaplaceMechanism::default();
         let mut r = rng(12);
         let trials = 200_000;
         let mut wins = 0usize;
         for _ in 0..trials {
-            if let Recommendation::Node(0) = mech.recommend(&u, eps, 1.0, &mut r) {
+            if laplace_winner(&u, eps, 1.0, &mut r) == Some(0) {
                 wins += 1;
             }
         }
@@ -171,9 +138,8 @@ mod tests {
     #[test]
     fn accuracy_increases_with_eps() {
         let u = UtilityVector::from_sparse(vec![(0, 5.0), (1, 3.0), (2, 1.0)], 50);
-        let mech = LaplaceMechanism { trials: 4000 };
-        let lo = mech.expected_accuracy(&u, 0.1, 1.0, &mut rng(13));
-        let hi = mech.expected_accuracy(&u, 3.0, 1.0, &mut rng(13));
+        let lo = laplace_accuracy(&u, 0.1, 1.0, 4000, &mut rng(13));
+        let hi = laplace_accuracy(&u, 3.0, 1.0, 4000, &mut rng(13));
         assert!(hi > lo, "accuracy should grow with eps: {lo} vs {hi}");
         assert!(hi <= 1.0 + 1e-9);
         assert!(lo >= 0.0);
@@ -182,22 +148,16 @@ mod tests {
     #[test]
     fn huge_eps_recovers_best_recommendation() {
         let u = UtilityVector::from_sparse(vec![(7, 5.0), (9, 3.0)], 100);
-        let mech = LaplaceMechanism { trials: 500 };
-        let acc = mech.expected_accuracy(&u, 200.0, 1.0, &mut rng(14));
+        let acc = laplace_accuracy(&u, 200.0, 1.0, 500, &mut rng(14));
         assert!((acc - 1.0).abs() < 1e-6, "acc {acc}");
-        assert_eq!(mech.recommend(&u, 200.0, 1.0, &mut rng(15)), Recommendation::Node(7));
+        assert_eq!(laplace_winner(&u, 200.0, 1.0, &mut rng(15)), Some(7));
     }
 
     #[test]
     fn zero_class_can_win_under_strong_privacy() {
         let u = UtilityVector::from_sparse(vec![(0, 1.0)], 100_000);
-        let mech = LaplaceMechanism::default();
         let mut r = rng(16);
-        let zero_wins = (0..200)
-            .filter(|_| {
-                matches!(mech.recommend(&u, 0.1, 1.0, &mut r), Recommendation::ZeroUtilityClass)
-            })
-            .count();
+        let zero_wins = (0..200).filter(|_| laplace_winner(&u, 0.1, 1.0, &mut r).is_none()).count();
         // With ε = 0.1 and 10⁵ zero candidates the max zero noise is ~b·ln(n/2)
         // ≈ 108 ≫ 1; the zero class should essentially always win.
         assert!(zero_wins > 190, "zero class won only {zero_wins}/200");
@@ -206,14 +166,13 @@ mod tests {
     #[test]
     fn ties_are_split_within_class() {
         let u = UtilityVector::from_sparse(vec![(3, 2.0), (8, 2.0)], 0);
-        let mech = LaplaceMechanism::default();
         let mut r = rng(17);
         let mut first = 0usize;
         let trials = 20_000;
         for _ in 0..trials {
-            match mech.recommend(&u, 5.0, 1.0, &mut r) {
-                Recommendation::Node(3) => first += 1,
-                Recommendation::Node(8) => {}
+            match laplace_winner(&u, 5.0, 1.0, &mut r) {
+                Some(3) => first += 1,
+                Some(8) => {}
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -225,6 +184,6 @@ mod tests {
     #[should_panic(expected = "accuracy undefined")]
     fn all_zero_vector_rejected() {
         let u = UtilityVector::from_sparse(vec![], 5);
-        let _ = LaplaceMechanism::default().expected_accuracy(&u, 1.0, 1.0, &mut rng(18));
+        let _ = crate::Mechanism::Laplace.expected_accuracy(&u, 1.0, 1.0, &mut rng(18));
     }
 }

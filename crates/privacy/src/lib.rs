@@ -1,41 +1,43 @@
 //! Differentially private recommendation mechanisms (paper §6, App. D–F).
 //!
-//! Implements the two mechanisms the paper adapts to social
-//! recommendations, plus the sampling-based smoothing mechanism from
-//! Appendix F:
+//! One type, [`Mechanism`], covers the two mechanisms the paper adapts to
+//! social recommendations and the sampling-based smoothing mechanism
+//! from Appendix F. It owns sampling (`k` slots, zero-class slots
+//! resolved to distinct concrete candidates), the ε a request costs, and
+//! the expected accuracy:
 //!
-//! * [`ExponentialMechanism`] (Def. 5) — recommends node `i` with
-//!   probability `∝ e^{(ε/Δf)·uᵢ}`; its expected accuracy has a closed
-//!   form, evaluated exactly here.
-//! * [`LaplaceMechanism`] (Def. 6) — perturbs every utility with
+//! * [`Mechanism::Exponential`] (Def. 5) — recommends node `i` with
+//!   probability `∝ e^{(ε/Δf)·uᵢ}`, peeling `k` slots at ε/k each
+//!   ([`topk`]); its expected accuracy has a closed form, evaluated
+//!   exactly ([`exponential_probabilities`]).
+//! * [`Mechanism::Laplace`] (Def. 6) — perturbs every utility with
 //!   `Lap(Δf/ε)` noise and recommends the noisy argmax; evaluated by
 //!   Monte-Carlo over an *exact grouped max* sampler (zero-utility
 //!   candidates are exchangeable, and the max of `N` i.i.d. Laplace draws
 //!   can be sampled directly through the quantile of `F^N`), making
-//!   full-graph evaluation feasible at the paper's scales.
-//! * [`LinearSmoothing`] (Def. 7 / Theorem 5) — mixes any base
-//!   recommender with the uniform distribution; `ln(1 + nx/(1−x))`-DP with
-//!   accuracy `x·μ`.
+//!   full-graph evaluation feasible at the paper's scales
+//!   ([`laplace_accuracy`]).
+//! * [`Mechanism::Smoothing`] (Def. 7 / Theorem 5) — mixes the best
+//!   recommender with the uniform distribution; `ln(1 + nx/(1−x))`-DP
+//!   with accuracy `x·μ` ([`smoothing_epsilon`] and its inverses).
 //! * [`closed_form`] — Lemma 3's exact two-candidate Laplace win
 //!   probability, used to show Laplace ≢ Exponential (App. E).
 //! * [`audit`] — exact DP-ratio verification on neighbouring inputs.
-//! * [`topk`] — a peeling top-`k` extension (§8 / App. A "multiple
-//!   recommendations").
+//! * [`topk`] — the exponential mechanism's top-`k` samplers (§8 / App. A
+//!   "multiple recommendations").
 
 pub mod audit;
 pub mod closed_form;
 mod exponential;
 mod laplace_dist;
 mod laplace_mech;
-pub mod mechanism;
+mod mechanism;
 mod smoothing;
 pub mod topk;
 
-pub use exponential::{ExponentialMechanism, ExponentialScaling};
+pub use exponential::exponential_probabilities;
 pub use laplace_dist::Laplace;
-pub use laplace_mech::LaplaceMechanism;
-pub use mechanism::{
-    resolve_recommendation, resolve_zero_class_distinct, Mechanism, Recommendation,
-};
-pub use smoothing::LinearSmoothing;
+pub use laplace_mech::laplace_accuracy;
+pub use mechanism::{resolve_zero_class_distinct, Draw, Mechanism};
+pub use smoothing::{smoothing_epsilon, smoothing_x_for_epsilon, smoothing_x_for_log_privacy};
 pub use topk::{topk_exponential, topk_gumbel, topk_with_engine, TopK, TopKEngine};

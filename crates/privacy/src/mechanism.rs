@@ -1,4 +1,12 @@
-//! The mechanism abstraction.
+//! The mechanism: Definitions 5–7 behind one enum.
+//!
+//! [`Mechanism`] is the one sampling path of the workspace. The serving
+//! layer, the attack harness's shadow sampler and the CLI all draw
+//! through [`Mechanism::sample`]: `k` slots from a utility vector, with
+//! every slot that lands in the anonymous zero-utility class resolved to
+//! a distinct concrete candidate. The enum also owns what a draw costs
+//! ([`Mechanism::charge`]) and what it is worth
+//! ([`Mechanism::expected_accuracy`]).
 
 use std::collections::HashSet;
 
@@ -6,83 +14,206 @@ use psr_graph::NodeId;
 use psr_utility::{CandidateSet, UtilityVector};
 use rand::Rng;
 
-/// Outcome of one mechanism invocation.
+use crate::topk::{topk_with_engine, TopKEngine};
+
+/// A differentially private recommender over one utility vector (§3.1:
+/// the algorithm is a probability vector derived from `~u`).
 ///
 /// Any DP mechanism must put positive probability on *every* candidate,
 /// including the (typically enormous) zero-utility class [24]. Utility
-/// vectors store that class as a count, so a draw landing there names the
-/// class instead of a particular node; callers that need a concrete id
-/// resolve it uniformly (all zero-utility candidates are exchangeable —
+/// vectors store that class as a count; a draw landing there is resolved
+/// to a uniform member (all zero-utility candidates are exchangeable —
 /// the paper's Axiom 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Recommendation {
-    /// A specific candidate was recommended.
-    Node(NodeId),
-    /// A uniformly random member of the zero-utility class was recommended.
-    ZeroUtilityClass,
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum Mechanism {
+    /// Definition 5: recommend `i` with probability `∝ e^{(ε/Δf)·uᵢ}`.
+    /// A request of `k` slots peels `k` draws without replacement at
+    /// ε/k each ([`crate::topk`]), so it costs ε by basic composition.
+    #[default]
+    Exponential,
+    /// Definition 6: perturb every utility with `Lap(Δf/ε)` noise and
+    /// recommend the noisy argmax. One slot per request.
+    Laplace,
+    /// Definition 7: with probability `x` recommend the top-utility node
+    /// (`R_best`), otherwise a uniform candidate. One slot per request;
+    /// Theorem 5 makes it `ln(1 + nx/(1−x))`-DP over `n` candidates.
+    Smoothing {
+        /// Mixing weight `x ∈ [0, 1)`: probability of playing `R_best`.
+        x: f64,
+    },
 }
 
-/// A differentially private single-recommendation mechanism operating on a
-/// utility vector (the formalisation of §3.1: the algorithm is a
-/// probability vector derived from `~u`).
-pub trait Mechanism: Send + Sync {
-    /// Short stable name for reports and benchmarks.
-    fn name(&self) -> String;
+/// One draw of a [`Mechanism`]: `k` distinct concrete recommendations.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Draw {
+    /// Distinct recommended nodes, in slot order.
+    pub picks: Vec<NodeId>,
+    /// How many slots fell into the zero-utility class (resolved to
+    /// uniform members of the class).
+    pub zero_class_picks: usize,
+    /// Sum of the true utilities of the picks.
+    pub total_utility: f64,
+}
 
-    /// Draws one recommendation.
+impl Mechanism {
+    /// Every mechanism name, in declaration order: the `--mechanism` and
+    /// plan-axis vocabulary.
+    pub const NAMES: [&'static str; 3] = ["exponential", "laplace", "smoothing"];
+
+    /// The mixing weight a bare `"smoothing"` parses to.
+    pub const DEFAULT_SMOOTHING_X: f64 = 0.05;
+
+    /// Monte-Carlo trials behind the Laplace mechanism's expected
+    /// accuracy (§7.1 uses 1,000).
+    pub const LAPLACE_TRIALS: u32 = 1000;
+
+    /// Stable name, the inverse of [`std::str::FromStr`].
+    pub fn name(&self) -> &'static str {
+        match self {
+            Mechanism::Exponential => "exponential",
+            Mechanism::Laplace => "laplace",
+            Mechanism::Smoothing { .. } => "smoothing",
+        }
+    }
+
+    /// Checks the parameter: smoothing's `x` must lie in `[0, 1)`, the
+    /// domain of Theorem 5's `ε = ln(1 + nx/(1−x))`.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            Mechanism::Smoothing { x } if !(0.0..1.0).contains(&x) => Err(format!(
+                "smoothing x {x} must be in [0, 1) (x = 1 is the non-private baseline)"
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether a request may ask for at most one slot. Only the
+    /// exponential mechanism peels `k > 1`; the Laplace and smoothing
+    /// guarantees are stated for a single recommendation.
+    pub fn is_single_draw(&self) -> bool {
+        !matches!(self, Mechanism::Exponential)
+    }
+
+    /// The ε one request costs at configured budget `epsilon` over a
+    /// target with `num_candidates` candidates: `epsilon` for the
+    /// exponential and Laplace mechanisms, Theorem 5's
+    /// `ln(1 + n·x/(1−x))` for smoothing (which has no ε parameter).
+    pub fn charge(&self, epsilon: f64, num_candidates: usize) -> f64 {
+        match *self {
+            Mechanism::Exponential | Mechanism::Laplace => epsilon,
+            Mechanism::Smoothing { x } => crate::smoothing::smoothing_epsilon(x, num_candidates),
+        }
+    }
+
+    /// Draws `k` distinct recommendations (clamped to the candidate
+    /// count) from `u`, the utility vector of `candidates`, at request
+    /// budget `epsilon` and sensitivity Δf. Zero-class slots are
+    /// resolved to distinct uniform members of the class by
+    /// [`resolve_zero_class_distinct`]. `engine` picks the exponential
+    /// mechanism's top-`k` sampler; the other arms ignore it.
     ///
     /// # Panics
-    /// Implementations may panic if `u` is empty.
-    fn recommend(
+    /// Panics if `u` is empty, or if `k > 1` for a single-draw
+    /// mechanism ([`Mechanism::is_single_draw`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample(
         &self,
+        engine: TopKEngine,
         u: &UtilityVector,
-        eps: f64,
+        candidates: &CandidateSet,
+        k: usize,
+        epsilon: f64,
         sensitivity: f64,
         rng: &mut dyn rand::RngCore,
-    ) -> Recommendation;
+    ) -> Draw {
+        assert!(!u.is_empty(), "no candidates");
+        assert!(
+            k == 1 || !self.is_single_draw(),
+            "the {} mechanism serves exactly one slot",
+            self.name()
+        );
+        let winner = match *self {
+            Mechanism::Exponential => {
+                let top = topk_with_engine(engine, u, k.min(u.len()), epsilon, sensitivity, rng);
+                let zero_class_picks = top.picks.iter().filter(|p| p.is_none()).count();
+                let mut zero_picks =
+                    resolve_zero_class_distinct(zero_class_picks, u, candidates, rng).into_iter();
+                let picks = top
+                    .picks
+                    .iter()
+                    .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class member")))
+                    .collect();
+                return Draw { picks, zero_class_picks, total_utility: top.total_utility };
+            }
+            Mechanism::Laplace => crate::laplace_mech::laplace_winner(u, epsilon, sensitivity, rng),
+            Mechanism::Smoothing { x } => crate::smoothing::smoothing_winner(u, x, rng),
+        };
+        let (pick, zero_class_picks) = match winner {
+            Some(v) => (v, 0),
+            None => {
+                let v = resolve_zero_class_distinct(1, u, candidates, rng);
+                (*v.first().expect("the drawn zero class has a member"), 1)
+            }
+        };
+        Draw { picks: vec![pick], zero_class_picks, total_utility: u.get(pick) }
+    }
 
-    /// Expected accuracy `E[u_rec] / u_max` (Def. 2 numerator for this
-    /// input). Exact where a closed form exists, Monte-Carlo otherwise.
+    /// Expected accuracy `E[u_rec] / u_max` of one slot (Def. 2's
+    /// numerator for this input) at budget `epsilon` and sensitivity Δf.
+    /// Closed form for the exponential and smoothing mechanisms; for
+    /// Laplace a [`Self::LAPLACE_TRIALS`]-trial Monte Carlo on `rng`
+    /// ([`crate::laplace_accuracy`]).
     ///
     /// # Panics
     /// Panics if `u` is all-zero — such targets are dropped by the
     /// experimental protocol (§7.1) because accuracy is undefined.
-    fn expected_accuracy(
+    pub fn expected_accuracy(
         &self,
         u: &UtilityVector,
-        eps: f64,
+        epsilon: f64,
         sensitivity: f64,
         rng: &mut dyn rand::RngCore,
-    ) -> f64;
+    ) -> f64 {
+        assert!(!u.is_all_zero(), "accuracy undefined for all-zero utility vectors");
+        match *self {
+            Mechanism::Exponential => {
+                let (probs, _) =
+                    crate::exponential::exponential_probabilities(u, epsilon, sensitivity);
+                let expected: f64 =
+                    u.nonzero().iter().zip(&probs).map(|(&(_, ui), &p)| ui * p).sum();
+                expected / u.u_max()
+            }
+            Mechanism::Laplace => crate::laplace_mech::laplace_accuracy(
+                u,
+                epsilon,
+                sensitivity,
+                Self::LAPLACE_TRIALS,
+                rng,
+            ),
+            Mechanism::Smoothing { x } => {
+                // x·u_max from R_best plus (1−x)·mean(u) from the uniform
+                // draw, normalised by u_max.
+                let uniform_part = u.total() / u.len() as f64;
+                (x * u.u_max() + (1.0 - x) * uniform_part) / u.u_max()
+            }
+        }
+    }
 }
 
-/// Resolves a [`Recommendation`] to a concrete node id, choosing uniformly
-/// from the zero-utility members of `candidates` when needed. Returns
-/// `None` only when the class is empty (cannot happen for draws produced
-/// against the same vector).
-///
-/// `u` must be the utility vector of `candidates`, so that `u.num_zero()`
-/// counts the zero-utility candidates. The uniform choice takes the
-/// rejection path of [`resolve_zero_class_distinct`] when that applies and
-/// otherwise picks the class member at a uniform rank in id order.
-pub fn resolve_recommendation(
-    rec: Recommendation,
-    u: &UtilityVector,
-    candidates: &CandidateSet,
-    rng: &mut dyn rand::RngCore,
-) -> Option<NodeId> {
-    match rec {
-        Recommendation::Node(v) => Some(v),
-        Recommendation::ZeroUtilityClass => {
-            let total = u.num_zero();
-            if total == 0 {
-                return None;
+impl std::str::FromStr for Mechanism {
+    type Err = String;
+
+    /// Parses a name of [`Mechanism::NAMES`]; `"smoothing"` takes
+    /// [`Mechanism::DEFAULT_SMOOTHING_X`].
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "exponential" => Ok(Mechanism::Exponential),
+            "laplace" => Ok(Mechanism::Laplace),
+            "smoothing" => Ok(Mechanism::Smoothing { x: Mechanism::DEFAULT_SMOOTHING_X }),
+            other => {
+                let names = Self::NAMES;
+                Err(format!("unknown mechanism {other:?} (expected one of {names:?})"))
             }
-            if rejection_applies(1, u, candidates) {
-                return sample_by_rejection(1, u, candidates, rng).pop();
-            }
-            let pick = rng.gen_range(0..total);
-            candidates.iter().filter(|&v| u.get(v) == 0.0).nth(pick)
         }
     }
 }
@@ -180,14 +311,25 @@ mod tests {
         let u = psr_utility::CommonNeighbors.utilities(&g, 0, &candidates);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         for _ in 0..20 {
-            let v =
-                resolve_recommendation(Recommendation::ZeroUtilityClass, &u, &candidates, &mut rng)
-                    .unwrap();
+            let v = resolve_zero_class_distinct(1, &u, &candidates, &mut rng)[0];
             assert!(candidates.contains(v));
             assert_eq!(u.get(v), 0.0);
+            // A single-draw mechanism's zero-class slot resolves the same
+            // way; its non-zero slot is the drawn node itself.
+            let draw = Mechanism::Smoothing { x: 0.0 }.sample(
+                TopKEngine::Peel,
+                &u,
+                &candidates,
+                1,
+                1.0,
+                1.0,
+                &mut rng,
+            );
+            let pick = draw.picks[0];
+            assert!(candidates.contains(pick));
+            assert_eq!(draw.zero_class_picks == 1, u.get(pick) == 0.0);
+            assert_eq!(draw.total_utility, u.get(pick));
         }
-        let v = resolve_recommendation(Recommendation::Node(2), &u, &candidates, &mut rng);
-        assert_eq!(v, Some(2));
     }
 
     #[test]
@@ -269,9 +411,42 @@ mod tests {
         let u = psr_utility::CommonNeighbors.utilities(&g, 0, &candidates);
         assert_eq!(u.num_zero(), 0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        assert_eq!(resolve_zero_class_distinct(1, &u, &candidates, &mut rng), Vec::<NodeId>::new());
+    }
+
+    #[test]
+    fn names_round_trip_through_the_one_table() {
+        for name in Mechanism::NAMES {
+            let mechanism: Mechanism = name.parse().unwrap();
+            assert_eq!(mechanism.name(), name);
+            mechanism.validate().unwrap();
+        }
         assert_eq!(
-            resolve_recommendation(Recommendation::ZeroUtilityClass, &u, &candidates, &mut rng),
-            None
+            "smoothing".parse::<Mechanism>(),
+            Ok(Mechanism::Smoothing { x: Mechanism::DEFAULT_SMOOTHING_X })
         );
+        assert!("non-private".parse::<Mechanism>().is_err());
+        assert!(Mechanism::Smoothing { x: 1.0 }.validate().is_err());
+        assert!(Mechanism::Smoothing { x: -0.1 }.validate().is_err());
+    }
+
+    #[test]
+    fn charges_follow_the_mechanism() {
+        assert_eq!(Mechanism::Exponential.charge(0.7, 100), 0.7);
+        assert_eq!(Mechanism::Laplace.charge(0.7, 100), 0.7);
+        let smoothing = Mechanism::Smoothing { x: 0.2 };
+        assert_eq!(smoothing.charge(0.7, 100), (100.0 * 0.2 / 0.8f64).ln_1p());
+        assert!(!Mechanism::Exponential.is_single_draw());
+        assert!(Mechanism::Laplace.is_single_draw() && smoothing.is_single_draw());
+    }
+
+    #[test]
+    #[should_panic(expected = "serves exactly one slot")]
+    fn single_draw_mechanisms_refuse_two_slots() {
+        let u = UtilityVector::from_sparse(vec![(1, 2.0), (2, 1.0)], 3);
+        let g = GraphBuilder::new(Direction::Undirected).with_num_nodes(6).build().unwrap();
+        let candidates = CandidateSet::for_target(&g, 0);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        Mechanism::Laplace.sample(TopKEngine::Peel, &u, &candidates, 2, 1.0, 1.0, &mut rng);
     }
 }

@@ -1,109 +1,70 @@
-//! Linear smoothing / sampling mechanism (Appendix F, Definition 7).
+//! Linear smoothing / sampling mechanism (Appendix F, Definition 7): the
+//! sampler behind [`crate::Mechanism::Smoothing`] and Theorem 5's
+//! calibration helpers.
 //!
 //! `A_S(x)` flips a biased coin: with probability `x` it plays a base
 //! (non-private) recommender `A`, otherwise it recommends uniformly at
 //! random. Theorem 5: `A_S(x)` is `ln(1 + nx/(1−x))`-differentially
 //! private and `x·μ`-accurate when `A` is `μ`-accurate. Unlike the
 //! mechanisms of §6, this needs no access to the full utility vector —
-//! only the ability to *sample* from `A`.
+//! only the ability to *sample* from `A`. The base algorithm here is the
+//! paper's default `R_best` (always recommend the top-utility node,
+//! `μ = 1`).
 
+use psr_graph::NodeId;
 use psr_utility::UtilityVector;
 use rand::Rng;
 
-use crate::mechanism::{Mechanism, Recommendation};
-
-/// The smoothing wrapper with the paper's default base algorithm
-/// `R_best` (always recommend the top-utility node, `μ = 1`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearSmoothing {
-    /// Mixing weight `x ∈ [0, 1]`: probability of playing the base
-    /// recommender.
-    pub x: f64,
+/// Privacy guarantee of Theorem 5 for mixing weight `x` over `n`
+/// candidates: `ε = ln(1 + nx/(1−x))` (∞ at `x = 1`).
+///
+/// # Panics
+/// Panics unless `x ∈ [0, 1]`.
+pub fn smoothing_epsilon(x: f64, n: usize) -> f64 {
+    assert!((0.0..=1.0).contains(&x), "x must be in [0, 1], got {x}");
+    if x >= 1.0 {
+        return f64::INFINITY;
+    }
+    (n as f64 * x / (1.0 - x)).ln_1p()
 }
 
-impl LinearSmoothing {
-    /// Creates the mechanism; panics unless `x ∈ [0, 1]`.
-    pub fn new(x: f64) -> Self {
-        assert!((0.0..=1.0).contains(&x), "x must be in [0, 1], got {x}");
-        LinearSmoothing { x }
-    }
-
-    /// Privacy guarantee of Theorem 5 for candidate-set size `n`:
-    /// `ε = ln(1 + nx/(1−x))`.
-    pub fn epsilon(&self, n: usize) -> f64 {
-        if self.x >= 1.0 {
-            return f64::INFINITY;
-        }
-        (n as f64 * self.x / (1.0 - self.x)).ln_1p()
-    }
-
-    /// Inverse of [`LinearSmoothing::epsilon`]: the largest `x` giving
-    /// `ε`-DP at candidate-set size `n`: `x = (e^ε − 1)/(e^ε − 1 + n)`.
-    pub fn x_for_epsilon(eps: f64, n: usize) -> f64 {
-        assert!(eps >= 0.0);
-        let g = eps.exp_m1(); // e^ε − 1, stable for small ε
-        g / (g + n as f64)
-    }
-
-    /// The paper's closing parametrisation: to guarantee `2ε'`-DP with
-    /// `ε' = c·ln n`, set `x = (n^{2c} − 1)/(n^{2c} − 1 + n)`.
-    pub fn x_for_log_privacy(c: f64, n: usize) -> f64 {
-        let p = (n as f64).powf(2.0 * c) - 1.0;
-        p / (p + n as f64)
-    }
-
-    /// Theorem 5 accuracy: `x·μ` where `μ` is the base accuracy.
-    pub fn accuracy_bound(&self, base_accuracy: f64) -> f64 {
-        self.x * base_accuracy
-    }
+/// Inverse of [`smoothing_epsilon`]: the largest `x` giving `ε`-DP at
+/// candidate-set size `n`: `x = (e^ε − 1)/(e^ε − 1 + n)`.
+pub fn smoothing_x_for_epsilon(eps: f64, n: usize) -> f64 {
+    assert!(eps >= 0.0);
+    let g = eps.exp_m1(); // e^ε − 1, stable for small ε
+    g / (g + n as f64)
 }
 
-impl Mechanism for LinearSmoothing {
-    fn name(&self) -> String {
-        format!("linear-smoothing(x={})", self.x)
-    }
+/// The paper's closing parametrisation: to guarantee `2ε'`-DP with
+/// `ε' = c·ln n`, set `x = (n^{2c} − 1)/(n^{2c} − 1 + n)`.
+pub fn smoothing_x_for_log_privacy(c: f64, n: usize) -> f64 {
+    let p = (n as f64).powf(2.0 * c) - 1.0;
+    p / (p + n as f64)
+}
 
-    fn recommend(
-        &self,
-        u: &UtilityVector,
-        _eps: f64,
-        _sensitivity: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Recommendation {
-        assert!(!u.is_empty(), "no candidates");
-        if rng.gen::<f64>() < self.x {
-            // Base recommender R_best: the argmax (all-zero vectors have no
-            // argmax; fall through to uniform).
-            if let Some(v) = u.argmax() {
-                return Recommendation::Node(v);
-            }
-        }
-        // Uniform over all candidates.
-        let pick = rng.gen_range(0..u.len());
-        if pick < u.nonzero().len() {
-            Recommendation::Node(u.nonzero()[pick].0)
-        } else {
-            Recommendation::ZeroUtilityClass
+/// One draw of `A_S(x)` over `R_best`: the argmax with probability `x`
+/// (all-zero vectors have no argmax and fall through), otherwise a
+/// uniform candidate. `None` when the uniform draw lands in the zero
+/// class.
+pub(crate) fn smoothing_winner(
+    u: &UtilityVector,
+    x: f64,
+    rng: &mut dyn rand::RngCore,
+) -> Option<NodeId> {
+    if rng.gen::<f64>() < x {
+        if let Some(v) = u.argmax() {
+            return Some(v);
         }
     }
-
-    /// Closed form: `x·u_max + (1−x)·mean(u)`, normalised by `u_max`.
-    fn expected_accuracy(
-        &self,
-        u: &UtilityVector,
-        _eps: f64,
-        _sensitivity: f64,
-        _rng: &mut dyn rand::RngCore,
-    ) -> f64 {
-        assert!(!u.is_all_zero(), "accuracy undefined for all-zero utility vectors");
-        let uniform_part = u.total() / u.len() as f64;
-        (self.x * u.u_max() + (1.0 - self.x) * uniform_part) / u.u_max()
-    }
+    let pick = rng.gen_range(0..u.len());
+    u.nonzero().get(pick).map(|&(v, _)| v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mechanism;
     use psr_utility::UtilityVector;
     use rand::SeedableRng;
 
@@ -119,8 +80,8 @@ mod tests {
     fn epsilon_and_inverse_agree() {
         for n in [10usize, 1000, 100_000] {
             for x in [0.01, 0.3, 0.9] {
-                let eps = LinearSmoothing::new(x).epsilon(n);
-                let back = LinearSmoothing::x_for_epsilon(eps, n);
+                let eps = smoothing_epsilon(x, n);
+                let back = smoothing_x_for_epsilon(eps, n);
                 assert!((back - x).abs() < 1e-9, "n={n} x={x} back={back}");
             }
         }
@@ -128,8 +89,8 @@ mod tests {
 
     #[test]
     fn x_zero_is_perfectly_private_and_uniform() {
-        let mech = LinearSmoothing::new(0.0);
-        assert_eq!(mech.epsilon(1000), 0.0);
+        let mech = Mechanism::Smoothing { x: 0.0 };
+        assert_eq!(mech.charge(1.0, 1000), 0.0);
         let acc = mech.expected_accuracy(&vector(), 0.0, 1.0, &mut rng(1));
         // Uniform: mean utility / u_max = (6/4)/4.
         assert!((acc - (6.0 / 4.0) / 4.0).abs() < 1e-12);
@@ -137,20 +98,21 @@ mod tests {
 
     #[test]
     fn x_one_is_best_but_non_private() {
-        let mech = LinearSmoothing::new(1.0);
-        assert_eq!(mech.epsilon(1000), f64::INFINITY);
+        let mech = Mechanism::Smoothing { x: 1.0 };
+        assert_eq!(mech.charge(1.0, 1000), f64::INFINITY);
+        assert!(mech.validate().is_err(), "x = 1 is not a DP mixing weight");
         let acc = mech.expected_accuracy(&vector(), 0.0, 1.0, &mut rng(2));
         assert!((acc - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn accuracy_exceeds_theorem5_bound() {
-        // Theorem 5 guarantees ≥ x·μ; the closed form includes the uniform
-        // term too, so it must dominate.
+        // Theorem 5 guarantees ≥ x·μ (μ = 1 for R_best); the closed form
+        // includes the uniform term too, so it must dominate.
         for x in [0.1, 0.5, 0.9] {
-            let mech = LinearSmoothing::new(x);
-            let acc = mech.expected_accuracy(&vector(), 0.0, 1.0, &mut rng(3));
-            assert!(acc >= mech.accuracy_bound(1.0) - 1e-12);
+            let acc =
+                Mechanism::Smoothing { x }.expected_accuracy(&vector(), 0.0, 1.0, &mut rng(3));
+            assert!(acc >= x - 1e-12);
         }
     }
 
@@ -158,26 +120,22 @@ mod tests {
     fn paper_closing_parametrisation() {
         // x = (n^{2c} − 1)/(n^{2c} − 1 + n) must give ε = 2c·ln n exactly.
         let (c, n) = (0.4, 5000usize);
-        let x = LinearSmoothing::x_for_log_privacy(c, n);
-        let eps = LinearSmoothing::new(x).epsilon(n);
+        let x = smoothing_x_for_log_privacy(c, n);
+        let eps = smoothing_epsilon(x, n);
         assert!((eps - 2.0 * c * (n as f64).ln()).abs() < 1e-6, "eps {eps}");
     }
 
     #[test]
     fn sampling_matches_closed_form_accuracy() {
-        let mech = LinearSmoothing::new(0.6);
         let u = vector();
         let mut r = rng(4);
         let trials = 200_000;
         let mut total = 0.0;
         for _ in 0..trials {
-            total += match mech.recommend(&u, 0.0, 1.0, &mut r) {
-                Recommendation::Node(v) => u.get(v),
-                Recommendation::ZeroUtilityClass => 0.0,
-            };
+            total += smoothing_winner(&u, 0.6, &mut r).map_or(0.0, |v| u.get(v));
         }
         let mc = total / trials as f64 / u.u_max();
-        let exact = mech.expected_accuracy(&u, 0.0, 1.0, &mut r);
+        let exact = Mechanism::Smoothing { x: 0.6 }.expected_accuracy(&u, 0.0, 1.0, &mut r);
         assert!((mc - exact).abs() < 0.01, "MC {mc} vs exact {exact}");
     }
 
@@ -187,15 +145,14 @@ mod tests {
         // Worst ratio across any two inputs is (x + (1−x)/n)/((1−x)/n)
         // = 1 + nx/(1−x) = e^ε.
         let (x, n) = (0.3, 50usize);
-        let mech = LinearSmoothing::new(x);
         let hi = x + (1.0 - x) / n as f64;
         let lo = (1.0 - x) / n as f64;
-        assert!((hi / lo - mech.epsilon(n).exp()).abs() < 1e-9);
+        assert!((hi / lo - smoothing_epsilon(x, n).exp()).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "x must be in [0, 1]")]
     fn rejects_bad_x() {
-        let _ = LinearSmoothing::new(1.5);
+        let _ = Mechanism::Smoothing { x: 1.5 }.charge(1.0, 10);
     }
 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use psr_graph::{Direction, GraphBuilder, MutableGraph};
 use psr_privacy::audit::audit_exact;
-use psr_privacy::{ExponentialMechanism, LaplaceMechanism, LinearSmoothing, Mechanism};
+use psr_privacy::{exponential_probabilities, laplace_accuracy, smoothing_epsilon, Mechanism};
 use psr_utility::{CandidateSet, CommonNeighbors, SensitivityNorm, UtilityFunction};
 use rand::SeedableRng;
 
@@ -52,11 +52,10 @@ fn exponential_distributions_with_norm(
     // Global sensitivity bound is graph-independent for common neighbours.
     let sens = cn.sensitivity(&g).unwrap().value(norm);
     let candidates = CandidateSet::for_target(&g, target);
-    let mech = ExponentialMechanism::paper();
 
     let dist = |graph: &psr_graph::Graph| -> Vec<f64> {
         let u = cn.utilities(graph, target, &candidates);
-        let (probs, zero_each) = mech.probabilities(&u, eps, sens);
+        let (probs, zero_each) = exponential_probabilities(&u, eps, sens);
         candidates
             .iter()
             .map(|v| match u.nonzero().binary_search_by_key(&v, |&(n, _)| n) {
@@ -128,7 +127,7 @@ proptest! {
             .unwrap();
         let u = CommonNeighbors.utilities_for(&g, 0);
         prop_assume!(!u.is_all_zero());
-        let (probs, zero_each) = ExponentialMechanism::paper().probabilities(&u, eps, 2.0);
+        let (probs, zero_each) = exponential_probabilities(&u, eps, 2.0);
         for (i, &(_, ui)) in u.nonzero().iter().enumerate() {
             for (j, &(_, uj)) in u.nonzero().iter().enumerate() {
                 if ui > uj {
@@ -151,8 +150,8 @@ proptest! {
         let u = CommonNeighbors.utilities_for(&g, 0);
         prop_assume!(!u.is_all_zero());
         let mut r = rng(99);
-        let exp = ExponentialMechanism::paper().expected_accuracy(&u, eps, 2.0, &mut r);
-        let lap = LaplaceMechanism { trials: 3000 }.expected_accuracy(&u, eps, 2.0, &mut r);
+        let exp = Mechanism::Exponential.expected_accuracy(&u, eps, 2.0, &mut r);
+        let lap = laplace_accuracy(&u, eps, 2.0, 3000, &mut r);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&exp));
         prop_assert!((0.0..=1.0 + 1e-9).contains(&lap));
         // "Nearly identical" in the paper's experiments; on tiny vectors
@@ -216,8 +215,7 @@ proptest! {
     /// candidate count.
     #[test]
     fn smoothing_ratio_bounded(x in 0.01f64..0.95, n in 2usize..60) {
-        let mech = LinearSmoothing::new(x);
-        let eps = mech.epsilon(n);
+        let eps = smoothing_epsilon(x, n);
         // Worst case: argmax moves from one candidate to another.
         let hi = x + (1.0 - x) / n as f64;
         let lo = (1.0 - x) / n as f64;
@@ -245,21 +243,28 @@ fn laplace_mechanism_empirical_dp_smoke() {
     let sens = cn.sensitivity(&g).unwrap().l1;
     let candidates = CandidateSet::for_target(&g, 0);
     let eps = 1.0;
-    let mech = LaplaceMechanism::default();
     let mut r = rng(7);
 
+    // Zero-class draws are counted as one outcome (the class), the rest
+    // per candidate.
     let mut count = |graph: &psr_graph::Graph| -> Vec<u64> {
         let u = cn.utilities(graph, 0, &candidates);
         let mut counts = vec![0u64; candidates.len() + 1];
         for _ in 0..60_000 {
-            match mech.recommend(&u, eps, sens, &mut r) {
-                psr_privacy::Recommendation::Node(v) => {
-                    let idx = candidates.iter().position(|c| c == v).unwrap();
-                    counts[idx] += 1;
-                }
-                psr_privacy::Recommendation::ZeroUtilityClass => {
-                    *counts.last_mut().unwrap() += 1;
-                }
+            let draw = Mechanism::Laplace.sample(
+                psr_privacy::TopKEngine::default(),
+                &u,
+                &candidates,
+                1,
+                eps,
+                sens,
+                &mut r,
+            );
+            if draw.zero_class_picks == 1 {
+                *counts.last_mut().unwrap() += 1;
+            } else {
+                let idx = candidates.iter().position(|c| c == draw.picks[0]).unwrap();
+                counts[idx] += 1;
             }
         }
         counts

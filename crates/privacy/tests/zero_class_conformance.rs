@@ -6,15 +6,17 @@
 //! and the pick count is at most half of the class, and runs a reservoir
 //! pass over every candidate otherwise. The suite checks:
 //!
-//! * outside the rejection rule both resolvers are the reservoir and the
-//!   rank pick, byte for byte (a reference copy of each is the oracle);
+//! * outside the rejection rule the resolver is the reservoir, byte for
+//!   byte, for `k` slots and for a single-draw mechanism's one slot (a
+//!   reference copy of the reservoir is the oracle);
 //! * per-member inclusion counts of both paths against Binomial(draws,
 //!   count / class), and against each other;
 //! * ordered slot pairs: the rejection path is uniform over ordered
 //!   pairs, the reservoir matches its exactly enumerated law, and the
 //!   rejection path's unordered pairs match that law's marginal;
-//! * the rejection path's cost: 5 picks from a 1M-id class take at most
-//!   64 RNG draws (the reservoir takes about one per class member).
+//! * the rejection path's cost: 5 picks from a 1M-id class, or one
+//!   single-draw slot, take at most 64 RNG draws (the reservoir takes
+//!   about one per class member).
 //!
 //! Critical values are χ²(df, 0.999) by the Wilson–Hilferty
 //! approximation, accurate to well under 1% for the degrees of freedom
@@ -23,7 +25,7 @@
 use std::collections::HashMap;
 
 use psr_graph::{Direction, GraphBuilder, NodeId};
-use psr_privacy::{resolve_recommendation, resolve_zero_class_distinct, Recommendation};
+use psr_privacy::{resolve_zero_class_distinct, Mechanism, TopKEngine};
 use psr_utility::{CandidateSet, CommonNeighbors, UtilityFunction, UtilityVector};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -76,14 +78,26 @@ fn reference_reservoir(
     reservoir
 }
 
-/// The rank pick of the single-slot resolver, as a reference.
-fn reference_rank_pick(
+/// The single slot of a smoothing draw at `x = 0` on an all-zero vector:
+/// the mixing coin, the uniform candidate rank (always in the zero
+/// class), then the reservoir for one member — as a reference.
+fn reference_single_slot(
     u: &UtilityVector,
     candidates: &CandidateSet,
     rng: &mut dyn RngCore,
-) -> Option<NodeId> {
-    let pick = rng.gen_range(0..u.num_zero());
-    candidates.iter().filter(|&v| u.get(v) == 0.0).nth(pick)
+) -> Vec<NodeId> {
+    let _coin: f64 = rng.gen();
+    let _rank = rng.gen_range(0..u.len());
+    reference_reservoir(1, u, candidates, rng)
+}
+
+/// One slot of the smoothing mechanism at `x = 0`: a uniform candidate,
+/// which on an all-zero vector is always a zero-class slot.
+fn single_slot(u: &UtilityVector, candidates: &CandidateSet, rng: &mut dyn RngCore) -> Vec<NodeId> {
+    let draw =
+        Mechanism::Smoothing { x: 0.0 }.sample(TopKEngine::Peel, u, candidates, 1, 1.0, 1.0, rng);
+    assert_eq!(draw.zero_class_picks, 1);
+    draw.picks
 }
 
 #[test]
@@ -104,17 +118,17 @@ fn outside_the_rejection_rule_both_resolvers_keep_the_reservoir_byte_for_byte() 
             assert_eq!(ours.next_u64(), reference.next_u64(), "streams must stay aligned");
         }
     }
-    // The single-slot resolver: a class under half the id range, and a
-    // class of one (count 1 over half of it).
+    // A single-draw mechanism's zero-class slot goes through the same
+    // resolver: a class under half the id range, and a class of one
+    // (count 1 over half of it).
     for (n, degree) in [(40, 25), (2, 0)] {
         let (candidates, u) = star_target(n, degree);
         for seed in 0..50 {
             let mut ours = StdRng::seed_from_u64(seed);
             let mut reference = StdRng::seed_from_u64(seed);
-            let rec = Recommendation::ZeroUtilityClass;
             assert_eq!(
-                resolve_recommendation(rec, &u, &candidates, &mut ours),
-                reference_rank_pick(&u, &candidates, &mut reference),
+                single_slot(&u, &candidates, &mut ours),
+                reference_single_slot(&u, &candidates, &mut reference),
                 "n {n}, degree {degree}, seed {seed}"
             );
             assert_eq!(ours.next_u64(), reference.next_u64(), "streams must stay aligned");
@@ -314,8 +328,7 @@ fn five_slots_from_a_million_id_class_take_at_most_64_draws() {
         assert!(rng.draws <= 64, "seed {seed}: {} draws for 5 slots", rng.draws);
 
         let mut rng = CountingRng { inner: StdRng::seed_from_u64(seed), draws: 0 };
-        let rec = Recommendation::ZeroUtilityClass;
-        let pick = resolve_recommendation(rec, &u, &candidates, &mut rng).unwrap();
+        let pick = single_slot(&u, &candidates, &mut rng)[0];
         assert!(candidates.contains(pick));
         assert!(rng.draws <= 64, "seed {seed}: {} draws for 1 slot", rng.draws);
     }

@@ -22,11 +22,13 @@ fn main() {
     println!("{}\n", meta.summary());
 
     let graph = Arc::new(graph);
-    let service = RecommendationService::new(
-        Arc::clone(&graph),
-        Box::new(CommonNeighbors),
-        ServiceConfig { epsilon_per_request: 1.0, budget_per_target: 3.0, ..Default::default() },
-    );
+    let service = RecommendationService::builder(Arc::clone(&graph), Arc::new(CommonNeighbors))
+        .config(ServiceConfig {
+            epsilon_per_request: 1.0,
+            budget_per_target: 3.0,
+            ..Default::default()
+        })
+        .build();
 
     // A burst of requests: ten members, growing slot counts, one duplicate.
     let mut requests: Vec<BatchRequest> = graph

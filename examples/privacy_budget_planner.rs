@@ -57,7 +57,7 @@ fn main() {
     println!("\nsampling/smoothing mechanism A_S(x) (needs no utility vector):");
     println!("{:>8} {:>14} {:>18}", "ε", "max x", "accuracy ceiling");
     for eps in [0.5, 1.0, 3.0, (n as f64).ln()] {
-        let x = psr_privacy::LinearSmoothing::x_for_epsilon(eps, n);
+        let x = psr_privacy::smoothing_x_for_epsilon(eps, n);
         println!("{eps:>8.2} {x:>14.3e} {:>18.3e}", x * 1.0);
     }
     println!(

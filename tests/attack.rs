@@ -32,6 +32,7 @@ use psr_attack::{
 };
 use psr_datasets::toy::karate_club;
 use psr_graph::{EdgeMutation, Graph, NodeId};
+use psr_privacy::Mechanism;
 use psr_utility::{CandidateSet, CommonNeighbors, UtilityFunction};
 
 mod common;
@@ -352,7 +353,11 @@ proptest! {
         let utilities = CommonNeighbors.utilities(&graph, target, &candidates);
         let model = ObservationModel {
             utilities,
-            mechanism: MechanismModel::Exponential { epsilon: eps, sensitivity: 1.0 },
+            mechanism: MechanismModel {
+                mechanism: Mechanism::Exponential,
+                epsilon: eps,
+                sensitivity: 1.0,
+            },
             candidates,
         };
         let ids: Vec<NodeId> = model.candidates.iter().collect();

@@ -5,7 +5,7 @@ use psr_bounds::best_accuracy_bound;
 use psr_core::{evaluate_target, ExperimentConfig};
 use psr_datasets::toy::karate_club;
 use psr_privacy::audit::audit_exact;
-use psr_privacy::ExponentialMechanism;
+use psr_privacy::exponential_probabilities;
 use psr_utility::{CandidateSet, CommonNeighbors, SensitivityNorm, UtilityFunction, WeightedPaths};
 use rand::SeedableRng;
 
@@ -49,11 +49,10 @@ fn pipeline_level_dp_audit() {
     let sens = cn.sensitivity(&g).unwrap().value(SensitivityNorm::L1);
     let target = 0u32;
     let candidates = CandidateSet::for_target(&g, target);
-    let mech = ExponentialMechanism::paper();
 
     let dist = |graph: &psr_graph::Graph| -> Vec<f64> {
         let u = cn.utilities(graph, target, &candidates);
-        let (probs, zero_each) = mech.probabilities(&u, eps, sens);
+        let (probs, zero_each) = exponential_probabilities(&u, eps, sens);
         candidates
             .iter()
             .map(|v| match u.nonzero().binary_search_by_key(&v, |&(n, _)| n) {

@@ -26,11 +26,9 @@ fn wiki_graph() -> Graph {
 }
 
 fn wiki_service(graph: Graph) -> RecommendationService {
-    RecommendationService::new(
-        graph,
-        Box::new(CommonNeighbors),
-        ServiceConfig { budget_per_target: f64::INFINITY, ..Default::default() },
-    )
+    RecommendationService::builder(graph, Arc::new(CommonNeighbors))
+        .config(ServiceConfig { budget_per_target: f64::INFINITY, ..Default::default() })
+        .build()
 }
 
 fn wiki_streams(graph: &Graph) -> (Vec<RequestEvent>, Vec<StreamEvent>) {
@@ -182,12 +180,13 @@ fn daemon_restart_replays_identical_budget_spend() {
 
     let spend_before: Vec<f64> = {
         let ledger = JournalLedger::open(&path, budget).unwrap();
-        let service = RecommendationService::with_ledger(
+        let service = RecommendationService::builder(
             psr_datasets::toy::karate_club(),
-            Box::new(CommonNeighbors),
-            config,
-            Box::new(ledger),
-        );
+            Arc::new(CommonNeighbors),
+        )
+        .config(config)
+        .ledger(Box::new(ledger))
+        .build();
         let run = run_daemon(&service, &events, &DaemonConfig::default()).unwrap();
         assert_eq!(run.metrics.served, 10, "both rounds fit the budget");
         targets.iter().map(|&t| service.spent_budget(t)).collect()
@@ -199,12 +198,11 @@ fn daemon_restart_replays_identical_budget_spend() {
         assert_eq!(before, 2.0, "target {target} drained its budget pre-kill");
         assert_eq!(ledger.spent(target), before, "target {target} spend must survive the kill");
     }
-    let service = RecommendationService::with_ledger(
-        psr_datasets::toy::karate_club(),
-        Box::new(CommonNeighbors),
-        config,
-        Box::new(ledger),
-    );
+    let service =
+        RecommendationService::builder(psr_datasets::toy::karate_club(), Arc::new(CommonNeighbors))
+            .config(config)
+            .ledger(Box::new(ledger))
+            .build();
     // …so replaying the same workload is now refused wholesale.
     let replay = run_daemon(&service, &events, &DaemonConfig::default()).unwrap();
     assert_eq!(replay.metrics.served, 0, "an exhausted budget must stay exhausted");
@@ -260,11 +258,14 @@ fn a_single_job_fans_out_over_the_service_threads() {
         threads: Arc::clone(&threads),
         deadline: Instant::now() + Duration::from_secs(10),
     };
-    let service = RecommendationService::new(
-        psr_datasets::toy::karate_club(),
-        Box::new(utility),
-        ServiceConfig { budget_per_target: f64::INFINITY, threads: Some(2), ..Default::default() },
-    );
+    let service =
+        RecommendationService::builder(psr_datasets::toy::karate_club(), Arc::new(utility))
+            .config(ServiceConfig {
+                budget_per_target: f64::INFINITY,
+                threads: Some(2),
+                ..Default::default()
+            })
+            .build();
     let requests: Vec<BatchRequest> = (0..8).map(|target| BatchRequest { target, k: 2 }).collect();
     let events = vec![DaemonEvent::Requests { time: 0, seed: 13, requests }];
     let run =

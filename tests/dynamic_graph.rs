@@ -200,9 +200,7 @@ proptest! {
                     }
                 };
 
-                let mutated = RecommendationService::new(
-                    Arc::clone(&base), make_utility(), config,
-                );
+                let mutated = RecommendationService::builder(Arc::clone(&base), Arc::from(make_utility())).config(config).build();
                 // Warm every request target's cache pre-mutation, so the
                 // comparison exercises selective invalidation rather than
                 // a cold recompute.
@@ -231,9 +229,7 @@ proptest! {
                     }
                 }
 
-                let fresh = RecommendationService::new(
-                    rebuilt.clone(), make_utility(), config,
-                );
+                let fresh = RecommendationService::builder(rebuilt.clone(), Arc::from(make_utility())).config(config).build();
                 prop_assert_eq!(
                     mutated.sensitivity(), fresh.sensitivity(),
                     "{} recalibrated sensitivity", name
@@ -272,7 +268,7 @@ proptest! {
             for (radius, utility) in radii {
                 prop_assert_eq!(utility.invalidation_radius(), Some(radius));
                 let service =
-                    RecommendationService::new(Arc::clone(&base), utility, ServiceConfig::default());
+                    RecommendationService::builder(Arc::clone(&base), Arc::from(utility)).config(ServiceConfig::default()).build();
                 let epoch = service.apply_mutations(&mutations).unwrap();
                 prop_assert_eq!(
                     epoch.dirty_targets.iter().collect::<Vec<_>>(),

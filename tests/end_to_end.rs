@@ -3,30 +3,25 @@
 
 use psr_core::figures::{fig1a, fig1b, fig2a, fig2c, FigureConfig};
 use psr_core::report::render_figure;
-use psr_core::{Recommender, RecommenderConfig};
-use psr_datasets::{twitter_like, wiki_vote_like, PresetConfig};
-use psr_privacy::{ExponentialMechanism, LaplaceMechanism};
-use psr_utility::{CommonNeighbors, WeightedPaths};
-use rand::SeedableRng;
+use std::sync::Arc;
 
-fn rng(seed: u64) -> rand::rngs::StdRng {
-    rand::rngs::StdRng::seed_from_u64(seed)
-}
+use psr_core::{RecommendationService, ServiceConfig};
+use psr_datasets::{twitter_like, wiki_vote_like, PresetConfig};
+use psr_graph::GraphView;
+use psr_privacy::Mechanism;
+use psr_utility::{CommonNeighbors, WeightedPaths};
 
 #[test]
 fn full_pipeline_on_scaled_wiki() {
     let (graph, meta) = wiki_vote_like(PresetConfig::scaled(0.08, 11)).unwrap();
     assert!(meta.num_nodes > 500);
-    let rec = Recommender::new(
-        graph.clone(),
-        Box::new(CommonNeighbors),
-        Box::new(ExponentialMechanism::paper()),
-        RecommenderConfig { epsilon: 1.0, ..Default::default() },
-    );
-    let mut r = rng(1);
+    let service = RecommendationService::builder(graph.clone(), Arc::new(CommonNeighbors))
+        .config(ServiceConfig { mechanism: Mechanism::Exponential, ..Default::default() })
+        .build();
     let mut served = 0;
     for target in (0..graph.num_nodes() as u32).step_by(97) {
-        if let Some(v) = rec.recommend(target, &mut r) {
+        if let Ok(answer) = service.serve_one(target, 1, 1) {
+            let v = answer.recommendations[0];
             assert_ne!(v, target);
             assert!(!graph.has_edge(target, v));
             served += 1;
@@ -39,16 +34,17 @@ fn full_pipeline_on_scaled_wiki() {
 fn full_pipeline_on_scaled_twitter_directed() {
     let (graph, _) = twitter_like(PresetConfig::scaled(0.02, 11)).unwrap();
     assert!(graph.is_directed());
-    let rec = Recommender::new(
-        graph,
-        Box::new(WeightedPaths::paper(0.005)),
-        Box::new(LaplaceMechanism { trials: 100 }),
-        RecommenderConfig { epsilon: 2.0, ..Default::default() },
-    );
-    let mut r = rng(2);
+    let service = RecommendationService::builder(graph, Arc::new(WeightedPaths::paper(0.005)))
+        .config(ServiceConfig {
+            mechanism: Mechanism::Laplace,
+            epsilon_per_request: 2.0,
+            ..Default::default()
+        })
+        .build();
     // Node 0 is the forced hub; it must have candidates and a valid draw.
-    let v = rec.recommend(0, &mut r);
-    assert!(v.is_some());
+    let served = service.serve_one(0, 1, 2).unwrap();
+    assert_eq!(served.recommendations.len(), 1);
+    assert!(!service.pin().has_edge(0, served.recommendations[0]));
 }
 
 #[test]

@@ -75,11 +75,9 @@ fn serving_is_bit_identical_across_backends() {
         .map(|target| BatchRequest { target, k: 3 })
         .collect();
     let service = |backend: GraphBackend| {
-        RecommendationService::with_backend(
-            backend,
-            Box::new(CommonNeighbors),
-            ServiceConfig { threads: Some(2), ..Default::default() },
-        )
+        RecommendationService::builder(backend, Arc::new(CommonNeighbors))
+            .config(ServiceConfig { threads: Some(2), ..Default::default() })
+            .build()
     };
     let csr = service(GraphBackend::from(graph));
     let expect = csr.serve_batch(&requests, 42);
@@ -116,11 +114,12 @@ fn compressed_serving_materialises_only_the_touched_working_set() {
             closure.extend(graph.neighbors(v).iter().copied());
         }
     }
-    let service = RecommendationService::with_backend(
+    let service = RecommendationService::builder(
         GraphBackend::Compressed(Arc::clone(&compressed)),
-        Box::new(CommonNeighbors),
-        ServiceConfig { threads: Some(1), ..Default::default() },
-    );
+        Arc::new(CommonNeighbors),
+    )
+    .config(ServiceConfig { threads: Some(1), ..Default::default() })
+    .build();
     for outcome in service.serve_batch(&requests, 9) {
         outcome.expect("connected wiki targets must serve");
     }
@@ -201,11 +200,12 @@ fn full_scale_presets_serve_through_the_compressed_backend() {
         .map(|target| BatchRequest { target, k: 5 })
         .collect();
     assert!(requests.len() >= 100, "acceptance batch must be non-trivial");
-    let service = RecommendationService::with_backend(
+    let service = RecommendationService::builder(
         GraphBackend::Compressed(Arc::clone(&compressed)),
-        Box::new(CommonNeighbors),
-        ServiceConfig { threads: Some(4), ..Default::default() },
-    );
+        Arc::new(CommonNeighbors),
+    )
+    .config(ServiceConfig { threads: Some(4), ..Default::default() })
+    .build();
     let served =
         service.serve_batch(&requests, 1).into_iter().filter(|outcome| outcome.is_ok()).count();
     assert!(served * 2 > requests.len(), "most full-scale targets must serve");
@@ -251,11 +251,12 @@ fn full_scale_presets_serve_through_the_compressed_backend() {
         .step_by(9_973)
         .map(|target| BatchRequest { target, k: 5 })
         .collect();
-    let service = RecommendationService::with_backend(
+    let service = RecommendationService::builder(
         GraphBackend::Compressed(Arc::clone(&lj)),
-        Box::new(CommonNeighbors),
-        ServiceConfig { threads: Some(4), ..Default::default() },
-    );
+        Arc::new(CommonNeighbors),
+    )
+    .config(ServiceConfig { threads: Some(4), ..Default::default() })
+    .build();
     let served =
         service.serve_batch(&targets, 2).into_iter().filter(|outcome| outcome.is_ok()).count();
     assert!(served * 2 > targets.len(), "most LiveJournal-class targets must serve");

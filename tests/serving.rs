@@ -6,20 +6,17 @@
 use std::sync::Arc;
 
 use psr_core::serving::{BatchRequest, RecommendationService, ServeError, ServiceConfig};
-use psr_core::{Recommender, RecommenderConfig};
 use psr_datasets::{twitter_like, wiki_vote_like, PresetConfig};
 use psr_gen::{edge_stream, rng_from_seed, StreamParams};
 use psr_graph::{EdgeMutation, GraphView, MutationOp};
-use psr_privacy::ExponentialMechanism;
+use psr_privacy::Mechanism;
 use psr_utility::{CandidateSet, CommonNeighbors, WeightedPaths};
 
 fn wiki_service(threads: Option<usize>) -> RecommendationService {
     let (graph, _) = wiki_vote_like(PresetConfig::scaled(0.05, 2011)).unwrap();
-    RecommendationService::new(
-        graph,
-        Box::new(CommonNeighbors),
-        ServiceConfig { threads, ..Default::default() },
-    )
+    RecommendationService::builder(graph, Arc::new(CommonNeighbors))
+        .config(ServiceConfig { threads, ..Default::default() })
+        .build()
 }
 
 /// Every connected node asks for `k` recommendations.
@@ -76,11 +73,14 @@ fn directed_graph_candidates_respect_out_edges_only() {
     let (graph, _) = twitter_like(PresetConfig::scaled(0.02, 7)).unwrap();
     assert!(graph.is_directed());
     let graph = Arc::new(graph);
-    let service = RecommendationService::new(
-        Arc::clone(&graph),
-        Box::new(WeightedPaths::paper(0.005)),
-        ServiceConfig { budget_per_target: f64::INFINITY, threads: Some(2), ..Default::default() },
-    );
+    let service =
+        RecommendationService::builder(Arc::clone(&graph), Arc::new(WeightedPaths::paper(0.005)))
+            .config(ServiceConfig {
+                budget_per_target: f64::INFINITY,
+                threads: Some(2),
+                ..Default::default()
+            })
+            .build();
 
     let targets: Vec<u32> = graph.nodes().filter(|&v| graph.degree(v) > 0).take(40).collect();
     let requests: Vec<BatchRequest> =
@@ -117,16 +117,14 @@ fn directed_graph_candidates_respect_out_edges_only() {
 #[test]
 fn budgets_are_enforced_per_target_across_batches() {
     let (graph, _) = wiki_vote_like(PresetConfig::scaled(0.05, 2011)).unwrap();
-    let service = RecommendationService::new(
-        graph,
-        Box::new(CommonNeighbors),
-        ServiceConfig {
+    let service = RecommendationService::builder(graph, Arc::new(CommonNeighbors))
+        .config(ServiceConfig {
             epsilon_per_request: 0.5,
             budget_per_target: 1.0,
             threads: Some(2),
             ..Default::default()
-        },
-    );
+        })
+        .build();
     let graph = service.shared_graph();
     let target = graph.nodes().find(|&v| graph.degree(v) > 0).unwrap();
 
@@ -149,24 +147,61 @@ fn budgets_are_enforced_per_target_across_batches() {
 }
 
 #[test]
-fn service_and_recommender_share_one_graph() {
+fn services_share_one_graph() {
     let service = wiki_service(Some(2));
-    let recommender = Recommender::new(
-        service.shared_graph(),
-        Box::new(CommonNeighbors),
-        Box::new(ExponentialMechanism::paper()),
-        RecommenderConfig::default(),
-    );
-    assert!(std::ptr::eq(service.shared_graph().as_ref() as *const _, recommender.graph()));
+    let laplace = RecommendationService::builder(service.shared_graph(), Arc::new(CommonNeighbors))
+        .config(ServiceConfig { mechanism: Mechanism::Laplace, ..Default::default() })
+        .build();
+    assert!(Arc::ptr_eq(&service.shared_graph(), &laplace.shared_graph()));
 
-    // Both paths serve valid recommendations from the same instance.
+    // Both mechanisms serve valid recommendations from the same instance.
     let graph = service.shared_graph();
     let target = graph.nodes().find(|&v| graph.degree(v) > 0).unwrap();
     let served = service.serve_one(target, 1, 3).unwrap();
     assert!(!service.pin().has_edge(target, served.recommendations[0]));
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
-    let single = recommender.recommend(target, &mut rng).unwrap();
-    assert!(!recommender.graph().has_edge(target, single));
+    let single = laplace.serve_one(target, 1, 3).unwrap();
+    assert!(!laplace.pin().has_edge(target, single.recommendations[0]));
+}
+
+/// A wiki service drawing through `mechanism` with a budget of 5.
+fn mechanism_service(mechanism: Mechanism) -> RecommendationService {
+    let (graph, _) = wiki_vote_like(PresetConfig::scaled(0.05, 2011)).unwrap();
+    RecommendationService::builder(graph, Arc::new(CommonNeighbors))
+        .config(ServiceConfig { mechanism, budget_per_target: 5.0, ..Default::default() })
+        .build()
+}
+
+#[test]
+fn smoothing_charges_theorem_5_at_the_target_candidate_count() {
+    let x = 0.01;
+    let service = mechanism_service(Mechanism::Smoothing { x });
+    let graph = service.shared_graph();
+    let target = graph.nodes().find(|&v| graph.degree(v) > 0).unwrap();
+    let n = CandidateSet::for_target(graph.as_ref(), target).len();
+    let expected = psr_bounds::theorem5::smoothing_epsilon(x, n);
+
+    let served = service.serve_one(target, 1, 9).unwrap();
+    assert_eq!(served.epsilon_spent, expected);
+    assert_eq!(service.spent_budget(target), expected);
+    let again = service.serve_one(target, 1, 10).unwrap();
+    assert_eq!(again.epsilon_spent, expected);
+    assert_eq!(service.spent_budget(target), expected + expected);
+}
+
+#[test]
+fn single_draw_mechanisms_refuse_k_2_and_charge_nothing() {
+    for mechanism in [Mechanism::Laplace, Mechanism::Smoothing { x: 0.01 }] {
+        let service = mechanism_service(mechanism);
+        let graph = service.shared_graph();
+        let target = graph.nodes().find(|&v| graph.degree(v) > 0).unwrap();
+        service.serve_one(target, 1, 1).unwrap();
+        let spent = service.spent_budget(target);
+        assert!(spent > 0.0);
+
+        let refused = service.serve_one(target, 2, 2);
+        assert_eq!(refused, Err(ServeError::InvalidK { target, k: 2 }), "{mechanism:?}");
+        assert_eq!(service.spent_budget(target), spent, "{mechanism:?}: refusal was charged");
+    }
 }
 
 #[test]
@@ -195,27 +230,23 @@ fn thread_count_determinism_survives_epochs() {
     // And a fresh service over the mutated snapshot replays the post-epoch
     // batch identically: no hidden cache or epoch state leaks into results.
     one.reset_budgets();
-    let fresh = RecommendationService::new(
-        one.snapshot(),
-        Box::new(CommonNeighbors),
-        ServiceConfig { threads: Some(3), ..Default::default() },
-    );
+    let fresh = RecommendationService::builder(one.snapshot(), Arc::new(CommonNeighbors))
+        .config(ServiceConfig { threads: Some(3), ..Default::default() })
+        .build();
     assert_eq!(one.serve_batch(&requests, 18), fresh.serve_batch(&requests, 18));
 }
 
 #[test]
 fn budgets_stay_continuous_across_epochs() {
     let (graph, _) = wiki_vote_like(PresetConfig::scaled(0.05, 2011)).unwrap();
-    let service = RecommendationService::new(
-        graph,
-        Box::new(CommonNeighbors),
-        ServiceConfig {
+    let service = RecommendationService::builder(graph, Arc::new(CommonNeighbors))
+        .config(ServiceConfig {
             epsilon_per_request: 0.5,
             budget_per_target: 1.5,
             threads: Some(2),
             ..Default::default()
-        },
-    );
+        })
+        .build();
     let graph = service.shared_graph();
     let target = graph.nodes().find(|&v| graph.degree(v) > 0).unwrap();
 
@@ -275,15 +306,13 @@ fn pinned_batches_drain_bit_identically_while_epochs_advance() {
     // reads the old graph after every swap. Reads never stall and never
     // see a half-applied epoch.
     let (graph, _) = wiki_vote_like(PresetConfig::scaled(0.05, 2011)).unwrap();
-    let service = RecommendationService::new(
-        graph,
-        Box::new(CommonNeighbors),
-        ServiceConfig {
+    let service = RecommendationService::builder(graph, Arc::new(CommonNeighbors))
+        .config(ServiceConfig {
             budget_per_target: f64::INFINITY, // isolate reads from admission
             threads: Some(2),
             ..Default::default()
-        },
-    );
+        })
+        .build();
     let requests: Vec<BatchRequest> = batch_for(&service, 2).into_iter().take(48).collect();
     let schedule: Vec<Vec<EdgeMutation>> = {
         let base = service.shared_graph();

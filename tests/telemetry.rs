@@ -28,20 +28,17 @@ fn wiki_graph() -> Graph {
 /// A service over `backend`, optionally instrumented. Telemetry is the
 /// ONLY difference between the pairs each test compares.
 fn service(backend: GraphBackend, telemetry: Option<Arc<Telemetry>>) -> RecommendationService {
-    let mut svc = RecommendationService::with_backend(
-        backend,
-        Box::new(CommonNeighbors),
-        ServiceConfig {
+    let mut builder =
+        RecommendationService::builder(backend, Arc::new(CommonNeighbors)).config(ServiceConfig {
             epsilon_per_request: 0.5,
             budget_per_target: 2.0,
             threads: Some(2),
             ..Default::default()
-        },
-    );
+        });
     if let Some(telemetry) = telemetry {
-        svc.set_telemetry(telemetry);
+        builder = builder.telemetry(telemetry);
     }
-    svc
+    builder.build()
 }
 
 fn requests(n: u32) -> Vec<BatchRequest> {
