@@ -88,10 +88,9 @@ pub fn lemma1_epsilon_floor_from_accuracy(u: &UtilityVector, accuracy: f64, t: u
 /// Appendix A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Adjacency {
-    /// Edge adjacency: the worlds differ in one edge (`t = 1`).
+    /// Edge adjacency: the worlds differ in one edge.
     Edge,
-    /// Node adjacency: the worlds differ in one node's entire edge set
-    /// (`t = t_node_privacy() = 2` for the exchange argument).
+    /// Node adjacency: the worlds differ in one node's entire edge set.
     Node,
 }
 
@@ -104,15 +103,6 @@ impl Adjacency {
     /// Stable name for reports.
     pub fn name(&self) -> &'static str {
         Self::NAMES[*self as usize]
-    }
-
-    /// The edit distance the Corollary-1 accuracy bounds are evaluated
-    /// at: 1 for an edge, `t_node_privacy()` for a node rewire.
-    pub fn accuracy_t(&self) -> u64 {
-        match self {
-            Adjacency::Edge => 1,
-            Adjacency::Node => psr_bounds::edit_distance::t_node_privacy(),
-        }
     }
 }
 
@@ -157,9 +147,9 @@ pub struct BoundsComparison {
     pub mean_accuracy: Option<f64>,
     /// Lemma-1 ε floor implied by the measured accuracy on a
     /// representative observer's utility vector (`None` when the bound is
-    /// not binding or no accuracy was measurable). Evaluated at the edit
-    /// distance of the scenario's adjacency notion (`t = 1` for edge,
-    /// `t = 2` for node).
+    /// not binding, no accuracy was measurable or no edit distance is
+    /// known). Evaluated at Corollary 1's edit distance for that observer
+    /// (see [`crate::TwoWorldGame::accuracy_t`]).
     pub accuracy_epsilon_floor: Option<f64>,
     /// Appendix A's finite-`n` node-privacy floor
     /// `node_privacy_eps_lower(n, 1)` — what *any* constant-accuracy
@@ -182,21 +172,21 @@ pub struct BoundsComparison {
 /// times observations per transcript; `None` for the non-private
 /// baseline). `representative` is the utility vector used for the
 /// Corollary-1 accuracy overlay — by convention the first observer's
-/// world-1 vector — evaluated at the adjacency's edit distance. Node
+/// world-1 vector — with the edit distance `t` to evaluate it at. Node
 /// adjacency adds Appendix A's node-privacy floors at graph size
 /// `num_nodes` (`β = 1`, the concentrated-utility worst case).
 pub fn compare(
     result: &AttackResult,
     configured_epsilon: Option<f64>,
-    representative: Option<&UtilityVector>,
+    representative: Option<(&UtilityVector, u64)>,
     adjacency: Adjacency,
     num_nodes: usize,
 ) -> BoundsComparison {
     let advantage = result.advantage.advantage;
     let advantage_ceiling = configured_epsilon.map_or(1.0, dp_advantage_ceiling);
     let accuracy_epsilon_floor = match (result.mean_accuracy, representative) {
-        (Some(acc), Some(u)) if !u.is_all_zero() => {
-            lemma1_epsilon_floor_from_accuracy(u, acc, adjacency.accuracy_t())
+        (Some(acc), Some((u, t))) if !u.is_all_zero() => {
+            lemma1_epsilon_floor_from_accuracy(u, acc, t)
         }
         _ => None,
     };
@@ -295,10 +285,11 @@ mod tests {
         };
         let u = UtilityVector::from_sparse(vec![(0, 3.0), (1, 2.0)], 95);
         let n = 7_115usize;
-        let edge = compare(&result, None, Some(&u), Adjacency::Edge, n);
+        let edge = compare(&result, None, Some((&u, 1)), Adjacency::Edge, n);
         assert_eq!(edge.adjacency, "edge");
         assert_eq!(edge.node_epsilon_lower, None);
-        let node = compare(&result, None, Some(&u), Adjacency::Node, n);
+        let t_node = psr_bounds::edit_distance::t_node_privacy();
+        let node = compare(&result, None, Some((&u, t_node)), Adjacency::Node, n);
         assert_eq!(node.adjacency, "node");
         assert_eq!(
             node.node_epsilon_lower,

@@ -112,6 +112,18 @@ impl AttackMechanism {
         }
     }
 
+    /// The per-observation ε the mechanism is configured with: `None` for
+    /// the non-private baseline and for smoothing, whose ε follows from
+    /// `x` and each observer's candidate count.
+    pub fn epsilon(&self) -> Option<f64> {
+        match *self {
+            AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
+                Some(epsilon)
+            }
+            AttackMechanism::NonPrivateTopK | AttackMechanism::Smoothing { .. } => None,
+        }
+    }
+
     /// The mechanism and per-request ε the attacked service runs:
     /// the non-private baseline is the exponential mechanism at
     /// [`NON_PRIVATE_EPSILON`]; smoothing charges by its `x`, so its ε
@@ -515,12 +527,13 @@ impl TwoWorldGame {
 
     /// Overlays a result on the theory curves of the secret's adjacency
     /// ([`crate::comparison::compare`] with this game's transcript ε, the
-    /// first observer's world-1 utility vector and the graph size).
+    /// first observer's world-1 utility vector at [`Self::accuracy_t`],
+    /// and the graph size).
     pub fn compare(&self, result: &AttackResult) -> BoundsComparison {
         crate::comparison::compare(
             result,
             self.transcript_epsilon(),
-            Some(self.representative_utilities()),
+            self.accuracy_t().map(|t| (self.representative_utilities(), t)),
             self.config.secret.adjacency(),
             self.base.num_nodes(),
         )
@@ -530,6 +543,39 @@ impl TwoWorldGame {
     /// bounds overlays.
     pub fn representative_utilities(&self) -> &UtilityVector {
         &self.models[1].model_for(0).utilities
+    }
+
+    /// Corollary 1's edit distance `t` for the representative observer:
+    /// for an edge secret, the utility's own `t` (the edge edits that lift
+    /// a zero-utility candidate to the top,
+    /// [`UtilityFunction::edit_distance_t`]) on the graph the
+    /// representative vector was scored on; for a node rewire,
+    /// `t_node_privacy()`. `None` when the utility reports no `t`.
+    pub fn accuracy_t(&self) -> Option<u64> {
+        match self.config.secret {
+            Secret::Node { .. } => Some(psr_bounds::edit_distance::t_node_privacy()),
+            Secret::Edge(_) => {
+                let (graphs, round_phase) = self.phases(1);
+                let graph = graphs[round_phase[0]].as_ref();
+                let observer = self.config.observers[0];
+                self.utility.edit_distance_t(graph, observer, self.representative_utilities())
+            }
+        }
+    }
+
+    /// Corollary 1's accuracy ceiling for one observation: the best
+    /// accuracy any mechanism at the per-observation ε
+    /// ([`AttackMechanism::epsilon`]) can reach on the representative
+    /// vector at [`Self::accuracy_t`] edits. 1.0 (vacuous) without an ε or
+    /// a `t`, or on an all-zero vector.
+    pub fn accuracy_ceiling(&self) -> f64 {
+        let u = self.representative_utilities();
+        match (self.config.mechanism.epsilon(), self.accuracy_t()) {
+            (Some(epsilon), Some(t)) if !u.is_all_zero() => {
+                psr_bounds::best_accuracy_bound(u, epsilon, t, None).accuracy_bound
+            }
+            _ => 1.0,
+        }
     }
 
     /// `(phase graphs, round → phase index)` for one world: one phase for

@@ -269,12 +269,7 @@ pub fn run(opts: &AttackOptions) -> Result<(), String> {
     let evaluated = evaluate(opts, &game, &set);
 
     let first = &evaluated[0].1;
-    let epsilon_per_observation = match mechanism {
-        AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
-            Some(epsilon)
-        }
-        AttackMechanism::NonPrivateTopK | AttackMechanism::Smoothing { .. } => None,
-    };
+    let epsilon_per_observation = mechanism.epsilon();
     let secret = &game.config().secret;
     let (secret_edge, rewired_node) = match secret {
         Secret::Edge(m) => (

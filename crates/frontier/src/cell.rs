@@ -32,7 +32,7 @@ use psr_attack::{
 use psr_gen::split_seed;
 use psr_graph::{EdgeMutation, Graph};
 use psr_privacy::TopKEngine;
-use psr_utility::{UtilityKind, UtilityVector};
+use psr_utility::UtilityKind;
 use serde::{Deserialize, Serialize};
 
 use crate::plan::ExperimentPlan;
@@ -114,8 +114,10 @@ pub struct CellResult {
     /// only).
     pub node_transcript_epsilon: Option<f64>,
     /// Corollary-1 accuracy ceiling at the cell's per-observation ε and
-    /// the adjacency's edit distance (1.0 when the theory is vacuous:
-    /// non-private, smoothing, or an all-zero utility vector).
+    /// the representative observer's edit distance
+    /// ([`TwoWorldGame::accuracy_ceiling`]; 1.0 when the theory is
+    /// vacuous: non-private, smoothing, no edit distance, or an all-zero
+    /// utility vector).
     pub accuracy_bound: f64,
     /// Lemma-1 advantage ceiling at the transcript budget.
     pub advantage_ceiling: f64,
@@ -141,24 +143,6 @@ pub struct CellResult {
 /// Maps a possibly-infinite theory value to a serialisable `Option`.
 fn finite(x: f64) -> Option<f64> {
     x.is_finite().then_some(x)
-}
-
-/// The Corollary-1 accuracy ceiling for one observation of this cell:
-/// evaluated at the per-observation ε and the adjacency's edit distance
-/// (t = 1 for edge worlds, t = 2 for a node rewire's bound form). 1.0
-/// (vacuous) when the mechanism has no ε or the representative utility
-/// vector is all-zero.
-fn accuracy_ceiling(
-    epsilon: Option<f64>,
-    adjacency: Adjacency,
-    representative: &UtilityVector,
-) -> f64 {
-    let Some(epsilon) = epsilon else { return 1.0 };
-    if representative.is_all_zero() {
-        return 1.0;
-    }
-    let t = adjacency.accuracy_t();
-    psr_bounds::best_accuracy_bound(representative, epsilon, t, None).accuracy_bound
 }
 
 /// Counts exact hits among the scorable world-1 observations: entries
@@ -317,11 +301,7 @@ fn assemble(
         dataset,
         transcript_epsilon: game.transcript_epsilon().and_then(finite),
         node_transcript_epsilon: game.node_transcript_epsilon().and_then(finite),
-        accuracy_bound: accuracy_ceiling(
-            spec.epsilon,
-            game.config().secret.adjacency(),
-            game.representative_utilities(),
-        ),
+        accuracy_bound: game.accuracy_ceiling(),
         advantage_ceiling,
         node_epsilon_lower,
         node_epsilon_lower_asymptotic,

@@ -8,10 +8,10 @@
 //!   advantage exceeding the Lemma-1 ceiling `(e^ε − 1)/(e^ε + 1)` for
 //!   *any* ε ≤ 1 — the constructive reading of the paper's impossibility
 //!   result (Lemma 1 / Theorem 2 for common neighbours);
-//! * every **DP mechanism** (Exponential through the service, Laplace and
-//!   smoothing through the single-draw path) keeps its empirical-ε
-//!   estimate, Clopper–Pearson lower bound included, at or below its
-//!   configured transcript budget;
+//! * every **DP mechanism** (Exponential, Laplace and smoothing, all
+//!   served by the service) keeps its empirical-ε estimate,
+//!   Clopper–Pearson lower bound included, at or below its configured
+//!   transcript budget;
 //! * the leak (and its DP suppression) survives **`DeltaGraph` mutation
 //!   epochs**: an edge insert or delete applied mid-stream through
 //!   `apply_mutations` is exactly as inferable from the incremental
@@ -27,13 +27,15 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use psr_attack::{
     default_observers, default_secret_edge, dp_advantage_ceiling, leaking_secret_edge,
-    AttackMechanism, Epochs, FrequencyBaseline, GameConfig, LikelihoodRatioMia, MechanismModel,
-    ObservationModel, ReconstructionAdversary, Secret, TwoWorldGame,
+    search_secret_edge, AttackMechanism, Epochs, FrequencyBaseline, GameConfig, LikelihoodRatioMia,
+    MechanismModel, ObservationModel, ReconstructionAdversary, Secret, TwoWorldGame,
 };
 use psr_datasets::toy::karate_club;
+use psr_datasets::{wiki_vote_like, PresetConfig};
 use psr_graph::{EdgeMutation, Graph, NodeId};
 use psr_privacy::Mechanism;
-use psr_utility::{CandidateSet, CommonNeighbors, UtilityFunction};
+use psr_utility::{CandidateSet, CommonNeighbors, SensitivityNorm, UtilityFunction};
+use rand::SeedableRng;
 
 mod common;
 use common::random_graph;
@@ -57,6 +59,38 @@ fn leaky_karate(mechanism: AttackMechanism) -> GameConfig {
 /// The edge secret world 1 inserts.
 fn insert((u, v): (NodeId, NodeId)) -> Secret {
     Secret::Edge(EdgeMutation::insert(u, v))
+}
+
+/// Corollary 1 bounds every ε-DP mechanism, so the accuracy ceiling an
+/// edge game reports must sit at or above what the exponential mechanism
+/// achieves on the same vector. On wiki at scale 0.1 the representative
+/// observer needs many edge edits to lift a candidate to the top, and a
+/// single-edit (`t = 1`) ceiling sits below the mechanism.
+#[test]
+fn edge_accuracy_ceiling_covers_the_exponential_mechanism() {
+    let graph = Arc::new(wiki_vote_like(PresetConfig::scaled(0.1, 1)).unwrap().0);
+    let (secret, observers) =
+        search_secret_edge(&graph, &CommonNeighbors, 4).expect("wiki has a secret edge");
+    let epsilon = 0.5;
+    let config = GameConfig {
+        mechanism: AttackMechanism::Exponential { epsilon },
+        ..GameConfig::new(insert(secret), observers)
+    };
+    let game = TwoWorldGame::new(Arc::clone(&graph), Box::new(CommonNeighbors), config);
+    let u = game.representative_utilities();
+    let sensitivity =
+        CommonNeighbors.sensitivity(graph.as_ref()).unwrap().value(SensitivityNorm::LInf);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let achieved = Mechanism::Exponential.expected_accuracy(u, epsilon, sensitivity, &mut rng);
+
+    let ceiling = game.accuracy_ceiling();
+    assert!(ceiling >= achieved, "ceiling {ceiling} below the achieved accuracy {achieved}");
+    let t = game.accuracy_t().expect("common neighbours report t");
+    let single_edit = psr_bounds::best_accuracy_bound(u, epsilon, 1, None).accuracy_bound;
+    assert!(
+        t > 1 && single_edit < achieved,
+        "t = {t}: the t = 1 ceiling {single_edit} must undercut the achieved {achieved}"
+    );
 }
 
 fn scenario(config: GameConfig) -> TwoWorldGame {

@@ -31,9 +31,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use psr_attack::{
     default_rewire_target, dp_advantage_ceiling, leaking_node_rewire,
-    lemma1_epsilon_floor_from_accuracy, node_observers, Adjacency, AttackMechanism,
-    BoundsComparison, Epochs, FrequencyBaseline, GameConfig, LikelihoodRatioMia,
-    ReconstructionAdversary, Secret, TwoWorldGame,
+    lemma1_epsilon_floor_from_accuracy, node_observers, AttackMechanism, BoundsComparison, Epochs,
+    FrequencyBaseline, GameConfig, LikelihoodRatioMia, ReconstructionAdversary, Secret,
+    TwoWorldGame,
 };
 use psr_bounds::node_privacy::{node_privacy_eps_lower, node_privacy_eps_lower_asymptotic};
 use psr_datasets::toy::karate_club;
@@ -285,11 +285,11 @@ fn adjacency_only_changes_the_overlay() {
         assert_eq!(n.node_epsilon_lower_asymptotic, Some(node_privacy_eps_lower_asymptotic(size)));
         let u = edge.representative_utilities();
         let accuracy = result.mean_accuracy.expect("karate observers are scorable");
-        let floor = |adjacency: Adjacency| {
-            lemma1_epsilon_floor_from_accuracy(u, accuracy, adjacency.accuracy_t())
+        let floor = |game: &TwoWorldGame| {
+            lemma1_epsilon_floor_from_accuracy(u, accuracy, game.accuracy_t().unwrap())
         };
-        assert_eq!(e.accuracy_epsilon_floor, floor(Adjacency::Edge));
-        assert_eq!(n.accuracy_epsilon_floor, floor(Adjacency::Node));
+        assert_eq!(e.accuracy_epsilon_floor, floor(&edge));
+        assert_eq!(n.accuracy_epsilon_floor, floor(&node));
         let relabelled = BoundsComparison {
             adjacency: n.adjacency.clone(),
             accuracy_epsilon_floor: n.accuracy_epsilon_floor,
