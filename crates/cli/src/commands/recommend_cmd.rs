@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use psr_core::{RecommendationService, ServeError, ServiceConfig};
+use psr_core::{RecommendationService, ServiceConfig};
 use psr_gen::split_seed;
 use psr_utility::{CandidateSet, UtilityFunction};
 use rand::SeedableRng;
@@ -28,23 +28,15 @@ pub fn run(opts: &RecommendOptions) -> Result<(), String> {
     let pin = service.pin();
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(opts.run.seed);
-    println!(
-        "ε = {epsilon} private recommendations ({} / {}):",
-        opts.serving.utility,
-        opts.mechanism.name()
-    );
+    println!("private recommendations ({} / {}):", opts.serving.utility, opts.mechanism.name());
     for (i, &target) in opts.targets.iter().enumerate() {
+        // A refusal (unknown target, no candidates) is reported in place.
         let served = match service.serve_one(target, 1, split_seed(opts.run.seed, i as u64)) {
             Ok(served) => served,
-            Err(ServeError::UnknownTarget { .. }) => {
-                println!("  {target:>8}: not a node in this graph");
+            Err(refusal) => {
+                println!("  {target:>8}: {refusal}");
                 continue;
             }
-            Err(ServeError::NoCandidates { .. }) => {
-                println!("  {target:>8}: no candidates (fully connected target)");
-                continue;
-            }
-            Err(e) => return Err(e.to_string()),
         };
         let candidates = CandidateSet::for_target(&pin, target);
         let u = utility.utilities(&pin, target, &candidates);
@@ -56,7 +48,8 @@ pub fn run(opts: &RecommendOptions) -> Result<(), String> {
         };
         // Name the pick by its source-file label when one exists.
         let label = super::original_label(ids.as_ref(), served.recommendations[0]);
-        println!("  {target:>8}: recommend {label} (expected accuracy {acc})");
+        let spent = served.epsilon_spent;
+        println!("  {target:>8}: recommend {label} (ε {spent:.3}, expected accuracy {acc})");
     }
     Ok(())
 }

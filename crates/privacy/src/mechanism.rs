@@ -1,12 +1,5 @@
-//! The mechanism: Definitions 5–7 behind one enum.
-//!
-//! [`Mechanism`] is the one sampling path of the workspace. The serving
-//! layer, the attack harness's shadow sampler and the CLI all draw
-//! through [`Mechanism::sample`]: `k` slots from a utility vector, with
-//! every slot that lands in the anonymous zero-utility class resolved to
-//! a distinct concrete candidate. The enum also owns what a draw costs
-//! ([`Mechanism::charge`]) and what it is worth
-//! ([`Mechanism::expected_accuracy`]).
+//! The mechanism: Definitions 5–7 behind one enum, the one sampling path
+//! of the serving layer, the attack harness's shadow sampler and the CLI.
 
 use std::collections::HashSet;
 
@@ -14,6 +7,9 @@ use psr_graph::NodeId;
 use psr_utility::{CandidateSet, UtilityVector};
 use rand::Rng;
 
+use crate::exponential::exponential_probabilities;
+use crate::laplace_mech::{laplace_accuracy, laplace_winner};
+use crate::smoothing::{smoothing_epsilon, smoothing_winner};
 use crate::topk::{topk_with_engine, TopKEngine};
 
 /// A differentially private recommender over one utility vector (§3.1:
@@ -101,7 +97,7 @@ impl Mechanism {
     pub fn charge(&self, epsilon: f64, num_candidates: usize) -> f64 {
         match *self {
             Mechanism::Exponential | Mechanism::Laplace => epsilon,
-            Mechanism::Smoothing { x } => crate::smoothing::smoothing_epsilon(x, num_candidates),
+            Mechanism::Smoothing { x } => smoothing_epsilon(x, num_candidates),
         }
     }
 
@@ -132,30 +128,24 @@ impl Mechanism {
             "the {} mechanism serves exactly one slot",
             self.name()
         );
-        let winner = match *self {
+        // Slots in order, `None` for a draw that landed in the zero class.
+        let single = |winner: Option<NodeId>| (vec![winner], winner.map_or(0.0, |v| u.get(v)));
+        let (slots, total_utility) = match *self {
             Mechanism::Exponential => {
                 let top = topk_with_engine(engine, u, k.min(u.len()), epsilon, sensitivity, rng);
-                let zero_class_picks = top.picks.iter().filter(|p| p.is_none()).count();
-                let mut zero_picks =
-                    resolve_zero_class_distinct(zero_class_picks, u, candidates, rng).into_iter();
-                let picks = top
-                    .picks
-                    .iter()
-                    .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class member")))
-                    .collect();
-                return Draw { picks, zero_class_picks, total_utility: top.total_utility };
+                (top.picks, top.total_utility)
             }
-            Mechanism::Laplace => crate::laplace_mech::laplace_winner(u, epsilon, sensitivity, rng),
-            Mechanism::Smoothing { x } => crate::smoothing::smoothing_winner(u, x, rng),
+            Mechanism::Laplace => single(laplace_winner(u, epsilon, sensitivity, rng)),
+            Mechanism::Smoothing { x } => single(smoothing_winner(u, x, rng)),
         };
-        let (pick, zero_class_picks) = match winner {
-            Some(v) => (v, 0),
-            None => {
-                let v = resolve_zero_class_distinct(1, u, candidates, rng);
-                (*v.first().expect("the drawn zero class has a member"), 1)
-            }
-        };
-        Draw { picks: vec![pick], zero_class_picks, total_utility: u.get(pick) }
+        let zero_class_picks = slots.iter().filter(|p| p.is_none()).count();
+        let mut zero_picks =
+            resolve_zero_class_distinct(zero_class_picks, u, candidates, rng).into_iter();
+        let picks = slots
+            .iter()
+            .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class member")))
+            .collect();
+        Draw { picks, zero_class_picks, total_utility }
     }
 
     /// Expected accuracy `E[u_rec] / u_max` of one slot (Def. 2's
@@ -177,19 +167,14 @@ impl Mechanism {
         assert!(!u.is_all_zero(), "accuracy undefined for all-zero utility vectors");
         match *self {
             Mechanism::Exponential => {
-                let (probs, _) =
-                    crate::exponential::exponential_probabilities(u, epsilon, sensitivity);
+                let (probs, _) = exponential_probabilities(u, epsilon, sensitivity);
                 let expected: f64 =
                     u.nonzero().iter().zip(&probs).map(|(&(_, ui), &p)| ui * p).sum();
                 expected / u.u_max()
             }
-            Mechanism::Laplace => crate::laplace_mech::laplace_accuracy(
-                u,
-                epsilon,
-                sensitivity,
-                Self::LAPLACE_TRIALS,
-                rng,
-            ),
+            Mechanism::Laplace => {
+                laplace_accuracy(u, epsilon, sensitivity, Self::LAPLACE_TRIALS, rng)
+            }
             Mechanism::Smoothing { x } => {
                 // x·u_max from R_best plus (1−x)·mean(u) from the uniform
                 // draw, normalised by u_max.
