@@ -112,9 +112,8 @@ impl AttackMechanism {
         }
     }
 
-    /// The per-observation ε the mechanism is configured with: `None` for
-    /// the non-private baseline and for smoothing, whose ε follows from
-    /// `x` and each observer's candidate count.
+    /// The configured per-observation ε: `None` for the non-private
+    /// baseline and for smoothing, whose ε follows from `x`.
     pub fn epsilon(&self) -> Option<f64> {
         match *self {
             AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
@@ -124,10 +123,8 @@ impl AttackMechanism {
         }
     }
 
-    /// The mechanism and per-request ε the attacked service runs:
-    /// the non-private baseline is the exponential mechanism at
-    /// [`NON_PRIVATE_EPSILON`]; smoothing charges by its `x`, so its ε
-    /// is a placeholder the service ignores.
+    /// The mechanism and per-request ε the attacked service runs (the
+    /// non-private baseline at [`NON_PRIVATE_EPSILON`]; smoothing ignores ε).
     pub fn served(&self) -> (Mechanism, f64) {
         match *self {
             AttackMechanism::Exponential { epsilon } => (Mechanism::Exponential, epsilon),
@@ -469,16 +466,9 @@ impl TwoWorldGame {
             }
             AttackMechanism::Smoothing { x } => {
                 let wm = &self.models[1];
-                Some(
-                    (0..wm.num_entries())
-                        .map(|i| {
-                            psr_bounds::theorem5::smoothing_epsilon(
-                                x,
-                                wm.model_for(i).utilities.len(),
-                            )
-                        })
-                        .sum(),
-                )
+                let charge =
+                    |i| Mechanism::Smoothing { x }.charge(0.0, wm.model_for(i).utilities.len());
+                Some((0..wm.num_entries()).map(charge).sum())
             }
         }
     }
@@ -546,11 +536,8 @@ impl TwoWorldGame {
     }
 
     /// Corollary 1's edit distance `t` for the representative observer:
-    /// for an edge secret, the utility's own `t` (the edge edits that lift
-    /// a zero-utility candidate to the top,
-    /// [`UtilityFunction::edit_distance_t`]) on the graph the
-    /// representative vector was scored on; for a node rewire,
-    /// `t_node_privacy()`. `None` when the utility reports no `t`.
+    /// the utility's own [`UtilityFunction::edit_distance_t`] for an edge
+    /// secret (`None` if it reports none), `t_node_privacy()` for a node.
     pub fn accuracy_t(&self) -> Option<u64> {
         match self.config.secret {
             Secret::Node { .. } => Some(psr_bounds::edit_distance::t_node_privacy()),
@@ -563,11 +550,9 @@ impl TwoWorldGame {
         }
     }
 
-    /// Corollary 1's accuracy ceiling for one observation: the best
-    /// accuracy any mechanism at the per-observation ε
-    /// ([`AttackMechanism::epsilon`]) can reach on the representative
-    /// vector at [`Self::accuracy_t`] edits. 1.0 (vacuous) without an ε or
-    /// a `t`, or on an all-zero vector.
+    /// Corollary 1's accuracy ceiling for one observation on the
+    /// representative vector at [`AttackMechanism::epsilon`] and
+    /// [`Self::accuracy_t`]; 1.0 (vacuous) without either, or when all-zero.
     pub fn accuracy_ceiling(&self) -> f64 {
         let u = self.representative_utilities();
         match (self.config.mechanism.epsilon(), self.accuracy_t()) {

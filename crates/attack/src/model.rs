@@ -29,16 +29,15 @@ use psr_graph::NodeId;
 use psr_privacy::{topk, Laplace, Mechanism, TopKEngine};
 use psr_utility::{CandidateSet, UtilityVector};
 
-/// Which mechanism (and calibration) produced an observation: the
-/// served [`Mechanism`] at request budget `epsilon` (split ε/k across
-/// the exponential mechanism's slots; ignored by smoothing) and
-/// sensitivity Δf. A huge `epsilon` on the exponential mechanism models
-/// the non-private top-`k` baseline through the same code path.
+/// Which mechanism and calibration produced an observation. A huge
+/// `epsilon` on the exponential mechanism models the non-private top-`k`
+/// baseline through the same code path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MechanismModel {
     /// The mechanism that answered.
     pub mechanism: Mechanism,
-    /// Request-level privacy budget ε.
+    /// Request-level privacy budget ε (split ε/k across the exponential
+    /// mechanism's slots; ignored by smoothing).
     pub epsilon: f64,
     /// Calibrated sensitivity Δf.
     pub sensitivity: f64,

@@ -410,9 +410,7 @@ pub struct RecommendationService {
     telemetry: ServingTelemetry,
 }
 
-/// Assembles a [`RecommendationService`] at epoch 0 from a graph or any
-/// [`GraphBackend`] and a shared utility function; the configuration,
-/// budget ledger and telemetry are optional. Obtained from
+/// Assembles a [`RecommendationService`]; see
 /// [`RecommendationService::builder`].
 pub struct ServiceBuilder {
     backend: GraphBackend,
@@ -437,28 +435,21 @@ impl ServiceBuilder {
         self
     }
 
-    /// A telemetry bundle: serve spans, admission counters and epoch
-    /// events flow into its trace ring and metrics registry, and the
-    /// budget ledger is instrumented (fsync latency histogram).
-    /// Telemetry is observational only — serving outcomes are
-    /// bit-identical with a live bundle and without one (the `telemetry`
-    /// conformance suite asserts this).
+    /// A telemetry bundle for serve spans, admission counters, epoch
+    /// events and the ledger's fsync histogram. It only observes: outcomes
+    /// are bit-identical with and without it (the `telemetry` suite).
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
     }
 
-    /// Builds the service at epoch 0. The serving pipeline reads the base
-    /// purely through [`psr_graph::GraphView`], so outcomes are
-    /// bit-identical across backings (the `graph_backend` conformance
-    /// suite asserts this).
+    /// Builds the service at epoch 0.
     ///
     /// # Panics
-    /// Panics if ε is not positive, if the mechanism's parameter is
-    /// invalid ([`Mechanism::validate`]), if the utility reports no
-    /// sensitivity and none is overridden, or if the ledger's budget
-    /// disagrees with the configured one (a ledger replayed against a
-    /// different budget would mis-account every target).
+    /// Panics if ε is not positive, if [`Mechanism::validate`] fails, if
+    /// the utility reports no sensitivity and none is overridden, or if
+    /// the ledger's budget disagrees with the configured one (a replayed
+    /// ledger would then mis-account every target).
     pub fn build(self) -> RecommendationService {
         let ServiceBuilder { backend, utility, config, ledger, telemetry } = self;
         assert!(config.epsilon_per_request > 0.0, "epsilon must be positive");
@@ -497,10 +488,10 @@ impl ServiceBuilder {
 }
 
 impl RecommendationService {
-    /// Starts assembling a service over `graph` — an owned [`Graph`], an
-    /// [`Arc<Graph>`] already shared with other consumers, or any
-    /// [`GraphBackend`] (in-RAM CSR, compressed and possibly mmap-backed
-    /// snapshot, sharded segments) — scored by `utility`.
+    /// Starts assembling a service over `graph` — an owned [`Graph`], a
+    /// shared [`Arc<Graph>`] or any [`GraphBackend`] (outcomes are
+    /// bit-identical across backings: the `graph_backend` suite) — scored
+    /// by `utility`. The configuration, ledger and telemetry are optional.
     pub fn builder(
         graph: impl Into<GraphBackend>,
         utility: Arc<dyn UtilityFunction>,
@@ -515,10 +506,7 @@ impl RecommendationService {
     }
 
     /// [`RecommendationService::builder`] with a configuration and a
-    /// ledger, in one call.
-    ///
-    /// # Panics
-    /// Same contract as [`ServiceBuilder::build`].
+    /// ledger, in one call ([`ServiceBuilder::build`] panics apply).
     pub fn with_backend_and_ledger(
         backend: GraphBackend,
         utility: Box<dyn UtilityFunction>,

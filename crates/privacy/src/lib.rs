@@ -1,30 +1,24 @@
 //! Differentially private recommendation mechanisms (paper §6, App. D–F).
 //!
 //! One type, [`Mechanism`], covers the two mechanisms the paper adapts to
-//! social recommendations and the sampling-based smoothing mechanism
-//! from Appendix F. It owns sampling (`k` slots, zero-class slots
-//! resolved to distinct concrete candidates), the ε a request costs, and
-//! the expected accuracy:
+//! social recommendations and Appendix F's smoothing mechanism. It owns
+//! sampling (`k` slots, zero-class slots resolved to distinct concrete
+//! candidates), the ε a request costs, and the expected accuracy:
 //!
 //! * [`Mechanism::Exponential`] (Def. 5) — recommends node `i` with
-//!   probability `∝ e^{(ε/Δf)·uᵢ}`, peeling `k` slots at ε/k each
-//!   ([`topk`]); its expected accuracy has a closed form, evaluated
-//!   exactly ([`exponential_probabilities`]).
-//! * [`Mechanism::Laplace`] (Def. 6) — perturbs every utility with
-//!   `Lap(Δf/ε)` noise and recommends the noisy argmax; evaluated by
-//!   Monte-Carlo over an *exact grouped max* sampler (zero-utility
-//!   candidates are exchangeable, and the max of `N` i.i.d. Laplace draws
-//!   can be sampled directly through the quantile of `F^N`), making
-//!   full-graph evaluation feasible at the paper's scales
-//!   ([`laplace_accuracy`]).
+//!   probability `∝ e^{(ε/Δf)·uᵢ}`, `k` slots peeled at ε/k each
+//!   ([`topk`]); exact accuracy from [`exponential_probabilities`].
+//! * [`Mechanism::Laplace`] (Def. 6) — the noisy argmax under `Lap(Δf/ε)`
+//!   noise, sampled by an *exact grouped max* (zero-utility candidates are
+//!   exchangeable, and the max of `N` i.i.d. Laplace draws has a direct
+//!   quantile), so 1,000-trial Monte-Carlo accuracy
+//!   ([`laplace_accuracy`]) is feasible at the paper's scales.
 //! * [`Mechanism::Smoothing`] (Def. 7 / Theorem 5) — mixes the best
 //!   recommender with the uniform distribution; `ln(1 + nx/(1−x))`-DP
 //!   with accuracy `x·μ` ([`smoothing_epsilon`] and its inverses).
 //! * [`closed_form`] — Lemma 3's exact two-candidate Laplace win
 //!   probability, used to show Laplace ≢ Exponential (App. E).
 //! * [`audit`] — exact DP-ratio verification on neighbouring inputs.
-//! * [`topk`] — the exponential mechanism's top-`k` samplers (§8 / App. A
-//!   "multiple recommendations").
 
 pub mod audit;
 pub mod closed_form;

@@ -12,14 +12,11 @@ use crate::laplace_mech::{laplace_accuracy, laplace_winner};
 use crate::smoothing::{smoothing_epsilon, smoothing_winner};
 use crate::topk::{topk_with_engine, TopKEngine};
 
-/// A differentially private recommender over one utility vector (§3.1:
-/// the algorithm is a probability vector derived from `~u`).
-///
-/// Any DP mechanism must put positive probability on *every* candidate,
-/// including the (typically enormous) zero-utility class [24]. Utility
-/// vectors store that class as a count; a draw landing there is resolved
-/// to a uniform member (all zero-utility candidates are exchangeable —
-/// the paper's Axiom 1).
+/// A differentially private recommender over one utility vector (§3.1).
+/// It must put positive probability on *every* candidate, including the
+/// (typically enormous) zero-utility class \[24\], which utility vectors
+/// store as a count; a draw landing there is resolved to a uniform member
+/// (zero-utility candidates are exchangeable — the paper's Axiom 1).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Mechanism {
     /// Definition 5: recommend `i` with probability `∝ e^{(ε/Δf)·uᵢ}`.
@@ -90,10 +87,9 @@ impl Mechanism {
         !matches!(self, Mechanism::Exponential)
     }
 
-    /// The ε one request costs at configured budget `epsilon` over a
-    /// target with `num_candidates` candidates: `epsilon` for the
-    /// exponential and Laplace mechanisms, Theorem 5's
-    /// `ln(1 + n·x/(1−x))` for smoothing (which has no ε parameter).
+    /// The ε one request costs at budget `epsilon` over `num_candidates`
+    /// candidates: `epsilon`, or Theorem 5's `ln(1 + n·x/(1−x))` for
+    /// smoothing (which has no ε parameter).
     pub fn charge(&self, epsilon: f64, num_candidates: usize) -> f64 {
         match *self {
             Mechanism::Exponential | Mechanism::Laplace => epsilon,
@@ -101,10 +97,9 @@ impl Mechanism {
         }
     }
 
-    /// Draws `k` distinct recommendations (clamped to the candidate
-    /// count) from `u`, the utility vector of `candidates`, at request
-    /// budget `epsilon` and sensitivity Δf. Zero-class slots are
-    /// resolved to distinct uniform members of the class by
+    /// Draws `k` distinct recommendations (at most the candidate count)
+    /// from `u`, the utility vector of `candidates`, at request budget
+    /// `epsilon` and sensitivity Δf, zero-class slots resolved by
     /// [`resolve_zero_class_distinct`]. `engine` picks the exponential
     /// mechanism's top-`k` sampler; the other arms ignore it.
     ///
@@ -148,11 +143,9 @@ impl Mechanism {
         Draw { picks, zero_class_picks, total_utility }
     }
 
-    /// Expected accuracy `E[u_rec] / u_max` of one slot (Def. 2's
-    /// numerator for this input) at budget `epsilon` and sensitivity Δf.
-    /// Closed form for the exponential and smoothing mechanisms; for
-    /// Laplace a [`Self::LAPLACE_TRIALS`]-trial Monte Carlo on `rng`
-    /// ([`crate::laplace_accuracy`]).
+    /// Expected accuracy `E[u_rec] / u_max` of one slot (Def. 2) at budget
+    /// `epsilon` and sensitivity Δf: closed form, except Laplace's
+    /// [`Self::LAPLACE_TRIALS`]-trial Monte Carlo on `rng`.
     ///
     /// # Panics
     /// Panics if `u` is all-zero — such targets are dropped by the
@@ -167,10 +160,8 @@ impl Mechanism {
         assert!(!u.is_all_zero(), "accuracy undefined for all-zero utility vectors");
         match *self {
             Mechanism::Exponential => {
-                let (probs, _) = exponential_probabilities(u, epsilon, sensitivity);
-                let expected: f64 =
-                    u.nonzero().iter().zip(&probs).map(|(&(_, ui), &p)| ui * p).sum();
-                expected / u.u_max()
+                let (probs, zero_each) = exponential_probabilities(u, epsilon, sensitivity);
+                u.expected_utility(&probs, zero_each) / u.u_max()
             }
             Mechanism::Laplace => {
                 laplace_accuracy(u, epsilon, sensitivity, Self::LAPLACE_TRIALS, rng)
