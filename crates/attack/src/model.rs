@@ -74,16 +74,13 @@ impl ObservationModel {
     /// by itself breaks ε-DP for any finite ε.
     pub fn log_prob(&self, picks: &[NodeId]) -> f64 {
         let MechanismModel { mechanism, epsilon, sensitivity } = self.mechanism;
+        if mechanism.is_single_draw() {
+            assert_eq!(picks.len(), 1, "{} observations are single draws", mechanism.name());
+        }
         match mechanism {
             Mechanism::Exponential => self.exponential_topk_log_prob(picks, epsilon, sensitivity),
-            Mechanism::Laplace => {
-                assert_eq!(picks.len(), 1, "Laplace observations are single draws");
-                self.laplace_win_log_prob(picks[0], epsilon, sensitivity)
-            }
-            Mechanism::Smoothing { x } => {
-                assert_eq!(picks.len(), 1, "smoothing observations are single draws");
-                self.smoothing_log_prob(picks[0], x)
-            }
+            Mechanism::Laplace => self.laplace_win_log_prob(picks[0], epsilon, sensitivity),
+            Mechanism::Smoothing { x } => self.smoothing_log_prob(picks[0], x),
         }
     }
 

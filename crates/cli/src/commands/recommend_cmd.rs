@@ -34,7 +34,7 @@ pub fn run(opts: &RecommendOptions) -> Result<(), String> {
         let served = match service.serve_one(target, 1, split_seed(opts.run.seed, i as u64)) {
             Ok(served) => served,
             Err(refusal) => {
-                println!("  {target:>8}: {refusal}");
+                println!("  {refusal}");
                 continue;
             }
         };

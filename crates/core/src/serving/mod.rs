@@ -1032,8 +1032,10 @@ mod tests {
         }
     }
 
+    /// Recommenders are services too: each built from one `Arc<Graph>`
+    /// aliases the same in-memory graph.
     #[test]
-    fn services_share_one_graph_instance() {
+    fn shares_graph_with_recommenders() {
         let shared = Arc::new(karate_club());
         let a =
             RecommendationService::builder(Arc::clone(&shared), Arc::new(CommonNeighbors)).build();

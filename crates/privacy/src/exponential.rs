@@ -111,6 +111,16 @@ mod tests {
     }
 
     #[test]
+    fn expected_accuracy_in_unit_interval_and_monotone_in_eps() {
+        let u = vector();
+        let lo = Mechanism::Exponential.expected_accuracy(&u, 0.2, 1.0, &mut rng(3));
+        let hi = Mechanism::Exponential.expected_accuracy(&u, 3.0, 1.0, &mut rng(3));
+        assert!((0.0..=1.0).contains(&lo));
+        assert!((0.0..=1.0).contains(&hi));
+        assert!(hi > lo);
+    }
+
+    #[test]
     fn sampling_frequencies_match_probabilities() {
         // Candidates 1..=5 of target 0 on an edgeless 6-node graph; the
         // vector scores 1 and 5, so 2, 3 and 4 form the zero class, whose

@@ -146,21 +146,24 @@ fn budgets_are_enforced_per_target_across_batches() {
     assert_eq!(service.remaining_budget(target), 0.0);
 }
 
+/// The batch service and a single-query recommender (a Laplace service
+/// answering one `serve_one` request) wired to one graph.
 #[test]
-fn services_share_one_graph() {
+fn service_and_recommender_share_one_graph() {
     let service = wiki_service(Some(2));
-    let laplace = RecommendationService::builder(service.shared_graph(), Arc::new(CommonNeighbors))
-        .config(ServiceConfig { mechanism: Mechanism::Laplace, ..Default::default() })
-        .build();
-    assert!(Arc::ptr_eq(&service.shared_graph(), &laplace.shared_graph()));
+    let recommender =
+        RecommendationService::builder(service.shared_graph(), Arc::new(CommonNeighbors))
+            .config(ServiceConfig { mechanism: Mechanism::Laplace, ..Default::default() })
+            .build();
+    assert!(Arc::ptr_eq(&service.shared_graph(), &recommender.shared_graph()));
 
-    // Both mechanisms serve valid recommendations from the same instance.
+    // Both serve valid recommendations from the same instance.
     let graph = service.shared_graph();
     let target = graph.nodes().find(|&v| graph.degree(v) > 0).unwrap();
     let served = service.serve_one(target, 1, 3).unwrap();
     assert!(!service.pin().has_edge(target, served.recommendations[0]));
-    let single = laplace.serve_one(target, 1, 3).unwrap();
-    assert!(!laplace.pin().has_edge(target, single.recommendations[0]));
+    let single = recommender.serve_one(target, 1, 3).unwrap();
+    assert!(!recommender.pin().has_edge(target, single.recommendations[0]));
 }
 
 /// A wiki service drawing through `mechanism` with a budget of 5.
