@@ -727,7 +727,7 @@ impl Default for AttackOptions {
             graph: DatasetSpec::karate(),
             serving: ServingFlags { epsilon: 0.5, ..ServingFlags::default() },
             mechanism: "exponential".to_owned(),
-            smoothing_x: 0.05,
+            smoothing_x: Mechanism::DEFAULT_SMOOTHING_X,
             adjacency: Adjacency::Edge.name().to_owned(),
             adversary: "all".to_owned(),
             edge: None,
@@ -942,7 +942,8 @@ pub struct Options {
 
 impl Default for Options {
     fn default() -> Self {
-        Options { scale: 1.0, laplace: false, trials: 1000, run: RunFlags::default() }
+        let trials = Mechanism::LAPLACE_TRIALS;
+        Options { scale: 1.0, laplace: false, trials, run: RunFlags::default() }
     }
 }
 

@@ -48,7 +48,7 @@ impl Default for ExperimentConfig {
             epsilon: 1.0,
             target_fraction: 0.1,
             seed: 42,
-            laplace_trials: 1000,
+            laplace_trials: Mechanism::LAPLACE_TRIALS,
             eval_laplace: true,
             // Both paper utilities are *monotone* in edge additions, so the
             // mechanisms are ε-DP at the Δ∞ calibration (McSherry–Talwar's

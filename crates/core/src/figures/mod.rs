@@ -71,7 +71,7 @@ impl Default for FigureConfig {
             scale: 1.0,
             seed: 42,
             eval_laplace: false,
-            laplace_trials: 1000,
+            laplace_trials: psr_privacy::Mechanism::LAPLACE_TRIALS,
             threads: None,
         }
     }

@@ -44,10 +44,10 @@
 //! mechanism peels `k` slots with the configured top-`k` engine at ε/k
 //! each; Laplace and smoothing serve one slot), and admission-time budget
 //! enforcement with typed refusals. The charge comes from the mechanism
-//! ([`psr_privacy::Mechanism::charge`]). Mutation batches are atomic all-or-nothing, invalidate
-//! exactly the targets within the utility's invalidation radius of a
-//! mutated endpoint, and fold the overlay into a fresh CSR base when it
-//! covers more than a quarter of the nodes.
+//! ([`psr_privacy::Mechanism::charge`]). Mutation batches are atomic
+//! all-or-nothing, invalidate exactly the targets within the utility's
+//! invalidation radius of a mutated endpoint, and fold the overlay into a
+//! fresh CSR base when it covers more than a quarter of the nodes.
 //!
 //! # ε budgets across epochs
 //!

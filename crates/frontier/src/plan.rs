@@ -17,7 +17,7 @@
 use std::str::FromStr;
 
 use psr_attack::{Adjacency, AttackMechanism};
-use psr_privacy::TopKEngine;
+use psr_privacy::{Mechanism, TopKEngine};
 use psr_utility::UtilityKind;
 use serde::{Deserialize, Serialize};
 
@@ -83,7 +83,7 @@ impl ExperimentPlan {
             epsilons: vec![0.5, 2.0],
             engines: vec!["gumbel".to_owned()],
             gamma: 0.5,
-            smoothing_x: 0.05,
+            smoothing_x: Mechanism::DEFAULT_SMOOTHING_X,
             rounds: 2,
             k: 1,
             trials_per_world: 12,
