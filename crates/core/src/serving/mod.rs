@@ -1113,6 +1113,34 @@ mod tests {
         let _ = service(ServiceConfig { epsilon_per_request: 0.0, ..Default::default() });
     }
 
+    /// The mechanism is configuration, not a copy of the graph: services
+    /// of all three mechanisms built from one `Arc<Graph>` alias it.
+    #[test]
+    fn services_of_every_mechanism_share_one_graph_instance() {
+        let shared = Arc::new(karate_club());
+        for mechanism in
+            [Mechanism::Exponential, Mechanism::Laplace, Mechanism::Smoothing { x: 0.05 }]
+        {
+            let svc =
+                RecommendationService::builder(Arc::clone(&shared), Arc::new(CommonNeighbors))
+                    .config(ServiceConfig { mechanism, ..Default::default() })
+                    .build();
+            assert!(Arc::ptr_eq(&shared, &svc.shared_graph()), "{mechanism:?}");
+        }
+    }
+
+    /// Laplace charges ε per request, so a zero ε is refused at build time
+    /// under it as under the exponential default.
+    #[test]
+    #[should_panic(expected = "epsilon must be positive")]
+    fn laplace_zero_eps_rejected() {
+        let _ = service(ServiceConfig {
+            mechanism: Mechanism::Laplace,
+            epsilon_per_request: 0.0,
+            ..Default::default()
+        });
+    }
+
     #[test]
     #[should_panic(expected = "disagrees with configured budget")]
     fn mismatched_ledger_budget_rejected() {
