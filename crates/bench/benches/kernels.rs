@@ -1,22 +1,22 @@
 //! Serving-path kernels in isolation: the adaptive sorted-intersection
-//! (`common_neighbor_count`, §4.1's pairwise utility) and the bulk
-//! 2-step-walk counter (`CommonNeighborCounter`) behind every utility
-//! pass.
+//! (`common_neighbor_count`, §4.1's pairwise utility) and the walk
+//! workspace (`WalkWorkspace`) behind every utility pass, on its bulk
+//! 2-step-walk count.
 //!
 //! Two headline no-regression asserts, measured once outside the sampler
 //! on the 10k-node Barabási–Albert preset:
 //!
 //! * galloping intersection on hub/leaf pairs must not lose to the linear
 //!   merge it replaces (and must return identical counts);
-//! * a reused counter workspace must not lose to allocating a fresh dense
-//!   array per target.
+//! * a reused walk workspace must not lose to a fresh one (a fresh dense
+//!   array) per target.
 
 #![allow(missing_docs)] // the bench entry point is an undocumented `fn main`
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, Criterion};
 use psr_bench::ba_graph_10k;
-use psr_graph::algo::{common_neighbor_count, common_neighbor_counts, CommonNeighborCounter};
+use psr_graph::algo::{common_neighbor_count, WalkWorkspace};
 use psr_graph::{Graph, NodeId};
 
 /// Times `routine` `rounds` times and keeps the fastest run — the
@@ -116,6 +116,26 @@ fn kernels_intersection(c: &mut Criterion) {
     group.finish();
 }
 
+/// Sum and number of the 2-step-walk counts from each target.
+fn walk_counts(walk: &mut WalkWorkspace, graph: &Graph, targets: &[NodeId]) -> (u64, u64) {
+    let (mut sum, mut len) = (0u64, 0u64);
+    for &r in targets {
+        walk.common_neighbors(graph, r, |_, c| {
+            sum += u64::from(c);
+            len += 1;
+        });
+    }
+    (sum, len)
+}
+
+/// The same counts on a fresh workspace per target.
+fn fresh_walk_counts(graph: &Graph, targets: &[NodeId]) -> (u64, u64) {
+    targets.iter().fold((0, 0), |(sum, len), &r| {
+        let (s, l) = walk_counts(&mut WalkWorkspace::default(), graph, &[r]);
+        (sum + s, len + l)
+    })
+}
+
 fn kernels_counter(c: &mut Criterion) {
     let graph = ba_graph_10k();
     // Low-degree targets: the walk itself is cheap there, so the fresh
@@ -124,23 +144,11 @@ fn kernels_counter(c: &mut Criterion) {
     targets.sort_by_key(|&v| graph.degree(v));
     targets.truncate(256);
 
-    // Headline: a long-lived workspace against a fresh dense array per
-    // target (what `common_neighbor_counts` allocates), best of 5.
-    let mut counter = CommonNeighborCounter::new(graph.num_nodes());
-    let (reused_time, reused_sum) = best_of(5, || {
-        targets
-            .iter()
-            .map(|&r| counter.counts(&graph, r).iter().map(|&(_, c)| u64::from(c)).sum::<u64>())
-            .sum::<u64>()
-    });
-    let (fresh_time, fresh_sum) = best_of(5, || {
-        targets
-            .iter()
-            .map(|&r| {
-                common_neighbor_counts(&graph, r).iter().map(|&(_, c)| u64::from(c)).sum::<u64>()
-            })
-            .sum()
-    });
+    // Headline: a long-lived workspace against a fresh one (a fresh dense
+    // array) per target, best of 5.
+    let mut walk = WalkWorkspace::default();
+    let (reused_time, reused_sum) = best_of(5, || walk_counts(&mut walk, &graph, &targets));
+    let (fresh_time, fresh_sum) = best_of(5, || fresh_walk_counts(&graph, &targets));
     assert_eq!(reused_sum, fresh_sum, "workspace reuse changed the counts");
     println!(
         "[kernels] {} bulk-count targets: reused workspace {:.2} ms vs fresh alloc \
@@ -159,13 +167,11 @@ fn kernels_counter(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels_counter");
     group.sample_size(20);
     group.bench_function("reused_workspace", |b| {
-        let mut counter = CommonNeighborCounter::new(graph.num_nodes());
-        b.iter(|| targets.iter().map(|&r| counter.counts(&graph, r).len() as u64).sum::<u64>());
+        let mut walk = WalkWorkspace::default();
+        b.iter(|| walk_counts(&mut walk, &graph, &targets).1);
     });
     group.bench_function("fresh_workspace", |b| {
-        b.iter(|| {
-            targets.iter().map(|&r| common_neighbor_counts(&graph, r).len() as u64).sum::<u64>()
-        });
+        b.iter(|| fresh_walk_counts(&graph, &targets).1);
     });
     group.finish();
 }

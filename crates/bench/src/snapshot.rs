@@ -1,6 +1,6 @@
 //! `BENCH_*.json` snapshot writer.
 //!
-//! Each bench binary's `main` calls [`write`] after its criterion groups
+//! Each bench binary's `main` calls [`write()`] after its criterion groups
 //! have run. The vendored criterion records every timed case in a process
 //! registry ([`criterion::take_results`]); this module drains it and
 //! serialises a small machine-readable summary — git SHA, UTC date, and
@@ -54,7 +54,7 @@ pub struct Gauge {
 /// Process-global gauge registry, drained by [`write`].
 static GAUGES: Mutex<Vec<Gauge>> = Mutex::new(Vec::new());
 
-/// Records a gauge for the next [`write`] call. Unlike timed cases,
+/// Records a gauge for the next [`write()`] call. Unlike timed cases,
 /// gauges are recorded in test mode too, but they are only persisted when
 /// a real run produced timed cases.
 ///

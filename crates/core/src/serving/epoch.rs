@@ -161,12 +161,14 @@ impl EpochState {
         dirty_targets: &DirtyTargets,
     ) -> (HashMap<NodeId, Arc<TargetState>>, usize) {
         let cache = self.cache.lock().expect("cache lock");
-        let DirtyTargets::Listed(dirty) = dirty_targets else {
+        if let DirtyTargets::All(_) = dirty_targets {
             return (HashMap::new(), cache.len());
-        };
+        }
         let mut next = cache.clone();
         drop(cache);
-        let invalidated = dirty.iter().filter(|t| next.remove(t).is_some()).count();
+        let cached = next.len();
+        next.retain(|&t, _| !dirty_targets.contains(t));
+        let invalidated = cached - next.len();
         (next, invalidated)
     }
 

@@ -1,10 +1,10 @@
 //! Shared primitives for append-only, crash-safe line journals.
 //!
 //! Two subsystems persist state as line-oriented text journals with the
-//! same durability story: the per-target budget [`ledger`](super::ledger)
-//! and the frontier sweep's results checkpoint (`psr-frontier`). Both
-//! need the same three building blocks, extracted here so the formats
-//! stay idiom-identical:
+//! same durability story: the per-target budget ledger
+//! ([`JournalLedger`](super::JournalLedger)) and the frontier sweep's
+//! results checkpoint (`psr-frontier`). Both need the same three
+//! building blocks, extracted here so the formats stay idiom-identical:
 //!
 //! * [`fnv1a64`] — the checksum guarding every line,
 //! * [`seal`] / [`unseal`] — payload ↔ checksummed line framing,

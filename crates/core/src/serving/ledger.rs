@@ -47,7 +47,7 @@ use super::budget::{BudgetAccountant, BudgetExceeded};
 use super::journal::{lossy_utf8_prefix, seal, unseal, LineSplitter};
 
 /// Per-target ε spend tracking with explicit durability points. See the
-/// [module docs](self) for the contract; [`BudgetAccountant`] is the
+/// `serving/ledger.rs` module docs for the contract; [`BudgetAccountant`] is the
 /// volatile reference implementation, [`JournalLedger`] the durable one.
 pub trait BudgetLedger: Send {
     /// The configured per-target budget.
@@ -139,8 +139,8 @@ fn parse_charge(payload: &str) -> Option<(NodeId, f64)> {
     (eps > 0.0 && eps.is_finite()).then_some((target, eps))
 }
 
-/// An append-only on-disk [`BudgetLedger`]. See the [module docs](self)
-/// for the format, the replay rules and the durability contract.
+/// An append-only on-disk [`BudgetLedger`]. See the `serving/ledger.rs`
+/// module docs for the format, the replay rules and the durability contract.
 #[derive(Debug)]
 pub struct JournalLedger {
     path: PathBuf,

@@ -13,7 +13,7 @@
 //! service keeps answering. The service packages that deployment shape
 //! in three layers:
 //!
-//! * **[`epoch`] — RCU-style epoch-pinned reads.** All read state (the
+//! * **`epoch` — RCU-style epoch-pinned reads.** All read state (the
 //!   [`psr_graph::DeltaGraph`] view, the calibrated Δf, the per-target
 //!   candidate/utility cache) is frozen into an immutable per-epoch
 //!   snapshot behind an atomic swap point. Readers
@@ -23,7 +23,7 @@
 //!   pointer — in-flight batches drain on the epoch they pinned with
 //!   bit-identical results, and mutation batches never stall the read
 //!   path. Writers serialise on a staging lock; readers never block.
-//! * **[`ledger`] — a persistent budget ledger.** Budget admission runs
+//! * **`ledger` — a persistent budget ledger.** Budget admission runs
 //!   through the [`BudgetLedger`] trait; [`JournalLedger`] is the
 //!   append-only on-disk implementation whose replay makes per-target ε
 //!   spend survive restarts — spend is the one piece of state that must
@@ -293,22 +293,38 @@ pub struct Epoch {
     pub compacted: bool,
 }
 
-/// The targets an epoch dirtied: every node, or a sorted list. "Every
-/// node" is one number, so an epoch that dirties a whole graph of
-/// millions costs nothing to report.
+/// The targets an epoch dirtied: every node, a sorted list, or a bitset.
+/// "Every node" is one number, so an epoch that dirties a whole graph of
+/// millions costs nothing to report, and a ball is kept in whichever of
+/// the list and the bitset is smaller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirtyTargets {
     /// All `0..n` nodes of a graph with `n` nodes.
     All(usize),
     /// These nodes, sorted ascending and distinct.
     Listed(Vec<NodeId>),
+    /// The nodes whose bit `v % 64` of word `v / 64` is set, and their count.
+    Marked(Vec<u64>, usize),
 }
 
 impl DirtyTargets {
+    /// The nodes set in `bits`, kept as the bitset when they are more than
+    /// one node in 32 (a listed node costs 32 bits).
+    fn ball(bits: Vec<u64>) -> Self {
+        let len = bits.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let listed = len * 32 <= bits.len() * 64;
+        let marked = DirtyTargets::Marked(bits, len);
+        if listed {
+            DirtyTargets::Listed(marked.iter().collect())
+        } else {
+            marked
+        }
+    }
+
     /// Number of dirty targets.
     pub fn len(&self) -> usize {
         match self {
-            DirtyTargets::All(n) => *n,
+            DirtyTargets::All(n) | DirtyTargets::Marked(_, n) => *n,
             DirtyTargets::Listed(list) => list.len(),
         }
     }
@@ -320,19 +336,25 @@ impl DirtyTargets {
 
     /// Whether `target` is dirty.
     pub fn contains(&self, target: NodeId) -> bool {
+        let t = target as usize;
         match self {
-            DirtyTargets::All(n) => (target as usize) < *n,
+            DirtyTargets::All(n) => t < *n,
             DirtyTargets::Listed(list) => list.binary_search(&target).is_ok(),
+            DirtyTargets::Marked(bits, _) => {
+                bits.get(t / 64).is_some_and(|w| w >> (t % 64) & 1 == 1)
+            }
         }
     }
 
     /// The dirty targets in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let (all, listed) = match self {
-            DirtyTargets::All(n) => (0..*n as NodeId, &[][..]),
-            DirtyTargets::Listed(list) => (0..0, list.as_slice()),
+        let (all, listed, bits) = match self {
+            DirtyTargets::All(n) => (0..*n as NodeId, &[][..], &[][..]),
+            DirtyTargets::Listed(list) => (0..0, list.as_slice(), &[][..]),
+            DirtyTargets::Marked(bits, _) => (0..0, &[][..], bits.as_slice()),
         };
-        all.chain(listed.iter().copied())
+        let marked = (0..bits.len() * 64).filter(|&v| bits[v / 64] >> (v % 64) & 1 == 1);
+        all.chain(listed.iter().copied()).chain(marked.map(|v| v as NodeId))
     }
 }
 
@@ -662,15 +684,14 @@ impl RecommendationService {
             // conservatively dirty everyone.
             Some(radius) if !staged.is_directed() => {
                 let seeds: BTreeSet<NodeId> = mutations.iter().flat_map(|m| [m.u, m.v]).collect();
-                let mut marked = vec![false; num_nodes];
+                let mut marked = vec![0u64; num_nodes.div_ceil(64)];
                 // The ball must cover both neighbourhoods: a deleted
                 // edge's influence is visible from the pre-mutation
                 // adjacency, an inserted edge's from the post-mutation
                 // one.
                 mark_ball(&old.graph, &seeds, radius, &mut marked);
                 mark_ball(&staged, &seeds, radius, &mut marked);
-                let ball = marked.iter().enumerate().filter(|&(_, &m)| m);
-                DirtyTargets::Listed(ball.map(|(v, _)| v as NodeId).collect())
+                DirtyTargets::ball(marked)
             }
             _ => DirtyTargets::All(num_nodes),
         };
@@ -839,13 +860,13 @@ fn admit(
 /// Marks every node within `radius` hops of any seed (seeds included) in
 /// `view`. Multi-source truncated BFS that reads lists without caching
 /// them; `marked` accumulates across calls.
-fn mark_ball(view: &DeltaGraph, seeds: &BTreeSet<NodeId>, radius: usize, marked: &mut [bool]) {
+fn mark_ball(view: &DeltaGraph, seeds: &BTreeSet<NodeId>, radius: usize, marked: &mut [u64]) {
     let mut dist: Vec<u32> = vec![u32::MAX; view.num_nodes()];
     let mut queue = VecDeque::new();
     let mut scratch = Vec::new();
     for &s in seeds {
         dist[s as usize] = 0;
-        marked[s as usize] = true;
+        marked[s as usize / 64] |= 1 << (s % 64);
         queue.push_back(s);
     }
     while let Some(v) = queue.pop_front() {
@@ -856,7 +877,7 @@ fn mark_ball(view: &DeltaGraph, seeds: &BTreeSet<NodeId>, radius: usize, marked:
         for &w in view.neighbors_into(v, &mut scratch) {
             if dist[w as usize] == u32::MAX {
                 dist[w as usize] = d + 1;
-                marked[w as usize] = true;
+                marked[w as usize / 64] |= 1 << (w % 64);
                 queue.push_back(w);
             }
         }
@@ -1199,7 +1220,7 @@ mod tests {
         let mut expected: BTreeSet<NodeId> = BTreeSet::from([24, 16]);
         expected.extend(graph.neighbors(24).iter().copied());
         expected.extend(graph.neighbors(16).iter().copied());
-        assert_eq!(epoch.dirty_targets, DirtyTargets::Listed(expected.into_iter().collect()));
+        assert!(epoch.dirty_targets.iter().eq(expected), "the ball, in order");
         assert!(epoch.dirty_targets.len() < 34, "must not dirty the whole graph");
         assert_eq!(epoch.invalidated, epoch.dirty_targets.len(), "all were cached");
     }

@@ -5,7 +5,7 @@
 //! * **Wikipedia vote network** `G_WV` — 7,115 nodes, 100,762 edges after
 //!   symmetrisation (SNAP `wiki-Vote`),
 //! * **Twitter connections sample** `G_T` — 96,403 nodes, 489,986 directed
-//!   edges, maximum degree 13,181 (from Silberstein et al. [25]).
+//!   edges, maximum degree 13,181 (from Silberstein et al. \[25\]).
 //!
 //! [`wiki_vote_like`] and [`twitter_like`] generate synthetic stand-ins
 //! with matched node/edge counts, heavy-tailed degree structure, and (for

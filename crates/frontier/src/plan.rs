@@ -5,7 +5,7 @@
 //! × adjacency notions × ε values × top-`k` engines — plus the shared
 //! scenario knobs (rounds, trials, confidence). [`ExperimentPlan::
 //! expand`] turns the grid into a flat list of independent
-//! [`CellSpec`](crate::CellSpec)s with stable indices; the index is the
+//! [`CellSpec`]s with stable indices; the index is the
 //! cell's identity in the results journal and the seed stream, so the
 //! same plan always expands to the same cells in the same order.
 //!
@@ -165,12 +165,11 @@ impl ExperimentPlan {
     /// order (datasets → utilities → adjacencies → mechanisms → ε →
     /// engines) with sequential indices.
     ///
-    /// Two collapse rules keep the grid free of redundant cells:
-    /// mechanisms without an ε parameter (`smoothing`, `non-private`)
-    /// produce one cell per (dataset, utility, adjacency) with `epsilon:
-    /// None`, and mechanisms that bypass the top-`k` sampler (`laplace`,
-    /// `smoothing`) use only the first engine (the engine never touches
-    /// their output distribution).
+    /// Two collapse rules keep the grid free of redundant cells, read off
+    /// [`AttackMechanism`]: a mechanism without an ε parameter (smoothing,
+    /// the non-private baseline) yields one cell with `epsilon: None`,
+    /// and a single-draw one (Laplace, smoothing) bypasses the top-`k`
+    /// sampler and uses only the first engine.
     #[must_use]
     pub fn expand(&self) -> Vec<CellSpec> {
         let mut cells = Vec::new();
@@ -178,16 +177,16 @@ impl ExperimentPlan {
             for utility in &self.utilities {
                 for adjacency in &self.adjacencies {
                     for mechanism in &self.mechanisms {
-                        let epsilons: Vec<Option<f64>> = match mechanism.as_str() {
-                            "smoothing" | "non-private" => vec![None],
+                        let parsed = AttackMechanism::new(mechanism, 1.0, 0.0).ok();
+                        let epsilons: Vec<Option<f64>> = match parsed.map(|m| m.epsilon()) {
+                            Some(None) => vec![None],
                             _ => self.epsilons.iter().map(|&e| Some(e)).collect(),
                         };
-                        let engines: Vec<&String> = match mechanism.as_str() {
-                            "laplace" | "smoothing" => vec![&self.engines[0]],
-                            _ => self.engines.iter().collect(),
-                        };
+                        let single_draw = parsed.is_some_and(|m| m.served().0.is_single_draw());
+                        let engines =
+                            &self.engines[..if single_draw { 1 } else { self.engines.len() }];
                         for epsilon in &epsilons {
-                            for engine in &engines {
+                            for engine in engines {
                                 cells.push(CellSpec {
                                     index: cells.len(),
                                     dataset,
@@ -195,7 +194,7 @@ impl ExperimentPlan {
                                     adjacency: adjacency.clone(),
                                     mechanism: mechanism.clone(),
                                     epsilon: *epsilon,
-                                    engine: (*engine).clone(),
+                                    engine: engine.clone(),
                                 });
                             }
                         }
@@ -255,6 +254,45 @@ mod tests {
             .all(|c| c.engine == "peel" && c.epsilon.is_some()));
         // Same plan, same expansion.
         assert_eq!(cells, plan.expand());
+    }
+
+    /// The collapse rules read the mechanism table, not its names: the
+    /// toy plan and a plan with every mechanism on two engines expand to
+    /// the cells below, in this order.
+    #[test]
+    fn toy_and_all_mechanism_plans_expand_to_the_same_cells() {
+        let axes = |plan: &ExperimentPlan| -> Vec<(String, Option<f64>, String)> {
+            let cells = plan.expand();
+            cells.into_iter().map(|c| (c.mechanism, c.epsilon, c.engine)).collect()
+        };
+        let cell = |m: &str, e: Option<f64>, g: &str| (m.to_owned(), e, g.to_owned());
+        let toy = ExperimentPlan::toy();
+        assert_eq!(
+            axes(&toy),
+            vec![
+                cell("exponential", Some(0.5), "gumbel"),
+                cell("exponential", Some(2.0), "gumbel"),
+                cell("non-private", None, "gumbel"),
+            ]
+        );
+        let mut all = toy;
+        all.mechanisms =
+            ["exponential", "laplace", "smoothing", "non-private"].map(str::to_owned).to_vec();
+        all.engines = vec!["peel".to_owned(), "gumbel".to_owned()];
+        assert_eq!(
+            axes(&all),
+            vec![
+                cell("exponential", Some(0.5), "peel"),
+                cell("exponential", Some(0.5), "gumbel"),
+                cell("exponential", Some(2.0), "peel"),
+                cell("exponential", Some(2.0), "gumbel"),
+                cell("laplace", Some(0.5), "peel"),
+                cell("laplace", Some(2.0), "peel"),
+                cell("smoothing", None, "peel"),
+                cell("non-private", None, "peel"),
+                cell("non-private", None, "gumbel"),
+            ]
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`erdos_renyi`] — `G(n, m)` and `G(n, p)` baselines,
 //! * [`barabasi_albert`] — preferential attachment (heavy-tailed degrees,
 //!   the model behind "power law degree distribution" in §5.1),
-//! * [`watts_strogatz`] — small-world ring lattices,
+//! * [`watts_strogatz`](mod@watts_strogatz) — small-world ring lattices,
 //! * [`config_model`] — erased configuration model over an explicit
 //!   power-law degree sequence,
 //! * [`rmat`] — streaming R-MAT arc sampling for LiveJournal-class graphs

@@ -5,20 +5,17 @@
 //! `C(i, r) = |{a : (r, a) ∈ E ∧ (a, i) ∈ E}|`, i.e. the number of 2-step
 //! out-walks from `r` to `i`.
 //!
-//! Two serving-path kernels live here, both covered by the `kernels`
-//! criterion group with no-regression asserts:
-//!
-//! * [`common_neighbor_count`] — pairwise sorted-list intersection that
-//!   switches from a linear merge to galloping (exponential search) when
-//!   the degree ratio is skewed, turning O(d_u + d_v) into
-//!   O(d_min · log d_max) for hub pairs;
-//! * [`CommonNeighborCounter`] — the bulk 2-step-walk counter behind
-//!   every utility pass, with a branch-light inner loop and a workspace
-//!   that grows on demand across `DeltaGraph` node-growth epochs. Its
-//!   second hop reads through [`GraphView::neighbors_into`], so a walk
-//!   over a compressed snapshot leaves no decoded lists behind.
+//! [`common_neighbor_count`] intersects one pair's sorted lists, switching
+//! from a linear merge to galloping (exponential search) when the degree
+//! ratio is skewed, which turns O(d_u + d_v) into O(d_min · log d_max)
+//! for hub pairs. The bulk count over every node is the pooled walk
+//! kernel's [`WalkWorkspace::common_neighbors`]; [`common_neighbor_counts`]
+//! collects it into a vector.
 
-use crate::node::{ix, NodeId};
+use crate::algo::walks::with_walk;
+#[cfg(doc)]
+use crate::algo::WalkWorkspace;
+use crate::node::NodeId;
 use crate::view::GraphView;
 
 /// Counts common neighbours between the target `r` and *every* node reached
@@ -26,11 +23,11 @@ use crate::view::GraphView;
 /// node id. The list includes `r` itself and `r`'s neighbours when they are
 /// reachable in two steps; callers filter by their candidate policy.
 ///
-/// Runs in `O(Σ_{a ∈ N(r)} deg(a))` using a dense counting array that is
-/// allocated per call; use [`CommonNeighborCounter`] to amortise the
-/// allocation across many targets.
+/// Runs in `O(Σ_{a ∈ N(r)} deg(a))` on a pooled [`WalkWorkspace`].
 pub fn common_neighbor_counts<V: GraphView + ?Sized>(graph: &V, r: NodeId) -> Vec<(NodeId, u32)> {
-    CommonNeighborCounter::new(graph.num_nodes()).counts(graph, r)
+    let mut out = Vec::new();
+    with_walk(|walk| walk.common_neighbors(graph, r, |i, c| out.push((i, c))));
+    out
 }
 
 /// Degree ratio at which the pairwise intersection switches from the
@@ -104,62 +101,10 @@ fn gallop_intersection_count(a: &[NodeId], b: &[NodeId]) -> u32 {
     count
 }
 
-/// Reusable workspace for [`common_neighbor_counts`] over many targets.
-#[derive(Debug)]
-pub struct CommonNeighborCounter {
-    counts: Vec<u32>,
-    touched: Vec<NodeId>,
-    /// Decode scratch for second-hop lists ([`GraphView::neighbors_into`]).
-    scratch: Vec<NodeId>,
-}
-
-impl CommonNeighborCounter {
-    /// Creates a workspace for graphs with `n` nodes. The workspace grows
-    /// on demand, so a counter built against an earlier snapshot stays
-    /// valid after a `DeltaGraph` mutation epoch extends the node set.
-    pub fn new(n: usize) -> Self {
-        CommonNeighborCounter { counts: vec![0; n], touched: Vec::new(), scratch: Vec::new() }
-    }
-
-    /// See [`common_neighbor_counts`].
-    pub fn counts<V: GraphView + ?Sized>(&mut self, graph: &V, r: NodeId) -> Vec<(NodeId, u32)> {
-        // Grow rather than assert: the graph behind a long-lived workspace
-        // can gain nodes between epochs (`DeltaGraph::add_nodes`), and a
-        // release-mode out-of-date workspace must not index out of bounds.
-        if self.counts.len() < graph.num_nodes() {
-            self.counts.resize(graph.num_nodes(), 0);
-        }
-        // Branch-light core: instead of a conditional push per visit, the
-        // walk appends every visited id unconditionally and keeps it only
-        // when the count was zero — a data dependency the CPU handles far
-        // better than a mispredicted branch on hub-dense walks.
-        let mut len = self.touched.len();
-        debug_assert_eq!(len, 0);
-        for &a in graph.neighbors(r) {
-            let walk = graph.neighbors_into(a, &mut self.scratch);
-            self.touched.resize(len + walk.len(), 0);
-            for &i in walk {
-                let c = self.counts[ix(i)];
-                self.touched[len] = i;
-                len += (c == 0) as usize;
-                self.counts[ix(i)] = c + 1;
-            }
-            self.touched.truncate(len);
-        }
-        self.touched.sort_unstable();
-        let mut out = Vec::with_capacity(self.touched.len());
-        for &i in &self.touched {
-            out.push((i, self.counts[ix(i)]));
-            self.counts[ix(i)] = 0;
-        }
-        self.touched.clear();
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::WalkWorkspace;
     use crate::builder::{directed_from_edges, undirected_from_edges, Direction};
     use crate::delta::DeltaGraph;
     use crate::mutation::EdgeMutation;
@@ -211,12 +156,23 @@ mod tests {
         assert_eq!(counts, vec![(0, 2), (1, 1), (2, 1)]);
     }
 
+    /// The bulk counts of one workspace, collected.
+    fn counts<V: GraphView + ?Sized>(
+        ws: &mut WalkWorkspace,
+        g: &V,
+        r: NodeId,
+    ) -> Vec<(NodeId, u32)> {
+        let mut out = Vec::new();
+        ws.common_neighbors(g, r, |i, c| out.push((i, c)));
+        out
+    }
+
     #[test]
     fn workspace_reuse_is_clean_across_targets() {
         let g = undirected_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let mut ws = CommonNeighborCounter::new(g.num_nodes());
-        let first = ws.counts(&g, 0);
-        let second = ws.counts(&g, 0);
+        let mut ws = WalkWorkspace::default();
+        let first = counts(&mut ws, &g, 0);
+        let second = counts(&mut ws, &g, 0);
         assert_eq!(first, second, "stale workspace state leaked between calls");
     }
 
@@ -273,9 +229,10 @@ mod tests {
             .with_num_nodes(4)
             .build()
             .unwrap();
-        let mut ws = CommonNeighborCounter::new(base.num_nodes());
+        let mut ws = WalkWorkspace::default();
+        ws.common_neighbors(&base, 0, |_, _| {});
         let mut delta = DeltaGraph::new(base);
-        let before = ws.counts(&delta, 0);
+        let before = counts(&mut ws, &delta, 0);
 
         // The epoch: two fresh nodes wired into the triangle.
         let first = delta.add_nodes(2);
@@ -287,13 +244,13 @@ mod tests {
         }
 
         // Same workspace, larger graph: must grow, not panic or skip.
-        let after = ws.counts(&delta, 0);
-        let fresh = CommonNeighborCounter::new(delta.num_nodes()).counts(&delta, 0);
+        let after = counts(&mut ws, &delta, 0);
+        let fresh = counts(&mut WalkWorkspace::default(), &delta, 0);
         assert_eq!(after, fresh, "grown workspace must match a fresh one");
         assert!(after.iter().any(|&(i, _)| i == 5), "walk reaches the grown node 5");
         assert_ne!(before, after);
 
         // And the workspace stays clean for the next target.
-        assert_eq!(ws.counts(&delta, 4), CommonNeighborCounter::new(6).counts(&delta, 4));
+        assert_eq!(counts(&mut ws, &delta, 4), counts(&mut WalkWorkspace::default(), &delta, 4));
     }
 }

@@ -55,7 +55,7 @@ impl Graph {
     ///
     /// All deserialization entry points route through this; internal
     /// construction (builder, mutation, compaction) keeps using the
-    /// unchecked [`Graph::from_parts`].
+    /// unchecked `Graph::from_parts`.
     pub fn try_from_parts(
         direction: Direction,
         offsets: Vec<u64>,

@@ -81,6 +81,8 @@ pub struct DeltaGraph {
     /// Nodes appended past the base's id range by [`DeltaGraph::add_nodes`].
     /// They start isolated; edges touching them live purely in the overlay.
     extra_nodes: usize,
+    /// The base's maximum out-degree, taken once at construction.
+    base_max_degree: usize,
     num_edges: usize,
     insertions: usize,
     deletions: usize,
@@ -100,6 +102,7 @@ impl DeltaGraph {
     pub fn with_backend(base: GraphBackend) -> Self {
         let num_edges = base.num_edges();
         DeltaGraph {
+            base_max_degree: base.max_degree(),
             base,
             overlay: BTreeMap::new(),
             extra_nodes: 0,
@@ -360,6 +363,18 @@ impl GraphView for DeltaGraph {
             None if ix(v) >= self.base.num_nodes() => 0,
             None => self.base.degree(v),
         }
+    }
+
+    /// O(dirty), unless no dirty node reaches the base maximum and one of
+    /// them sat at it: then every node is scanned.
+    fn max_degree(&self) -> usize {
+        let (base, base_max) = (&self.base, self.base_max_degree);
+        let dirty = self.overlay.values().map(|entry| entry.merged.len()).max().unwrap_or(0);
+        let lowered = |&v: &NodeId| ix(v) < base.num_nodes() && base.degree(v) == base_max;
+        if dirty < base_max && self.overlay.keys().any(lowered) {
+            return self.nodes().map(|v| self.degree(v)).max().unwrap_or(0);
+        }
+        dirty.max(base_max)
     }
 }
 

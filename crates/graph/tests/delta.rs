@@ -146,3 +146,93 @@ proptest! {
         run_case(Direction::Undirected, vec![(0, 1), (1, 2), (2, 3)], edits, 8)?;
     }
 }
+
+/// The full scan `DeltaGraph::max_degree` avoids.
+fn scanned_max_degree(delta: &DeltaGraph) -> usize {
+    delta.nodes().map(|v| delta.degree(v)).max().unwrap_or(0)
+}
+
+/// Toggles `edits` on a base whose node 0 is a unique hub (a star over
+/// 1..8 plus `edges`), half of them on the hub's edges, grows two nodes
+/// at step `grow_at` and wires them up, and checks `max_degree` against
+/// the full scan after every step.
+fn run_max_degree_case(
+    direction: Direction,
+    edges: Vec<(u32, u32)>,
+    edits: Vec<(u32, u32)>,
+    grow_at: usize,
+) -> Result<(), TestCaseError> {
+    let base = GraphBuilder::new(direction)
+        .add_edges((1..8).map(|v| (0, v)).chain(edges))
+        .with_num_nodes(12)
+        .build()
+        .unwrap();
+    let mut delta = DeltaGraph::new(base);
+    prop_assert_eq!(delta.max_degree(), scanned_max_degree(&delta));
+    for (step, &(u, v)) in edits.iter().enumerate() {
+        if step == grow_at {
+            let first = delta.add_nodes(2);
+            prop_assert_eq!(delta.max_degree(), scanned_max_degree(&delta), "after growth");
+            delta.insert_edge(first, 0).unwrap();
+            delta.insert_edge(first, first + 1).unwrap();
+        }
+        let n = delta.num_nodes() as u32;
+        let (u, v) = (if u % 2 == 0 { 0 } else { u % n }, v % n);
+        if u == v {
+            continue;
+        }
+        if delta.has_edge(u, v) {
+            delta.remove_edge(u, v).unwrap();
+        } else {
+            delta.insert_edge(u, v).unwrap();
+        }
+        prop_assert_eq!(delta.max_degree(), scanned_max_degree(&delta), "after edit {}", step);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn undirected_max_degree_equals_the_scan(
+        edges in edge_set(12, 30),
+        edits in toggles(16, 60),
+        grow_at in 0usize..60,
+    ) {
+        run_max_degree_case(Direction::Undirected, edges, edits, grow_at)?;
+    }
+
+    #[test]
+    fn directed_max_degree_equals_the_scan(
+        edges in edge_set(12, 30),
+        edits in toggles(16, 60),
+        grow_at in 0usize..60,
+    ) {
+        run_max_degree_case(Direction::Directed, edges, edits, grow_at)?;
+    }
+}
+
+#[test]
+fn max_degree_follows_the_hub_down_as_it_loses_its_edges() {
+    // Hub 0 (degree 6) over a runner-up 1 (degree 3): deleting the hub's
+    // edges one by one hands the maximum to the runner-up, and a grown
+    // node wired to everything takes it back.
+    let base = GraphBuilder::new(Direction::Undirected)
+        .add_edges((1..7).map(|v| (0, v)).chain([(1, 2), (1, 3)]))
+        .build()
+        .unwrap();
+    let mut delta = DeltaGraph::new(base);
+    assert_eq!(delta.max_degree(), 6);
+    for v in 1..7 {
+        delta.remove_edge(0, v).unwrap();
+        assert_eq!(delta.max_degree(), scanned_max_degree(&delta), "after deleting (0, {v})");
+    }
+    assert_eq!(delta.max_degree(), 2);
+    let grown = delta.add_nodes(1);
+    for v in 0..grown {
+        delta.insert_edge(grown, v).unwrap();
+    }
+    assert_eq!(delta.max_degree(), 7);
+    assert_eq!(delta.max_degree(), scanned_max_degree(&delta));
+}

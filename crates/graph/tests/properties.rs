@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use psr_graph::algo::{
     bfs_distances, common_neighbor_count, common_neighbor_counts, connected_components,
-    degree_histogram, WalkCounter, UNREACHABLE,
+    degree_histogram, WalkWorkspace, UNREACHABLE,
 };
 use psr_graph::{Direction, GraphBuilder, MutableGraph};
 
@@ -11,6 +11,23 @@ use psr_graph::{Direction, GraphBuilder, MutableGraph};
 fn edge_set(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..n, 0..n), 0..max_edges)
         .prop_map(|pairs| pairs.into_iter().filter(|(u, v)| u != v).collect())
+}
+
+/// Walk counts of length exactly 2 from a source, read off the weighted
+/// walk with weight 1 on length 2 and 0 on length 1.
+struct Level2Walks(Vec<(u32, f64)>);
+
+impl Level2Walks {
+    fn count(&self, l: usize, y: u32) -> f64 {
+        assert_eq!(l, 2, "only length-2 counts were walked");
+        self.0.binary_search_by_key(&y, |&(v, _)| v).map_or(0.0, |i| self.0[i].1)
+    }
+}
+
+fn level_2_walks(wc: &mut WalkWorkspace, g: &psr_graph::Graph, r: u32) -> Level2Walks {
+    let mut level = Vec::new();
+    wc.weighted(g, r, |_| 1.0, &[0.0, 1.0], |v, c| level.push((v, c)));
+    Level2Walks(level)
 }
 
 proptest! {
@@ -118,9 +135,9 @@ proptest! {
             .with_num_nodes(16)
             .build()
             .unwrap();
-        let mut wc = WalkCounter::new(g.num_nodes());
+        let mut wc = WalkWorkspace::default();
         for r in g.nodes() {
-            let walks = wc.count_from(&g, r, 2);
+            let walks = level_2_walks(&mut wc, &g, r);
             for y in g.nodes() {
                 if y == r {
                     continue;

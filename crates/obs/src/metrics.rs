@@ -2,7 +2,7 @@
 //! gauges, and log₂ latency histograms.
 //!
 //! The design splits *registration* from *recording*. Registering a
-//! metric takes a short-lived lock on one of [`SHARDS`] name shards and
+//! metric takes a short-lived lock on one of `SHARDS` name shards and
 //! hands back a cheap cloneable handle; recording through the handle is
 //! a single relaxed atomic op with no lock anywhere. A handle minted by
 //! a **disabled** registry carries no cell at all, so `Counter::inc` on

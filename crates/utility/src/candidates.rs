@@ -2,6 +2,8 @@
 
 use psr_graph::{GraphView, NodeId};
 
+use crate::vector::UtilityVector;
+
 /// The candidate policy of §7.1: every node except the target itself and
 /// the nodes the target is already connected to (by out-edges, for
 /// directed graphs).
@@ -56,10 +58,18 @@ impl CandidateSet {
         (0..self.num_nodes as NodeId).filter(move |&v| self.contains(v))
     }
 
-    /// Filters a sparse `(node, value)` list (sorted by node) down to
-    /// candidates, preserving order. Shared by all utility functions.
-    pub fn filter_sparse(&self, entries: &[(NodeId, f64)]) -> Vec<(NodeId, f64)> {
-        entries.iter().copied().filter(|&(v, _)| self.contains(v)).collect()
+    /// The utility vector of a walk that emits `(node, utility > 0)` in
+    /// ascending id order: non-candidates are dropped, and the candidates
+    /// it never emits form the zero class. Shared by the walk utilities.
+    pub fn scores(&self, walk: impl FnOnce(&mut dyn FnMut(NodeId, f64))) -> UtilityVector {
+        let mut sparse = Vec::new();
+        walk(&mut |v, u| {
+            if self.contains(v) {
+                sparse.push((v, u));
+            }
+        });
+        let num_zero = self.len() - sparse.len();
+        UtilityVector::from_sparse(sparse, num_zero)
     }
 }
 
@@ -95,10 +105,13 @@ mod tests {
     }
 
     #[test]
-    fn filter_sparse_keeps_only_candidates() {
+    fn scores_keep_only_candidates() {
         let c = CandidateSet::for_target(&graph(), 0);
-        let filtered = c.filter_sparse(&[(0, 1.0), (1, 2.0), (3, 4.0), (4, 5.0)]);
-        assert_eq!(filtered, vec![(3, 4.0), (4, 5.0)]);
+        let u = c.scores(|emit| {
+            [(0, 1.0), (1, 2.0), (3, 4.0)].into_iter().for_each(|(v, x)| emit(v, x))
+        });
+        assert_eq!(u.nonzero(), &[(3, 4.0)]);
+        assert_eq!(u.num_zero(), 1, "candidate 4 was never emitted");
     }
 
     #[test]

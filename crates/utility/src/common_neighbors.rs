@@ -1,36 +1,12 @@
 //! The common-neighbours utility — the paper's running example (§4.1).
 
-use std::sync::{Mutex, PoisonError};
-
-use psr_graph::algo::CommonNeighborCounter;
+use psr_graph::algo::with_walk;
 use psr_graph::{GraphView, NodeId};
 
 use crate::candidates::CandidateSet;
 use crate::sensitivity::Sensitivity;
 use crate::traits::UtilityFunction;
 use crate::vector::UtilityVector;
-
-/// Idle 2-step-walk workspaces, shared by every thread that scores
-/// targets. A walk takes one (or makes one when all are busy) and puts it
-/// back, so scoring a target costs its walk rather than a length-n
-/// allocation, and the process holds one length-n array per walk that ever
-/// ran concurrently. A pool rather than a thread-local: serving threads
-/// are short-lived (the daemon spawns its job workers per run, a batch
-/// map spawns per batch), and each new thread would allocate and zero its
-/// own array again. The pool is never released: it keeps its counters,
-/// each sized to the largest graph it has walked, for the life of the
-/// process.
-static COUNTERS: Mutex<Vec<CommonNeighborCounter>> = Mutex::new(Vec::new());
-
-/// Runs `f` on a pooled [`CommonNeighborCounter`]. A workspace whose walk
-/// panicked is dropped rather than returned, since it may hold counts.
-fn with_counter<T>(f: impl FnOnce(&mut CommonNeighborCounter) -> T) -> T {
-    let idle = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner).pop();
-    let mut counter = idle.unwrap_or_else(|| CommonNeighborCounter::new(0));
-    let out = f(&mut counter);
-    COUNTERS.lock().unwrap_or_else(PoisonError::into_inner).push(counter);
-    out
-}
 
 /// `u^{G,r}_i = C(i, r)`, the number of common neighbours between candidate
 /// `i` and the target `r` (2-step out-walks on directed graphs, §7.1).
@@ -48,14 +24,9 @@ impl UtilityFunction for CommonNeighbors {
         target: NodeId,
         candidates: &CandidateSet,
     ) -> UtilityVector {
-        let raw = with_counter(|counter| counter.counts(graph, target));
-        let sparse: Vec<(NodeId, f64)> = raw
-            .into_iter()
-            .filter(|&(v, _)| candidates.contains(v))
-            .map(|(v, c)| (v, c as f64))
-            .collect();
-        let num_zero = candidates.len() - sparse.len();
-        UtilityVector::from_sparse(sparse, num_zero)
+        candidates.scores(|emit| {
+            with_walk(|walk| walk.common_neighbors(graph, target, |v, c| emit(v, f64::from(c))))
+        })
     }
 
     /// Toggling edge `(x, y)` with `x, y ≠ r` changes `C(x, r)` by

@@ -1,12 +1,12 @@
 //! Additional link-prediction utilities (§8: "it would be nice to consider
 //! others as well").
 //!
-//! These are the classic scores from Liben-Nowell & Kleinberg [14] beyond
+//! These are the classic scores from Liben-Nowell & Kleinberg \[14\] beyond
 //! the two the paper analyses. They plug into the same pipeline, letting
 //! the ablation benches ask whether the harsh trade-off is specific to the
 //! analysed utilities (it is not: anything 2-hop-local inherits it).
 
-use psr_graph::algo::common_neighbor_counts;
+use psr_graph::algo::{common_neighbor_count, with_walk};
 use psr_graph::{GraphView, NodeId};
 
 use crate::candidates::CandidateSet;
@@ -30,26 +30,15 @@ impl UtilityFunction for AdamicAdar {
         target: NodeId,
         candidates: &CandidateSet,
     ) -> UtilityVector {
-        // Second hops read without caching, so scoring from a compressed
-        // snapshot leaves no decoded lists behind.
-        let mut scratch = Vec::new();
-        let mut acc: std::collections::BTreeMap<NodeId, f64> = std::collections::BTreeMap::new();
-        for &z in graph.neighbors(target) {
-            let dz = graph.degree(z);
-            if dz < 2 {
-                continue; // ln(1) = 0 would divide by zero; a degree-1
-                          // middle node cannot complete a 2-path anyway
-            }
-            let w = 1.0 / (dz as f64).ln();
-            for &i in graph.neighbors_into(z, &mut scratch) {
-                if candidates.contains(i) {
-                    *acc.entry(i).or_insert(0.0) += w;
-                }
-            }
-        }
-        let sparse: Vec<(NodeId, f64)> = acc.into_iter().collect();
-        let num_zero = candidates.len() - sparse.len();
-        UtilityVector::from_sparse(sparse, num_zero)
+        // A degree-1 middle node cannot complete a 2-path (and ln 1 = 0
+        // would divide by zero), so it starts no walk.
+        let discount = |z: NodeId| match graph.degree(z) {
+            dz if dz < 2 => 0.0,
+            dz => 1.0 / (dz as f64).ln(),
+        };
+        candidates.scores(|emit| {
+            with_walk(|walk| walk.weighted(graph, target, discount, &[0.0, 1.0], emit))
+        })
     }
 
     /// A flipped edge `(x, y)` adds/removes one discounted term at each
@@ -94,24 +83,15 @@ impl UtilityFunction for Jaccard {
         // graphs the two provably coincide, so the walk count is reused
         // there instead of re-intersecting per candidate.
         let directed = graph.is_directed();
-        let sparse: Vec<(NodeId, f64)> = common_neighbor_counts(graph, target)
-            .into_iter()
-            .filter(|&(v, _)| candidates.contains(v))
-            .filter_map(|(v, c)| {
-                let inter = if directed {
-                    psr_graph::algo::common_neighbor_count(graph, target, v) as usize
-                } else {
-                    c as usize
-                };
-                if inter == 0 {
-                    return None; // zero-class candidate
-                }
-                let union = d_r + graph.degree(v) - inter;
-                Some((v, inter as f64 / union as f64))
-            })
-            .collect();
-        let num_zero = candidates.len() - sparse.len();
-        UtilityVector::from_sparse(sparse, num_zero)
+        let jaccard = |emit: &mut dyn FnMut(NodeId, f64), v: NodeId, c: u32| {
+            let inter = if directed { common_neighbor_count(graph, target, v) } else { c } as usize;
+            if inter > 0 {
+                emit(v, inter as f64 / (d_r + graph.degree(v) - inter) as f64);
+            }
+        };
+        candidates.scores(|emit| {
+            with_walk(|walk| walk.common_neighbors(graph, target, |v, c| jaccard(emit, v, c)))
+        })
     }
 
     /// Bounded by 1 per candidate; a single flipped edge touches the

@@ -4,10 +4,10 @@
 //! `max_len` (the paper's experiments use 3; footnote 10). For candidates
 //! (never adjacent to the target in a simple graph) walks of length ≤ 3
 //! coincide with paths, so sparse walk propagation computes the truncated
-//! score exactly — see `psr_graph::algo::walks` for the argument and the
-//! brute-force cross-check.
+//! score exactly — see `psr_graph::algo::WalkWorkspace` for the argument
+//! and the brute-force cross-check.
 
-use psr_graph::algo::WalkCounter;
+use psr_graph::algo::with_walk;
 use psr_graph::{GraphView, NodeId};
 
 use crate::candidates::CandidateSet;
@@ -49,27 +49,12 @@ impl UtilityFunction for WeightedPaths {
         candidates: &CandidateSet,
     ) -> UtilityVector {
         assert!(self.max_len >= 2, "weighted paths start at length 2");
-        let mut counter = WalkCounter::new(graph.num_nodes());
-        let walks = counter.count_from(graph, target, self.max_len);
-
-        // Accumulate γ^{l-2}·count over lengths 2..=max_len into a sparse
-        // map keyed by candidate.
-        let mut acc: std::collections::BTreeMap<NodeId, f64> = std::collections::BTreeMap::new();
-        let mut weight = 1.0; // γ^{l-2} at l = 2
-        for l in 2..=self.max_len {
-            for &(v, c) in &walks.per_length[l - 1] {
-                if candidates.contains(v) {
-                    *acc.entry(v).or_insert(0.0) += weight * c;
-                }
-            }
-            weight *= self.gamma;
-        }
-        // γ = 0 (or exact cancellation) can leave zero-valued entries in
-        // the accumulator; drop them *before* sizing the zero class so the
-        // vector still covers every candidate.
-        let sparse: Vec<(NodeId, f64)> = acc.into_iter().filter(|&(_, u)| u > 0.0).collect();
-        let num_zero = candidates.len() - sparse.len();
-        UtilityVector::from_sparse(sparse, num_zero)
+        // Length l ≥ 2 weighs γ^{l-2}, by repeated multiplication; length
+        // 1 (the target's own neighbours) weighs nothing.
+        let powers = std::iter::successors(Some(1.0), |w| Some(w * self.gamma));
+        let weights: Vec<f64> = std::iter::once(0.0).chain(powers).take(self.max_len).collect();
+        candidates
+            .scores(|emit| with_walk(|walk| walk.weighted(graph, target, |_| 1.0, &weights, emit)))
     }
 
     /// Toggling `(x, y)` away from the target `r` changes, at truncation 3:

@@ -19,7 +19,8 @@ use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
 use psr_datasets::{livejournal_like_snapshot, twitter_like, wiki_vote_like, PresetConfig};
 use psr_graph::algo::{common_neighbor_count, common_neighbor_counts};
 use psr_graph::{CompressedCsr, DeltaGraph, Graph, GraphBackend, GraphView, NodeId, ShardedGraph};
-use psr_utility::{extra::AdamicAdar, CommonNeighbors, UtilityFunction, WeightedPaths};
+use psr_utility::extra::{AdamicAdar, Jaccard};
+use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
 
 fn wiki() -> Graph {
     wiki_vote_like(PresetConfig::scaled(0.05, 2011)).unwrap().0
@@ -142,19 +143,23 @@ fn compressed_serving_materialises_only_the_touched_working_set() {
 
 #[test]
 fn utility_walks_read_second_hops_without_caching_them() {
-    // Common neighbours and Adamic–Adar read each second-hop list once,
-    // through `GraphView::neighbors_into`: the vectors are bit-identical
-    // over CSR, compressed and an overlay on compressed, and the decode
-    // cache ends up holding the scored targets' own lists and nothing
-    // else.
+    // Common neighbours, Adamic–Adar, weighted paths and Jaccard read
+    // every hop after the first through `GraphView::neighbors_into`: the
+    // vectors are bit-identical over CSR, compressed and an overlay on
+    // compressed, and the decode cache ends up holding the scored
+    // targets' own lists and nothing else.
     let graph = wiki();
     let targets: Vec<NodeId> = graph.nodes().take(200).collect();
     assert_eq!(targets.len(), 200);
     let fresh = || Arc::new(CompressedCsr::open_bytes(CompressedCsr::encode(&graph, 4)).unwrap());
     let compressed = GraphBackend::Compressed(fresh());
     let overlay = DeltaGraph::with_backend(GraphBackend::Compressed(fresh()));
-    let utilities: [Box<dyn UtilityFunction>; 2] =
-        [Box::new(CommonNeighbors), Box::new(AdamicAdar)];
+    let utilities: [Box<dyn UtilityFunction>; 4] = [
+        Box::new(CommonNeighbors),
+        Box::new(AdamicAdar),
+        Box::new(WeightedPaths::default()),
+        Box::new(Jaccard),
+    ];
     let bits = |u: &psr_utility::UtilityVector| -> Vec<(NodeId, u64)> {
         u.nonzero().iter().map(|&(v, x)| (v, x.to_bits())).collect()
     };
