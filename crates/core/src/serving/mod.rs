@@ -293,39 +293,22 @@ pub struct Epoch {
     pub compacted: bool,
 }
 
-/// The targets an epoch dirtied: every node, a sorted list, or a bitset.
-/// "Every node" is one number, so an epoch that dirties a whole graph of
-/// millions costs nothing to report, and a ball is kept in whichever of
-/// the list and the bitset is smaller.
+/// The targets an epoch dirtied: every node, or a bitset. "Every node"
+/// is one number, so an epoch that dirties a whole graph of millions
+/// costs nothing to report; a ball costs one bit per node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirtyTargets {
     /// All `0..n` nodes of a graph with `n` nodes.
     All(usize),
-    /// These nodes, sorted ascending and distinct.
-    Listed(Vec<NodeId>),
     /// The nodes whose bit `v % 64` of word `v / 64` is set, and their count.
     Marked(Vec<u64>, usize),
 }
 
 impl DirtyTargets {
-    /// The nodes set in `bits`, kept as the bitset when they are more than
-    /// one node in 32 (a listed node costs 32 bits).
-    fn ball(bits: Vec<u64>) -> Self {
-        let len = bits.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        let listed = len * 32 <= bits.len() * 64;
-        let marked = DirtyTargets::Marked(bits, len);
-        if listed {
-            DirtyTargets::Listed(marked.iter().collect())
-        } else {
-            marked
-        }
-    }
-
     /// Number of dirty targets.
     pub fn len(&self) -> usize {
         match self {
             DirtyTargets::All(n) | DirtyTargets::Marked(_, n) => *n,
-            DirtyTargets::Listed(list) => list.len(),
         }
     }
 
@@ -339,7 +322,6 @@ impl DirtyTargets {
         let t = target as usize;
         match self {
             DirtyTargets::All(n) => t < *n,
-            DirtyTargets::Listed(list) => list.binary_search(&target).is_ok(),
             DirtyTargets::Marked(bits, _) => {
                 bits.get(t / 64).is_some_and(|w| w >> (t % 64) & 1 == 1)
             }
@@ -348,13 +330,12 @@ impl DirtyTargets {
 
     /// The dirty targets in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let (all, listed, bits) = match self {
-            DirtyTargets::All(n) => (0..*n as NodeId, &[][..], &[][..]),
-            DirtyTargets::Listed(list) => (0..0, list.as_slice(), &[][..]),
-            DirtyTargets::Marked(bits, _) => (0..0, &[][..], bits.as_slice()),
+        let (all, bits) = match self {
+            DirtyTargets::All(n) => (0..*n, &[][..]),
+            DirtyTargets::Marked(bits, _) => (0..0, bits.as_slice()),
         };
         let marked = (0..bits.len() * 64).filter(|&v| bits[v / 64] >> (v % 64) & 1 == 1);
-        all.chain(listed.iter().copied()).chain(marked.map(|v| v as NodeId))
+        all.chain(marked).map(|v| v as NodeId)
     }
 }
 
@@ -662,7 +643,7 @@ impl RecommendationService {
                 version: old.version,
                 insertions: 0,
                 deletions: 0,
-                dirty_targets: DirtyTargets::Listed(Vec::new()),
+                dirty_targets: DirtyTargets::Marked(Vec::new(), 0),
                 invalidated: 0,
                 compacted: false,
             });
@@ -691,7 +672,8 @@ impl RecommendationService {
                 // one.
                 mark_ball(&old.graph, &seeds, radius, &mut marked);
                 mark_ball(&staged, &seeds, radius, &mut marked);
-                DirtyTargets::ball(marked)
+                let len = marked.iter().map(|w| w.count_ones() as usize).sum();
+                DirtyTargets::Marked(marked, len)
             }
             _ => DirtyTargets::All(num_nodes),
         };
