@@ -19,6 +19,8 @@
 //!   frequency with no model knowledge at all; the sanity floor any
 //!   serious attack must beat.
 
+use std::collections::HashMap;
+
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::NodeId;
 
@@ -42,7 +44,10 @@ pub trait Adversary: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Scores a batch of transcripts. Batch-level so implementations can
-    /// amortise per-model work (e.g. shadow sampling) across transcripts.
+    /// amortise per-model work (e.g. shadow sampling, repeated
+    /// likelihoods) across transcripts. A batch may mix both worlds'
+    /// transcripts, so each score must be independent of the rest of its
+    /// batch: the same as [`Adversary::score`] on the transcript alone.
     fn score_all(&self, transcripts: &[Transcript], w0: &WorldModel, w1: &WorldModel) -> Vec<f64>;
 
     /// Scores one transcript (a one-element batch).
@@ -58,33 +63,41 @@ pub trait Adversary: Send + Sync {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReconstructionAdversary;
 
-impl ReconstructionAdversary {
-    fn score_one(t: &Transcript, w0: &WorldModel, w1: &WorldModel) -> f64 {
-        let mut total = 0.0;
-        for (i, obs) in t.entries.iter().enumerate() {
-            let lp0 = w0.model_for(i).log_prob(&obs.recommendations);
-            let lp1 = w1.model_for(i).log_prob(&obs.recommendations);
-            match (lp0 == f64::NEG_INFINITY, lp1 == f64::NEG_INFINITY) {
-                // Impossible under both hypotheses: carries no evidence
-                // about which of the two worlds produced it.
-                (true, true) => {}
-                // Support mismatch: certainty, the strongest possible leak.
-                (true, false) => return SCORE_CLAMP,
-                (false, true) => return -SCORE_CLAMP,
-                (false, false) => total += lp1 - lp0,
-            }
-        }
-        total.clamp(-SCORE_CLAMP, SCORE_CLAMP)
-    }
-}
-
 impl Adversary for ReconstructionAdversary {
     fn name(&self) -> &'static str {
         "reconstruction"
     }
 
+    /// Memoises `log_prob`, a pure function of (world, deduplicated
+    /// model, picks), across the batch: transcripts repeat a handful of
+    /// answers, and a Laplace likelihood is a numerical integration.
     fn score_all(&self, transcripts: &[Transcript], w0: &WorldModel, w1: &WorldModel) -> Vec<f64> {
-        transcripts.iter().map(|t| Self::score_one(t, w0, w1)).collect()
+        let mut memo: HashMap<(usize, usize, &[NodeId]), f64> = HashMap::new();
+        transcripts
+            .iter()
+            .map(|t| {
+                let mut total = 0.0;
+                for (i, obs) in t.entries.iter().enumerate() {
+                    let picks = obs.recommendations.as_slice();
+                    let [lp0, lp1] = [(0, w0), (1, w1)].map(|(world, w)| {
+                        *memo
+                            .entry((world, w.model_index(i), picks))
+                            .or_insert_with(|| w.model_for(i).log_prob(picks))
+                    });
+                    match (lp0 == f64::NEG_INFINITY, lp1 == f64::NEG_INFINITY) {
+                        // Impossible under both hypotheses: carries no
+                        // evidence about which of the two worlds produced it.
+                        (true, true) => {}
+                        // Support mismatch: certainty, the strongest
+                        // possible leak.
+                        (true, false) => return SCORE_CLAMP,
+                        (false, true) => return -SCORE_CLAMP,
+                        (false, false) => total += lp1 - lp0,
+                    }
+                }
+                total.clamp(-SCORE_CLAMP, SCORE_CLAMP)
+            })
+            .collect()
     }
 }
 
@@ -302,6 +315,93 @@ mod tests {
         assert_eq!(base.score(&transcript([4, 4]), &w0, &w1), 1.0);
         assert_eq!(base.score(&transcript([4, 3]), &w0, &w1), 0.5);
         assert_eq!(base.score(&transcript([3, 5]), &w0, &w1), 0.0);
+    }
+
+    /// Observers 0 and 1 of the secret edge (1, 4), entries alternating
+    /// between them: 4 is a candidate of observer 1 in w0 only, and 1 is
+    /// a candidate of observer 0 in neither world.
+    fn two_observer_worlds(mechanism: MechanismModel) -> (WorldModel, WorldModel) {
+        let world = |edges: &[(NodeId, NodeId)]| {
+            let g = GraphBuilder::new(Direction::Undirected)
+                .add_edges(edges.iter().copied())
+                .with_num_nodes(6)
+                .build()
+                .unwrap();
+            let models = [0, 1]
+                .map(|o| {
+                    let candidates = CandidateSet::for_target(&g, o);
+                    let utilities = psr_utility::CommonNeighbors.utilities(&g, o, &candidates);
+                    ObservationModel { candidates, utilities, mechanism }
+                })
+                .to_vec();
+            WorldModel::new(models, vec![0, 1, 0, 1])
+        };
+        let base = [(0, 1), (0, 2), (1, 3), (2, 3)];
+        (world(&base), world(&[&base[..], &[(1, 4)]].concat()))
+    }
+
+    /// The Lemma-1 score summed straight from `log_prob`, no memo.
+    fn reference_score(t: &Transcript, w0: &WorldModel, w1: &WorldModel) -> f64 {
+        let mut total = 0.0;
+        for (i, obs) in t.entries.iter().enumerate() {
+            let lp0 = w0.model_for(i).log_prob(&obs.recommendations);
+            let lp1 = w1.model_for(i).log_prob(&obs.recommendations);
+            match (lp0 == f64::NEG_INFINITY, lp1 == f64::NEG_INFINITY) {
+                (true, true) => {}
+                (true, false) => return SCORE_CLAMP,
+                (false, true) => return -SCORE_CLAMP,
+                (false, false) => total += lp1 - lp0,
+            }
+        }
+        total.clamp(-SCORE_CLAMP, SCORE_CLAMP)
+    }
+
+    /// A transcript with one entry per pick list.
+    fn entries<const K: usize>(picks: [[NodeId; K]; 4]) -> Transcript {
+        Transcript {
+            entries: picks
+                .iter()
+                .map(|p| Observation { observer: 0, k: K, recommendations: p.to_vec() })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn memoised_reconstruction_scores_are_bit_identical_to_log_prob_sums() {
+        let model = |mechanism| MechanismModel { mechanism, epsilon: 1.0, sensitivity: 1.0 };
+        let top2 = vec![
+            entries([[3, 4], [2, 5], [4, 3], [5, 2]]),
+            entries([[4, 5], [5, 2], [3, 4], [2, 5]]),
+            entries([[3, 4], [2, 5], [3, 4], [2, 5]]),
+            // Observer 1 answered 4: possible in w0 only.
+            entries([[3, 4], [4, 2], [3, 5], [2, 5]]),
+            // Observer 0 answered 1 and a repeat: possible in neither.
+            entries([[1, 3], [2, 5], [3, 3], [5, 2]]),
+        ];
+        let single = vec![
+            entries([[3], [2], [4], [5]]),
+            entries([[4], [5], [3], [2]]),
+            entries([[3], [2], [3], [2]]),
+            entries([[3], [4], [5], [2]]),
+            entries([[1], [2], [3], [5]]),
+        ];
+        let cases = [
+            (model(Mechanism::Exponential), top2),
+            (model(Mechanism::Laplace), single.clone()),
+            (model(Mechanism::Smoothing { x: 0.3 }), single),
+        ];
+        for (mechanism, transcripts) in cases {
+            let (w0, w1) = two_observer_worlds(mechanism);
+            for (a, b) in [(&w0, &w1), (&w1, &w0)] {
+                let scores = ReconstructionAdversary.score_all(&transcripts, a, b);
+                for (t, score) in transcripts.iter().zip(&scores) {
+                    let expected = reference_score(t, a, b);
+                    assert_eq!(score.to_bits(), expected.to_bits(), "{mechanism:?}: {t:?}");
+                }
+                assert_eq!(scores[3].abs(), SCORE_CLAMP, "{mechanism:?}: support mismatch");
+                assert!(scores[4].abs() < SCORE_CLAMP, "{mechanism:?}: no evidence either way");
+            }
+        }
     }
 
     #[test]

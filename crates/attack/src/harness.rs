@@ -493,10 +493,13 @@ impl TwoWorldGame {
     }
 
     /// Scores a transcript set with one adversary and aggregates the
-    /// attack statistics.
+    /// attack statistics. Both worlds' transcripts go through one
+    /// `score_all` batch, so per-batch work (shadow tables, memoised
+    /// likelihoods) is done once.
     pub fn attack(&self, set: &TranscriptSet, adversary: &dyn Adversary) -> AttackResult {
-        let scores0 = adversary.score_all(&set.world0, &self.models[0], &self.models[1]);
-        let scores1 = adversary.score_all(&set.world1, &self.models[0], &self.models[1]);
+        let batch = [set.world0.as_slice(), &set.world1].concat();
+        let mut scores0 = adversary.score_all(&batch, &self.models[0], &self.models[1]);
+        let scores1 = scores0.split_off(set.world0.len());
         AttackResult {
             adversary: adversary.name().to_owned(),
             roc: roc_curve(&scores0, &scores1),
@@ -507,12 +510,6 @@ impl TwoWorldGame {
             scores_world0: scores0,
             scores_world1: scores1,
         }
-    }
-
-    /// Collects one transcript set and scores it with every adversary.
-    pub fn run(&self, adversaries: &[&dyn Adversary]) -> Vec<AttackResult> {
-        let set = self.collect();
-        adversaries.iter().map(|a| self.attack(&set, *a)).collect()
     }
 
     /// Overlays a result on the theory curves of the secret's adjacency
@@ -984,6 +981,49 @@ mod tests {
             let result = s.attack(&set, &FrequencyBaseline { probe: s.probe() });
             assert_eq!(result.scores_world0.len(), 16);
             assert!(result.advantage.advantage <= 1.0);
+        }
+    }
+
+    #[test]
+    fn one_attack_batch_equals_scoring_each_world_alone() {
+        let graph = Arc::new(karate_club());
+        let (node, new_neighbours, observers) =
+            crate::node::leaking_node_rewire(&graph, &CommonNeighbors, 4, SEARCH_BUDGET)
+                .expect("karate has a leaking rewire");
+        let node_game = GameConfig {
+            rounds: 2,
+            trials_per_world: 16,
+            ..GameConfig::new(Secret::Node { node, new_neighbours }, observers)
+        };
+        for mechanism in [
+            AttackMechanism::Exponential { epsilon: 0.5 },
+            AttackMechanism::Laplace { epsilon: 0.5 },
+        ] {
+            for config in [karate_config(mechanism), GameConfig { mechanism, ..node_game.clone() }]
+            {
+                let game = scenario(config);
+                let set = game.collect();
+                let (w0, w1) = game.world_models();
+                let mia = LikelihoodRatioMia::new(game.probe(), 3);
+                let frequency = FrequencyBaseline { probe: game.probe() };
+                // A batch that interleaves the worlds, world 1 first.
+                let mixed: Vec<Transcript> = set
+                    .world1
+                    .iter()
+                    .zip(&set.world0)
+                    .flat_map(|(a, b)| [a.clone(), b.clone()])
+                    .collect();
+                for adversary in [&ReconstructionAdversary as &dyn Adversary, &mia, &frequency] {
+                    let name = adversary.name();
+                    let result = game.attack(&set, adversary);
+                    assert_eq!(result.scores_world0, adversary.score_all(&set.world0, w0, w1));
+                    assert_eq!(result.scores_world1, adversary.score_all(&set.world1, w0, w1));
+                    let batch = adversary.score_all(&mixed, w0, w1);
+                    for (t, score) in mixed.iter().zip(batch) {
+                        assert_eq!(adversary.score(t, w0, w1).to_bits(), score.to_bits(), "{name}");
+                    }
+                }
+            }
         }
     }
 

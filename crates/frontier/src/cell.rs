@@ -30,7 +30,7 @@ use psr_attack::{
     SEARCH_BUDGET,
 };
 use psr_gen::split_seed;
-use psr_graph::{EdgeMutation, Graph};
+use psr_graph::{EdgeMutation, Graph, NodeId};
 use psr_privacy::TopKEngine;
 use psr_utility::UtilityKind;
 use serde::{Deserialize, Serialize};
@@ -198,24 +198,34 @@ fn adversary_cell(
     }
 }
 
-/// Executes one cell against its (already loaded) graph. Deterministic
-/// in `(plan, spec)` alone: the scenario runs single-threaded on a seed
-/// stream split from the plan seed and the cell index, so results do not
-/// depend on which worker runs the cell or how many workers exist.
+/// Executes one cell against its (already loaded) graph: its
+/// [`cell_scenario`], then the game played on it. A sweep gives the
+/// result of one search to every cell of a (dataset, utility, adjacency)
+/// group instead. Deterministic in `(plan, spec)` alone: the game plays
+/// single-threaded on a seed stream split from the plan seed and the
+/// cell index, so results do not depend on which worker runs the cell or
+/// how many workers exist.
 pub fn run_cell(
     plan: &ExperimentPlan,
     spec: &CellSpec,
     graph: &Arc<Graph>,
 ) -> Result<CellResult, String> {
-    let dataset = plan.datasets[spec.dataset].label();
-    let seed = split_seed(plan.seed, CELL_SEED_TAG ^ spec.index as u64);
-    let utility = spec.utility.parse::<UtilityKind>()?.build(plan.gamma);
-    // ε-free mechanisms (smoothing, non-private) ignore the ε argument.
-    let epsilon = spec.epsilon.unwrap_or(f64::NAN);
-    let mechanism = AttackMechanism::new(&spec.mechanism, epsilon, plan.smoothing_x)?;
-    let engine: TopKEngine = spec.engine.parse()?;
+    let scenario = cell_scenario(plan, spec, graph)?;
+    play_cell(plan, spec, graph, scenario)
+}
 
-    let (secret, observers) = match spec.adjacency.parse()? {
+/// The secret a cell's game hides and the observers who watch for it.
+/// It depends only on the cell's dataset, utility and adjacency, so the
+/// ε × mechanism × engine cells of such a group share one search.
+/// Errors name `spec`'s index.
+pub fn cell_scenario(
+    plan: &ExperimentPlan,
+    spec: &CellSpec,
+    graph: &Arc<Graph>,
+) -> Result<(Secret, Vec<NodeId>), String> {
+    let dataset = plan.datasets[spec.dataset].label();
+    let utility = spec.utility.parse::<UtilityKind>()?.build(plan.gamma);
+    Ok(match spec.adjacency.parse()? {
         Adjacency::Edge => {
             let ((u, v), observers) =
                 search_secret_edge(graph, utility.as_ref(), plan.observer_cap).ok_or_else(
@@ -231,7 +241,23 @@ pub fn run_cell(
                     })?;
             (Secret::Node { node, new_neighbours }, observers)
         }
-    };
+    })
+}
+
+/// Plays one cell's two-world game on its scenario and measures it.
+pub(crate) fn play_cell(
+    plan: &ExperimentPlan,
+    spec: &CellSpec,
+    graph: &Arc<Graph>,
+    (secret, observers): (Secret, Vec<NodeId>),
+) -> Result<CellResult, String> {
+    let dataset = plan.datasets[spec.dataset].label();
+    let seed = split_seed(plan.seed, CELL_SEED_TAG ^ spec.index as u64);
+    let utility = spec.utility.parse::<UtilityKind>()?.build(plan.gamma);
+    // ε-free mechanisms (smoothing, non-private) ignore the ε argument.
+    let epsilon = spec.epsilon.unwrap_or(f64::NAN);
+    let mechanism = AttackMechanism::new(&spec.mechanism, epsilon, plan.smoothing_x)?;
+    let engine: TopKEngine = spec.engine.parse()?;
     let config = GameConfig {
         rounds: plan.rounds,
         k: plan.k,

@@ -13,9 +13,11 @@
 //! * an [`ExperimentPlan`] declares a grid of mechanisms × utility
 //!   functions × datasets/backends × adjacency notions × ε values ×
 //!   top-`k` engines ([`plan`]),
-//! * [`run_sweep`] expands the grid into independent [`CellSpec`]s and
-//!   fans them across a worker pool — per-cell deterministic seed
-//!   streams make results thread-count-invariant ([`sweep`]),
+//! * [`run_sweep`] expands the grid into independent [`CellSpec`]s,
+//!   searches each (dataset, utility, adjacency) group's scenario once
+//!   ([`cell_scenario`]), and fans the cells across a worker pool —
+//!   per-cell deterministic seed streams make results
+//!   thread-count-invariant ([`sweep`]),
 //! * each cell executes through the real attack harness (and therefore
 //!   the real [`psr_core::serving::RecommendationService`]), measuring
 //!   the theoretical bounds, the achieved accuracy and the empirical ε̂
@@ -40,7 +42,7 @@ pub mod plan;
 pub mod report;
 pub mod sweep;
 
-pub use cell::{run_cell, AdversaryCell, CellResult, CellSpec, Interval};
+pub use cell::{cell_scenario, run_cell, AdversaryCell, CellResult, CellSpec, Interval};
 pub use journal::ResultsJournal;
 pub use plan::{DatasetSpec, ExperimentPlan};
 pub use report::{FrontierReport, Recommendation};

@@ -2,9 +2,14 @@
 //!
 //! [`run_sweep`] expands a validated plan into its cells, subtracts the
 //! cells already replayed from the results journal, and fans the rest
-//! across `psr_core::par`'s indexed map. Determinism is structural, not
-//! accidental: each cell derives its own seed stream from the plan seed
-//! and the cell *index* and runs its scenario single-threaded, so the
+//! across `psr_core::par`'s indexed map. A cell's scenario (secret and
+//! observers, [`cell_scenario`]) depends only on its dataset, utility and
+//! adjacency, so the sweep searches it once per such group among the
+//! pending cells, the groups in parallel, and every ε × mechanism ×
+//! engine cell of the group plays on the shared result. Determinism is
+//! structural, not accidental: each cell derives its own seed stream
+//! from the plan seed and the cell *index* and plays its game
+//! single-threaded, and the scenario search is deterministic, so the
 //! worker count only changes wall-clock time — never a byte of any
 //! result. Completed cells are journalled (with an `fsync`) the moment
 //! they finish, which makes a kill at any point resumable: the next
@@ -20,7 +25,7 @@ use std::time::Duration;
 use psr_graph::Graph;
 use psr_obs::{fields, Heartbeat, Progress, Telemetry};
 
-use crate::cell::{run_cell, CellResult, CellSpec};
+use crate::cell::{cell_scenario, play_cell, CellResult, CellSpec};
 use crate::journal::ResultsJournal;
 use crate::plan::ExperimentPlan;
 
@@ -116,6 +121,38 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
         }
     }
 
+    // One scenario search per (dataset, utility, adjacency) group, from
+    // the group's first pending cell (whose index its errors name).
+    let same_group = |a: &CellSpec, b: &CellSpec| {
+        a.dataset == b.dataset && a.utility == b.utility && a.adjacency == b.adjacency
+    };
+    let mut leaders: Vec<&CellSpec> = Vec::new();
+    let group_of: Vec<usize> = pending
+        .iter()
+        .map(|spec| {
+            leaders.iter().position(|l| same_group(l, spec)).unwrap_or_else(|| {
+                leaders.push(spec);
+                leaders.len() - 1
+            })
+        })
+        .collect();
+    if telemetry.is_enabled() {
+        telemetry.metrics().counter("frontier.scenarios_searched").add(leaders.len() as u64);
+        for spec in &leaders {
+            telemetry.trace().event(
+                "frontier.scenario",
+                fields![
+                    "dataset" => plan.datasets[spec.dataset].label(),
+                    "utility" => spec.utility.as_str(),
+                    "adjacency" => spec.adjacency.as_str(),
+                    "index" => spec.index,
+                ],
+            );
+        }
+    }
+    let width = psr_core::par::threads(opts.threads);
+    let graph_of = |spec: &CellSpec| graphs[spec.dataset].as_ref().expect("dataset preloaded");
+
     // Fan out: each finished cell is journalled under the lock before it
     // counts as computed. Slots are preassigned by index, so completion
     // order is irrelevant.
@@ -135,14 +172,17 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
         }
     };
     let computed_cells = Heartbeat::new("psr frontier", opts.heartbeat).run(progress, || {
-        psr_core::par::try_map(psr_core::par::threads(opts.threads), pending.len(), |slot| {
+        let scenarios = psr_core::par::try_map(width, leaders.len(), |group| {
+            cell_scenario(plan, leaders[group], graph_of(leaders[group]))
+        })?;
+        psr_core::par::try_map(width, pending.len(), |slot| {
             let spec = pending[slot];
-            let graph = graphs[spec.dataset].as_ref().expect("dataset preloaded");
             let trace = telemetry.trace();
             if trace.is_enabled() {
                 trace.event("frontier.cell.start", fields!["index" => spec.index]);
             }
-            let cell = run_cell(plan, spec, graph)?;
+            let scenario = scenarios[group_of[slot]].clone();
+            let cell = play_cell(plan, spec, graph_of(spec), scenario)?;
             if let Some(journal) = journal.lock().expect("sweep journal").as_mut() {
                 journal
                     .append(&cell)
@@ -171,6 +211,9 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::run_cell;
+    use crate::plan::DatasetSpec;
+    use psr_obs::TraceValue;
     use std::sync::atomic::AtomicU64;
 
     fn scratch_path(tag: &str) -> PathBuf {
@@ -265,6 +308,117 @@ mod tests {
             assert!(adversary.empirical_epsilon.is_finite(), "{adversary:?}");
             assert!(adversary.empirical_epsilon_lower <= adversary.empirical_epsilon);
         }
+    }
+
+    /// Karate with every mechanism on both adjacencies: two scenario
+    /// groups (edge cells 0–5, node cells 6–11), Laplace and smoothing
+    /// cells in each.
+    fn wide_plan() -> ExperimentPlan {
+        ExperimentPlan {
+            mechanisms: ["exponential", "laplace", "non-private", "smoothing"]
+                .map(str::to_owned)
+                .to_vec(),
+            adjacencies: vec!["edge".to_owned(), "node".to_owned()],
+            ..ExperimentPlan::toy()
+        }
+    }
+
+    #[test]
+    fn shared_scenarios_give_the_cell_by_cell_results() {
+        let plan = wide_plan();
+        let graph = plan.datasets[0].load(plan.seed).unwrap().0.to_graph_arc();
+        let expected: Vec<CellResult> =
+            plan.expand().iter().map(|spec| run_cell(&plan, spec, &graph).unwrap()).collect();
+        for threads in [1, 2] {
+            let outcome =
+                run_sweep(&plan, &SweepOptions { threads: Some(threads), ..Default::default() })
+                    .unwrap();
+            assert_eq!(outcome.results, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn resume_inside_a_group_finds_the_same_scenario() {
+        let plan = wide_plan();
+        let path = scratch_path("mid-group");
+        let _cleanup = Cleanup(path.clone());
+        let uninterrupted = run_sweep(&plan, &SweepOptions::default()).unwrap();
+        let opts = |max_cells| SweepOptions {
+            threads: Some(2),
+            journal: Some(path.clone()),
+            max_cells,
+            ..Default::default()
+        };
+        assert_eq!(run_sweep(&plan, &opts(Some(3))).unwrap().computed, 3);
+        // The edge group's scenario is now searched from cell 3.
+        let resumed = run_sweep(&plan, &opts(None)).unwrap();
+        assert_eq!(resumed.resumed, 3);
+        assert_eq!(resumed.results, uninterrupted.results);
+    }
+
+    #[test]
+    fn each_scenario_group_is_searched_once() {
+        // Toy cells 0–2 play edge adjacency, cells 3–5 node adjacency.
+        let plan = ExperimentPlan {
+            adjacencies: vec!["edge".to_owned(), "node".to_owned()],
+            ..ExperimentPlan::toy()
+        };
+        let path = scratch_path("searches");
+        let _cleanup = Cleanup(path.clone());
+        let sweep = |journal: Option<PathBuf>, max_cells| {
+            let telemetry = Telemetry::enabled();
+            let opts = SweepOptions {
+                journal,
+                max_cells,
+                telemetry: Some(telemetry.clone()),
+                ..Default::default()
+            };
+            run_sweep(&plan, &opts).unwrap();
+            let snapshot = telemetry.metrics().snapshot();
+            let searched =
+                snapshot.counters.iter().find(|c| c.name == "frontier.scenarios_searched");
+            let events: Vec<Vec<(String, TraceValue)>> = telemetry
+                .trace()
+                .events()
+                .into_iter()
+                .filter(|e| e.name == "frontier.scenario")
+                .map(|e| e.fields)
+                .collect();
+            (searched.expect("counter registered").value, events)
+        };
+        let group = |adjacency: &str, index: usize| {
+            fields![
+                "dataset" => "karate",
+                "utility" => "common-neighbors",
+                "adjacency" => adjacency,
+                "index" => index,
+            ]
+        };
+
+        assert_eq!(sweep(None, None), (2, vec![group("edge", 0), group("node", 3)]));
+        // A journalled run of the edge group, then a resume whose pending
+        // cells are all node cells, then a full replay.
+        assert_eq!(sweep(Some(path.clone()), Some(3)), (1, vec![group("edge", 0)]));
+        assert_eq!(sweep(Some(path.clone()), None), (1, vec![group("node", 3)]));
+        assert_eq!(sweep(Some(path), None), (0, Vec::new()));
+    }
+
+    #[test]
+    fn a_failed_search_names_the_group_first_pending_cell() {
+        let path = scratch_path("one-edge");
+        let _cleanup = Cleanup(path.clone());
+        std::fs::write(&path, "0 1\n").unwrap();
+        let one_edge = DatasetSpec {
+            input: Some(path.to_string_lossy().into_owned()),
+            ..DatasetSpec::karate()
+        };
+        // Karate's cells are 0–2; the one-edge graph's start at 3.
+        let plan = ExperimentPlan {
+            datasets: vec![DatasetSpec::karate(), one_edge.clone()],
+            ..ExperimentPlan::toy()
+        };
+        let error = run_sweep(&plan, &SweepOptions::default()).unwrap_err();
+        assert_eq!(error, format!("cell 3: no suitable secret edge on {}", one_edge.label()));
     }
 
     #[test]
