@@ -7,10 +7,11 @@
 //! the adversary knows about a single observation under one hypothesis:
 //! the observer's candidate set, its utility vector, and which mechanism
 //! produced the answer. Its [`ObservationModel::log_prob`] is the exact
-//! (for the Exponential and smoothing mechanisms) or numerically
-//! integrated (Laplace) log-probability of the concrete recommended ids,
-//! which is what turns Lemma 1's constructive adversary into a
-//! likelihood-ratio test over real serving outputs.
+//! log-probability of the concrete recommended ids — closed form for the
+//! Exponential and smoothing mechanisms, the win-probability integral of
+//! [`psr_privacy::laplace_win_probabilities`] for Laplace — which is what
+//! turns Lemma 1's constructive adversary into a likelihood-ratio test
+//! over real serving outputs.
 //!
 //! ## Concrete-id probabilities
 //!
@@ -26,7 +27,7 @@
 //! peeling likelihood below walks exactly that recursion in log space.
 
 use psr_graph::NodeId;
-use psr_privacy::{topk, Laplace, Mechanism, TopKEngine};
+use psr_privacy::{laplace_win_probabilities, topk, Mechanism, TopKEngine};
 use psr_utility::{CandidateSet, UtilityVector};
 
 /// Which mechanism and calibration produced an observation. A huge
@@ -42,16 +43,6 @@ pub struct MechanismModel {
     /// Calibrated sensitivity Δf.
     pub sensitivity: f64,
 }
-
-/// Number of trapezoid intervals for the Laplace win-probability
-/// integration. The integrand has kinks at the utility values (Laplace
-/// pdf/cdf are only C⁰ there), bounding plain trapezoid accuracy to
-/// ~1e-5 at this grid — far below the Monte-Carlo noise of any attack.
-const LAPLACE_GRID: usize = 8000;
-
-/// Tail width, in noise scales, beyond which the Laplace integrand is
-/// negligible (`e^{-45} ≈ 3e-20`).
-const LAPLACE_TAILS: f64 = 45.0;
 
 /// Everything the adversary knows about one observation under one
 /// hypothesised world: who asked, what their candidates and utilities are
@@ -142,43 +133,16 @@ impl ObservationModel {
         lp
     }
 
-    /// `P(v is the noisy argmax)` for the Laplace mechanism, via trapezoid
-    /// integration of `f(x−u_v)·Π_g F(x−u_g)^{m_g}` over the grouped
-    /// utility classes (`v`'s own class decremented) — the exact win
-    /// probability of a *specific* candidate, matching the mechanism's
-    /// uniform within-class resolution by exchangeability.
+    /// `ln P(v is the noisy argmax)` for the Laplace mechanism: the win
+    /// probability of one member of `v`'s value class.
     fn laplace_win_log_prob(&self, v: NodeId, epsilon: f64, sensitivity: f64) -> f64 {
-        if !self.candidates.contains(v) {
-            return f64::NEG_INFINITY;
-        }
         let uv = self.utilities.get(v);
-        let noise = Laplace::for_mechanism(sensitivity, epsilon);
-        let b = noise.scale();
-        let mut groups = self.utilities.grouped_desc();
-        if let Some(g) = groups.iter_mut().find(|g| g.0 == uv) {
-            g.1 -= 1;
-        }
-        groups.retain(|&(_, count)| count > 0);
-
-        let hi = self.utilities.u_max().max(uv) + LAPLACE_TAILS * b;
-        let lo = uv.min(0.0) - LAPLACE_TAILS * b;
-        let h = (hi - lo) / LAPLACE_GRID as f64;
-        let integrand = |x: f64| -> f64 {
-            let mut log_others = 0.0;
-            for &(value, count) in &groups {
-                let f = noise.cdf(x - value);
-                if f == 0.0 {
-                    return 0.0;
-                }
-                log_others += count as f64 * f.ln();
+        match self.utilities.grouped_desc().iter().position(|&(value, _)| value == uv) {
+            Some(class) if self.candidates.contains(v) => {
+                laplace_win_probabilities(&self.utilities, epsilon, sensitivity)[class].ln()
             }
-            noise.pdf(x - uv) * log_others.exp()
-        };
-        let mut total = 0.5 * (integrand(lo) + integrand(hi));
-        for i in 1..LAPLACE_GRID {
-            total += integrand(lo + i as f64 * h);
+            _ => f64::NEG_INFINITY,
         }
-        (total * h).min(1.0).ln()
     }
 
     /// Exact per-candidate probability of the smoothing mechanism:
@@ -418,7 +382,7 @@ mod tests {
         let p3 = m.log_prob(&[3]).exp();
         let p4 = m.log_prob(&[4]).exp();
         let p5 = m.log_prob(&[5]).exp();
-        assert!((p3 + p4 + p5 - 1.0).abs() < 5e-5, "sum {}", p3 + p4 + p5);
+        assert!((p3 + p4 + p5 - 1.0).abs() < 1e-12, "sum {}", p3 + p4 + p5);
         assert!(p3 > p4 && p4 > p5, "monotone in utility: {p3} {p4} {p5}");
     }
 
@@ -448,7 +412,19 @@ mod tests {
         assert_eq!(gap, 1.0);
         let p_closed = psr_privacy::closed_form::laplace_two_candidate_win_prob(eps / sens, gap);
         let p_hi = m.log_prob(&[3]).exp();
-        assert!((p_hi - p_closed).abs() < 5e-5, "integral {p_hi} vs closed form {p_closed}");
+        assert!((p_hi - p_closed).abs() < 1e-12, "integral {p_hi} vs closed form {p_closed}");
+    }
+
+    #[test]
+    fn laplace_log_prob_is_the_shared_win_probability() {
+        let m =
+            model(MechanismModel { mechanism: Mechanism::Laplace, epsilon: 0.8, sensitivity: 1.0 });
+        let p = laplace_win_probabilities(&m.utilities, 0.8, 1.0);
+        let classes = m.utilities.grouped_desc();
+        for v in [3, 4, 5] {
+            let class = classes.iter().position(|&(value, _)| value == m.utilities.get(v)).unwrap();
+            assert_eq!(m.log_prob(&[v]).to_bits(), p[class].ln().to_bits(), "node {v}");
+        }
     }
 
     #[test]

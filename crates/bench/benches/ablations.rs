@@ -22,12 +22,10 @@ fn ablation_exp_scaling(c: &mut Criterion) {
     let u = CommonNeighbors.utilities_for(&g, median_target(&g));
     let mut group = c.benchmark_group("ablation_exp_scaling");
     for (name, eps) in [("paper", 1.0), ("standard_half", 0.5)] {
-        let mut r = rng();
-        let acc = Mechanism::Exponential.expected_accuracy(&u, eps, 1.0, &mut r);
+        let acc = Mechanism::Exponential.expected_accuracy(&u, eps, 1.0);
         println!("[ablation_exp_scaling] {name}: expected accuracy {acc:.4}");
         group.bench_function(name, |b| {
-            let mut r = rng();
-            b.iter(|| Mechanism::Exponential.expected_accuracy(&u, eps, 1.0, &mut r));
+            b.iter(|| Mechanism::Exponential.expected_accuracy(&u, eps, 1.0));
         });
     }
     group.finish();
@@ -44,31 +42,24 @@ fn ablation_sensitivity_norm(c: &mut Criterion) {
     for (name, norm) in [("l1", SensitivityNorm::L1), ("linf", SensitivityNorm::LInf)] {
         let delta = sens.value(norm);
         let mech = Mechanism::Exponential;
-        let mut r = rng();
-        let acc = mech.expected_accuracy(&u, 1.0, delta, &mut r);
+        let acc = mech.expected_accuracy(&u, 1.0, delta);
         println!("[ablation_sensitivity_norm] {name} (Δ = {delta}): accuracy {acc:.4}");
-        group.bench_function(name, |b| {
-            let mut r = rng();
-            b.iter(|| mech.expected_accuracy(&u, 1.0, delta, &mut r));
-        });
+        group.bench_function(name, |b| b.iter(|| mech.expected_accuracy(&u, 1.0, delta)));
     }
     group.finish();
 }
 
-/// Ablation 3 — Laplace evaluation strategy: exact grouped max-of-N
-/// sampling (ours) vs naive per-candidate noising (the obvious
-/// implementation). This is the optimisation that makes 1,000-trial
-/// evaluation tractable at n ≈ 10⁵.
+/// Ablation 3 — Laplace evaluation strategy: the exact win-probability
+/// integral over the value classes (ours) vs 100 trials of naive
+/// per-candidate noising (the obvious implementation, which §7.1's 1,000
+/// trials would cost ten times over at n ≈ 10⁵).
 fn ablation_laplace_grouping(c: &mut Criterion) {
     let g = wiki_graph();
     let u = CommonNeighbors.utilities_for(&g, median_target(&g));
     let mut group = c.benchmark_group("ablation_laplace_eval");
     group.sample_size(10);
 
-    group.bench_function("grouped_exact_100_trials", |b| {
-        let mut r = rng();
-        b.iter(|| laplace_accuracy(&u, 1.0, 1.0, 100, &mut r));
-    });
+    group.bench_function("exact_integral", |b| b.iter(|| laplace_accuracy(&u, 1.0, 1.0)));
     group.bench_function("naive_per_candidate_100_trials", |b| {
         let noise = Laplace::for_mechanism(1.0, 1.0);
         let mut r = rng();

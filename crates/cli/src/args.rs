@@ -161,7 +161,6 @@ options:
   --scale <0..1]   dataset scale relative to the paper (default 1.0)
   --seed <u64>     master seed (default 42)
   --laplace        also evaluate the Laplace mechanism (slower)
-  --trials <u32>   Laplace Monte-Carlo trials (default 1000)
   --threads <n>    worker threads (default: all cores)
   --json <path>    also write the result as JSON";
 
@@ -934,16 +933,13 @@ pub struct Options {
     pub scale: f64,
     /// Evaluate the Laplace mechanism.
     pub laplace: bool,
-    /// Laplace trials.
-    pub trials: u32,
     /// Threads, seed and the JSON output path.
     pub run: RunFlags,
 }
 
 impl Default for Options {
     fn default() -> Self {
-        let trials = Mechanism::LAPLACE_TRIALS;
-        Options { scale: 1.0, laplace: false, trials, run: RunFlags::default() }
+        Options { scale: 1.0, laplace: false, run: RunFlags::default() }
     }
 }
 
@@ -953,7 +949,6 @@ fn parse_options(sub: &'static str, rest: &[String]) -> Result<Options, String> 
     while let Some(flag) = args.next(&[RUN], &mut [&mut opts.run])? {
         match flag {
             "--scale" => opts.scale = parse_scale(&mut args, flag)?,
-            "--trials" => opts.trials = args.count(flag)?,
             "--laplace" => opts.laplace = true,
             other => return Err(args.unknown(other)),
         }
@@ -1569,7 +1564,6 @@ mod tests {
                 assert_eq!(opts.scale, 1.0);
                 assert_eq!(opts.run.seed, 42);
                 assert!(!opts.laplace);
-                assert_eq!(opts.trials, 1000);
             }
             other => panic!("{other:?}"),
         }

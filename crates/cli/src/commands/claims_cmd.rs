@@ -14,7 +14,6 @@ pub fn run(opts: &Options) -> Result<(), String> {
         scale: opts.scale,
         seed: opts.run.seed,
         eval_laplace: false,
-        laplace_trials: opts.trials,
         threads: opts.run.threads,
     };
 

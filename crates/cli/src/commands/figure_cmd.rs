@@ -13,7 +13,6 @@ pub fn run(id: &str, opts: &Options) -> Result<(), String> {
         scale: opts.scale,
         seed: opts.run.seed,
         eval_laplace: opts.laplace,
-        laplace_trials: opts.trials,
         threads: opts.run.threads,
     };
     let started = std::time::Instant::now();

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use psr_core::{RecommendationService, ServiceConfig};
 use psr_gen::split_seed;
 use psr_utility::{CandidateSet, UtilityFunction};
-use rand::SeedableRng;
 
 use crate::args::RecommendOptions;
 
@@ -27,7 +26,6 @@ pub fn run(opts: &RecommendOptions) -> Result<(), String> {
         .build();
     let pin = service.pin();
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(opts.run.seed);
     println!("private recommendations ({} / {}):", opts.serving.utility, opts.mechanism.name());
     for (i, &target) in opts.targets.iter().enumerate() {
         // A refusal (unknown target, no candidates) is reported in place.
@@ -43,7 +41,7 @@ pub fn run(opts: &RecommendOptions) -> Result<(), String> {
         let acc = if u.is_all_zero() {
             "n/a".to_owned()
         } else {
-            let acc = opts.mechanism.expected_accuracy(&u, epsilon, pin.sensitivity(), &mut rng);
+            let acc = opts.mechanism.expected_accuracy(&u, epsilon, pin.sensitivity());
             format!("{acc:.3}")
         };
         // Name the pick by its source-file label when one exists.

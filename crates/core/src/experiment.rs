@@ -6,16 +6,17 @@
 //! vector is all-zero (footnote 10), and record for each survivor
 //!
 //! * the Exponential mechanism's exact expected accuracy,
-//! * the Laplace mechanism's 1,000-trial Monte-Carlo accuracy,
+//! * the Laplace mechanism's exact expected accuracy (the paper averages
+//!   1,000 trials; [`psr_privacy::laplace_accuracy`] integrates the
+//!   same expectation),
 //! * the Corollary-1 theoretical ceiling with the exact per-target `t`.
 //!
-//! Targets are evaluated in parallel with per-target RNG streams split
-//! from the experiment seed, so results are deterministic regardless of
-//! thread count.
+//! The seed picks the targets; each target's evaluation draws no random
+//! number, so results are deterministic regardless of thread count.
 
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::{Graph, NodeId};
-use psr_privacy::{laplace_accuracy, Mechanism};
+use psr_privacy::Mechanism;
 use psr_utility::{CandidateSet, SensitivityNorm, UtilityFunction};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -28,13 +29,10 @@ pub struct ExperimentConfig {
     /// Fraction of nodes sampled as targets (§7.1: 0.10 for Wiki, 0.01
     /// for Twitter).
     pub target_fraction: f64,
-    /// Master seed; target sampling and every per-target mechanism stream
-    /// derive from it.
+    /// Master seed of the target sample.
     pub seed: u64,
-    /// Monte-Carlo trials for the Laplace mechanism (paper: 1,000).
-    pub laplace_trials: u32,
-    /// Evaluate the Laplace mechanism too (it is ~`laplace_trials`× the
-    /// cost of the closed-form Exponential evaluation).
+    /// Evaluate the Laplace mechanism too (a quadrature over the value
+    /// classes, costlier than the Exponential closed form).
     pub eval_laplace: bool,
     /// Sensitivity norm for `Δf` (DESIGN.md §4).
     pub sensitivity_norm: SensitivityNorm,
@@ -48,7 +46,6 @@ impl Default for ExperimentConfig {
             epsilon: 1.0,
             target_fraction: 0.1,
             seed: 42,
-            laplace_trials: Mechanism::LAPLACE_TRIALS,
             eval_laplace: true,
             // Both paper utilities are *monotone* in edge additions, so the
             // mechanisms are ε-DP at the Δ∞ calibration (McSherry–Talwar's
@@ -77,7 +74,7 @@ pub struct TargetEvaluation {
     pub t: u64,
     /// Exponential mechanism expected accuracy (closed form).
     pub accuracy_exponential: f64,
-    /// Laplace mechanism Monte-Carlo accuracy (`None` if not evaluated).
+    /// Laplace mechanism expected accuracy (`None` if not evaluated).
     pub accuracy_laplace: Option<f64>,
     /// Corollary-1 ceiling (tightest `c`).
     pub accuracy_bound: f64,
@@ -108,7 +105,6 @@ pub fn evaluate_target(
     config: &ExperimentConfig,
     sensitivity: f64,
     target: NodeId,
-    rng: &mut dyn rand::RngCore,
 ) -> Option<TargetEvaluation> {
     let candidates = CandidateSet::for_target(graph, target);
     if candidates.is_empty() {
@@ -123,10 +119,10 @@ pub fn evaluate_target(
         .unwrap_or_else(|| psr_bounds::edit_distance::t_generic_upper(graph.max_degree() as u64));
 
     let accuracy_exponential =
-        Mechanism::Exponential.expected_accuracy(&u, config.epsilon, sensitivity, rng);
+        Mechanism::Exponential.expected_accuracy(&u, config.epsilon, sensitivity);
     let accuracy_laplace = config
         .eval_laplace
-        .then(|| laplace_accuracy(&u, config.epsilon, sensitivity, config.laplace_trials, rng));
+        .then(|| Mechanism::Laplace.expected_accuracy(&u, config.epsilon, sensitivity));
     let bound = psr_bounds::best_accuracy_bound(&u, config.epsilon, t, None);
 
     Some(TargetEvaluation {
@@ -166,11 +162,7 @@ pub fn run_experiment(
     let targets = &nodes[..count];
 
     let evaluations = crate::par::map(crate::par::threads(config.threads), count, |i| {
-        let target = targets[i];
-        // Per-target stream: reordering threads cannot change any
-        // target's result.
-        let mut rng = rng_from_seed(split_seed(config.seed, 0xE0_0000 + target as u64));
-        evaluate_target(graph, utility, config, sensitivity, target, &mut rng)
+        evaluate_target(graph, utility, config, sensitivity, targets[i])
     });
 
     let targets_sampled = targets.len();
@@ -216,12 +208,7 @@ mod tests {
     use psr_utility::{CommonNeighbors, WeightedPaths};
 
     fn config() -> ExperimentConfig {
-        ExperimentConfig {
-            target_fraction: 1.0,
-            laplace_trials: 200,
-            threads: Some(2),
-            ..Default::default()
-        }
+        ExperimentConfig { target_fraction: 1.0, threads: Some(2), ..Default::default() }
     }
 
     #[test]

@@ -59,21 +59,13 @@ pub struct FigureConfig {
     pub seed: u64,
     /// Evaluate the Laplace mechanism alongside the Exponential one.
     pub eval_laplace: bool,
-    /// Laplace Monte-Carlo trials.
-    pub laplace_trials: u32,
     /// Worker threads (`None` = available parallelism).
     pub threads: Option<usize>,
 }
 
 impl Default for FigureConfig {
     fn default() -> Self {
-        FigureConfig {
-            scale: 1.0,
-            seed: 42,
-            eval_laplace: false,
-            laplace_trials: psr_privacy::Mechanism::LAPLACE_TRIALS,
-            threads: None,
-        }
+        FigureConfig { scale: 1.0, seed: 42, eval_laplace: false, threads: None }
     }
 }
 
@@ -88,7 +80,6 @@ impl FigureConfig {
             epsilon,
             target_fraction,
             seed: self.seed,
-            laplace_trials: self.laplace_trials,
             eval_laplace: self.eval_laplace,
             threads: self.threads,
             ..Default::default()

@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn expected_accuracy_closed_form() {
         let u = vector();
-        let acc = Mechanism::Exponential.expected_accuracy(&u, 1.0, 1.0, &mut rng(1));
+        let acc = Mechanism::Exponential.expected_accuracy(&u, 1.0, 1.0);
         let z = 4f64.exp() + 2f64.exp() + 3.0;
         let manual = (4.0 * 4f64.exp() + 2.0 * 2f64.exp()) / z / 4.0;
         assert!((acc - manual).abs() < 1e-12);
@@ -113,8 +113,8 @@ mod tests {
     #[test]
     fn expected_accuracy_in_unit_interval_and_monotone_in_eps() {
         let u = vector();
-        let lo = Mechanism::Exponential.expected_accuracy(&u, 0.2, 1.0, &mut rng(3));
-        let hi = Mechanism::Exponential.expected_accuracy(&u, 3.0, 1.0, &mut rng(3));
+        let lo = Mechanism::Exponential.expected_accuracy(&u, 0.2, 1.0);
+        let hi = Mechanism::Exponential.expected_accuracy(&u, 3.0, 1.0);
         assert!((0.0..=1.0).contains(&lo));
         assert!((0.0..=1.0).contains(&hi));
         assert!(hi > lo);
@@ -160,6 +160,6 @@ mod tests {
     #[should_panic(expected = "accuracy undefined")]
     fn all_zero_vector_rejected() {
         let u = UtilityVector::from_sparse(vec![], 5);
-        let _ = Mechanism::Exponential.expected_accuracy(&u, 1.0, 1.0, &mut rng(3));
+        let _ = Mechanism::Exponential.expected_accuracy(&u, 1.0, 1.0);
     }
 }

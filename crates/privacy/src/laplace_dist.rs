@@ -33,32 +33,6 @@ impl Laplace {
         self.scale
     }
 
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        (-(x.abs()) / self.scale).exp() / (2.0 * self.scale)
-    }
-
-    /// Cumulative distribution function.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.5 * (x / self.scale).exp()
-        } else {
-            1.0 - 0.5 * (-x / self.scale).exp()
-        }
-    }
-
-    /// Survival function `1 − F(x)`, exact deep in the upper tail where
-    /// `cdf` saturates at 1: the `x < 0` branch uses `expm1` so no `1 − …`
-    /// cancellation ever happens in floating point.
-    pub fn sf(&self, x: f64) -> f64 {
-        if x >= 0.0 {
-            0.5 * (-x / self.scale).exp()
-        } else {
-            // 1 − ½e^{x/b} = ½(1 − expm1(x/b)) with expm1(x/b) ∈ (−1, 0).
-            0.5 * (1.0 - (x / self.scale).exp_m1())
-        }
-    }
-
     /// Quantile (inverse CDF) at probability `q ∈ (0, 1)`. Numerically
     /// stable in both tails via `ln1p`/`expm1` formulations: the lower tail
     /// works on `2q` directly and the upper tail routes through
@@ -133,6 +107,36 @@ impl Laplace {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// The pdf, CDF and survival function: the oracles the quantile and
+    /// sampler tests check against.
+    impl Laplace {
+        /// Probability density at `x`.
+        pub fn pdf(&self, x: f64) -> f64 {
+            (-(x.abs()) / self.scale).exp() / (2.0 * self.scale)
+        }
+
+        /// Cumulative distribution function.
+        pub fn cdf(&self, x: f64) -> f64 {
+            if x < 0.0 {
+                0.5 * (x / self.scale).exp()
+            } else {
+                1.0 - 0.5 * (-x / self.scale).exp()
+            }
+        }
+
+        /// Survival function `1 − F(x)`, exact deep in the upper tail where
+        /// `cdf` saturates at 1: the `x < 0` branch uses `expm1` so no `1 − …`
+        /// cancellation ever happens in floating point.
+        pub fn sf(&self, x: f64) -> f64 {
+            if x >= 0.0 {
+                0.5 * (-x / self.scale).exp()
+            } else {
+                // 1 − ½e^{x/b} = ½(1 − expm1(x/b)) with expm1(x/b) ∈ (−1, 0).
+                0.5 * (1.0 - (x / self.scale).exp_m1())
+            }
+        }
+    }
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)

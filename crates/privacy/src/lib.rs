@@ -9,10 +9,9 @@
 //!   probability `∝ e^{(ε/Δf)·uᵢ}`, `k` slots peeled at ε/k each
 //!   ([`topk`]); exact accuracy from [`exponential_probabilities`].
 //! * [`Mechanism::Laplace`] (Def. 6) — the noisy argmax under `Lap(Δf/ε)`
-//!   noise, sampled by an *exact grouped max* (zero-utility candidates are
-//!   exchangeable, and the max of `N` i.i.d. Laplace draws has a direct
-//!   quantile), so 1,000-trial Monte-Carlo accuracy
-//!   ([`laplace_accuracy`]) is feasible at the paper's scales.
+//!   noise, sampled by an exact grouped max over the value classes; its
+//!   per-class win probabilities are one integral
+//!   ([`laplace_win_probabilities`]) that gives [`laplace_accuracy`].
 //! * [`Mechanism::Smoothing`] (Def. 7 / Theorem 5) — mixes the best
 //!   recommender with the uniform distribution; `ln(1 + nx/(1−x))`-DP
 //!   with accuracy `x·μ` ([`smoothing_epsilon`] and its inverses).
@@ -31,7 +30,7 @@ pub mod topk;
 
 pub use exponential::exponential_probabilities;
 pub use laplace_dist::Laplace;
-pub use laplace_mech::laplace_accuracy;
+pub use laplace_mech::{laplace_accuracy, laplace_win_probabilities};
 pub use mechanism::{resolve_zero_class_distinct, Draw, Mechanism};
 pub use smoothing::{smoothing_epsilon, smoothing_x_for_epsilon, smoothing_x_for_log_privacy};
 pub use topk::{topk_exponential, topk_gumbel, topk_with_engine, TopK, TopKEngine};

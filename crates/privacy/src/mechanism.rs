@@ -56,10 +56,6 @@ impl Mechanism {
     /// The mixing weight a bare `"smoothing"` parses to.
     pub const DEFAULT_SMOOTHING_X: f64 = 0.05;
 
-    /// Monte-Carlo trials behind the Laplace mechanism's expected
-    /// accuracy (§7.1 uses 1,000).
-    pub const LAPLACE_TRIALS: u32 = 1000;
-
     /// Stable name, the inverse of [`std::str::FromStr`].
     pub fn name(&self) -> &'static str {
         match self {
@@ -143,29 +139,21 @@ impl Mechanism {
         Draw { picks, zero_class_picks, total_utility }
     }
 
-    /// Expected accuracy `E[u_rec] / u_max` of one slot (Def. 2) at budget
-    /// `epsilon` and sensitivity Δf: closed form, except Laplace's
-    /// [`Self::LAPLACE_TRIALS`]-trial Monte Carlo on `rng`.
+    /// Exact expected accuracy `E[u_rec] / u_max` of one slot (Def. 2) at
+    /// budget `epsilon` and sensitivity Δf: closed form, or for Laplace
+    /// the win-probability integral of [`crate::laplace_win_probabilities`].
     ///
     /// # Panics
     /// Panics if `u` is all-zero — such targets are dropped by the
     /// experimental protocol (§7.1) because accuracy is undefined.
-    pub fn expected_accuracy(
-        &self,
-        u: &UtilityVector,
-        epsilon: f64,
-        sensitivity: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> f64 {
+    pub fn expected_accuracy(&self, u: &UtilityVector, epsilon: f64, sensitivity: f64) -> f64 {
         assert!(!u.is_all_zero(), "accuracy undefined for all-zero utility vectors");
         match *self {
             Mechanism::Exponential => {
                 let (probs, zero_each) = exponential_probabilities(u, epsilon, sensitivity);
                 u.expected_utility(&probs, zero_each) / u.u_max()
             }
-            Mechanism::Laplace => {
-                laplace_accuracy(u, epsilon, sensitivity, Self::LAPLACE_TRIALS, rng)
-            }
+            Mechanism::Laplace => laplace_accuracy(u, epsilon, sensitivity),
             Mechanism::Smoothing { x } => {
                 // x·u_max from R_best plus (1−x)·mean(u) from the uniform
                 // draw, normalised by u_max.

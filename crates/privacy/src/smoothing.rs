@@ -91,7 +91,7 @@ mod tests {
     fn x_zero_is_perfectly_private_and_uniform() {
         let mech = Mechanism::Smoothing { x: 0.0 };
         assert_eq!(mech.charge(1.0, 1000), 0.0);
-        let acc = mech.expected_accuracy(&vector(), 0.0, 1.0, &mut rng(1));
+        let acc = mech.expected_accuracy(&vector(), 0.0, 1.0);
         // Uniform: mean utility / u_max = (6/4)/4.
         assert!((acc - (6.0 / 4.0) / 4.0).abs() < 1e-12);
     }
@@ -101,7 +101,7 @@ mod tests {
         let mech = Mechanism::Smoothing { x: 1.0 };
         assert_eq!(mech.charge(1.0, 1000), f64::INFINITY);
         assert!(mech.validate().is_err(), "x = 1 is not a DP mixing weight");
-        let acc = mech.expected_accuracy(&vector(), 0.0, 1.0, &mut rng(2));
+        let acc = mech.expected_accuracy(&vector(), 0.0, 1.0);
         assert!((acc - 1.0).abs() < 1e-12);
     }
 
@@ -110,8 +110,7 @@ mod tests {
         // Theorem 5 guarantees ≥ x·μ (μ = 1 for R_best); the closed form
         // includes the uniform term too, so it must dominate.
         for x in [0.1, 0.5, 0.9] {
-            let acc =
-                Mechanism::Smoothing { x }.expected_accuracy(&vector(), 0.0, 1.0, &mut rng(3));
+            let acc = Mechanism::Smoothing { x }.expected_accuracy(&vector(), 0.0, 1.0);
             assert!(acc >= x - 1e-12);
         }
     }
@@ -135,7 +134,7 @@ mod tests {
             total += smoothing_winner(&u, 0.6, &mut r).map_or(0.0, |v| u.get(v));
         }
         let mc = total / trials as f64 / u.u_max();
-        let exact = Mechanism::Smoothing { x: 0.6 }.expected_accuracy(&u, 0.0, 1.0, &mut r);
+        let exact = Mechanism::Smoothing { x: 0.6 }.expected_accuracy(&u, 0.0, 1.0);
         assert!((mc - exact).abs() < 0.01, "MC {mc} vs exact {exact}");
     }
 

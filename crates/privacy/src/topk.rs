@@ -4,9 +4,7 @@
 //! stronger negative results for making multiple recommendations". This
 //! module makes that concrete: `k` sequential Exponential-mechanism draws
 //! without replacement, each charged `ε/k`, are `ε`-DP by basic
-//! composition. The ablation bench measures how fast per-slot accuracy
-//! collapses as `k` grows — the quantitative version of the appendix's
-//! remark.
+//! composition.
 //!
 //! The peel happens **in place**: one live list of non-zero entries plus a
 //! zero-class counter, with each round's draw walking the live weights
@@ -267,25 +265,6 @@ pub fn topk_optimal_utility(u: &UtilityVector, k: usize) -> f64 {
     vals.iter().take(k).sum()
 }
 
-/// Monte-Carlo expected top-`k` accuracy:
-/// `E[Σ u(slot)] / Σ top-k utilities`.
-pub fn topk_expected_accuracy(
-    u: &UtilityVector,
-    k: usize,
-    eps: f64,
-    sensitivity: f64,
-    trials: u32,
-    rng: &mut dyn rand::RngCore,
-) -> f64 {
-    let denom = topk_optimal_utility(u, k);
-    assert!(denom > 0.0, "accuracy undefined for all-zero utility vectors");
-    let mut total = 0.0;
-    for _ in 0..trials {
-        total += topk_exponential(u, k, eps, sensitivity, rng).total_utility;
-    }
-    total / trials as f64 / denom
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,15 +303,6 @@ mod tests {
         assert_eq!(topk_optimal_utility(&u, 1), 5.0);
         assert_eq!(topk_optimal_utility(&u, 2), 8.0);
         assert_eq!(topk_optimal_utility(&u, 5), 9.0); // only 3 non-zero
-    }
-
-    #[test]
-    fn accuracy_degrades_with_k() {
-        let u = UtilityVector::from_sparse((0..6).map(|i| (i, (6 - i) as f64)).collect(), 200);
-        let a1 = topk_expected_accuracy(&u, 1, 2.0, 1.0, 800, &mut rng(2));
-        let a4 = topk_expected_accuracy(&u, 4, 2.0, 1.0, 800, &mut rng(2));
-        // Splitting the budget four ways must hurt per-slot quality.
-        assert!(a4 < a1, "k=1 acc {a1} vs k=4 acc {a4}");
     }
 
     #[test]

@@ -11,7 +11,6 @@ use psr_core::{evaluate_target, ExperimentConfig};
 use psr_datasets::{wiki_vote_like, PresetConfig};
 use psr_utility::extra::{AdamicAdar, Jaccard};
 use psr_utility::{CommonNeighbors, SensitivityNorm, UtilityFunction};
-use rand::SeedableRng;
 
 fn main() {
     let scale = std::env::var("PSR_SCALE").map_or(0.25, |s| s.parse().expect("numeric scale"));
@@ -43,8 +42,7 @@ fn main() {
             format!("{:>22} {:>10}", format!("{label} (#{member})"), graph.degree(member));
         for utility in &utilities {
             let sens = utility.sensitivity(&graph).unwrap().value(SensitivityNorm::L1);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7 + member as u64);
-            let eval = evaluate_target(&graph, utility.as_ref(), &config, sens, member, &mut rng);
+            let eval = evaluate_target(&graph, utility.as_ref(), &config, sens, member);
             match eval {
                 Some(e) => row.push_str(&format!(" {:>12.4}", e.accuracy_exponential)),
                 None => row.push_str(&format!(" {:>12}", "n/a")),

@@ -50,10 +50,7 @@ fn main() {
                 ExperimentConfig { epsilon: eps, eval_laplace: false, ..Default::default() };
             let accs: Vec<f64> = targets
                 .iter()
-                .filter_map(|&t| {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(500 + t as u64);
-                    evaluate_target(&graph, &wp, &config, sens, t, &mut rng)
-                })
+                .filter_map(|&t| evaluate_target(&graph, &wp, &config, sens, t))
                 .map(|e| e.accuracy_exponential)
                 .collect();
             if accs.is_empty() {

@@ -8,7 +8,6 @@ use psr_core::{RecommendationService, ServiceConfig};
 use psr_datasets::toy::karate_club;
 use psr_privacy::Mechanism;
 use psr_utility::{CommonNeighbors, UtilityFunction};
-use rand::SeedableRng;
 
 fn main() {
     let graph = karate_club();
@@ -44,8 +43,7 @@ fn main() {
     // (Corollary 1 of the paper).
     let u = CommonNeighbors.utilities_for(&graph, target);
     let t = CommonNeighbors.edit_distance_t(&graph, target, &u).unwrap();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2011);
-    let achieved = mechanism.expected_accuracy(&u, epsilon, service.sensitivity(), &mut rng);
+    let achieved = mechanism.expected_accuracy(&u, epsilon, service.sensitivity());
     let ceiling = psr_bounds::best_accuracy_bound(&u, epsilon, t, None);
     println!(
         "\nexpected accuracy {:.3} vs theoretical ceiling {:.3} (t = {t}, k = {}, c = {:.2})",

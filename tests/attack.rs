@@ -35,7 +35,6 @@ use psr_datasets::{wiki_vote_like, PresetConfig};
 use psr_graph::{EdgeMutation, Graph, NodeId};
 use psr_privacy::Mechanism;
 use psr_utility::{CandidateSet, CommonNeighbors, SensitivityNorm, UtilityFunction};
-use rand::SeedableRng;
 
 mod common;
 use common::random_graph;
@@ -80,8 +79,7 @@ fn edge_accuracy_ceiling_covers_the_exponential_mechanism() {
     let u = game.representative_utilities();
     let sensitivity =
         CommonNeighbors.sensitivity(graph.as_ref()).unwrap().value(SensitivityNorm::LInf);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let achieved = Mechanism::Exponential.expected_accuracy(u, epsilon, sensitivity, &mut rng);
+    let achieved = Mechanism::Exponential.expected_accuracy(u, epsilon, sensitivity);
 
     let ceiling = game.accuracy_ceiling();
     assert!(ceiling >= achieved, "ceiling {ceiling} below the achieved accuracy {achieved}");

@@ -7,11 +7,6 @@ use psr_datasets::toy::karate_club;
 use psr_privacy::audit::audit_exact;
 use psr_privacy::exponential_probabilities;
 use psr_utility::{CandidateSet, CommonNeighbors, SensitivityNorm, UtilityFunction, WeightedPaths};
-use rand::SeedableRng;
-
-fn rng(seed: u64) -> rand::rngs::StdRng {
-    rand::rngs::StdRng::seed_from_u64(seed)
-}
 
 /// The Corollary-1 ceiling dominates the Exponential mechanism's achieved
 /// accuracy for every karate-club target under both paper utilities.
@@ -24,8 +19,7 @@ fn bound_dominates_mechanism_everywhere() {
     for utility in &utilities {
         let sens = utility.sensitivity(&g).unwrap().value(SensitivityNorm::L1);
         for target in g.nodes() {
-            let mut r = rng(target as u64);
-            if let Some(e) = evaluate_target(&g, utility.as_ref(), &config, sens, target, &mut r) {
+            if let Some(e) = evaluate_target(&g, utility.as_ref(), &config, sens, target) {
                 assert!(
                     e.accuracy_exponential <= e.accuracy_bound + 0.02,
                     "{}: target {target} exp {} > bound {}",
@@ -101,8 +95,8 @@ fn accuracy_is_isomorphism_invariant() {
 
     let config = ExperimentConfig { eval_laplace: false, ..Default::default() };
     let sens = CommonNeighbors.sensitivity(&g).unwrap().l1;
-    let a = evaluate_target(&g, &CommonNeighbors, &config, sens, 0, &mut rng(1)).unwrap();
-    let b = evaluate_target(&h, &CommonNeighbors, &config, sens, 0, &mut rng(1)).unwrap();
+    let a = evaluate_target(&g, &CommonNeighbors, &config, sens, 0).unwrap();
+    let b = evaluate_target(&h, &CommonNeighbors, &config, sens, 0).unwrap();
     assert!((a.accuracy_exponential - b.accuracy_exponential).abs() < 1e-12);
     assert!((a.accuracy_bound - b.accuracy_bound).abs() < 1e-12);
     assert_eq!(a.t, b.t);
@@ -129,10 +123,7 @@ proptest! {
         let config = ExperimentConfig { epsilon: eps, eval_laplace: false, ..Default::default() };
         let sens = CommonNeighbors.sensitivity(&g).unwrap().l1;
         for target in g.nodes() {
-            let mut r = rng(target as u64);
-            if let Some(e) =
-                evaluate_target(&g, &CommonNeighbors, &config, sens, target, &mut r)
-            {
+            if let Some(e) = evaluate_target(&g, &CommonNeighbors, &config, sens, target) {
                 prop_assert!((0.0..=1.0).contains(&e.accuracy_exponential));
                 prop_assert!((0.0..=1.0).contains(&e.accuracy_bound));
                 prop_assert!(e.accuracy_exponential <= e.accuracy_bound + 0.05);

@@ -116,6 +116,28 @@ fn experiment_results_serialise_to_json() {
     assert!(json.contains("accuracy_exponential"));
 }
 
+/// The full experiment protocol with the Laplace mechanism evaluated at
+/// a moderate Twitter scale: both mechanisms agree in the mean (§7.2
+/// takeaway (ii)) outside toy sizes.
+#[test]
+fn scaled_twitter_laplace_agrees_with_exponential() {
+    let (graph, _) = twitter_like(PresetConfig::scaled(0.3, 42)).unwrap();
+    let result = psr_core::run_experiment(
+        &graph,
+        &CommonNeighbors,
+        &psr_core::ExperimentConfig { target_fraction: 0.01, ..Default::default() },
+    );
+    assert!(result.evaluations.len() > 100);
+    let exp = psr_core::AccuracyCdf::new(result.exponential_accuracies());
+    let lap = psr_core::AccuracyCdf::new(result.laplace_accuracies());
+    assert!(
+        (exp.mean() - lap.mean()).abs() < 0.02,
+        "exp mean {} vs lap mean {}",
+        exp.mean(),
+        lap.mean()
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Slow tier: scaled-preset runs, excluded from `cargo test -q`.
 // Run with `cargo test --release -- --ignored` (see tests/README.md).
@@ -133,32 +155,5 @@ fn full_scale_wiki_fig1a_shows_starvation() {
     assert!(
         frac_below_half > 0.5,
         "full-scale wiki: {frac_below_half} of targets below 0.5 accuracy at ε=1"
-    );
-}
-
-/// The full experiment protocol with Laplace Monte-Carlo enabled at a
-/// moderate Twitter scale: both mechanisms agree in the mean (§7.2
-/// takeaway (ii)) outside toy sizes.
-#[test]
-#[ignore = "slow: Laplace Monte-Carlo at 30% twitter scale; run with -- --ignored"]
-fn scaled_twitter_laplace_agrees_with_exponential() {
-    let (graph, _) = twitter_like(PresetConfig::scaled(0.3, 42)).unwrap();
-    let result = psr_core::run_experiment(
-        &graph,
-        &CommonNeighbors,
-        &psr_core::ExperimentConfig {
-            target_fraction: 0.01,
-            laplace_trials: 1000,
-            ..Default::default()
-        },
-    );
-    assert!(result.evaluations.len() > 100);
-    let exp = psr_core::AccuracyCdf::new(result.exponential_accuracies());
-    let lap = psr_core::AccuracyCdf::new(result.laplace_accuracies());
-    assert!(
-        (exp.mean() - lap.mean()).abs() < 0.02,
-        "exp mean {} vs lap mean {}",
-        exp.mean(),
-        lap.mean()
     );
 }
