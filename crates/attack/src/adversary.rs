@@ -70,7 +70,7 @@ impl Adversary for ReconstructionAdversary {
 
     /// Memoises `log_prob`, a pure function of (world, deduplicated
     /// model, picks), across the batch: transcripts repeat a handful of
-    /// answers, and a Laplace likelihood is a numerical integration.
+    /// answers, and a Laplace likelihood is a quadrature over the classes.
     fn score_all(&self, transcripts: &[Transcript], w0: &WorldModel, w1: &WorldModel) -> Vec<f64> {
         let mut memo: HashMap<(usize, usize, &[NodeId]), f64> = HashMap::new();
         transcripts

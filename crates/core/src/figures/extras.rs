@@ -96,7 +96,7 @@ mod tests {
         assert!(!cmp.exponential.is_empty());
         // The paper's claim, quantified: mean gap well under 2 points.
         assert!(cmp.mean_abs_gap < 0.02, "mean gap {}", cmp.mean_abs_gap);
-        // Max per-target gap bounded by Monte-Carlo noise at 1000 trials.
+        // The largest per-target gap stays small too (both are exact).
         assert!(cmp.max_abs_gap < 0.10, "max gap {}", cmp.max_abs_gap);
     }
 
