@@ -66,9 +66,10 @@ pub struct BoundResult {
 /// Evaluates Corollary 1 at every `c` induced by the distinct utility
 /// values of `u` and returns the *tightest* (smallest) accuracy ceiling.
 ///
-/// The paper leaves `c` free; sweeping it can only strengthen the
-/// theoretical curve (DESIGN.md §4). For each distinct value `v` (desc),
-/// the group `{uᵢ ≥ v}` becomes `V_hi` by letting the threshold
+/// The paper leaves `c` free and Corollary 1 holds at every `c`, so the
+/// minimum over all of them can only tighten the theoretical curve. For
+/// each distinct value `v` (desc), the group `{uᵢ ≥ v}` becomes `V_hi` by
+/// letting the threshold
 /// `(1−c)u_max` approach the next-smaller value from above, i.e.
 /// `c_j = 1 − v_{j+1}/u_max` with `k_j = #{uᵢ ≥ v_j}`; the final interval's
 /// limit is `c → 1`, `k = nnz`.

@@ -34,7 +34,8 @@ pub struct ExperimentConfig {
     /// Evaluate the Laplace mechanism too (a quadrature over the value
     /// classes, costlier than the Exponential closed form).
     pub eval_laplace: bool,
-    /// Sensitivity norm for `Δf` (DESIGN.md §4).
+    /// Sensitivity norm for `Δf`. Defaults to `‖·‖∞`: both paper utilities
+    /// are monotone in edge additions, so that calibration is ε-DP.
     pub sensitivity_norm: SensitivityNorm,
     /// Worker threads; `None` = available parallelism.
     pub threads: Option<usize>,

@@ -9,9 +9,10 @@
 //!
 //! [`wiki_vote_like`] and [`twitter_like`] generate synthetic stand-ins
 //! with matched node/edge counts, heavy-tailed degree structure, and (for
-//! the Twitter preset) a forced 13k-degree hub; DESIGN.md §3 argues why
-//! this preserves every behaviour the experiments measure. When the real
-//! SNAP files are available, [`load_snap`] drops them in transparently.
+//! the Twitter preset) a forced 13k-degree hub. That preserves what the
+//! experiments measure: the bounds are functions of `d_r`, `t` and `n`,
+//! and the utilities are local path counts. When the real SNAP files are
+//! available, [`load_snap`] drops them in transparently.
 //! [`toy::karate_club`] ships a small classic graph for examples and
 //! tests. [`DatasetSpec`] names one graph source (a [`Preset`], an edge
 //! list or a snapshot, through a [`Backend`]) and is the one loader the

@@ -1,9 +1,8 @@
 //! Erdős–Rényi random graphs — the homogeneous-degree baseline.
 //!
-//! ER graphs have no heavy tail, so comparing figure shapes on ER vs
-//! preferential-attachment graphs isolates how much of the paper's harsh
-//! trade-off comes from the power-law degree distribution (§5.1 argues most
-//! nodes are low-degree and therefore doomed).
+//! ER graphs have no heavy tail, so they give the dynamic-graph
+//! differential suite (`tests/dynamic_graph.rs`) a base family unlike the
+//! preferential-attachment presets.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -60,60 +59,6 @@ pub fn gnm(n: usize, m: usize, direction: Direction, rng: &mut impl Rng) -> Resu
     builder.build()
 }
 
-/// `G(n, p)`: every simple edge present independently with probability `p`.
-/// Uses geometric skipping, so the cost is proportional to the number of
-/// edges generated rather than the number of pairs considered.
-pub fn gnp(n: usize, p: f64, direction: Direction, rng: &mut impl Rng) -> Result<Graph> {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
-    let mut builder = GraphBuilder::new(direction).with_num_nodes(n);
-    if p == 0.0 || n < 2 {
-        return builder.build();
-    }
-    let log_q = (1.0 - p).ln(); // p == 1.0 gives -inf => skip = 0 every time
-    let pair_at = |idx: u64| -> (u32, u32) {
-        match direction {
-            Direction::Directed => {
-                let u = (idx / (n as u64 - 1)) as u32;
-                let mut v = (idx % (n as u64 - 1)) as u32;
-                if v >= u {
-                    v += 1;
-                }
-                (u, v)
-            }
-            Direction::Undirected => {
-                // Row-major upper triangle: find largest u with offset(u) <= idx,
-                // offset(u) = u*n - u*(u+1)/2.
-                let mut u = 0u64;
-                let mut offset = 0u64;
-                while offset + (n as u64 - u - 1) <= idx {
-                    offset += n as u64 - u - 1;
-                    u += 1;
-                }
-                let v = u + 1 + (idx - offset);
-                (u as u32, v as u32)
-            }
-        }
-    };
-    let total: u64 = match direction {
-        Direction::Directed => n as u64 * (n as u64 - 1),
-        Direction::Undirected => n as u64 * (n as u64 - 1) / 2,
-    };
-    let mut idx: u64 = 0;
-    loop {
-        // Geometric skip: number of pairs until the next present edge.
-        let r: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let skip = if p >= 1.0 { 0.0 } else { (r.ln() / log_q).floor() };
-        idx = idx.saturating_add(skip as u64);
-        if idx >= total {
-            break;
-        }
-        let (u, v) = pair_at(idx);
-        builder.push_edge(u, v);
-        idx += 1;
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,38 +100,5 @@ mod tests {
         let a = gnm(60, 120, Direction::Undirected, &mut rng_from_seed(9)).unwrap();
         let b = gnm(60, 120, Direction::Undirected, &mut rng_from_seed(9)).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn gnp_zero_and_one() {
-        let g0 = gnp(20, 0.0, Direction::Undirected, &mut rng_from_seed(5)).unwrap();
-        assert_eq!(g0.num_edges(), 0);
-        let g1 = gnp(20, 1.0, Direction::Undirected, &mut rng_from_seed(5)).unwrap();
-        assert_eq!(g1.num_edges(), 20 * 19 / 2);
-        let g1d = gnp(10, 1.0, Direction::Directed, &mut rng_from_seed(5)).unwrap();
-        assert_eq!(g1d.num_edges(), 90);
-    }
-
-    #[test]
-    fn gnp_edge_count_near_expectation() {
-        let n = 400;
-        let p = 0.05;
-        let g = gnp(n, p, Direction::Undirected, &mut rng_from_seed(6)).unwrap();
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let got = g.num_edges() as f64;
-        // Binomial(79800, 0.05): sd ≈ 62; allow 5 sigma.
-        assert!((got - expected).abs() < 5.0 * (expected * (1.0 - p)).sqrt(), "got {got}");
-    }
-
-    #[test]
-    fn gnp_no_self_loops_or_duplicates() {
-        let g = gnp(50, 0.2, Direction::Directed, &mut rng_from_seed(7)).unwrap();
-        for (u, v) in g.arcs() {
-            assert_ne!(u, v);
-        }
-        for v in g.nodes() {
-            let ns = g.neighbors(v);
-            assert!(ns.windows(2).all(|w| w[0] < w[1]));
-        }
     }
 }

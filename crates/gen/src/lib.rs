@@ -7,12 +7,10 @@
 //! so this crate provides generators whose outputs match those graphs'
 //! structural statistics (see `psr-datasets` for the matched presets):
 //!
-//! * [`erdos_renyi`] — `G(n, m)` and `G(n, p)` baselines,
+//! * [`erdos_renyi`] — the `G(n, m)` baseline,
 //! * [`barabasi_albert`] — preferential attachment (heavy-tailed degrees,
 //!   the model behind "power law degree distribution" in §5.1),
 //! * [`watts_strogatz`](mod@watts_strogatz) — small-world ring lattices,
-//! * [`config_model`] — erased configuration model over an explicit
-//!   power-law degree sequence,
 //! * [`rmat`] — streaming R-MAT arc sampling for LiveJournal-class graphs
 //!   that must be built out of core (`psr_graph::OutOfCoreBuilder`).
 //!
@@ -25,8 +23,6 @@
 //! `psr serve --mutations`) consumes.
 
 pub mod barabasi_albert;
-pub mod config_model;
-pub mod degrees;
 pub mod erdos_renyi;
 pub mod rmat;
 pub mod seed;
@@ -34,9 +30,7 @@ pub mod stream;
 pub mod watts_strogatz;
 
 pub use barabasi_albert::{ba_directed, ba_undirected, BaParams};
-pub use config_model::erased_configuration_model;
-pub use degrees::{powerlaw_degree_sequence, PowerLawParams};
-pub use erdos_renyi::{gnm, gnp};
+pub use erdos_renyi::gnm;
 pub use rmat::{rmat_arcs, RmatArcs, RmatParams};
 pub use seed::{rng_from_seed, split_seed};
 pub use stream::{

@@ -1,9 +1,9 @@
 //! Watts–Strogatz small-world graphs.
 //!
-//! A clustered, homogeneous-degree contrast case for the figure
-//! reproductions: common-neighbour utilities behave very differently on
-//! lattice-like graphs than on heavy-tailed ones, which the ablation
-//! benches use to show the paper's conclusions are degree-driven.
+//! A clustered, homogeneous-degree base family for the dynamic-graph
+//! differential suite (`tests/dynamic_graph.rs`): lattice-like graphs
+//! give common-neighbour utilities many overlapping neighbourhoods, unlike
+//! the heavy-tailed presets.
 
 use rand::Rng;
 

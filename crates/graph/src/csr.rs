@@ -171,7 +171,7 @@ impl Graph {
     }
 
     /// Approximate heap footprint of the CSR arrays in bytes (offsets +
-    /// targets). Used by the `graph_backend` bench to compare against the
+    /// targets). `tests/graph_backend.rs` compares it against the
     /// compressed snapshot size.
     pub fn resident_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u64>()

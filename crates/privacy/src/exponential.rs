@@ -3,9 +3,9 @@
 //! Definition 5 weights node `i` by `e^{(ε/Δf)·uᵢ}`. The McSherry–Talwar
 //! mechanism as usually stated uses `e^{ε·uᵢ/(2Δf)}` (the factor 2 covers
 //! utility functions whose normaliser can also shift between
-//! neighbouring inputs); that form at ε is this one at ε/2, which is how
-//! the `ablation_exp_scaling` bench evaluates it. DESIGN.md §4 records
-//! the discrepancy.
+//! neighbouring inputs); that form at ε is this one at ε/2. This crate
+//! follows Definition 5 as printed, so a caller who wants the usual form
+//! passes ε/2.
 
 use psr_utility::UtilityVector;
 

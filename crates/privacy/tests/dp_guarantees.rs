@@ -95,8 +95,8 @@ proptest! {
 
     /// The monotone-utility case: common-neighbour counts all move in the
     /// same direction under an edge flip, so the Exponential mechanism is
-    /// ε-DP even at the tighter Δ∞ = 1 calibration (the reading that
-    /// reproduces the paper's experimental curves — DESIGN.md §4). This
+    /// ε-DP even at the tighter Δ∞ = 1 calibration (McSherry–Talwar's
+    /// monotone case, and footnote 5's Δf for common neighbours). This
     /// audit verifies that claim exactly on real neighbouring pairs.
     #[test]
     fn exponential_mechanism_is_eps_dp_at_linf(

@@ -2,9 +2,9 @@
 //! others as well").
 //!
 //! These are the classic scores from Liben-Nowell & Kleinberg \[14\] beyond
-//! the two the paper analyses. They plug into the same pipeline, letting
-//! the ablation benches ask whether the harsh trade-off is specific to the
-//! analysed utilities (it is not: anything 2-hop-local inherits it).
+//! the two the paper analyses. They implement the same
+//! [`UtilityFunction`] trait, so any path that takes one accepts them, and
+//! the dynamic-graph differential suite covers each of them.
 
 use psr_graph::algo::{common_neighbor_count, with_walk};
 use psr_graph::{GraphView, NodeId};

@@ -1,9 +1,11 @@
-//! The paper's in-text numeric claims (E7, E10, E11 in DESIGN.md),
-//! re-derived from our implementation.
+//! The paper's in-text numeric claims (the §4.2 worked example, the
+//! Theorem 1/2 examples and the §7.2 percentages), re-derived from our
+//! implementation.
 //!
 //! Exact §7.2 percentages depend on the authors' graphs; on the matched
 //! synthetic stand-ins we assert the *shape*: who wins, by roughly what
-//! factor, and where the cliffs fall (DESIGN.md §3).
+//! factor, and where the cliffs fall. The stand-ins match the degree
+//! structure, which is all the bounds and the local utilities depend on.
 
 use psr_bounds::corollary1_accuracy_upper_bound;
 use psr_bounds::theorems::{theorem1_eps_lower_asymptotic, theorem2_eps_lower_asymptotic};

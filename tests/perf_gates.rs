@@ -1,0 +1,596 @@
+//! Timing gates: ten no-regression ratios on the serving, kernel,
+//! mutation, daemon, attack, graph-backend, frontier and telemetry paths.
+//!
+//! Each gate races a path against its baseline on a fixed fixture, keeps
+//! the best of N timed runs per arm, prints the ratio and asserts its
+//! bound. The equality half of every comparison (same counts, same
+//! transcripts, same outcomes) is re-checked here too, because a gate
+//! that quietly diverged would be timing two different programs; the
+//! dedicated conformance suites own that half.
+//!
+//! Timings mean nothing in a debug build, so every gate is ignored there:
+//! tier 1 (`cargo test -q`) lists them as ignored, and
+//! `cargo test --release --test perf_gates -- --nocapture` runs them and
+//! prints the ratios. One lock serialises the gates, so no two of them
+//! are ever timed at once.
+
+use std::hint::black_box;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+use psr_attack::{leaking_secret_edge, AttackMechanism, GameConfig, Secret, TwoWorldGame};
+use psr_core::serving::daemon::{multiplex, run_daemon, DaemonConfig, DaemonEvent};
+use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
+use psr_datasets::toy::karate_club;
+use psr_datasets::{livejournal_like, wiki_vote_like, PresetConfig};
+use psr_frontier::{run_sweep, ExperimentPlan, SweepOptions};
+use psr_gen::{
+    ba_undirected, edge_stream, request_stream, rng_from_seed, split_seed, BaParams,
+    RequestStreamParams, StreamParams,
+};
+use psr_graph::algo::{common_neighbor_count, WalkWorkspace};
+use psr_graph::{CompressedCsr, EdgeMutation, Graph, GraphView, NodeId};
+use psr_obs::Telemetry;
+use psr_privacy::TopKEngine;
+use psr_utility::CommonNeighbors;
+
+/// Seed of every fixture and request stream below.
+const SEED: u64 = 2011;
+
+/// Held by whichever gate is timing; the others wait.
+static TIMING: Mutex<()> = Mutex::new(());
+
+/// Takes the timing lock. A gate that failed poisons it, which must not
+/// fail the gates after it.
+fn exclusive() -> MutexGuard<'static, ()> {
+    TIMING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `routine` once and returns its wall time and output.
+fn timed<O>(routine: impl FnOnce() -> O) -> (Duration, O) {
+    let start = Instant::now();
+    let out = black_box(routine());
+    (start.elapsed(), out)
+}
+
+/// Times `routine` `rounds` times and keeps the fastest run: the guard
+/// against scheduler noise in a one-shot comparison.
+fn best_of<O>(rounds: usize, mut routine: impl FnMut() -> O) -> (Duration, O) {
+    let mut best: Option<(Duration, O)> = None;
+    for _ in 0..rounds {
+        let (elapsed, out) = timed(&mut routine);
+        match &best {
+            Some((fastest, _)) if elapsed >= *fastest => {}
+            _ => best = Some((elapsed, out)),
+        }
+    }
+    best.expect("at least one round")
+}
+
+fn ms(duration: Duration) -> f64 {
+    duration.as_secs_f64() * 1e3
+}
+
+fn ratio(numerator: Duration, denominator: Duration) -> f64 {
+    numerator.as_secs_f64() / denominator.as_secs_f64()
+}
+
+/// The 10k-node Barabási–Albert graph, mean degree 10.
+fn ba_graph_10k() -> Graph {
+    ba_undirected(BaParams { n: 10_000, target_edges: 50_000 }, &mut rng_from_seed(SEED))
+        .expect("generation")
+}
+
+/// The full-scale Wikipedia-vote-like preset (7,115 nodes).
+fn wiki_graph() -> Graph {
+    wiki_vote_like(PresetConfig::full(SEED)).expect("generation").0
+}
+
+/// An unbounded-budget service: throughput, not admission policy.
+fn service_over(graph: &Arc<Graph>, config: ServiceConfig) -> RecommendationService {
+    RecommendationService::builder(Arc::clone(graph), Arc::new(CommonNeighbors))
+        .config(ServiceConfig { budget_per_target: f64::INFINITY, ..config })
+        .build()
+}
+
+/// Every connected node asks for `k` recommendations, capped at
+/// `max_requests` targets.
+fn batch(graph: &Graph, k: usize, max_requests: usize) -> Vec<BatchRequest> {
+    graph
+        .nodes()
+        .filter(|&v| graph.degree(v) > 0)
+        .take(max_requests)
+        .map(|target| BatchRequest { target, k })
+        .collect()
+}
+
+/// The one-pass Gumbel-max engine must beat the k-round peel at k = 5
+/// on BA-10k, where the peel's O(k·|C|) rescans dominate.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn gumbel_is_no_slower_than_peel_at_k5() {
+    let _timing = exclusive();
+    let graph = Arc::new(ba_graph_10k());
+    let peel =
+        service_over(&graph, ServiceConfig { engine: TopKEngine::Peel, ..Default::default() });
+    let gumbel =
+        service_over(&graph, ServiceConfig { engine: TopKEngine::Gumbel, ..Default::default() });
+    let requests = batch(&graph, 5, 512);
+    let serve = |service: &RecommendationService| {
+        assert!(service.serve_batch(&requests, SEED).iter().all(Result::is_ok));
+    };
+
+    // One warm-up batch per engine, then best of 3, interleaved.
+    serve(&peel);
+    serve(&gumbel);
+    let (mut peel_time, mut gumbel_time) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        peel_time = peel_time.min(timed(|| serve(&peel)).0);
+        gumbel_time = gumbel_time.min(timed(|| serve(&gumbel)).0);
+    }
+    println!(
+        "[serving] BA-10k, {} requests at k=5: gumbel {:.2} ms vs peel {:.2} ms ({:.2}x)",
+        requests.len(),
+        ms(gumbel_time),
+        ms(peel_time),
+        ratio(peel_time, gumbel_time),
+    );
+    assert!(
+        gumbel_time <= peel_time,
+        "one-pass gumbel ({gumbel_time:?}) must beat the k-round peel ({peel_time:?}) at k=5"
+    );
+}
+
+/// The linear merge the adaptive kernel falls back to, kept here as the
+/// baseline to race on identical inputs.
+fn linear_merge_count(a: &[NodeId], b: &[NodeId]) -> u32 {
+    let mut count = 0u32;
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                count += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    count
+}
+
+/// Galloping intersection on hub/leaf pairs must not lose to the linear
+/// merge it replaces.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn galloping_is_no_slower_than_linear_merge() {
+    let _timing = exclusive();
+    let graph = ba_graph_10k();
+    // The highest-degree node against up to 4,000 nodes of at most a 16th
+    // of its degree: skewed far past the gallop gate.
+    let hub = graph.nodes().max_by_key(|&v| graph.degree(v)).expect("non-empty");
+    let cutoff = (graph.degree(hub) / 16).max(1);
+    let leaves: Vec<NodeId> = graph
+        .nodes()
+        .filter(|&v| v != hub && graph.degree(v) > 0 && graph.degree(v) <= cutoff)
+        .take(4_000)
+        .collect();
+    assert!(leaves.len() >= 1_000, "BA preset must supply plenty of skewed pairs");
+
+    let (gallop_time, gallop_sum) = best_of(5, || {
+        leaves.iter().map(|&v| u64::from(common_neighbor_count(&graph, hub, v))).sum::<u64>()
+    });
+    let (linear_time, linear_sum) = best_of(5, || {
+        let hub_list = graph.neighbors(hub);
+        leaves.iter().map(|&v| u64::from(linear_merge_count(graph.neighbors(v), hub_list))).sum()
+    });
+    assert_eq!(gallop_sum, linear_sum, "kernels disagree on common-neighbour counts");
+    println!(
+        "[kernels] {} hub/leaf intersections (hub degree {}): galloping {:.2} ms vs \
+         linear merge {:.2} ms ({:.2}x)",
+        leaves.len(),
+        graph.degree(hub),
+        ms(gallop_time),
+        ms(linear_time),
+        ratio(linear_time, gallop_time),
+    );
+    assert!(
+        gallop_time <= linear_time,
+        "galloping ({gallop_time:?}) must not lose to the linear merge ({linear_time:?}) \
+         on skewed pairs"
+    );
+}
+
+/// Sum and number of the 2-step-walk counts from each target.
+fn walk_counts(walk: &mut WalkWorkspace, graph: &Graph, targets: &[NodeId]) -> (u64, u64) {
+    let (mut sum, mut len) = (0u64, 0u64);
+    for &r in targets {
+        walk.common_neighbors(graph, r, |_, c| {
+            sum += u64::from(c);
+            len += 1;
+        });
+    }
+    (sum, len)
+}
+
+/// A long-lived walk workspace must not lose to a fresh one (a fresh
+/// dense array) per target.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn reused_walk_workspace_is_no_slower_than_fresh() {
+    let _timing = exclusive();
+    let graph = ba_graph_10k();
+    // Low-degree targets: the walk itself is cheap there, so the fresh
+    // baseline's per-call dense allocation is the cost under test.
+    let mut targets: Vec<NodeId> = graph.nodes().filter(|&v| graph.degree(v) > 0).collect();
+    targets.sort_by_key(|&v| graph.degree(v));
+    targets.truncate(256);
+
+    let mut walk = WalkWorkspace::default();
+    let (reused_time, reused_sum) = best_of(5, || walk_counts(&mut walk, &graph, &targets));
+    let (fresh_time, fresh_sum) = best_of(5, || {
+        targets.iter().fold((0, 0), |(sum, len), &r| {
+            let (s, l) = walk_counts(&mut WalkWorkspace::default(), &graph, &[r]);
+            (sum + s, len + l)
+        })
+    });
+    assert_eq!(reused_sum, fresh_sum, "workspace reuse changed the counts");
+    println!(
+        "[kernels] {} bulk-count targets: reused workspace {:.2} ms vs fresh alloc \
+         {:.2} ms ({:.2}x)",
+        targets.len(),
+        ms(reused_time),
+        ms(fresh_time),
+        ratio(fresh_time, reused_time),
+    );
+    assert!(
+        reused_time <= fresh_time,
+        "reused workspace ({reused_time:?}) must not lose to per-call allocation \
+         ({fresh_time:?})"
+    );
+}
+
+/// Applying a mutation batch and re-serving only the dirty targets must
+/// beat rebuilding the CSR and re-serving every target. One shot, on a
+/// service warmed the way a long-running one would be.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn incremental_reserve_beats_rebuild() {
+    let _timing = exclusive();
+    let base = Arc::new(ba_graph_10k());
+    let config = ServiceConfig { threads: Some(4), ..Default::default() };
+    let all_requests = batch(&base, 2, usize::MAX);
+    let forward: Vec<EdgeMutation> = edge_stream(
+        &base,
+        StreamParams { events: 50, insert_fraction: 0.6 },
+        &mut rng_from_seed(SEED + 1),
+    )
+    .iter()
+    .map(|e| e.mutation)
+    .collect();
+
+    let service = service_over(&base, config);
+    assert!(service.serve_batch(&all_requests, SEED).iter().all(Result::is_ok));
+
+    let (incremental, (dirty, incremental_outcomes)) = timed(|| {
+        let epoch = service.apply_mutations(&forward).expect("valid batch");
+        let dirty: Vec<BatchRequest> =
+            epoch.dirty_targets.iter().map(|target| BatchRequest { target, k: 2 }).collect();
+        let outcomes = service.serve_batch(&dirty, SEED);
+        (dirty.len(), outcomes)
+    });
+    let (full_rebuild, full_outcomes) = timed(|| {
+        // A full CSR rebuild of the mutated edge set.
+        service_over(&Arc::new(service.snapshot()), config).serve_batch(&all_requests, SEED)
+    });
+    assert!(incremental_outcomes.iter().all(Result::is_ok));
+    assert!(full_outcomes.iter().all(Result::is_ok));
+    println!(
+        "[mutation] 50-event batch on {}-node BA: incremental (apply + re-serve {dirty} dirty) \
+         {:.1} ms vs full rebuild + re-serve {} {:.1} ms ({:.1}x)",
+        base.num_nodes(),
+        ms(incremental),
+        all_requests.len(),
+        ms(full_rebuild),
+        ratio(full_rebuild, incremental),
+    );
+    assert!(
+        incremental < full_rebuild,
+        "incremental re-serve ({incremental:?}) must beat full rebuild ({full_rebuild:?})"
+    );
+}
+
+/// The exact loop `psr serve` ran before it rebased onto the daemon.
+/// Returns the served count.
+fn replay_oneshot(service: &RecommendationService, events: &[DaemonEvent]) -> usize {
+    let mut served = 0;
+    for event in events {
+        match event {
+            DaemonEvent::Mutations { mutations, .. } => {
+                service.apply_mutations(mutations).expect("stream mutations apply");
+            }
+            DaemonEvent::Requests { seed, requests, .. } => {
+                served += service.serve_batch(requests, *seed).iter().filter(|o| o.is_ok()).count();
+            }
+        }
+    }
+    served
+}
+
+/// The daemon's queueing machinery buys always-on ingestion and
+/// backpressure, not throughput: it must cost at most 2x the bare
+/// one-shot replay of the same event sequence on the full wiki preset.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn daemon_loop_within_2x_of_one_shot() {
+    let _timing = exclusive();
+    let graph = Arc::new(wiki_graph());
+    let request_events = request_stream(
+        &graph,
+        RequestStreamParams { events: 256, k: 5 },
+        &mut rng_from_seed(split_seed(SEED, 1)),
+    );
+    let mutation_events = edge_stream(
+        &graph,
+        StreamParams { events: 32, insert_fraction: 0.7 },
+        &mut rng_from_seed(split_seed(SEED, 2)),
+    );
+    let events = multiplex(&request_events, 16, &mutation_events, 8, SEED);
+    let config = DaemonConfig::default();
+    // Every run gets a fresh service, built outside the timer, so epochs
+    // always start at version zero.
+    let fresh = || service_over(&graph, ServiceConfig::default());
+
+    let served = run_daemon(&fresh(), &events, &config).unwrap().metrics.served;
+    assert_eq!(served, replay_oneshot(&fresh(), &events), "both arms answer the same workload");
+    assert!(served > 0, "the wiki stream must serve something");
+    let (mut daemon_time, mut oneshot_time) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        let service = fresh();
+        let (elapsed, run) = timed(|| run_daemon(&service, &events, &config).unwrap());
+        daemon_time = daemon_time.min(elapsed);
+        assert_eq!(run.metrics.served, served);
+        let service = fresh();
+        let (elapsed, answered) = timed(|| replay_oneshot(&service, &events));
+        oneshot_time = oneshot_time.min(elapsed);
+        assert_eq!(answered, served);
+    }
+    println!(
+        "[daemon] {} events ({served} served): daemon loop {:.1} ms vs one-shot replay {:.1} ms \
+         ({:.2}x)",
+        events.len(),
+        ms(daemon_time),
+        ms(oneshot_time),
+        ratio(daemon_time, oneshot_time),
+    );
+    assert!(
+        daemon_time <= oneshot_time * 2,
+        "daemon pipeline ({daemon_time:?}) must stay within 2x of the one-shot path \
+         ({oneshot_time:?})"
+    );
+}
+
+/// The attack harness fans trials across a worker pool. On a 64-trial
+/// karate collection, 4 workers must not take more than 3x one worker:
+/// karate trials are sub-millisecond, so spawn and scheduler jitter can
+/// dominate on a small runner, and the bound only catches a pool that
+/// serialises the trial loop. One shot per arm.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn attack_pool_within_3x_of_one_worker() {
+    let _timing = exclusive();
+    let graph = Arc::new(karate_club());
+    let ((u, v), observers) =
+        leaking_secret_edge(&graph, &CommonNeighbors, 4, 20_000).expect("karate leaks");
+    let game = |threads: usize| {
+        let config = GameConfig {
+            rounds: 4,
+            trials_per_world: 64,
+            threads: Some(threads),
+            seed: SEED,
+            mechanism: AttackMechanism::Exponential { epsilon: 0.5 },
+            ..GameConfig::new(Secret::Edge(EdgeMutation::insert(u, v)), observers.clone())
+        };
+        TwoWorldGame::new(Arc::clone(&graph) as Arc<Graph>, Box::new(CommonNeighbors), config)
+    };
+    let (single, pooled) = (game(1), game(4));
+    let (single_time, a) = timed(|| single.collect());
+    let (pooled_time, b) = timed(|| pooled.collect());
+    assert_eq!(a, b, "thread count must not change transcripts");
+    println!(
+        "[attack] harness, 64 trials/world: 1 worker {:.2} ms vs 4 workers {:.2} ms ({:.2}x)",
+        ms(single_time),
+        ms(pooled_time),
+        ratio(single_time, pooled_time),
+    );
+    assert!(
+        pooled_time.as_secs_f64() <= single_time.as_secs_f64() * 3.0,
+        "worker pool must not serialise the trial loop: {pooled_time:?} vs {single_time:?}"
+    );
+}
+
+/// The LiveJournal-class preset at 2% scale (~97k nodes, ~1.3M arcs).
+fn lj_graph() -> Graph {
+    livejournal_like(PresetConfig::scaled(0.02, SEED)).expect("generation").0
+}
+
+/// Full adjacency scan through [`GraphView`]: the access pattern of a
+/// utility pass over every node, reduced to a checksum.
+fn scan<V: GraphView + ?Sized>(view: &V) -> u64 {
+    let mut sum = 0u64;
+    for v in view.nodes() {
+        for &t in view.neighbors(v) {
+            sum = sum.wrapping_add(u64::from(t));
+        }
+    }
+    sum
+}
+
+/// The steady-state read overhead a serving epoch pays: a warm compressed
+/// (PSRZ) scan, decode cache populated, within 3x of the plain CSR scan.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn warm_compressed_scan_within_3x_of_csr() {
+    let _timing = exclusive();
+    let graph = lj_graph();
+    let compressed = CompressedCsr::open_bytes(CompressedCsr::encode(&graph, 8))
+        .expect("fresh snapshot validates");
+    let csr_sum = scan(&graph);
+    assert_eq!(scan(&compressed), csr_sum, "compressed reads diverged"); // also warms the cache
+
+    let (csr_time, _) = best_of(5, || scan(&graph));
+    let (warm_time, _) = best_of(5, || scan(&compressed));
+    println!(
+        "[graph_backend] {} nodes / {} arcs scan: csr {:.2} ms vs compressed warm {:.2} ms \
+         ({:.2}x)",
+        graph.num_nodes(),
+        graph.num_arcs(),
+        ms(csr_time),
+        ms(warm_time),
+        ratio(warm_time, csr_time),
+    );
+    assert!(
+        warm_time.as_secs_f64() <= 3.0 * csr_time.as_secs_f64(),
+        "warm compressed scan ({warm_time:?}) exceeds 3x the CSR scan ({csr_time:?})"
+    );
+}
+
+/// The worst-case first-touch cost: a scan through
+/// [`GraphView::neighbors_into`] on a snapshot whose decode cache stays
+/// empty, so every list is decoded, within 25x of the plain CSR scan.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn cache_free_decode_within_25x_of_csr() {
+    let _timing = exclusive();
+    let graph = lj_graph();
+    let cold = CompressedCsr::open_bytes(CompressedCsr::encode(&graph, 8))
+        .expect("fresh snapshot validates");
+    let mut scratch = Vec::new();
+    let mut scan_decoding = || {
+        let mut sum = 0u64;
+        for v in cold.nodes() {
+            for &t in cold.neighbors_into(v, &mut scratch) {
+                sum = sum.wrapping_add(u64::from(t));
+            }
+        }
+        sum
+    };
+    assert_eq!(scan_decoding(), scan(&graph), "workspace decode diverged");
+
+    let (csr_time, _) = best_of(5, || scan(&graph));
+    let (cold_time, _) = best_of(5, &mut scan_decoding);
+    assert_eq!(cold.cached_nodes(), 0, "workspace decode must not fill the cache");
+    println!(
+        "[graph_backend] {} nodes / {} arcs scan: csr {:.2} ms vs workspace decode {:.2} ms \
+         ({:.2}x)",
+        graph.num_nodes(),
+        graph.num_arcs(),
+        ms(csr_time),
+        ms(cold_time),
+        ratio(cold_time, csr_time),
+    );
+    assert!(
+        cold_time.as_secs_f64() <= 25.0 * csr_time.as_secs_f64(),
+        "workspace decode ({cold_time:?}) exceeds 25x the CSR scan ({csr_time:?})"
+    );
+}
+
+/// Resumability is only worth its fsyncs if a restart skips the work:
+/// replaying a complete journal of the toy plan must beat recomputing it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn journal_replay_beats_recompute() {
+    let _timing = exclusive();
+    let plan = ExperimentPlan::toy();
+    // Per-process, so concurrent runs never share a journal.
+    let journal =
+        std::env::temp_dir().join(format!("psr-perf-gates-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let journalled = || SweepOptions { journal: Some(journal.clone()), ..Default::default() };
+
+    let full = run_sweep(&plan, &SweepOptions::default()).expect("toy sweep");
+    assert!(full.complete && full.computed == full.total);
+    assert!(run_sweep(&plan, &journalled()).expect("journalled sweep").complete);
+    let (mut compute_time, mut replay_time) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        let (elapsed, run) = timed(|| run_sweep(&plan, &SweepOptions::default()).unwrap());
+        compute_time = compute_time.min(elapsed);
+        assert_eq!(run.results, full.results, "sweeps are deterministic");
+        let (elapsed, resumed) = timed(|| run_sweep(&plan, &journalled()).unwrap());
+        replay_time = replay_time.min(elapsed);
+        assert_eq!(resumed.computed, 0, "a complete journal must leave nothing to compute");
+        assert_eq!(resumed.resumed, full.total);
+        assert_eq!(resumed.results, full.results, "replay is bit-identical");
+    }
+    let _ = std::fs::remove_file(&journal);
+    println!(
+        "[frontier] toy plan ({} cells): recompute {:.1} ms vs journal replay {:.1} ms ({:.1}x)",
+        full.total,
+        ms(compute_time),
+        ms(replay_time),
+        ratio(compute_time, replay_time),
+    );
+    assert!(
+        replay_time < compute_time,
+        "replaying a finished sweep ({replay_time:?}) must beat recomputing it \
+         ({compute_time:?})"
+    );
+}
+
+/// Telemetry watches the serving hot path without slowing it: serving
+/// with telemetry on stays within 5% of serving with it off, on an
+/// identical wiki workload with bit-identical outcomes.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn instrumented_serving_within_5_percent() {
+    let _timing = exclusive();
+    let graph = Arc::new(wiki_graph());
+    let requests: Vec<BatchRequest> = request_stream(
+        &graph,
+        RequestStreamParams { events: 256, k: 5 },
+        &mut rng_from_seed(split_seed(SEED, 1)),
+    )
+    .into_iter()
+    .map(|event| BatchRequest { target: event.target, k: event.k })
+    .collect();
+    let config =
+        ServiceConfig { budget_per_target: f64::INFINITY, threads: Some(2), ..Default::default() };
+    let plain = RecommendationService::builder(Arc::clone(&graph), Arc::new(CommonNeighbors))
+        .config(config)
+        .build();
+    let instrumented =
+        RecommendationService::builder(Arc::clone(&graph), Arc::new(CommonNeighbors))
+            .config(config)
+            .telemetry(Telemetry::enabled())
+            .build();
+
+    // Warms both arms.
+    assert_eq!(
+        plain.serve_batch(&requests, SEED),
+        instrumented.serve_batch(&requests, SEED),
+        "telemetry must not perturb outcomes"
+    );
+    let four_batches = |service: &RecommendationService| {
+        best_of(5, || {
+            for round in 0..4u64 {
+                black_box(service.serve_batch(&requests, SEED + round));
+            }
+        })
+        .0
+    };
+    let plain_time = four_batches(&plain);
+    let instrumented_time = four_batches(&instrumented);
+    let overhead = ratio(instrumented_time, plain_time);
+    println!(
+        "[obs] {} requests x4: uninstrumented {:.2} ms vs instrumented {:.2} ms ({overhead:.3}x)",
+        requests.len(),
+        ms(plain_time),
+        ms(instrumented_time),
+    );
+    assert!(
+        overhead <= 1.05,
+        "instrumented serving ({instrumented_time:?}) must stay within 5% of uninstrumented \
+         ({plain_time:?}), got {overhead:.3}x"
+    );
+}
