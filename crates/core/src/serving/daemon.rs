@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use psr_gen::seed::split_seed;
 use psr_gen::stream::{ReplayClock, RequestEvent, StreamEvent};
 use psr_graph::EdgeMutation;
-use psr_obs::{Heartbeat, Progress};
+use psr_obs::{Heartbeat, LatencyHistogram, LatencySummary, Progress};
 use serde::Serialize;
 
 use super::epoch::EpochPin;
@@ -218,11 +218,6 @@ pub struct DaemonRun {
     /// Serving metrics for the whole run.
     pub metrics: DaemonMetrics,
 }
-
-// The log₂ latency histogram and its quantile summary were born here
-// and are re-exported for compatibility; they now live in `psr-obs` so
-// the daemon, the serving layer, and the frontier share one bucketing.
-pub use psr_obs::{LatencyHistogram, LatencySummary};
 
 /// Per-epoch serving metrics: how much traffic each graph version
 /// served and at what queue-to-completion latency.

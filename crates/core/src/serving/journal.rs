@@ -1,23 +1,40 @@
-//! Shared primitives for append-only, crash-safe line journals.
+//! The append-only, crash-safe line journal behind the per-target budget
+//! ledger ([`JournalLedger`](super::JournalLedger)) and the frontier
+//! sweep's results checkpoint (`psr-frontier`).
 //!
-//! Two subsystems persist state as line-oriented text journals with the
-//! same durability story: the per-target budget ledger
-//! ([`JournalLedger`](super::JournalLedger)) and the frontier sweep's
-//! results checkpoint (`psr-frontier`). Both need the same three
-//! building blocks, extracted here so the formats stay idiom-identical:
+//! # Format
 //!
-//! * [`fnv1a64`] — the checksum guarding every line,
-//! * [`seal`] / [`unseal`] — payload ↔ checksummed line framing,
-//! * [`LineSplitter`] — newline iteration that tracks the byte length of
-//!   the *valid prefix*, which is exactly what truncate-on-replay needs.
+//! Line-oriented text. Every line is a payload, a space, the 16-hex-digit
+//! [`fnv1a64`] checksum of the payload and a newline. The first line is
+//! the header `<tag> <fields>`, binding the file to its owner's
+//! configuration; every later line is one record. The owner chooses the
+//! tag, the header fields and the record payloads.
 //!
-//! The replay contract both journals follow: accept the longest prefix of
-//! lines that unseal, drop a torn or corrupt tail (the signature of a
-//! crash mid-append), truncate the file back to the valid prefix and
-//! append from there. A *valid* header that disagrees with the caller's
-//! configuration is a hard error — silently re-interpreting old records
-//! against a different configuration would corrupt whatever the journal
-//! accounts for.
+//! # Replay contract
+//!
+//! [`Journal::open`] accepts the longest prefix of lines that unseal and
+//! parse, drops a torn or corrupt tail (the signature of a crash
+//! mid-append), truncates the file back to the valid prefix and appends
+//! from there. A torn header, or a file of another format, means nothing
+//! was ever durable, so the file restarts fresh. A *valid* header whose
+//! fields disagree with the caller's configuration is a hard
+//! [`io::ErrorKind::InvalidData`] error — silently re-interpreting old
+//! records against a different configuration would corrupt whatever the
+//! journal accounts for.
+//!
+//! # Durability
+//!
+//! [`Journal::stage`] buffers records in memory; [`Journal::sync`] writes
+//! everything staged with one `write_all` and one `fsync`. A record is
+//! durable once the `sync` after it returns, and not before.
+
+use std::fmt::{self, Write as _};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
+use std::time::Instant;
+
+use psr_obs::Histogram;
 
 /// FNV-1a 64-bit, the checksum guarding every journal line. Not
 /// cryptographic — it detects torn writes and bit rot, which is all a
@@ -25,67 +42,142 @@
 /// bodies; psr-graph owns the one implementation.
 pub use psr_graph::compressed::body_checksum as fnv1a64;
 
-/// Formats a journal line: payload plus its checksum, newline-terminated.
-#[must_use]
-pub fn seal(payload: &str) -> String {
-    format!("{payload} {:016x}\n", fnv1a64(payload.as_bytes()))
+/// An open journal, positioned for appending. See the module docs for the
+/// format, the replay contract and the durability points.
+#[derive(Debug)]
+pub struct Journal {
+    path: PathBuf,
+    file: File,
+    /// The sealed header line, rewritten by `reset`.
+    header: String,
+    /// Sealed records staged by `stage`, written and fsynced by `sync`.
+    pending: String,
+    /// Per-sync write+fsync latency; inert until `instrument` is called.
+    fsync_latency: Histogram,
+}
+
+impl Journal {
+    /// Opens (or creates) the journal at `path` whose header is
+    /// `<tag> <header>`, replaying every record of the longest valid
+    /// prefix through `parse` (the first record it rejects starts the
+    /// dropped tail).
+    ///
+    /// A valid header line starting with `tag` hands its remaining fields
+    /// to `check`; an `Err` message from `check` is returned as an
+    /// [`io::ErrorKind::InvalidData`] error and the file is left as it was.
+    pub fn open<R>(
+        path: impl AsRef<Path>,
+        tag: &str,
+        header: &str,
+        check: impl FnOnce(&str) -> Result<(), String>,
+        mut parse: impl FnMut(&str) -> Option<R>,
+    ) -> io::Result<(Self, Vec<R>)> {
+        let path = path.as_ref().to_path_buf();
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let content = lossy_utf8_prefix(bytes);
+
+        let mut records = Vec::new();
+        let mut valid_len = 0;
+        let mut lines = content.split_inclusive('\n');
+        let first = lines.next().unwrap_or_default();
+        if let Some(fields) = unseal(first).and_then(|payload| payload.strip_prefix(tag)) {
+            check(fields.trim_start())
+                .map_err(|message| io::Error::new(io::ErrorKind::InvalidData, message))?;
+            valid_len = first.len();
+            for line in lines {
+                let Some(record) = unseal(line).and_then(&mut parse) else { break };
+                records.push(record);
+                valid_len += line.len();
+            }
+        }
+
+        let mut sealed_header = String::new();
+        seal(&mut sealed_header, format_args!("{tag} {header}"));
+        file.set_len(valid_len as u64)?;
+        file.seek(SeekFrom::End(0))?;
+        if valid_len == 0 {
+            file.write_all(sealed_header.as_bytes())?;
+            file.sync_data()?;
+        }
+        let journal = Journal {
+            path,
+            file,
+            header: sealed_header,
+            pending: String::new(),
+            fsync_latency: Histogram::default(),
+        };
+        Ok((journal, records))
+    }
+
+    /// Stages one record, sealing it straight into the pending buffer.
+    /// It is durable only after the next [`Journal::sync`].
+    pub fn stage(&mut self, record: fmt::Arguments<'_>) {
+        seal(&mut self.pending, record);
+    }
+
+    /// Writes every staged record and `fsync`s; a no-op when nothing is
+    /// staged. If the write or the `fsync` fails, the records stay staged
+    /// for the next call.
+    pub fn sync(&mut self) -> io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        // The clock is only read when the histogram is live, so an
+        // uninstrumented sync pays nothing.
+        let start = self.fsync_latency.is_enabled().then(Instant::now);
+        self.file.write_all(self.pending.as_bytes())?;
+        self.file.sync_data()?;
+        self.pending.clear();
+        if let Some(start) = start {
+            self.fsync_latency
+                .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
+        Ok(())
+    }
+
+    /// Drops every record, staged or durable, leaving only the header, and
+    /// `fsync`s.
+    pub fn reset(&mut self) -> io::Result<()> {
+        self.pending.clear();
+        self.file.set_len(0)?;
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.write_all(self.header.as_bytes())?;
+        self.file.sync_data()
+    }
+
+    /// Attaches a histogram recording each non-empty sync's write+fsync
+    /// time. Telemetry observes, never participates: the journal's bytes
+    /// and durability are identical with or without a live histogram.
+    pub fn instrument(&mut self, fsync_latency: Histogram) {
+        self.fsync_latency = fsync_latency;
+    }
+
+    /// The journal's on-disk path.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+/// Appends one journal line to `out`: the payload, a space, its checksum
+/// and a newline.
+fn seal(out: &mut String, payload: fmt::Arguments<'_>) {
+    let start = out.len();
+    out.write_fmt(payload).expect("formatting into a String cannot fail");
+    let checksum = fnv1a64(&out.as_bytes()[start..]);
+    writeln!(out, " {checksum:016x}").expect("formatting into a String cannot fail");
 }
 
 /// Splits a newline-terminated line into payload and checksum and
 /// verifies the seal. `None` for torn or corrupt lines.
-#[must_use]
-pub fn unseal(line: &str) -> Option<&str> {
+fn unseal(line: &str) -> Option<&str> {
     let body = line.strip_suffix('\n')?;
     let (payload, crc) = body.rsplit_once(' ')?;
     let crc = (crc.len() == 16).then(|| u64::from_str_radix(crc, 16).ok()).flatten()?;
     (crc == fnv1a64(payload.as_bytes())).then_some(payload)
-}
-
-/// Iterates newline-terminated lines (terminator included) while
-/// tracking how many bytes the *previous* items covered — exactly what
-/// valid-prefix truncation needs. A trailing fragment without `\n` is
-/// yielded too (it will fail [`unseal`]) but never counted as consumed.
-#[derive(Debug)]
-pub struct LineSplitter<'a> {
-    text: &'a str,
-    offset: usize,
-    consumed: usize,
-}
-
-impl<'a> LineSplitter<'a> {
-    /// Starts splitting at the beginning of `text`.
-    #[must_use]
-    pub fn new(text: &'a str) -> Self {
-        LineSplitter { text, offset: 0, consumed: 0 }
-    }
-
-    /// Bytes covered by all fully-consumed (newline-terminated) lines
-    /// yielded so far.
-    #[must_use]
-    pub fn consumed_before_current(&self) -> usize {
-        self.consumed
-    }
-}
-
-impl<'a> Iterator for LineSplitter<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        if self.offset >= self.text.len() {
-            return None;
-        }
-        self.consumed = self.offset;
-        let rest = &self.text[self.offset..];
-        let line = match rest.find('\n') {
-            Some(pos) => &rest[..=pos],
-            None => rest,
-        };
-        self.offset += line.len();
-        if line.ends_with('\n') {
-            self.consumed = self.offset;
-        }
-        Some(line)
-    }
 }
 
 /// Reads a journal file as text, tolerating a torn non-UTF8 tail: the
@@ -93,8 +185,7 @@ impl<'a> Iterator for LineSplitter<'a> {
 /// any other corrupt tail (it will fail [`unseal`] at its first line).
 /// Journals are single-writer text we wrote ourselves, so a non-UTF8
 /// byte *is* corruption — but only from that byte onward.
-#[must_use]
-pub fn lossy_utf8_prefix(bytes: Vec<u8>) -> String {
+fn lossy_utf8_prefix(bytes: Vec<u8>) -> String {
     match String::from_utf8(bytes) {
         Ok(text) => text,
         Err(err) => {
@@ -109,16 +200,22 @@ pub fn lossy_utf8_prefix(bytes: Vec<u8>) -> String {
 mod tests {
     use super::*;
 
+    fn sealed(payload: &str) -> String {
+        let mut line = String::new();
+        seal(&mut line, format_args!("{payload}"));
+        line
+    }
+
     #[test]
     fn seal_round_trips() {
-        let line = seal("R 7 payload");
+        let line = sealed("R 7 payload");
         assert!(line.ends_with('\n'));
         assert_eq!(unseal(&line), Some("R 7 payload"));
     }
 
     #[test]
     fn unseal_rejects_tampering_and_torn_lines() {
-        let line = seal("R 7 payload");
+        let line = sealed("R 7 payload");
         assert_eq!(unseal(&line.replace('7', "8")), None);
         assert_eq!(unseal(&line[..line.len() - 1]), None, "missing newline means torn");
         assert_eq!(unseal("no checksum at all\n"), None);
@@ -133,17 +230,28 @@ mod tests {
     }
 
     #[test]
-    fn line_splitter_tracks_valid_prefix() {
-        let text = "one\ntwo\nthr";
-        let mut lines = LineSplitter::new(text);
-        assert_eq!(lines.next(), Some("one\n"));
-        assert_eq!(lines.consumed_before_current(), 4);
-        assert_eq!(lines.next(), Some("two\n"));
-        assert_eq!(lines.consumed_before_current(), 8);
-        assert_eq!(lines.next(), Some("thr"));
-        assert_eq!(lines.consumed_before_current(), 8, "torn tail never counts as consumed");
-        assert_eq!(lines.next(), None);
-        assert_eq!(lines.consumed_before_current(), 8);
+    fn latency_histogram_samples_each_nonempty_sync_only() {
+        let path = std::env::temp_dir()
+            .join(format!("psr-journal-latency-{}.journal", std::process::id()));
+        let open = |path: &Path| {
+            Journal::open(path, "psrtest v1", "1", |_| Ok(()), |payload| Some(payload.to_owned()))
+                .unwrap()
+        };
+        let histogram = psr_obs::MetricsRegistry::enabled().histogram("journal.fsync_ns");
+        let (mut journal, _) = open(&path);
+        journal.instrument(histogram.clone());
+        journal.sync().unwrap(); // nothing staged: no write, no sample
+        journal.stage(format_args!("R 1"));
+        journal.stage(format_args!("R 2"));
+        journal.sync().unwrap();
+        journal.reset().unwrap();
+        journal.stage(format_args!("R 3"));
+        journal.sync().unwrap();
+        assert_eq!(histogram.load().count(), 2, "one sample per non-empty sync, none on reset");
+        drop(journal);
+        let (_, records) = open(&path);
+        assert_eq!(records, ["R 3"], "reset dropped the first batch");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

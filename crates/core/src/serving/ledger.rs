@@ -23,28 +23,24 @@
 //! under-count spend the adversary never observed an answer for), but it
 //! can never under-count spend behind an answer that got out.
 //!
-//! # Journal format and replay
+//! # Journal format
 //!
-//! The journal is line-oriented text: a header naming the budget, then
-//! one line per charge, each line carrying an FNV-1a-64 checksum of its
-//! own content. ε values travel as exact `f64` bit patterns, so replayed
-//! spend is bit-identical to what admission recorded. [`JournalLedger::
-//! open`] replays the longest valid prefix, drops a torn or corrupt tail
-//! (the signature of a crash mid-append), truncates the file back to the
-//! valid prefix and appends from there. A *valid* header whose budget
-//! differs from the caller's is a hard error — silently re-interpreting
-//! old spend against a different budget would corrupt the accounting.
+//! A [`Journal`] (see [`super::journal`] for the line framing and the
+//! replay rules) tagged `psrledger v1`. The header's one field is the
+//! budget's `f64` bit pattern in hex; each record `C <target> <bits>` is
+//! one charge, ε again as its exact bit pattern, so replayed spend is
+//! bit-identical to what admission recorded. A valid header whose budget
+//! differs from the caller's is a hard error: re-reading old spend
+//! against a different budget would corrupt the accounting.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::io;
+use std::path::Path;
 
 use psr_graph::NodeId;
-use psr_obs::{Histogram, MetricsRegistry};
+use psr_obs::MetricsRegistry;
 
 use super::budget::{BudgetAccountant, BudgetExceeded};
-use super::journal::{lossy_utf8_prefix, seal, unseal, LineSplitter};
+use super::journal::Journal;
 
 /// Per-target ε spend tracking with explicit durability points. See the
 /// `serving/ledger.rs` module docs for the contract; [`BudgetAccountant`] is the
@@ -139,103 +135,53 @@ fn parse_charge(payload: &str) -> Option<(NodeId, f64)> {
     (eps > 0.0 && eps.is_finite()).then_some((target, eps))
 }
 
-/// An append-only on-disk [`BudgetLedger`]. See the `serving/ledger.rs`
-/// module docs for the format, the replay rules and the durability contract.
+/// An append-only on-disk [`BudgetLedger`]: a [`BudgetAccountant`] whose
+/// every charge is also staged into a [`Journal`]. See the
+/// `serving/ledger.rs` module docs for the format and the durability
+/// contract.
 #[derive(Debug)]
 pub struct JournalLedger {
-    path: PathBuf,
-    file: File,
     accountant: BudgetAccountant,
-    /// Lines staged by `try_charge`, written and fsynced by `sync`.
-    pending: String,
-    /// Per-sync write+fsync latency; inert until `instrument` is called.
-    fsync_latency: Histogram,
+    journal: Journal,
 }
 
 impl JournalLedger {
     /// Opens (or creates) the journal at `path` with the given per-target
-    /// budget, replaying any surviving spend.
-    ///
-    /// Replay accepts the longest valid prefix: a torn or corrupt *tail*
-    /// is dropped and truncated away (crash mid-append), and a torn
-    /// *header* means no charge was ever durable, so the file restarts
-    /// fresh. A **valid** header carrying a different budget is an
-    /// [`io::ErrorKind::InvalidData`] error.
+    /// budget, replaying any surviving spend under the [`super::journal`]
+    /// replay contract. A **valid** header carrying a different budget is
+    /// an [`io::ErrorKind::InvalidData`] error.
     ///
     /// # Panics
     /// Panics unless the budget is positive (`f64::INFINITY` disables
     /// enforcement), matching [`BudgetAccountant::new`].
     pub fn open(path: impl AsRef<Path>, budget_per_target: f64) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         let mut accountant = BudgetAccountant::new(budget_per_target);
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let content = lossy_utf8_prefix(bytes);
-
-        let header = seal(&format!("{HEADER_TAG} {:016x}", budget_per_target.to_bits()));
-        let mut valid_len = 0usize;
-        let mut lines = LineSplitter::new(&content);
-        match lines.next().and_then(unseal) {
-            Some(payload) if payload.starts_with(HEADER_TAG) => {
-                let bits = payload
-                    .strip_prefix(HEADER_TAG)
-                    .and_then(|rest| u64::from_str_radix(rest.trim_start(), 16).ok())
-                    .ok_or_else(|| corrupt_header(&path))?;
-                if bits != budget_per_target.to_bits() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "budget journal {} was written for budget {}, not {budget_per_target}",
-                            path.display(),
-                            f64::from_bits(bits)
-                        ),
-                    ));
-                }
-                valid_len = lines.consumed_before_current();
-                // Replay the longest valid charge prefix.
-                while let Some(line) = lines.next() {
-                    match unseal(line).and_then(parse_charge) {
-                        Some((target, eps)) => {
-                            accountant.restore(target, eps);
-                            valid_len = lines.consumed_before_current();
-                        }
-                        None => break, // torn/corrupt tail: drop the rest
-                    }
-                }
+        let bits = budget_per_target.to_bits();
+        let check = |fields: &str| {
+            let written = u64::from_str_radix(fields, 16)
+                .map_err(|_| format!("budget journal {} has a malformed header", path.display()))?;
+            if written == bits {
+                return Ok(());
             }
-            // Empty file, torn header, or not our format with no valid
-            // header: nothing was ever durable here — start fresh.
-            _ => {}
+            Err(format!(
+                "budget journal {} was written for budget {}, not {budget_per_target}",
+                path.display(),
+                f64::from_bits(written)
+            ))
+        };
+        let (journal, charges) =
+            Journal::open(path, HEADER_TAG, &format!("{bits:016x}"), check, parse_charge)?;
+        for (target, eps) in charges {
+            accountant.restore(target, eps);
         }
-
-        file.set_len(valid_len as u64)?;
-        file.seek(SeekFrom::End(0))?;
-        if valid_len == 0 {
-            file.write_all(header.as_bytes())?;
-            file.sync_data()?;
-        }
-        Ok(JournalLedger {
-            path,
-            file,
-            accountant,
-            pending: String::new(),
-            fsync_latency: Histogram::default(),
-        })
+        Ok(JournalLedger { accountant, journal })
     }
 
     /// The journal's on-disk path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
-}
-
-fn corrupt_header(path: &Path) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("budget journal {} has a malformed header", path.display()),
-    )
 }
 
 impl BudgetLedger for JournalLedger {
@@ -249,45 +195,25 @@ impl BudgetLedger for JournalLedger {
 
     fn try_charge(&mut self, target: NodeId, eps: f64) -> Result<(), BudgetExceeded> {
         self.accountant.try_charge(target, eps)?;
-        self.pending.push_str(&seal(&format!("C {target} {:016x}", eps.to_bits())));
+        self.journal.stage(format_args!("C {target} {:016x}", eps.to_bits()));
         Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        // The clock is only read when the histogram is live, so an
-        // uninstrumented sync pays nothing.
-        let start = self.fsync_latency.is_enabled().then(Instant::now);
-        self.file.write_all(self.pending.as_bytes())?;
-        self.file.sync_data()?;
-        self.pending.clear();
-        if let Some(start) = start {
-            self.fsync_latency
-                .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        Ok(())
+        self.journal.sync()
     }
 
     fn reset(&mut self) -> io::Result<()> {
-        self.pending.clear();
         self.accountant.reset();
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        let header =
-            seal(&format!("{HEADER_TAG} {:016x}", self.accountant.budget_per_target().to_bits()));
-        self.file.write_all(header.as_bytes())?;
-        self.file.sync_data()?;
-        Ok(())
+        self.journal.reset()
     }
 
     fn description(&self) -> String {
-        format!("journal:{}", self.path.display())
+        format!("journal:{}", self.path().display())
     }
 
     fn instrument(&mut self, metrics: &MetricsRegistry) {
-        self.fsync_latency = metrics.histogram("ledger.fsync_ns");
+        self.journal.instrument(metrics.histogram("ledger.fsync_ns"));
     }
 
     fn export_spend_gauges(&self, metrics: &MetricsRegistry) {
@@ -298,6 +224,9 @@ impl BudgetLedger for JournalLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A unique scratch path (no tempfile crate in the offline vendor
@@ -313,17 +242,6 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_file(&self.0);
         }
-    }
-
-    #[test]
-    fn line_seal_round_trips_and_rejects_tampering() {
-        let line = seal("C 42 3ff0000000000000");
-        assert!(line.ends_with('\n'));
-        assert_eq!(unseal(&line), Some("C 42 3ff0000000000000"));
-        let tampered = line.replace("42", "43");
-        assert_eq!(unseal(&tampered), None);
-        let torn = &line[..line.len() - 2];
-        assert_eq!(unseal(torn), None, "missing newline means torn");
     }
 
     #[test]

@@ -169,6 +169,39 @@ fn every_truncation_point_recovers_a_valid_prefix() {
     }
 }
 
+/// A budget journal captured byte for byte: budget 2.0, one batch
+/// charging targets 5 (ε 1.0) and 9 (ε 0.25), then one charging 5 (ε 0.5).
+const GOLDEN_JOURNAL: &str = "\
+psrledger v1 4000000000000000 dab41b389d8738f8
+C 5 3ff0000000000000 aedc54dc67a8baec
+C 9 3fd0000000000000 43cbdec10a2e150a
+C 5 3fe0000000000000 2ddefeb1fbc2f377
+";
+
+#[test]
+fn golden_journal_replays_and_is_reproduced_byte_for_byte() {
+    let path = scratch_path("golden");
+    let _cleanup = Cleanup(path.clone());
+    std::fs::write(&path, GOLDEN_JOURNAL).unwrap();
+    let ledger = JournalLedger::open(&path, 2.0).unwrap();
+    assert_eq!(ledger.spent(5), 1.5);
+    assert_eq!(ledger.spent(9), 0.25);
+    drop(ledger);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), GOLDEN_JOURNAL, "replay keeps valid bytes");
+
+    std::fs::remove_file(&path).unwrap();
+    let mut ledger = JournalLedger::open(&path, 2.0).unwrap();
+    ledger.try_charge(5, 1.0).unwrap();
+    ledger.try_charge(9, 0.25).unwrap();
+    ledger.sync().unwrap();
+    ledger.try_charge(5, 0.5).unwrap();
+    ledger.sync().unwrap();
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), GOLDEN_JOURNAL);
+    ledger.reset().unwrap();
+    let header = GOLDEN_JOURNAL.split_inclusive('\n').next().unwrap();
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), header, "reset keeps only the header");
+}
+
 /// The serving-layer acceptance check: kill a daemon mid-run (no
 /// shutdown hook), restart on the same journal, and the per-target ε
 /// spend is identical, exhausted targets stay exhausted, and composed

@@ -1,24 +1,18 @@
 //! The append-only results journal a sweep checkpoints into.
 //!
-//! Same idioms as the serving budget ledger
-//! ([`psr_core::serving::journal`] holds the shared primitives): a sealed
-//! header line binding the journal to its plan, one sealed line per
-//! completed cell, FNV-1a-64 checksums, longest-valid-prefix replay with
-//! truncation of a torn tail, and `fsync` per record so a killed sweep
-//! can never lose an acknowledged cell.
-//!
-//! The header carries the plan *fingerprint* and the total cell count:
-//! a valid journal written for a different plan is a hard
-//! [`io::ErrorKind::InvalidData`] error (silently mixing two plans'
-//! cells would fabricate a frontier nobody measured), while a torn
-//! header means nothing was ever durable and the file restarts fresh.
+//! A [`Journal`] (see [`psr_core::serving::journal`] for the line
+//! framing, the replay rules and the durability points) tagged
+//! `psrfrontier v1`, with one `fsync` per completed cell so a killed sweep
+//! can never lose an acknowledged cell. The header fields are the plan
+//! *fingerprint* (hex) and the total cell count; each record
+//! `C <json>` is one [`CellResult`]. A valid journal written for a
+//! different plan is a hard [`io::ErrorKind::InvalidData`] error: silently
+//! mixing two plans' cells would fabricate a frontier nobody measured.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::io;
+use std::path::Path;
 
-use psr_core::serving::journal::{lossy_utf8_prefix, seal, unseal, LineSplitter};
+use psr_core::serving::journal::Journal;
 use psr_obs::Histogram;
 
 use crate::cell::CellResult;
@@ -28,92 +22,53 @@ const HEADER_TAG: &str = "psrfrontier v1";
 
 /// An open results journal, positioned for appending.
 #[derive(Debug)]
-pub struct ResultsJournal {
-    path: PathBuf,
-    file: File,
-    /// Per-append write+fsync latency; inert until `instrument` is called.
-    fsync_latency: Histogram,
-}
+pub struct ResultsJournal(Journal);
 
 impl ResultsJournal {
     /// Opens (or creates) the journal at `path` for the plan identified
-    /// by `fingerprint` expanding to `total_cells` cells. Returns the
-    /// journal plus every cell replayed from the longest valid prefix
-    /// (a torn or corrupt tail is dropped and truncated away).
-    ///
-    /// A **valid** header whose fingerprint or cell count differs from
-    /// the caller's is an [`io::ErrorKind::InvalidData`] error.
+    /// by `fingerprint` expanding to `total_cells` cells, returning it with
+    /// every cell it replays. A **valid** header whose fingerprint or cell
+    /// count differs from the caller's is an [`io::ErrorKind::InvalidData`]
+    /// error.
     pub fn open(
         path: impl AsRef<Path>,
         fingerprint: u64,
         total_cells: usize,
     ) -> io::Result<(Self, Vec<CellResult>)> {
-        let path = path.as_ref().to_path_buf();
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let content = lossy_utf8_prefix(bytes);
-
-        let header = seal(&format!("{HEADER_TAG} {fingerprint:016x} {total_cells}"));
-        let mut replayed = Vec::new();
-        let mut valid_len = 0usize;
-        let mut lines = LineSplitter::new(&content);
-        match lines.next().and_then(unseal) {
-            Some(payload) if payload.starts_with(HEADER_TAG) => {
-                let rest = payload.strip_prefix(HEADER_TAG).map(str::trim_start);
-                let fields: Option<(u64, usize)> = rest.and_then(|rest| {
-                    let (fp, total) = rest.split_once(' ')?;
-                    Some((u64::from_str_radix(fp, 16).ok()?, total.parse().ok()?))
-                });
-                let (fp, total) = fields.ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("frontier journal {} has a malformed header", path.display()),
-                    )
+        let path = path.as_ref();
+        let check = |fields: &str| {
+            let (fp, total) = fields
+                .split_once(' ')
+                .and_then(|(fp, total)| {
+                    Some((u64::from_str_radix(fp, 16).ok()?, total.parse::<usize>().ok()?))
+                })
+                .ok_or_else(|| {
+                    format!("frontier journal {} has a malformed header", path.display())
                 })?;
-                if fp != fingerprint || total != total_cells {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "frontier journal {} was written for plan {fp:016x} ({total} cells), \
-                             not {fingerprint:016x} ({total_cells} cells); delete it or point \
-                             the sweep at a fresh journal",
-                            path.display()
-                        ),
-                    ));
-                }
-                valid_len = lines.consumed_before_current();
-                // Replay the longest valid cell prefix.
-                while let Some(line) = lines.next() {
-                    match unseal(line).and_then(parse_cell) {
-                        Some(cell) if cell.spec.index < total_cells => {
-                            replayed.push(cell);
-                            valid_len = lines.consumed_before_current();
-                        }
-                        _ => break, // torn/corrupt tail: drop the rest
-                    }
-                }
+            if fp == fingerprint && total == total_cells {
+                return Ok(());
             }
-            // Empty file, torn header, or not our format with no valid
-            // header: nothing was ever durable here — start fresh.
-            _ => {}
-        }
-
-        file.set_len(valid_len as u64)?;
-        file.seek(SeekFrom::End(0))?;
-        if valid_len == 0 {
-            file.write_all(header.as_bytes())?;
-            file.sync_data()?;
-        }
-        Ok((ResultsJournal { path, file, fsync_latency: Histogram::default() }, replayed))
+            Err(format!(
+                "frontier journal {} was written for plan {fp:016x} ({total} cells), not \
+                 {fingerprint:016x} ({total_cells} cells); delete it or point the sweep at a \
+                 fresh journal",
+                path.display()
+            ))
+        };
+        let parse = |payload: &str| {
+            let cell: CellResult = serde_json::from_str(payload.strip_prefix("C ")?).ok()?;
+            (cell.spec.index < total_cells).then_some(cell)
+        };
+        let header = format!("{fingerprint:016x} {total_cells}");
+        let (journal, cells) = Journal::open(path, HEADER_TAG, &header, check, parse)?;
+        Ok((ResultsJournal(journal), cells))
     }
 
     /// Attaches a latency histogram recording each append's write+fsync
     /// time. Telemetry observes, never participates: the journal's bytes
     /// and durability are identical with or without a live histogram.
     pub fn instrument(&mut self, fsync_latency: Histogram) {
-        self.fsync_latency = fsync_latency;
+        self.0.instrument(fsync_latency);
     }
 
     /// Appends one completed cell and `fsync`s: once this returns, the
@@ -121,33 +76,23 @@ impl ResultsJournal {
     pub fn append(&mut self, cell: &CellResult) -> io::Result<()> {
         let json = serde_json::to_string(cell)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        // The clock is only read when the histogram is live, so an
-        // uninstrumented append pays nothing.
-        let start = self.fsync_latency.is_enabled().then(Instant::now);
-        self.file.write_all(seal(&format!("C {json}")).as_bytes())?;
-        self.file.sync_data()?;
-        if let Some(start) = start {
-            self.fsync_latency
-                .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        Ok(())
+        self.0.stage(format_args!("C {json}"));
+        self.0.sync()
     }
 
     /// The journal's on-disk path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.0.path()
     }
-}
-
-/// One replayed cell, parsed from a valid journal line.
-fn parse_cell(payload: &str) -> Option<CellResult> {
-    serde_json::from_str(payload.strip_prefix("C ")?).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -181,6 +126,116 @@ mod tests {
             .map(|spec| run_cell(&plan, &spec, &graph).unwrap())
             .collect();
         (plan, cells)
+    }
+
+    /// Two hand-built cells: an edge-private cell with one adversary and
+    /// a non-private node cell whose optional fields are mostly empty.
+    fn golden_cells() -> Vec<CellResult> {
+        use crate::cell::{AdversaryCell, CellSpec, Interval};
+        let interval = Interval { lower: 0.25, upper: 0.75 };
+        let spec = |index, adjacency: &str, mechanism: &str, epsilon| CellSpec {
+            index,
+            dataset: 0,
+            utility: "common-neighbors".to_owned(),
+            adjacency: adjacency.to_owned(),
+            mechanism: mechanism.to_owned(),
+            epsilon,
+            engine: "peel".to_owned(),
+        };
+        vec![
+            CellResult {
+                spec: spec(0, "edge", "exponential", Some(0.5)),
+                dataset: "karate".to_owned(),
+                transcript_epsilon: Some(1.0),
+                node_transcript_epsilon: None,
+                accuracy_bound: 0.875,
+                advantage_ceiling: 0.1,
+                node_epsilon_lower: None,
+                node_epsilon_lower_asymptotic: None,
+                mean_accuracy: Some(0.5),
+                exact_hits: 3,
+                scored_entries: 8,
+                accuracy_interval: Some(interval),
+                adversaries: vec![AdversaryCell {
+                    adversary: "likelihood-ratio".to_owned(),
+                    advantage: 0.125,
+                    auc: 0.5625,
+                    tpr: 0.5,
+                    tpr_interval: interval,
+                    fpr: 0.375,
+                    fpr_interval: interval,
+                    empirical_epsilon: 0.25,
+                    empirical_epsilon_lower: 0.0,
+                    epsilon_floor: Some(0.125),
+                    consistent: true,
+                }],
+            },
+            CellResult {
+                spec: spec(2, "node", "non-private", None),
+                dataset: "karate".to_owned(),
+                transcript_epsilon: None,
+                node_transcript_epsilon: None,
+                accuracy_bound: 1.0,
+                advantage_ceiling: 1.0,
+                node_epsilon_lower: Some(1.5),
+                node_epsilon_lower_asymptotic: Some(1.75),
+                mean_accuracy: None,
+                exact_hits: 0,
+                scored_entries: 0,
+                accuracy_interval: None,
+                adversaries: Vec::new(),
+            },
+        ]
+    }
+
+    /// [`golden_cells`] journalled for plan `0123456789abcdef` (3 cells),
+    /// captured byte for byte.
+    const GOLDEN_FINGERPRINT: u64 = 0x0123_4567_89ab_cdef;
+    const GOLDEN_JOURNAL: &str = concat!(
+        "psrfrontier v1 0123456789abcdef 3 931c80118bc33861\n",
+        r#"C {"spec":{"index":0,"dataset":0,"utility":"common-neighbors","adjacency":"edge","mechanism":"exponential","epsilon":0.5,"engine":"peel"},"dataset":"karate","transcript_epsilon":1,"node_transcript_epsilon":null,"accuracy_bound":0.875,"advantage_ceiling":0.1,"node_epsilon_lower":null,"node_epsilon_lower_asymptotic":null,"mean_accuracy":0.5,"exact_hits":3,"scored_entries":8,"accuracy_interval":{"lower":0.25,"upper":0.75},"adversaries":[{"adversary":"likelihood-ratio","advantage":0.125,"auc":0.5625,"tpr":0.5,"tpr_interval":{"lower":0.25,"upper":0.75},"fpr":0.375,"fpr_interval":{"lower":0.25,"upper":0.75},"empirical_epsilon":0.25,"empirical_epsilon_lower":0,"epsilon_floor":0.125,"consistent":true}]} 6e0e91605757a5fc"#,
+        "\n",
+        r#"C {"spec":{"index":2,"dataset":0,"utility":"common-neighbors","adjacency":"node","mechanism":"non-private","epsilon":null,"engine":"peel"},"dataset":"karate","transcript_epsilon":null,"node_transcript_epsilon":null,"accuracy_bound":1,"advantage_ceiling":1,"node_epsilon_lower":1.5,"node_epsilon_lower_asymptotic":1.75,"mean_accuracy":null,"exact_hits":0,"scored_entries":0,"accuracy_interval":null,"adversaries":[]} 2227d0fdb35e3fb2"#,
+        "\n",
+    );
+
+    #[test]
+    fn golden_journal_replays_and_is_reproduced_byte_for_byte() {
+        let path = scratch_path("golden");
+        let _cleanup = Cleanup(path.clone());
+        std::fs::write(&path, GOLDEN_JOURNAL).unwrap();
+        let (_, replayed) = ResultsJournal::open(&path, GOLDEN_FINGERPRINT, 3).unwrap();
+        assert_eq!(replayed, golden_cells());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            GOLDEN_JOURNAL,
+            "replay keeps valid bytes"
+        );
+
+        std::fs::remove_file(&path).unwrap();
+        let (mut journal, _) = ResultsJournal::open(&path, GOLDEN_FINGERPRINT, 3).unwrap();
+        for cell in &golden_cells() {
+            journal.append(cell).unwrap();
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), GOLDEN_JOURNAL);
+    }
+
+    #[test]
+    fn every_truncation_point_recovers_a_valid_prefix() {
+        let cells = golden_cells();
+        let cut_path = scratch_path("truncate");
+        let _cleanup = Cleanup(cut_path.clone());
+        let bytes = GOLDEN_JOURNAL.as_bytes();
+        for cut in 0..=bytes.len() {
+            std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+            let (_, replayed) = ResultsJournal::open(&cut_path, GOLDEN_FINGERPRINT, 3).unwrap();
+            assert!(cells.starts_with(&replayed), "cut {cut}: replay must be a prefix");
+            let kept = std::fs::read(&cut_path).unwrap();
+            assert!(bytes.starts_with(&kept), "cut {cut}: repair keeps a byte prefix");
+            // The repaired file replays identically on a second open.
+            let (_, again) = ResultsJournal::open(&cut_path, GOLDEN_FINGERPRINT, 3).unwrap();
+            assert_eq!(again, replayed, "cut {cut}: repair must be idempotent");
+        }
     }
 
     #[test]

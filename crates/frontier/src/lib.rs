@@ -24,9 +24,8 @@
 //!   of the full adversary panel, every estimate with Clopper–Pearson
 //!   error bars ([`cell`]),
 //! * finished cells checkpoint into an append-only [`ResultsJournal`]
-//!   (the budget ledger's header/CRC/longest-valid-prefix idioms, via
-//!   [`psr_core::serving::journal`]), so a killed sweep resumes without
-//!   recomputation ([`journal`]),
+//!   (the budget ledger's [`psr_core::serving::journal::Journal`]), so a
+//!   killed sweep resumes without recomputation ([`journal`]),
 //! * a complete sweep assembles one machine-readable [`FrontierReport`]
 //!   — `frontier.json` plus a text summary — answering "which mechanism
 //!   at which budget for which workload" as a query ([`report`]).

@@ -41,7 +41,7 @@ impl Graph {
     }
 
     /// Builds a graph from CSR parts supplied by an *untrusted* source
-    /// (binary snapshots, serde trees, compressed-format materialisation),
+    /// (serde trees, compressed-format materialisation),
     /// re-checking every structural invariant in release builds:
     ///
     /// - non-empty offset table starting at 0, monotone non-decreasing,

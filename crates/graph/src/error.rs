@@ -39,7 +39,7 @@ pub enum GraphError {
         /// Human-readable description.
         message: String,
     },
-    /// Binary snapshot decoding failed.
+    /// PSRZ snapshot decoding failed.
     Decode(
         /// Human-readable description.
         String,

@@ -1,11 +1,10 @@
-//! Graph I/O: SNAP-style edge-list text and a compact binary snapshot.
+//! Graph I/O: SNAP-style edge-list text.
 //!
 //! The paper's experiments load the SNAP `wiki-Vote.txt` dump (comment lines
 //! starting with `#`, whitespace-separated integer pairs, arbitrary sparse
 //! node ids). [`read_edge_list`] accepts that format and compacts node ids;
-//! the returned [`IdMap`] preserves the original labels. The [`binary`]
-//! module provides a fast snapshot format (built on [`bytes`]) so generated
-//! benchmark graphs can be cached between runs.
+//! the returned [`IdMap`] preserves the original labels. Binary snapshots
+//! are the PSRZ format of [`crate::compressed`].
 
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -124,116 +123,6 @@ pub fn write_edge_list<W: Write>(graph: &Graph, mut writer: W) -> Result<()> {
     Ok(())
 }
 
-/// Compact binary snapshot format.
-///
-/// Layout (little endian): magic `PSRG`, version u16, direction u8,
-/// node count u64, edge count u64, arc count u64, then the CSR arrays.
-pub mod binary {
-    use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-    use super::*;
-
-    const MAGIC: &[u8; 4] = b"PSRG";
-    const VERSION: u16 = 1;
-
-    /// Encodes a graph into the binary snapshot format.
-    pub fn encode(graph: &Graph) -> Bytes {
-        let n = graph.num_nodes();
-        let mut buf = BytesMut::with_capacity(4 + 2 + 1 + 24 + (n + 1) * 8 + graph.num_arcs() * 4);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u8(if graph.is_directed() { 1 } else { 0 });
-        buf.put_u64_le(n as u64);
-        buf.put_u64_le(graph.num_edges() as u64);
-        buf.put_u64_le(graph.num_arcs() as u64);
-        let mut offset = 0u64;
-        buf.put_u64_le(offset);
-        for v in graph.nodes() {
-            offset += graph.degree(v) as u64;
-            buf.put_u64_le(offset);
-        }
-        for v in graph.nodes() {
-            for &t in graph.neighbors(v) {
-                buf.put_u32_le(t);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Decodes a binary snapshot produced by [`encode`].
-    ///
-    /// Every header field is untrusted: size fields go through `try_into`
-    /// (typed [`GraphError::Overflow`] instead of an `as usize` truncation),
-    /// derived byte counts use checked arithmetic and are bounded by the
-    /// actual buffer length *before* any allocation, and the decoded parts
-    /// pass [`Graph::try_from_parts`] (monotone offsets, sorted in-range
-    /// lists, edge/arc consistency, undirected symmetry) in release builds.
-    pub fn decode(mut data: Bytes) -> Result<Graph> {
-        let need = |data: &Bytes, n: usize, what: &str| -> Result<()> {
-            if data.remaining() < n {
-                return Err(GraphError::Decode(format!("truncated while reading {what}")));
-            }
-            Ok(())
-        };
-        let checked = |raw: u64, what: &'static str| -> Result<usize> {
-            raw.try_into().map_err(|_| GraphError::Overflow { what, value: raw })
-        };
-        need(&data, 4, "magic")?;
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(GraphError::Decode("bad magic".into()));
-        }
-        need(&data, 2, "version")?;
-        let version = data.get_u16_le();
-        if version != VERSION {
-            return Err(GraphError::Decode(format!("unsupported version {version}")));
-        }
-        need(&data, 1, "direction")?;
-        let direction =
-            if data.get_u8() == 1 { Direction::Directed } else { Direction::Undirected };
-        need(&data, 24, "counts")?;
-        let n = checked(data.get_u64_le(), "node count")?;
-        let num_edges = checked(data.get_u64_le(), "edge count")?;
-        let num_arcs = checked(data.get_u64_le(), "arc count")?;
-        if u32::try_from(n).is_err() {
-            return Err(GraphError::Overflow { what: "node count (u32 ids)", value: n as u64 });
-        }
-        let offsets_bytes = n
-            .checked_add(1)
-            .and_then(|rows| rows.checked_mul(8))
-            .ok_or(GraphError::Overflow { what: "offset table bytes", value: n as u64 })?;
-        need(&data, offsets_bytes, "offsets")?;
-        let mut offsets = Vec::with_capacity(n + 1);
-        for _ in 0..=n {
-            offsets.push(data.get_u64_le());
-        }
-        // Structurally `offsets` always has >= 1 entry; keep the explicit
-        // check so a future layout change cannot reintroduce the silent
-        // `unwrap_or(&0)` masking this satellite fixed.
-        let last =
-            *offsets.last().ok_or_else(|| GraphError::Decode("empty offset table".into()))?;
-        if last != num_arcs as u64 {
-            return Err(GraphError::Decode(format!(
-                "offset/arc-count mismatch: last offset {last}, header claims {num_arcs}"
-            )));
-        }
-        let target_bytes = num_arcs
-            .checked_mul(4)
-            .ok_or(GraphError::Overflow { what: "target bytes", value: num_arcs as u64 })?;
-        need(&data, target_bytes, "targets")?;
-        let mut targets = Vec::with_capacity(num_arcs);
-        for _ in 0..num_arcs {
-            let t = data.get_u32_le();
-            if t as usize >= n {
-                return Err(GraphError::Decode(format!("target {t} out of range")));
-            }
-            targets.push(t);
-        }
-        Graph::try_from_parts(direction, offsets, targets, num_edges)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,36 +190,5 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         let (back, _) = parse_edge_list(&text, Direction::Undirected).unwrap();
         assert_eq!(back, g);
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let g = undirected_from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]).unwrap();
-        let bytes = binary::encode(&g);
-        let back = binary::decode(bytes).unwrap();
-        assert_eq!(back, g);
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let g = undirected_from_edges([(0, 1)]).unwrap();
-        let bytes = binary::encode(&g);
-        // Truncated buffer.
-        let truncated = bytes.slice(0..bytes.len() - 2);
-        assert!(binary::decode(truncated).is_err());
-        // Bad magic.
-        let mut bad = bytes.to_vec();
-        bad[0] = b'X';
-        assert!(binary::decode(bytes::Bytes::from(bad)).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_out_of_range_target() {
-        let g = undirected_from_edges([(0, 1)]).unwrap();
-        let mut raw = binary::encode(&g).to_vec();
-        // Last 4 bytes are the final target u32; point it out of range.
-        let len = raw.len();
-        raw[len - 4..].copy_from_slice(&99u32.to_le_bytes());
-        assert!(binary::decode(bytes::Bytes::from(raw)).is_err());
     }
 }

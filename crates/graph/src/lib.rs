@@ -23,8 +23,7 @@
 //!   mutation steps the view to an edge-adjacent graph in the sense of
 //!   the paper's Definition 1, which is the granularity the serving
 //!   layer's epoch/ε-budget accounting reasons about.
-//! * [`io`] — SNAP-style edge-list text I/O plus a compact binary snapshot
-//!   format.
+//! * [`io`] — SNAP-style edge-list text I/O.
 //! * [`algo`] — BFS, connected components, degree statistics, truncated
 //!   walk counting and common-neighbour counting (generic over
 //!   [`GraphView`]).

@@ -1,16 +1,14 @@
-//! Malformed-input coverage for the SNAP edge-list parser and a property
-//! suite for the binary snapshot format.
+//! Malformed-input coverage and a round-trip property for the SNAP
+//! edge-list parser.
 //!
 //! Real SNAP dumps arrive with comment conventions from several tools
 //! (`#` and `%`), CRLF line endings from Windows mirrors, and the
 //! occasional truncated or garbage line. `read_edge_list` must either
 //! parse them or fail with a line-numbered [`GraphError::Parse`] — never
-//! panic, never silently mis-parse. The binary snapshot must round-trip
-//! any graph the builder can produce and reject every corruption class
-//! with a typed [`GraphError::Decode`].
+//! panic, never silently mis-parse.
 
 use proptest::prelude::*;
-use psr_graph::io::{binary, parse_edge_list, write_edge_list};
+use psr_graph::io::{parse_edge_list, write_edge_list};
 use psr_graph::{Direction, GraphBuilder, GraphError};
 
 // ---------------------------------------------------------------------
@@ -105,7 +103,7 @@ fn error_line_numbers_count_comments_and_blanks() {
 }
 
 // ---------------------------------------------------------------------
-// Binary snapshot property suite
+// Round-trip property
 // ---------------------------------------------------------------------
 
 /// Strategy: a random simple edge list on up to `n` nodes.
@@ -116,71 +114,6 @@ fn edge_set(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> 
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn binary_round_trips_any_graph(
-        edges in edge_set(32, 90),
-        directed in 0u32..2,
-        padding in 0usize..4,
-    ) {
-        let direction = if directed == 1 { Direction::Directed } else { Direction::Undirected };
-        let max_node = edges.iter().map(|&(u, v)| u.max(v) + 1).max().unwrap_or(0);
-        let g = GraphBuilder::new(direction)
-            .add_edges(edges.iter().copied())
-            // Trailing isolated nodes must survive the round trip too.
-            .with_num_nodes(max_node as usize + padding)
-            .build()
-            .unwrap();
-        let encoded = binary::encode(&g);
-        let decoded = binary::decode(encoded).unwrap();
-        prop_assert_eq!(&decoded, &g);
-        // Re-encoding the decoded graph is byte-identical (canonical form).
-        prop_assert_eq!(binary::encode(&decoded), binary::encode(&g));
-    }
-
-    #[test]
-    fn binary_rejects_every_truncation(edges in edge_set(16, 40)) {
-        let g = GraphBuilder::new(Direction::Undirected)
-            .add_edges(edges.iter().copied())
-            .build()
-            .unwrap();
-        let bytes = binary::encode(&g);
-        // Any strict prefix must fail with a Decode error, never panic.
-        for cut in [0, 1, 3, 4, 6, 7, 15, bytes.len().saturating_sub(1)] {
-            if cut >= bytes.len() {
-                continue;
-            }
-            let err = binary::decode(bytes.slice(0..cut)).unwrap_err();
-            prop_assert!(
-                matches!(err, GraphError::Decode(_)),
-                "cut at {cut}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn binary_bit_flips_never_panic_and_never_misparse(
-        edges in edge_set(16, 40),
-        position in 0usize..1 << 16,
-        flip in 1u8..=255,
-    ) {
-        let g = GraphBuilder::new(Direction::Undirected)
-            .add_edges(edges.iter().copied())
-            .build()
-            .unwrap();
-        let bytes = binary::encode(&g).to_vec();
-        let at = position % bytes.len();
-        let mut bad = bytes;
-        bad[at] ^= flip;
-        // The legacy format has no checksum, so a flip in the adjacency
-        // payload can decode to a *different valid graph* — but it must
-        // never panic, and anything it accepts must satisfy every CSR
-        // invariant (`try_from_parts` runs on the decode path).
-        if let Ok(decoded) = binary::decode(bytes::Bytes::from(bad)) {
-            let reencoded = binary::decode(binary::encode(&decoded)).unwrap();
-            prop_assert_eq!(reencoded, decoded, "accepted graph must be canonical");
-        }
-    }
 
     #[test]
     fn text_write_read_round_trips(edges in edge_set(24, 60), directed in 0u32..2) {
@@ -213,71 +146,5 @@ proptest! {
         expect.sort_unstable();
         got.sort_unstable();
         prop_assert_eq!(got, expect);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Legacy binary (PSRG) malformed corpus — deterministic
-// ---------------------------------------------------------------------
-
-fn psrg_fixture() -> bytes::Bytes {
-    let g = GraphBuilder::new(Direction::Undirected)
-        .add_edges([(0u32, 1u32), (1, 2), (2, 3), (0, 3)])
-        .with_num_nodes(5)
-        .build()
-        .unwrap();
-    binary::encode(&g)
-}
-
-#[test]
-fn psrg_every_truncation_point_is_a_typed_error() {
-    let bytes = psrg_fixture();
-    for cut in 0..bytes.len() {
-        let err = binary::decode(bytes.slice(0..cut))
-            .err()
-            .unwrap_or_else(|| panic!("cut at {cut} accepted"));
-        assert!(
-            matches!(err, GraphError::Decode(_) | GraphError::Invariant(_)),
-            "cut at {cut}: expected Decode/Invariant, got {err:?}"
-        );
-    }
-}
-
-#[test]
-fn psrg_lying_header_sizes_are_overflow_errors_without_oom() {
-    // Node count, edge count and arc count sit at bytes 7, 15 and 23.
-    // Planting u64::MAX (or a count far past the buffer) must fail via
-    // checked bounds *before* any proportional `Vec::with_capacity` —
-    // this test would OOM or abort the process otherwise.
-    let template = psrg_fixture().to_vec();
-    for (field_at, what) in [(7usize, "node count"), (15, "edge count"), (23, "arc count")] {
-        for value in [u64::MAX, 1u64 << 33] {
-            let mut lie = template.clone();
-            lie[field_at..field_at + 8].copy_from_slice(&value.to_le_bytes());
-            let err = binary::decode(bytes::Bytes::from(lie))
-                .err()
-                .unwrap_or_else(|| panic!("lying {what} = {value} accepted"));
-            assert!(
-                matches!(
-                    err,
-                    GraphError::Decode(_) | GraphError::Overflow { .. } | GraphError::Invariant(_)
-                ),
-                "{what} = {value}: got {err:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn psrg_header_field_corruption_is_rejected() {
-    let bytes = psrg_fixture().to_vec();
-    // Magic, version, and a direction flip on a symmetric arc set.
-    for (at, flip) in [(0usize, 0xffu8), (4, 0x08), (6, 0x01)] {
-        let mut bad = bytes.clone();
-        bad[at] ^= flip;
-        assert!(
-            binary::decode(bytes::Bytes::from(bad)).is_err(),
-            "header flip at byte {at} accepted"
-        );
     }
 }

@@ -78,16 +78,6 @@ proptest! {
     }
 
     #[test]
-    fn binary_io_round_trips(edges in edge_set(24, 60)) {
-        let g = GraphBuilder::new(Direction::Directed)
-            .add_edges(edges.iter().copied())
-            .build()
-            .unwrap();
-        let bytes = psr_graph::io::binary::encode(&g);
-        prop_assert_eq!(psr_graph::io::binary::decode(bytes).unwrap(), g);
-    }
-
-    #[test]
     fn text_io_round_trips(edges in edge_set(24, 60)) {
         let g = GraphBuilder::new(Direction::Undirected)
             .add_edges(edges.iter().copied())

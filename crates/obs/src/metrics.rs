@@ -13,9 +13,8 @@
 //! (the vendored serde has no map impls, and sorted vectors make the
 //! JSON byte-stable regardless of registration order).
 //!
-//! The log₂ [`LatencyHistogram`] and its [`LatencySummary`] used to be
-//! private to `psr-core`'s daemon; they live here now so the daemon,
-//! the serving layer, and the frontier sweep share one bucketing and one
+//! The log₂ [`LatencyHistogram`] and its [`LatencySummary`] give the
+//! daemon, the serving layer and the frontier sweep one bucketing and one
 //! quantile rule. [`Histogram`] is the concurrent (atomic) counterpart
 //! with identical bucket math.
 

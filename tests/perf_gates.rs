@@ -572,15 +572,26 @@ fn instrumented_serving_within_5_percent() {
         "telemetry must not perturb outcomes"
     );
     let four_batches = |service: &RecommendationService| {
-        best_of(5, || {
+        timed(|| {
             for round in 0..4u64 {
                 black_box(service.serve_batch(&requests, SEED + round));
             }
         })
         .0
     };
-    let plain_time = four_batches(&plain);
-    let instrumented_time = four_batches(&instrumented);
+    // The arms alternate round by round, each round swapping which goes
+    // first, so a slow spell on a shared machine lands on both arms
+    // instead of on whichever one it overlaps. Each arm keeps its best.
+    let (mut plain_time, mut instrumented_time) = (Duration::MAX, Duration::MAX);
+    for round in 0..32 {
+        let mut arms = [(&plain, &mut plain_time), (&instrumented, &mut instrumented_time)];
+        if round % 2 == 1 {
+            arms.reverse();
+        }
+        for (service, best) in arms {
+            *best = (*best).min(four_batches(service));
+        }
+    }
     let overhead = ratio(instrumented_time, plain_time);
     println!(
         "[obs] {} requests x4: uninstrumented {:.2} ms vs instrumented {:.2} ms ({overhead:.3}x)",
