@@ -770,13 +770,18 @@ pub(crate) fn unique_argmax(u: &UtilityVector) -> Option<NodeId> {
     winner
 }
 
-/// Toggled-graph evaluations a default-scenario search may spend: karate
-/// needs a handful, preset graphs get a bounded prefix scan.
+/// Pair slots a default-scenario search may spend: karate needs a
+/// handful, preset graphs get a bounded prefix scan. Every absent pair the
+/// scan reaches takes one slot, whether it is probed on a toggled graph or
+/// skipped because it cannot leak (see [`leaking_secret_edge`]), so the
+/// budget bounds the same prefix of pairs either way.
 pub const SEARCH_BUDGET: usize = 4_000;
 
 /// The secret edge (and observers) to attack when none is given: the
 /// first pair [`leaking_secret_edge`] finds within [`SEARCH_BUDGET`], else
-/// [`default_secret_edge`] when it has observers.
+/// [`default_secret_edge`] when it has observers. The search skips pairs
+/// that the utility's sensitivity rules out, with the result unchanged;
+/// see [`leaking_secret_edge`] for when it does.
 pub fn search_secret_edge(
     base: &Arc<Graph>,
     utility: &dyn UtilityFunction,
@@ -802,20 +807,45 @@ pub fn search_secret_edge(
 /// Returns the pair and its (capped) observer set: the canonical demo
 /// scenario, where the non-private baseline's advantage crushes the
 /// Lemma-1 ceiling while a DP mechanism's stays bounded by its ε. Scans
-/// pairs in id order, giving up after `max_pairs` toggled-graph
-/// evaluations (`None` if no pair leaks).
+/// pairs in id order, giving up after `max_pairs` pairs (`None` if no
+/// pair leaks).
+///
+/// **Pruning by the sensitivity band.** An observer `t ∈ N(u) ∖ {v}` is
+/// not incident to `(u, v)`, so the insert leaves its candidate set alone
+/// and moves each of its utilities by at most `Δf∞` (footnote 5,
+/// [`UtilityFunction::sensitivity`]). `v` can then become `t`'s unique
+/// strict argmax only if `before_t(v) ≥ u_max,t − 2·Δf∞`; the comparison
+/// is `≥`, so float rounding in weighted-path sums never prunes a leaking
+/// pair. A pair no observer's band admits is skipped without building
+/// the toggled graph, but it still takes one of the `max_pairs` slots, so
+/// the scan covers the same prefix and returns the same pair and
+/// observers as probing every pair would. `Δf∞` is taken on the
+/// post-insert graph (the insert may raise the maximum degree by one,
+/// which weighted paths' bound grows with). Each observer's base vector
+/// is scored once per `u` and also serves the probe's "before" check.
+/// Pruning is off, and every pair probed, for a utility whose
+/// sensitivity is `None` and on directed graphs.
 pub fn leaking_secret_edge(
     base: &Arc<Graph>,
     utility: &dyn UtilityFunction,
     observer_cap: usize,
     max_pairs: usize,
 ) -> Option<((NodeId, NodeId), Vec<NodeId>)> {
+    let band = (!base.is_directed())
+        .then(|| utility.sensitivity(&AfterOneInsert(base)))
+        .flatten()
+        .map(|s| 2.0 * s.value(SensitivityNorm::LInf));
     let n = base.num_nodes() as NodeId;
     let mut scanned = 0usize;
     for u in 0..n {
         if base.degree(u) < 2 {
             continue;
         }
+        // Every observer set of `u` is drawn from its first `cap + 1`
+        // neighbours (one of them may be `v`); their base vectors are
+        // scored on the first pair that needs them.
+        let pool = &base.neighbors(u)[..base.degree(u).min(observer_cap.saturating_add(1))];
+        let mut before: Vec<UtilityVector> = Vec::new();
         for v in 0..n {
             if v == u || base.degree(v) < 1 || base.has_edge(u, v) {
                 continue;
@@ -828,6 +858,19 @@ pub fn leaking_secret_edge(
             if observers.is_empty() {
                 continue;
             }
+            if before.is_empty() {
+                before = pool.iter().map(|&t| utility.utilities_for(base.as_ref(), t)).collect();
+            }
+            let before_of = |t: NodeId| &before[pool.iter().position(|&w| w == t).expect("pool")];
+            if let Some(band) = band {
+                let admitted = observers.iter().any(|&t| {
+                    let b = before_of(t);
+                    b.get(v) >= b.u_max() - band
+                });
+                if !admitted {
+                    continue;
+                }
+            }
             // Probe through the DeltaGraph overlay — no per-pair CSR
             // rebuild; the utilities read through `GraphView`, so each
             // probe costs only the observers' neighbourhood walks.
@@ -835,11 +878,7 @@ pub fn leaking_secret_edge(
             with_edge.apply(&EdgeMutation::insert(u, v)).expect("absent edge inserts");
             let leaks = observers.iter().any(|&t| {
                 let after = utility.utilities_for(&with_edge, t);
-                if unique_argmax(&after) != Some(v) {
-                    return false;
-                }
-                let before = utility.utilities_for(base.as_ref(), t);
-                unique_argmax(&before) != Some(v)
+                unique_argmax(&after) == Some(v) && unique_argmax(before_of(t)) != Some(v)
             });
             if leaks {
                 return Some(((u, v), observers));
@@ -847,6 +886,29 @@ pub fn leaking_secret_edge(
         }
     }
     None
+}
+
+/// A graph as a sensitivity bound sees it after one edge insert: every
+/// read forwards to the graph, except [`GraphView::max_degree`], which
+/// the insert may raise by one.
+struct AfterOneInsert<'a>(&'a Graph);
+
+impl GraphView for AfterOneInsert<'_> {
+    fn num_nodes(&self) -> usize {
+        self.0.num_nodes()
+    }
+    fn num_edges(&self) -> usize {
+        self.0.num_edges() + 1
+    }
+    fn direction(&self) -> psr_graph::Direction {
+        self.0.direction()
+    }
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        self.0.neighbors(v)
+    }
+    fn max_degree(&self) -> usize {
+        self.0.max_degree() + 1
+    }
 }
 
 #[cfg(test)]

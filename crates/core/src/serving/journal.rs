@@ -25,12 +25,16 @@
 //! # Durability
 //!
 //! [`Journal::stage`] buffers records in memory; [`Journal::sync`] writes
-//! everything staged with one `write_all` and one `fsync`. A record is
-//! durable once the `sync` after it returns, and not before.
+//! everything staged with one positional write at the end of the durable
+//! prefix and one `fsync`. A record is durable once the `sync` after it
+//! returns, and not before. Because the write lands at the durable length
+//! rather than at the file's end, a retry after a write that failed
+//! part-way overwrites the torn fragment instead of appending after it.
 
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -52,6 +56,9 @@ pub struct Journal {
     header: String,
     /// Sealed records staged by `stage`, written and fsynced by `sync`.
     pending: String,
+    /// Length of the durable prefix: the header and every synced record.
+    /// `sync` writes the staged records at this offset.
+    durable_len: u64,
     /// Per-sync write+fsync latency; inert until `instrument` is called.
     fsync_latency: Histogram,
 }
@@ -97,16 +104,17 @@ impl Journal {
         let mut sealed_header = String::new();
         seal(&mut sealed_header, format_args!("{tag} {header}"));
         file.set_len(valid_len as u64)?;
-        file.seek(SeekFrom::End(0))?;
         if valid_len == 0 {
-            file.write_all(sealed_header.as_bytes())?;
+            file.write_all_at(sealed_header.as_bytes(), 0)?;
             file.sync_data()?;
+            valid_len = sealed_header.len();
         }
         let journal = Journal {
             path,
             file,
             header: sealed_header,
             pending: String::new(),
+            durable_len: valid_len as u64,
             fsync_latency: Histogram::default(),
         };
         Ok((journal, records))
@@ -118,9 +126,11 @@ impl Journal {
         seal(&mut self.pending, record);
     }
 
-    /// Writes every staged record and `fsync`s; a no-op when nothing is
-    /// staged. If the write or the `fsync` fails, the records stay staged
-    /// for the next call.
+    /// Writes every staged record at the end of the durable prefix and
+    /// `fsync`s; a no-op when nothing is staged. If the write or the
+    /// `fsync` fails, the records stay staged for the next call, which
+    /// writes them at the same offset, over whatever part of them the
+    /// failed write left.
     pub fn sync(&mut self) -> io::Result<()> {
         if self.pending.is_empty() {
             return Ok(());
@@ -128,9 +138,7 @@ impl Journal {
         // The clock is only read when the histogram is live, so an
         // uninstrumented sync pays nothing.
         let start = self.fsync_latency.is_enabled().then(Instant::now);
-        self.file.write_all(self.pending.as_bytes())?;
-        self.file.sync_data()?;
-        self.pending.clear();
+        self.write_staged()?;
         if let Some(start) = start {
             self.fsync_latency
                 .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -139,13 +147,25 @@ impl Journal {
     }
 
     /// Drops every record, staged or durable, leaving only the header, and
-    /// `fsync`s.
+    /// `fsync`s. Once the file is truncated, the header is staged like a
+    /// record, so if its write or `fsync` fails the next `sync` writes it
+    /// first.
     pub fn reset(&mut self) -> io::Result<()> {
         self.pending.clear();
         self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(self.header.as_bytes())?;
-        self.file.sync_data()
+        self.durable_len = 0;
+        self.pending.push_str(&self.header);
+        self.write_staged()
+    }
+
+    /// Writes the staged bytes at the durable length, `fsync`s, and only
+    /// then counts them durable and clears them.
+    fn write_staged(&mut self) -> io::Result<()> {
+        self.file.write_all_at(self.pending.as_bytes(), self.durable_len)?;
+        self.file.sync_data()?;
+        self.durable_len += self.pending.len() as u64;
+        self.pending.clear();
+        Ok(())
     }
 
     /// Attaches a histogram recording each non-empty sync's write+fsync
@@ -251,6 +271,45 @@ mod tests {
         drop(journal);
         let (_, records) = open(&path);
         assert_eq!(records, ["R 3"], "reset dropped the first batch");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_sync_after_a_torn_write_overwrites_the_fragment() {
+        use std::io::{Seek, SeekFrom, Write};
+        let path =
+            std::env::temp_dir().join(format!("psr-journal-torn-{}.journal", std::process::id()));
+        let open = |path: &Path| {
+            Journal::open(path, "psrtest v1", "1", |_| Ok(()), |payload| Some(payload.to_owned()))
+                .unwrap()
+        };
+        // A write that fails part-way leaves bytes past the durable length
+        // (here written through a second handle) and, had it gone through
+        // the file cursor, leaves the cursor after them.
+        let tear = |journal: &mut Journal, bytes: &[u8]| {
+            OpenOptions::new().append(true).open(&path).unwrap().write_all(bytes).unwrap();
+            journal.file.seek(SeekFrom::End(0)).unwrap();
+        };
+        let (mut journal, _) = open(&path);
+        journal.stage(format_args!("R 1"));
+        journal.sync().unwrap();
+        journal.stage(format_args!("R 2"));
+        journal.stage(format_args!("R 3"));
+        let fragment = journal.pending[..journal.pending.len() * 3 / 4].to_owned();
+        tear(&mut journal, fragment.as_bytes());
+        journal.sync().unwrap();
+        let expected = [sealed("psrtest v1 1"), sealed("R 1"), sealed("R 2"), sealed("R 3")];
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected.concat());
+
+        journal.reset().unwrap();
+        tear(&mut journal, b"R 4 garbage");
+        journal.stage(format_args!("R 4"));
+        journal.stage(format_args!("R 5"));
+        journal.sync().unwrap();
+        let expected = [sealed("psrtest v1 1"), sealed("R 4"), sealed("R 5")];
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected.concat());
+        drop(journal);
+        assert_eq!(open(&path).1, ["R 4", "R 5"]);
         std::fs::remove_file(&path).unwrap();
     }
 

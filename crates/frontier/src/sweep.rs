@@ -20,7 +20,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use psr_graph::Graph;
 use psr_obs::{fields, Heartbeat, Progress, Telemetry};
@@ -150,6 +150,9 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
             );
         }
     }
+    // One sample per group search, in microseconds; the histogram is
+    // inert (and the clock unread) when telemetry is off.
+    let search_us = telemetry.metrics().histogram("frontier.scenario_search_us");
     let width = psr_core::par::threads(opts.threads);
     let graph_of = |spec: &CellSpec| graphs[spec.dataset].as_ref().expect("dataset preloaded");
 
@@ -173,7 +176,12 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
     };
     let computed_cells = Heartbeat::new("psr frontier", opts.heartbeat).run(progress, || {
         let scenarios = psr_core::par::try_map(width, leaders.len(), |group| {
-            cell_scenario(plan, leaders[group], graph_of(leaders[group]))
+            let start = search_us.is_enabled().then(Instant::now);
+            let scenario = cell_scenario(plan, leaders[group], graph_of(leaders[group]));
+            if let Some(start) = start {
+                search_us.record(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+            }
+            scenario
         })?;
         psr_core::par::try_map(width, pending.len(), |slot| {
             let spec = pending[slot];
@@ -377,6 +385,7 @@ mod tests {
             let snapshot = telemetry.metrics().snapshot();
             let searched =
                 snapshot.counters.iter().find(|c| c.name == "frontier.scenarios_searched");
+            let timed = telemetry.metrics().histogram("frontier.scenario_search_us").load().count();
             let events: Vec<Vec<(String, TraceValue)>> = telemetry
                 .trace()
                 .events()
@@ -384,7 +393,9 @@ mod tests {
                 .filter(|e| e.name == "frontier.scenario")
                 .map(|e| e.fields)
                 .collect();
-            (searched.expect("counter registered").value, events)
+            let searched = searched.expect("counter registered").value;
+            assert_eq!(timed, searched, "one search-time sample per group searched");
+            (searched, events)
         };
         let group = |adjacency: &str, index: usize| {
             fields![

@@ -28,13 +28,15 @@ use proptest::prelude::*;
 use psr_attack::{
     default_observers, default_secret_edge, dp_advantage_ceiling, leaking_secret_edge,
     search_secret_edge, AttackMechanism, Epochs, FrequencyBaseline, GameConfig, LikelihoodRatioMia,
-    MechanismModel, ObservationModel, ReconstructionAdversary, Secret, TwoWorldGame,
+    MechanismModel, ObservationModel, ReconstructionAdversary, Secret, TwoWorldGame, SEARCH_BUDGET,
 };
 use psr_datasets::toy::karate_club;
-use psr_datasets::{wiki_vote_like, PresetConfig};
-use psr_graph::{EdgeMutation, Graph, NodeId};
+use psr_datasets::{twitter_like, wiki_vote_like, PresetConfig};
+use psr_graph::{DeltaGraph, EdgeMutation, Graph, NodeId};
 use psr_privacy::Mechanism;
-use psr_utility::{CandidateSet, CommonNeighbors, SensitivityNorm, UtilityFunction};
+use psr_utility::{
+    CandidateSet, CommonNeighbors, SensitivityNorm, UtilityFunction, UtilityVector, WeightedPaths,
+};
 
 mod common;
 use common::random_graph;
@@ -348,6 +350,123 @@ fn reconstruction_dominates_the_weaker_adversaries_on_the_non_private_baseline()
 // Attack conformance properties (CI: PROPTEST_CASES=256)
 // =====================================================================
 
+/// The secret-edge search without band pruning, the oracle for
+/// [`leaking_secret_edge`]: every pair in the budget is probed on a
+/// toggled graph, and each observer is rescored per probe.
+fn unpruned_leaking_secret_edge(
+    base: &Arc<Graph>,
+    utility: &dyn UtilityFunction,
+    observer_cap: usize,
+    max_pairs: usize,
+) -> Option<((NodeId, NodeId), Vec<NodeId>)> {
+    let n = base.num_nodes() as NodeId;
+    let mut scanned = 0usize;
+    for u in 0..n {
+        if base.degree(u) < 2 {
+            continue;
+        }
+        for v in 0..n {
+            if v == u || base.degree(v) < 1 || base.has_edge(u, v) {
+                continue;
+            }
+            if scanned >= max_pairs {
+                return None;
+            }
+            scanned += 1;
+            let observers = default_observers(base, (u, v), observer_cap);
+            if observers.is_empty() {
+                continue;
+            }
+            let mut with_edge = DeltaGraph::new(Arc::clone(base));
+            with_edge.apply(&EdgeMutation::insert(u, v)).expect("absent edge inserts");
+            let leaks = observers.iter().any(|&t| {
+                let after = utility.utilities_for(&with_edge, t);
+                if oracle_unique_argmax(&after) != Some(v) {
+                    return false;
+                }
+                let before = utility.utilities_for(base.as_ref(), t);
+                oracle_unique_argmax(&before) != Some(v)
+            });
+            if leaks {
+                return Some(((u, v), observers));
+            }
+        }
+    }
+    None
+}
+
+/// The oracle's copy of the harness's unique strict argmax (`None` on
+/// ties or all-zero vectors).
+fn oracle_unique_argmax(u: &UtilityVector) -> Option<NodeId> {
+    let max = u.u_max();
+    if max <= 0.0 {
+        return None;
+    }
+    let mut winner = None;
+    for &(v, value) in u.nonzero() {
+        if value == max {
+            if winner.is_some() {
+                return None;
+            }
+            winner = Some(v);
+        }
+    }
+    winner
+}
+
+/// The utilities a frontier plan or `psr attack` can name, at the
+/// weighted-paths damping of the CLI default and of the benchmark plan.
+fn searched_utilities() -> Vec<Box<dyn UtilityFunction>> {
+    vec![
+        Box::new(CommonNeighbors),
+        Box::new(WeightedPaths::paper(0.005)),
+        Box::new(WeightedPaths::paper(0.5)),
+    ]
+}
+
+/// Asserts the pruned search and its oracle agree on `graph` for every
+/// searched utility and observer cap, at the default budget; returns how
+/// many of the cases found a leaking pair.
+fn assert_search_matches_oracle(graph: &Graph, label: &str, caps: &[usize]) -> usize {
+    let graph = Arc::new(graph.clone());
+    let mut leaks = 0;
+    for utility in searched_utilities() {
+        for &cap in caps {
+            let pruned = leaking_secret_edge(&graph, utility.as_ref(), cap, SEARCH_BUDGET);
+            let oracle = unpruned_leaking_secret_edge(&graph, utility.as_ref(), cap, SEARCH_BUDGET);
+            assert_eq!(pruned, oracle, "{label}, {}, observer cap {cap}", utility.name());
+            leaks += usize::from(pruned.is_some());
+        }
+    }
+    leaks
+}
+
+/// Band pruning skips only pairs that cannot leak and still charges them
+/// to the budget, so it returns the unpruned scan's pair and observers.
+#[test]
+fn pruned_search_matches_the_unpruned_oracle() {
+    let karate = karate_club();
+    let wiki = wiki_vote_like(PresetConfig::scaled(0.05, 1)).unwrap().0;
+    let leaks = assert_search_matches_oracle(&karate, "karate", &[1, 2, 4])
+        + assert_search_matches_oracle(&wiki, "wiki 0.05", &[1, 2, 4]);
+    assert!(leaks > 0, "some case must find a leaking pair, or the oracle checks nothing");
+}
+
+/// The oracle at the scales the frontier benchmark and the CLI presets
+/// search: wiki at 0.1 and 0.3 and the directed Twitter preset (which
+/// keeps the full scan).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release builds only: the unpruned oracle is slow")]
+fn pruned_search_matches_the_unpruned_oracle_at_preset_scale() {
+    for (label, graph) in [
+        ("wiki 0.1", wiki_vote_like(PresetConfig::scaled(0.1, 1)).unwrap().0),
+        ("wiki 0.3", wiki_vote_like(PresetConfig::scaled(0.3, 1)).unwrap().0),
+        ("twitter 0.05", twitter_like(PresetConfig::scaled(0.05, 1)).unwrap().0),
+    ] {
+        assert_search_matches_oracle(&graph, label, &[2, 4]);
+    }
+}
+
 /// Enumerates all length-`k` ordered pick sequences over `nodes`.
 fn sequences(nodes: &[NodeId], k: usize) -> Vec<Vec<NodeId>> {
     if k == 0 {
@@ -502,6 +621,24 @@ proptest! {
         let b = TwoWorldGame::new(
             Arc::clone(&graph), Box::new(CommonNeighbors), config(3));
         prop_assert_eq!(a.collect(), b.collect());
+    }
+    /// On random graphs and under any budget, so the budget can run out
+    /// on a pruned pair as well as on a probed one, the pruned search
+    /// returns the oracle's pair and observers.
+    #[test]
+    fn pruned_search_agrees_with_the_unpruned_oracle_under_any_budget(
+        graph in random_graph(14, 30),
+        cap in 1usize..5,
+        budget in 1usize..200,
+    ) {
+        let graph = Arc::new(graph);
+        for utility in searched_utilities() {
+            prop_assert_eq!(
+                leaking_secret_edge(&graph, utility.as_ref(), cap, budget),
+                unpruned_leaking_secret_edge(&graph, utility.as_ref(), cap, budget),
+                "{}", utility.name()
+            );
+        }
     }
 }
 
