@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::NodeId;
 
-use crate::model::WorldModel;
+use crate::model::{Likelihood, ObservationModel, WorldModel};
 use crate::transcript::Transcript;
 
 /// Scores are clamped to ±this value so support mismatches (log-ratio
@@ -70,8 +70,12 @@ impl Adversary for ReconstructionAdversary {
 
     /// Memoises `log_prob`, a pure function of (world, deduplicated
     /// model, picks), across the batch: transcripts repeat a handful of
-    /// answers, and a Laplace likelihood is a quadrature over the classes.
+    /// answers. Each (world, model) pair scores through one prepared
+    /// likelihood, so a Laplace model's win probabilities are
+    /// integrated once per batch, not once per distinct answer.
     fn score_all(&self, transcripts: &[Transcript], w0: &WorldModel, w1: &WorldModel) -> Vec<f64> {
+        let likelihoods: [Vec<Likelihood>; 2] =
+            [w0, w1].map(|w| w.models().iter().map(ObservationModel::likelihood).collect());
         let mut memo: HashMap<(usize, usize, &[NodeId]), f64> = HashMap::new();
         transcripts
             .iter()
@@ -80,9 +84,10 @@ impl Adversary for ReconstructionAdversary {
                 for (i, obs) in t.entries.iter().enumerate() {
                     let picks = obs.recommendations.as_slice();
                     let [lp0, lp1] = [(0, w0), (1, w1)].map(|(world, w)| {
+                        let model = w.model_index(i);
                         *memo
-                            .entry((world, w.model_index(i), picks))
-                            .or_insert_with(|| w.model_for(i).log_prob(picks))
+                            .entry((world, model, picks))
+                            .or_insert_with(|| likelihoods[world][model].log_prob(picks))
                     });
                     match (lp0 == f64::NEG_INFINITY, lp1 == f64::NEG_INFINITY) {
                         // Impossible under both hypotheses: carries no
@@ -340,12 +345,31 @@ mod tests {
         (world(&base), world(&[&base[..], &[(1, 4)]].concat()))
     }
 
-    /// The Lemma-1 score summed straight from `log_prob`, no memo.
+    /// `log_prob` with a Laplace answer scored per pick: its value class
+    /// looked up and every class's win probability integrated again.
+    fn reference_log_prob(model: &ObservationModel, picks: &[NodeId]) -> f64 {
+        let MechanismModel { mechanism, epsilon, sensitivity } = model.mechanism;
+        if mechanism != Mechanism::Laplace {
+            return model.log_prob(picks);
+        }
+        let uv = model.utilities.get(picks[0]);
+        match model.utilities.grouped_desc().iter().position(|&(value, _)| value == uv) {
+            Some(class) if model.candidates.contains(picks[0]) => {
+                let win =
+                    psr_privacy::laplace_win_probabilities(&model.utilities, epsilon, sensitivity);
+                win[class].ln()
+            }
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// The Lemma-1 score summed straight from per-pick likelihoods, no
+    /// memo.
     fn reference_score(t: &Transcript, w0: &WorldModel, w1: &WorldModel) -> f64 {
         let mut total = 0.0;
         for (i, obs) in t.entries.iter().enumerate() {
-            let lp0 = w0.model_for(i).log_prob(&obs.recommendations);
-            let lp1 = w1.model_for(i).log_prob(&obs.recommendations);
+            let lp0 = reference_log_prob(w0.model_for(i), &obs.recommendations);
+            let lp1 = reference_log_prob(w1.model_for(i), &obs.recommendations);
             match (lp0 == f64::NEG_INFINITY, lp1 == f64::NEG_INFINITY) {
                 (true, true) => {}
                 (true, false) => return SCORE_CLAMP,

@@ -61,21 +61,33 @@ pub fn epsilon_floor_from_advantage(advantage: f64) -> f64 {
 /// The smallest ε whose Corollary-1 accuracy ceiling admits the measured
 /// accuracy on `u` at edit distance `t` — the Lemma-1 ε floor implied by
 /// *accuracy* rather than by distinguishing advantage. Found by bisection
-/// on the monotone `best_accuracy_bound` curve; `None` when even ε = 0
-/// admits the accuracy (the bound is not binding).
+/// on the monotone `best_accuracy_bound` curve, over `u` grouped once;
+/// `None` when even ε = 0 admits the accuracy (the bound is not binding).
+///
+/// The bisection runs at most 200 halvings and stops early once the
+/// midpoint rounds onto an end of the bracket: from then on every step
+/// keeps the answer `(lo + hi)/2` where it is.
 pub fn lemma1_epsilon_floor_from_accuracy(u: &UtilityVector, accuracy: f64, t: u64) -> Option<f64> {
     assert!((0.0..=1.0).contains(&accuracy), "accuracy must be in [0,1]");
-    if psr_bounds::best_accuracy_bound(u, 0.0, t, None).accuracy_bound >= accuracy {
+    assert!(!u.is_all_zero(), "bound undefined for all-zero utility vectors");
+    let groups = u.grouped_desc();
+    let bound = |eps| {
+        psr_bounds::best_accuracy_bound_grouped(&groups, u.u_max(), eps, t, u.len()).accuracy_bound
+    };
+    if bound(0.0) >= accuracy {
         return None;
     }
     const EPS_HI: f64 = 64.0; // far beyond any ceiling's binding range
-    if psr_bounds::best_accuracy_bound(u, EPS_HI, t, None).accuracy_bound < accuracy {
+    if bound(EPS_HI) < accuracy {
         return Some(f64::INFINITY);
     }
     let (mut lo, mut hi) = (0.0f64, EPS_HI);
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if psr_bounds::best_accuracy_bound(u, mid, t, None).accuracy_bound < accuracy {
+        if mid == lo || mid == hi {
+            break;
+        }
+        if bound(mid) < accuracy {
             lo = mid;
         } else {
             hi = mid;
@@ -301,6 +313,62 @@ mod tests {
         let (ef, nf) = (edge.accuracy_epsilon_floor.unwrap(), node.accuracy_epsilon_floor.unwrap());
         assert!(nf < ef, "t = 2 floor {nf} must sit below the t = 1 floor {ef}");
         assert!(nf > 0.0);
+    }
+
+    /// The floor as a fixed 200-step bisection over
+    /// `best_accuracy_bound`, regrouping the vector at every step.
+    fn reference_floor(u: &UtilityVector, accuracy: f64, t: u64) -> Option<f64> {
+        let bound = |eps| psr_bounds::best_accuracy_bound(u, eps, t, None).accuracy_bound;
+        if bound(0.0) >= accuracy {
+            return None;
+        }
+        if bound(64.0) < accuracy {
+            return Some(f64::INFINITY);
+        }
+        let (mut lo, mut hi) = (0.0f64, 64.0);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if bound(mid) < accuracy {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(0.5 * (lo + hi))
+    }
+
+    #[test]
+    fn grouped_floor_equals_the_200_step_bisection() {
+        let vectors = [
+            UtilityVector::from_sparse(vec![(0, 3.0), (1, 2.0), (2, 1.0)], 197),
+            UtilityVector::from_sparse(vec![(0, 3.0), (1, 3.0), (4, 0.5)], 2),
+            UtilityVector::from_sparse(
+                (0..40).map(|v| (v, 1.0 + (v % 7) as f64 * 0.3)).collect(),
+                5_000,
+            ),
+            UtilityVector::from_sparse(vec![(9, 0.004)], 1_000_000),
+        ];
+        let mut bracketed = 0;
+        for u in &vectors {
+            for t in [1, 2, 5] {
+                let at_zero = psr_bounds::best_accuracy_bound(u, 0.0, t, None).accuracy_bound;
+                // Floors just above zero, where the bracket closes after
+                // the most halvings, and across the whole accuracy range.
+                let near_zero = [at_zero + f64::EPSILON, at_zero * (1.0 + 1e-9)];
+                let grid = (0..=40).map(|i| i as f64 / 40.0);
+                for accuracy in near_zero.into_iter().filter(|&a| a <= 1.0).chain(grid) {
+                    let got = lemma1_epsilon_floor_from_accuracy(u, accuracy, t);
+                    let want = reference_floor(u, accuracy, t);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{u:?} {accuracy} {t}"
+                    );
+                    bracketed += usize::from(got.is_some_and(f64::is_finite));
+                }
+            }
+        }
+        assert!(bracketed > 100, "only {bracketed} floors were bisected");
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use harness::{
     NON_PRIVATE_EPSILON, SEARCH_BUDGET,
 };
 pub use model::{MechanismModel, ObservationModel, WorldModel};
-pub use node::{default_rewire_target, leaking_node_rewire, node_observers};
+pub use node::{default_rewire_target, leaking_node_rewire, node_observers, search_node_rewire};
 pub use roc::{
     auc, best_advantage, clopper_pearson, empirical_epsilon, roc_curve, Advantage,
     EmpiricalEpsilon, RocPoint,

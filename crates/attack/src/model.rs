@@ -26,8 +26,10 @@
 //! without-replacement assignment `1/zᵣ` collapses to `w₀/mass`). The
 //! peeling likelihood below walks exactly that recursion in log space.
 
+use std::cell::OnceCell;
+
 use psr_graph::NodeId;
-use psr_privacy::{laplace_win_probabilities, topk, Mechanism, TopKEngine};
+use psr_privacy::{laplace_win_probabilities, topk, Mechanism, Prepared, TopKEngine};
 use psr_utility::{CandidateSet, UtilityVector};
 
 /// Which mechanism and calibration produced an observation. A huge
@@ -63,16 +65,15 @@ impl ObservationModel {
     /// that are impossible here (a pick outside the candidate set, a
     /// repeated id, more picks than candidates) — a support mismatch that
     /// by itself breaks ε-DP for any finite ε.
+    /// [`crate::ReconstructionAdversary`] scores a batch through one
+    /// prepared likelihood per model instead.
     pub fn log_prob(&self, picks: &[NodeId]) -> f64 {
-        let MechanismModel { mechanism, epsilon, sensitivity } = self.mechanism;
-        if mechanism.is_single_draw() {
-            assert_eq!(picks.len(), 1, "{} observations are single draws", mechanism.name());
-        }
-        match mechanism {
-            Mechanism::Exponential => self.exponential_topk_log_prob(picks, epsilon, sensitivity),
-            Mechanism::Laplace => self.laplace_win_log_prob(picks[0], epsilon, sensitivity),
-            Mechanism::Smoothing { x } => self.smoothing_log_prob(picks[0], x),
-        }
+        self.likelihood().log_prob(picks)
+    }
+
+    /// This model prepared to score many answers ([`Likelihood`]).
+    pub(crate) fn likelihood(&self) -> Likelihood<'_> {
+        Likelihood { model: self, laplace: OnceCell::new() }
     }
 
     /// The peeling likelihood: per round, the probability of the concrete
@@ -133,18 +134,6 @@ impl ObservationModel {
         lp
     }
 
-    /// `ln P(v is the noisy argmax)` for the Laplace mechanism: the win
-    /// probability of one member of `v`'s value class.
-    fn laplace_win_log_prob(&self, v: NodeId, epsilon: f64, sensitivity: f64) -> f64 {
-        let uv = self.utilities.get(v);
-        match self.utilities.grouped_desc().iter().position(|&(value, _)| value == uv) {
-            Some(class) if self.candidates.contains(v) => {
-                laplace_win_probabilities(&self.utilities, epsilon, sensitivity)[class].ln()
-            }
-            _ => f64::NEG_INFINITY,
-        }
-    }
-
     /// Exact per-candidate probability of the smoothing mechanism:
     /// `(1−x)/n` uniform mass plus `x` on `R_best`'s argmax (uniform again
     /// when the vector is all-zero and `R_best` abstains).
@@ -166,21 +155,26 @@ impl ObservationModel {
     /// membership-inference attack. The exponential mechanism runs its
     /// peeling engine, the same distribution as either serving engine.
     pub fn sample(&self, k: usize, rng: &mut dyn rand::RngCore) -> Vec<NodeId> {
+        self.sampler(k).draw(rng).picks
+    }
+
+    /// This model's mechanism prepared for `k`-slot shadow draws.
+    fn sampler(&self, k: usize) -> Prepared<'_> {
         let MechanismModel { mechanism, epsilon, sensitivity } = self.mechanism;
-        let draw = mechanism.sample(
+        mechanism.prepare(
             TopKEngine::Peel,
             &self.utilities,
             &self.candidates,
             k,
             epsilon,
             sensitivity,
-            rng,
-        );
-        draw.picks
+        )
     }
 
     /// Monte-Carlo estimate of `Pr[probe ∈ output]` with add-one
     /// smoothing, so downstream likelihood ratios never divide by zero.
+    /// The mechanism is prepared once for all `samples` draws, each the
+    /// draw [`Self::sample`] makes.
     pub fn appearance_probability(
         &self,
         probe: NodeId,
@@ -189,12 +183,8 @@ impl ObservationModel {
         rng: &mut dyn rand::RngCore,
     ) -> f64 {
         assert!(samples > 0, "need at least one shadow sample");
-        let mut hits = 0u32;
-        for _ in 0..samples {
-            if self.sample(k, rng).contains(&probe) {
-                hits += 1;
-            }
-        }
+        let sampler = self.sampler(k);
+        let hits = (0..samples).filter(|_| sampler.draw(rng).picks.contains(&probe)).count();
         (hits as f64 + 1.0) / (samples as f64 + 2.0)
     }
 
@@ -208,6 +198,54 @@ impl ObservationModel {
         }
         let got: f64 = picks.iter().map(|&v| self.utilities.get(v)).sum();
         Some(got / denom)
+    }
+}
+
+/// An [`ObservationModel`] prepared to score many answers. A Laplace
+/// model's value classes and their win probabilities are integrated for
+/// the first answer that needs them and reused for every later one; the
+/// other mechanisms' likelihoods need no preparation. Each
+/// [`Likelihood::log_prob`] equals [`ObservationModel::log_prob`].
+#[derive(Debug)]
+pub(crate) struct Likelihood<'a> {
+    model: &'a ObservationModel,
+    /// Each Laplace value class ([`UtilityVector::grouped_desc`] order)
+    /// with the win probability of one of its members.
+    laplace: OnceCell<Vec<(f64, f64)>>,
+}
+
+impl Likelihood<'_> {
+    /// [`ObservationModel::log_prob`] of `picks`.
+    pub(crate) fn log_prob(&self, picks: &[NodeId]) -> f64 {
+        let model = self.model;
+        let MechanismModel { mechanism, epsilon, sensitivity } = model.mechanism;
+        if mechanism.is_single_draw() {
+            assert_eq!(picks.len(), 1, "{} observations are single draws", mechanism.name());
+        }
+        match mechanism {
+            Mechanism::Exponential => model.exponential_topk_log_prob(picks, epsilon, sensitivity),
+            Mechanism::Laplace => self.laplace_win_log_prob(picks[0], epsilon, sensitivity),
+            Mechanism::Smoothing { x } => model.smoothing_log_prob(picks[0], x),
+        }
+    }
+
+    /// `ln P(v is the noisy argmax)` for the Laplace mechanism: the win
+    /// probability of one member of `v`'s value class.
+    fn laplace_win_log_prob(&self, v: NodeId, epsilon: f64, sensitivity: f64) -> f64 {
+        let model = self.model;
+        if !model.candidates.contains(v) {
+            return f64::NEG_INFINITY;
+        }
+        let classes = self.laplace.get_or_init(|| {
+            let u = &model.utilities;
+            let win = laplace_win_probabilities(u, epsilon, sensitivity);
+            u.grouped_desc().into_iter().map(|(value, _)| value).zip(win).collect()
+        });
+        let uv = model.utilities.get(v);
+        match classes.iter().find(|&&(value, _)| value == uv) {
+            Some(&(_, win)) => win.ln(),
+            None => f64::NEG_INFINITY,
+        }
     }
 }
 
@@ -472,6 +510,24 @@ mod tests {
         assert!(p > 0.9, "argmax nearly always appears, got {p}");
         let q = m.appearance_probability(5, 1, 400, &mut r);
         assert!(q < 0.1, "zero-class node nearly never appears, got {q}");
+    }
+
+    #[test]
+    fn appearance_probability_counts_the_draws_sample_makes() {
+        use rand::RngCore;
+        for mechanism in
+            [Mechanism::Exponential, Mechanism::Laplace, Mechanism::Smoothing { x: 0.3 }]
+        {
+            let m = model(MechanismModel { mechanism, epsilon: 0.7, sensitivity: 1.0 });
+            let ks: &[usize] = if mechanism.is_single_draw() { &[1] } else { &[1, 2] };
+            for (&k, probe) in ks.iter().flat_map(|k| [3, 4, 5].map(|probe| (k, probe))) {
+                let (mut prepared, mut per_draw) = (rng(9), rng(9));
+                let p = m.appearance_probability(probe, k, 200, &mut prepared);
+                let hits = (0..200).filter(|_| m.sample(k, &mut per_draw).contains(&probe)).count();
+                assert_eq!(p.to_bits(), ((hits as f64 + 1.0) / 202.0).to_bits(), "{mechanism:?}");
+                assert_eq!(prepared.next_u64(), per_draw.next_u64(), "{mechanism:?}: streams");
+            }
+        }
     }
 
     #[test]

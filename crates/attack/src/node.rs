@@ -37,7 +37,7 @@ use std::sync::Arc;
 use psr_graph::{rewire_node, Graph, GraphView, NodeId};
 use psr_utility::UtilityFunction;
 
-use crate::harness::unique_argmax;
+use crate::harness::{unique_argmax, SEARCH_BUDGET};
 
 /// A deterministic degree-preserving **disjoint** rewire target for `v`:
 /// `degree(v)` nodes outside `N(v) ∪ {v}`, preferring nodes at distance
@@ -99,6 +99,25 @@ pub fn node_observers(
         })
         .take(cap)
         .collect()
+}
+
+/// The node rewire (and observers) to attack when none is given: the
+/// first leak [`leaking_node_rewire`] finds within [`SEARCH_BUDGET`], else
+/// the lowest-id node that has a [`default_rewire_target`] and at least
+/// one [`node_observers`] observer. The node counterpart of
+/// [`crate::search_secret_edge`]; `None` only on graphs with no such node.
+pub fn search_node_rewire(
+    base: &Arc<Graph>,
+    utility: &dyn UtilityFunction,
+    observer_cap: usize,
+) -> Option<(NodeId, Vec<NodeId>, Vec<NodeId>)> {
+    leaking_node_rewire(base, utility, observer_cap, SEARCH_BUDGET).or_else(|| {
+        base.nodes().find_map(|v| {
+            let new = default_rewire_target(base, v)?;
+            let observers = node_observers(base, v, &new, observer_cap);
+            (!observers.is_empty()).then_some((v, new, observers))
+        })
+    })
 }
 
 /// Searches for a node rewire that *visibly* leaks through non-private

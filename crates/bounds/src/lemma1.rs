@@ -85,9 +85,20 @@ pub fn best_accuracy_bound(
 ) -> BoundResult {
     assert!(!u.is_all_zero(), "bound undefined for all-zero utility vectors");
     let n = n_override.unwrap_or_else(|| u.len());
-    let u_max = u.u_max();
+    best_accuracy_bound_grouped(&u.grouped_desc(), u.u_max(), eps, t, n)
+}
 
-    let groups = u.grouped_desc(); // (value, multiplicity) descending
+/// [`best_accuracy_bound`] over a vector already grouped: `groups` is its
+/// [`UtilityVector::grouped_desc`], `u_max` its maximum utility and `n`
+/// the population size. A caller evaluating the bound at many ε groups
+/// the vector once.
+pub fn best_accuracy_bound_grouped(
+    groups: &[(f64, usize)],
+    u_max: f64,
+    eps: f64,
+    t: u64,
+    n: usize,
+) -> BoundResult {
     let mut best = BoundResult { accuracy_bound: 1.0, c: f64::NAN, k: 0, t, n };
     let mut cumulative = 0usize;
     for (j, &(value, mult)) in groups.iter().enumerate() {

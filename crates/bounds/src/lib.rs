@@ -28,6 +28,7 @@ pub mod theorem5;
 pub mod theorems;
 
 pub use lemma1::{
-    best_accuracy_bound, corollary1_accuracy_upper_bound, lemma1_eps_lower_bound, BoundResult,
+    best_accuracy_bound, best_accuracy_bound_grouped, corollary1_accuracy_upper_bound,
+    lemma1_eps_lower_bound, BoundResult,
 };
 pub use lemma2::lemma2_eps_lower_bound;

@@ -9,10 +9,10 @@
 use std::sync::Arc;
 
 use psr_attack::{
-    default_observers, default_rewire_target, leaking_node_rewire, node_observers,
+    default_observers, default_rewire_target, node_observers, search_node_rewire,
     search_secret_edge, Adjacency, Adversary, AttackMechanism, AttackResult, BoundsComparison,
     Epochs, FrequencyBaseline, GameConfig, LikelihoodRatioMia, ReconstructionAdversary, RocPoint,
-    Secret, TranscriptSet, TwoWorldGame, SEARCH_BUDGET,
+    Secret, TranscriptSet, TwoWorldGame,
 };
 use psr_graph::{EdgeMutation, Graph, GraphView, NodeId};
 use psr_utility::UtilityFunction;
@@ -205,7 +205,7 @@ fn edge_secret(
 }
 
 /// The rewired node, its replacement neighbourhood and its observers:
-/// `--node` checked up front, else the searched leaking rewire.
+/// `--node` checked up front, else [`search_node_rewire`]'s rewire.
 fn node_secret(
     opts: &AttackOptions,
     graph: &Arc<Graph>,
@@ -228,8 +228,8 @@ fn node_secret(
             }
             (v, new, observers)
         }
-        None => leaking_node_rewire(graph, utility, opts.observer_cap, SEARCH_BUDGET)
-            .ok_or("no leaking node rewire found; pass --node v")?,
+        None => search_node_rewire(graph, utility, opts.observer_cap)
+            .ok_or("no node to rewire found; pass --node v")?,
     };
     Ok((Secret::Node { node, new_neighbours }, observers))
 }

@@ -27,7 +27,9 @@
 //! [`Journal::stage`] buffers records in memory; [`Journal::sync`] writes
 //! everything staged with one positional write at the end of the durable
 //! prefix and one `fsync`. A record is durable once the `sync` after it
-//! returns, and not before. Because the write lands at the durable length
+//! returns, and not before. A fresh header is written and `fsync`ed by
+//! [`Journal::open`], which then `fsync`s the journal's directory, so a
+//! power cut cannot drop a newly created journal's directory entry. Because the write lands at the durable length
 //! rather than at the file's end, a retry after a write that failed
 //! part-way overwrites the torn fragment instead of appending after it.
 
@@ -107,6 +109,8 @@ impl Journal {
         if valid_len == 0 {
             file.write_all_at(sealed_header.as_bytes(), 0)?;
             file.sync_data()?;
+            // The file may be new: make its directory entry durable too.
+            File::open(parent_dir(&path))?.sync_all()?;
             valid_len = sealed_header.len();
         }
         let journal = Journal {
@@ -200,6 +204,14 @@ fn unseal(line: &str) -> Option<&str> {
     (crc == fnv1a64(payload.as_bytes())).then_some(payload)
 }
 
+/// The directory holding `path`: its parent, or `.` for a bare file name.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
 /// Reads a journal file as text, tolerating a torn non-UTF8 tail: the
 /// longest valid UTF-8 prefix is returned and the rest is treated like
 /// any other corrupt tail (it will fail [`unseal`] at its first line).
@@ -224,6 +236,13 @@ mod tests {
         let mut line = String::new();
         seal(&mut line, format_args!("{payload}"));
         line
+    }
+
+    #[test]
+    fn a_journal_syncs_the_directory_it_lives_in() {
+        assert_eq!(parent_dir(Path::new("budget.journal")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("runs/budget.journal")), Path::new("runs"));
+        assert_eq!(parent_dir(Path::new("/budget.journal")), Path::new("/"));
     }
 
     #[test]

@@ -24,10 +24,9 @@
 use std::sync::Arc;
 
 use psr_attack::{
-    clopper_pearson, leaking_node_rewire, search_secret_edge, Adjacency, Adversary,
-    AttackMechanism, AttackResult, BoundsComparison, FrequencyBaseline, GameConfig,
-    LikelihoodRatioMia, ReconstructionAdversary, Secret, TranscriptSet, TwoWorldGame, WorldModel,
-    SEARCH_BUDGET,
+    clopper_pearson, search_node_rewire, search_secret_edge, Adjacency, Adversary, AttackMechanism,
+    AttackResult, BoundsComparison, FrequencyBaseline, GameConfig, LikelihoodRatioMia,
+    ReconstructionAdversary, Secret, TranscriptSet, TwoWorldGame, WorldModel,
 };
 use psr_gen::split_seed;
 use psr_graph::{EdgeMutation, Graph, NodeId};
@@ -235,10 +234,9 @@ pub fn cell_scenario(
         }
         Adjacency::Node => {
             let (node, new_neighbours, observers) =
-                leaking_node_rewire(graph, utility.as_ref(), plan.observer_cap, SEARCH_BUDGET)
-                    .ok_or_else(|| {
-                        format!("cell {}: no leaking node rewire on {dataset}", spec.index)
-                    })?;
+                search_node_rewire(graph, utility.as_ref(), plan.observer_cap).ok_or_else(
+                    || format!("cell {}: no node to rewire on {dataset}", spec.index),
+                )?;
             (Secret::Node { node, new_neighbours }, observers)
         }
     })

@@ -150,9 +150,9 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
             );
         }
     }
-    // One sample per group search, in microseconds; the histogram is
-    // inert (and the clock unread) when telemetry is off.
-    let search_us = telemetry.metrics().histogram("frontier.scenario_search_us");
+    // One sample per group search, in nanoseconds like every psr-obs
+    // histogram; inert (and the clock unread) when telemetry is off.
+    let search_ns = telemetry.metrics().histogram("frontier.scenario_search_ns");
     let width = psr_core::par::threads(opts.threads);
     let graph_of = |spec: &CellSpec| graphs[spec.dataset].as_ref().expect("dataset preloaded");
 
@@ -176,10 +176,10 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
     };
     let computed_cells = Heartbeat::new("psr frontier", opts.heartbeat).run(progress, || {
         let scenarios = psr_core::par::try_map(width, leaders.len(), |group| {
-            let start = search_us.is_enabled().then(Instant::now);
+            let start = search_ns.is_enabled().then(Instant::now);
             let scenario = cell_scenario(plan, leaders[group], graph_of(leaders[group]));
             if let Some(start) = start {
-                search_us.record(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+                search_ns.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
             }
             scenario
         })?;
@@ -385,7 +385,12 @@ mod tests {
             let snapshot = telemetry.metrics().snapshot();
             let searched =
                 snapshot.counters.iter().find(|c| c.name == "frontier.scenarios_searched");
-            let timed = telemetry.metrics().histogram("frontier.scenario_search_us").load().count();
+            let timed = telemetry.metrics().histogram("frontier.scenario_search_ns").load().count();
+            // Histogram summaries read nanoseconds, so every name says so.
+            let histograms: Vec<&str> =
+                snapshot.histograms.iter().map(|h| h.name.as_str()).collect();
+            assert!(histograms.contains(&"frontier.scenario_search_ns"), "{histograms:?}");
+            assert!(histograms.iter().all(|h| h.ends_with("_ns")), "{histograms:?}");
             let events: Vec<Vec<(String, TraceValue)>> = telemetry
                 .trace()
                 .events()

@@ -30,24 +30,52 @@ fn winning_group(groups: &[(f64, usize)], noise: &Laplace, rng: &mut (impl Rng +
     best_idx
 }
 
-/// Perturbs every utility with `Lap(Δf/ε)` noise and returns the noisy
-/// argmax: a uniform member of the winning value class (exchangeable by
-/// symmetry of the i.i.d. noise), or `None` when the zero class wins.
-pub(crate) fn laplace_winner(
-    u: &UtilityVector,
-    eps: f64,
-    sensitivity: f64,
-    rng: &mut dyn rand::RngCore,
-) -> Option<NodeId> {
-    let noise = Laplace::for_mechanism(sensitivity, eps);
-    let groups = u.grouped_desc();
-    let (value, count) = groups[winning_group(&groups, &noise, rng)];
-    if value == 0.0 {
-        return None;
+/// The Laplace mechanism prepared over one utility vector: its noise, its
+/// value classes in [`UtilityVector::grouped_desc`] order, and the
+/// non-zero members of every class, so a draw costs `O(#classes)`.
+#[derive(Debug, Clone)]
+pub(crate) struct LaplaceClasses {
+    noise: Laplace,
+    groups: Vec<(f64, usize)>,
+    /// The non-zero candidates, class by class in `groups` order, each
+    /// class in id order.
+    members: Vec<NodeId>,
+    /// Where each class's members start in `members`.
+    starts: Vec<usize>,
+}
+
+impl LaplaceClasses {
+    /// Groups `u` for draws under `Lap(Δf/ε)` noise.
+    pub(crate) fn new(u: &UtilityVector, eps: f64, sensitivity: f64) -> Self {
+        let groups = u.grouped_desc();
+        // A stable sort by value lays the classes out in `groups` order,
+        // each in id order.
+        let mut by_value = u.nonzero().to_vec();
+        by_value.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite utilities"));
+        let members = by_value.into_iter().map(|(v, _)| v).collect();
+        let starts = groups
+            .iter()
+            .scan(0, |start, &(_, count)| {
+                let class_start = *start;
+                *start += count;
+                Some(class_start)
+            })
+            .collect();
+        LaplaceClasses { noise: Laplace::for_mechanism(sensitivity, eps), groups, members, starts }
     }
-    let pick = rng.gen_range(0..count);
-    let mut class = u.nonzero().iter().filter(|&&(_, ui)| ui == value);
-    class.nth(pick).map(|&(v, _)| v)
+
+    /// Perturbs every utility with the noise and returns the noisy argmax:
+    /// a uniform member of the winning value class (exchangeable by
+    /// symmetry of the i.i.d. noise), or `None` when the zero class wins.
+    pub(crate) fn winner(&self, rng: &mut dyn rand::RngCore) -> Option<NodeId> {
+        let class = winning_group(&self.groups, &self.noise, rng);
+        let (value, count) = self.groups[class];
+        if value == 0.0 {
+            return None;
+        }
+        let pick = rng.gen_range(0..count);
+        Some(self.members[self.starts[class] + pick])
+    }
 }
 
 /// Quadrature settings: the tail runs `TAIL` noise scales past
@@ -205,6 +233,15 @@ mod tests {
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    fn laplace_winner(
+        u: &UtilityVector,
+        eps: f64,
+        sensitivity: f64,
+        rng: &mut dyn rand::RngCore,
+    ) -> Option<NodeId> {
+        LaplaceClasses::new(u, eps, sensitivity).winner(rng)
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod topk;
 pub use exponential::exponential_probabilities;
 pub use laplace_dist::Laplace;
 pub use laplace_mech::{laplace_accuracy, laplace_win_probabilities};
-pub use mechanism::{resolve_zero_class_distinct, Draw, Mechanism};
+pub use mechanism::{resolve_zero_class_distinct, Draw, Mechanism, Prepared};
 pub use smoothing::{smoothing_epsilon, smoothing_x_for_epsilon, smoothing_x_for_log_privacy};
 pub use topk::{topk_exponential, topk_gumbel, topk_with_engine, TopK, TopKEngine};

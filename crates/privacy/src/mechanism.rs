@@ -8,9 +8,9 @@ use psr_utility::{CandidateSet, UtilityVector};
 use rand::Rng;
 
 use crate::exponential::exponential_probabilities;
-use crate::laplace_mech::{laplace_accuracy, laplace_winner};
+use crate::laplace_mech::{laplace_accuracy, LaplaceClasses};
 use crate::smoothing::{smoothing_epsilon, smoothing_winner};
-use crate::topk::{topk_with_engine, TopKEngine};
+use crate::topk::{topk_gumbel, PreparedPeel, TopKEngine};
 
 /// A differentially private recommender over one utility vector (§3.1).
 /// It must put positive probability on *every* candidate, including the
@@ -46,6 +46,54 @@ pub struct Draw {
     pub zero_class_picks: usize,
     /// Sum of the true utilities of the picks.
     pub total_utility: f64,
+}
+
+/// A [`Mechanism`] prepared over one utility vector
+/// ([`Mechanism::prepare`]), ready for any number of draws.
+#[derive(Debug, Clone)]
+pub struct Prepared<'a> {
+    u: &'a UtilityVector,
+    candidates: &'a CandidateSet,
+    slots: Slots<'a>,
+}
+
+/// The per-vector state of each mechanism's slot sampler.
+#[derive(Debug, Clone)]
+enum Slots<'a> {
+    Peel(PreparedPeel<'a>),
+    Gumbel { k: usize, epsilon: f64, sensitivity: f64 },
+    Laplace(LaplaceClasses),
+    Smoothing { x: f64, best: Option<NodeId> },
+}
+
+impl Prepared<'_> {
+    /// One draw: the same random numbers and the same result as one
+    /// [`Mechanism::sample`] call with the arguments this was prepared on.
+    pub fn draw(&self, rng: &mut dyn rand::RngCore) -> Draw {
+        let u = self.u;
+        // Slots in order, `None` for a draw that landed in the zero class.
+        let single = |winner: Option<NodeId>| (vec![winner], winner.map_or(0.0, |v| u.get(v)));
+        let (slots, total_utility) = match &self.slots {
+            Slots::Peel(peel) => {
+                let top = peel.draw(rng);
+                (top.picks, top.total_utility)
+            }
+            &Slots::Gumbel { k, epsilon, sensitivity } => {
+                let top = topk_gumbel(u, k, epsilon, sensitivity, rng);
+                (top.picks, top.total_utility)
+            }
+            Slots::Laplace(classes) => single(classes.winner(rng)),
+            &Slots::Smoothing { x, best } => single(smoothing_winner(u, x, best, rng)),
+        };
+        let zero_class_picks = slots.iter().filter(|p| p.is_none()).count();
+        let mut zero_picks =
+            resolve_zero_class_distinct(zero_class_picks, u, self.candidates, rng).into_iter();
+        let picks = slots
+            .iter()
+            .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class member")))
+            .collect();
+        Draw { picks, zero_class_picks, total_utility }
+    }
 }
 
 impl Mechanism {
@@ -97,7 +145,8 @@ impl Mechanism {
     /// from `u`, the utility vector of `candidates`, at request budget
     /// `epsilon` and sensitivity Δf, zero-class slots resolved by
     /// [`resolve_zero_class_distinct`]. `engine` picks the exponential
-    /// mechanism's top-`k` sampler; the other arms ignore it.
+    /// mechanism's top-`k` sampler; the other arms ignore it. One call is
+    /// [`Mechanism::prepare`] and one [`Prepared::draw`].
     ///
     /// # Panics
     /// Panics if `u` is empty, or if `k > 1` for a single-draw
@@ -113,32 +162,46 @@ impl Mechanism {
         sensitivity: f64,
         rng: &mut dyn rand::RngCore,
     ) -> Draw {
+        self.prepare(engine, u, candidates, k, epsilon, sensitivity).draw(rng)
+    }
+
+    /// The per-vector half of [`Mechanism::sample`]: everything a draw
+    /// needs that does not depend on the random numbers — the peel's
+    /// first-round weights, the Laplace value classes and their members,
+    /// smoothing's argmax. Each [`Prepared::draw`] then consumes the same
+    /// random numbers and returns the same draw as one `sample` call, so
+    /// a caller drawing many times from one vector prepares once.
+    ///
+    /// # Panics
+    /// As [`Mechanism::sample`].
+    pub fn prepare<'a>(
+        &self,
+        engine: TopKEngine,
+        u: &'a UtilityVector,
+        candidates: &'a CandidateSet,
+        k: usize,
+        epsilon: f64,
+        sensitivity: f64,
+    ) -> Prepared<'a> {
         assert!(!u.is_empty(), "no candidates");
         assert!(
             k == 1 || !self.is_single_draw(),
             "the {} mechanism serves exactly one slot",
             self.name()
         );
-        // Slots in order, `None` for a draw that landed in the zero class.
-        let single = |winner: Option<NodeId>| (vec![winner], winner.map_or(0.0, |v| u.get(v)));
-        let (slots, total_utility) = match *self {
+        let slots = match *self {
             Mechanism::Exponential => {
-                let top = topk_with_engine(engine, u, k.min(u.len()), epsilon, sensitivity, rng);
-                (top.picks, top.total_utility)
+                let k = k.min(u.len());
+                match engine {
+                    TopKEngine::Peel => Slots::Peel(PreparedPeel::new(u, k, epsilon, sensitivity)),
+                    TopKEngine::Gumbel => Slots::Gumbel { k, epsilon, sensitivity },
+                }
             }
-            Mechanism::Laplace => single(laplace_winner(u, epsilon, sensitivity, rng)),
-            Mechanism::Smoothing { x } => single(smoothing_winner(u, x, rng)),
+            Mechanism::Laplace => Slots::Laplace(LaplaceClasses::new(u, epsilon, sensitivity)),
+            Mechanism::Smoothing { x } => Slots::Smoothing { x, best: u.argmax() },
         };
-        let zero_class_picks = slots.iter().filter(|p| p.is_none()).count();
-        let mut zero_picks =
-            resolve_zero_class_distinct(zero_class_picks, u, candidates, rng).into_iter();
-        let picks = slots
-            .iter()
-            .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class member")))
-            .collect();
-        Draw { picks, zero_class_picks, total_utility }
+        Prepared { u, candidates, slots }
     }
-
     /// Exact expected accuracy `E[u_rec] / u_max` of one slot (Def. 2) at
     /// budget `epsilon` and sensitivity Δf: closed form, or for Laplace
     /// the win-probability integral of [`crate::laplace_win_probabilities`].

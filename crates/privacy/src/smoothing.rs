@@ -43,17 +43,18 @@ pub fn smoothing_x_for_log_privacy(c: f64, n: usize) -> f64 {
     p / (p + n as f64)
 }
 
-/// One draw of `A_S(x)` over `R_best`: the argmax with probability `x`
-/// (all-zero vectors have no argmax and fall through), otherwise a
-/// uniform candidate. `None` when the uniform draw lands in the zero
-/// class.
+/// One draw of `A_S(x)` over `R_best`: `best`, the argmax of `u`, with
+/// probability `x` (all-zero vectors have no argmax and fall through),
+/// otherwise a uniform candidate. `None` when the uniform draw lands in
+/// the zero class.
 pub(crate) fn smoothing_winner(
     u: &UtilityVector,
     x: f64,
+    best: Option<NodeId>,
     rng: &mut dyn rand::RngCore,
 ) -> Option<NodeId> {
     if rng.gen::<f64>() < x {
-        if let Some(v) = u.argmax() {
+        if let Some(v) = best {
             return Some(v);
         }
     }
@@ -131,7 +132,7 @@ mod tests {
         let trials = 200_000;
         let mut total = 0.0;
         for _ in 0..trials {
-            total += smoothing_winner(&u, 0.6, &mut r).map_or(0.0, |v| u.get(v));
+            total += smoothing_winner(&u, 0.6, u.argmax(), &mut r).map_or(0.0, |v| u.get(v));
         }
         let mc = total / trials as f64 / u.u_max();
         let exact = Mechanism::Smoothing { x: 0.6 }.expected_accuracy(&u, 0.0, 1.0);

@@ -17,6 +17,8 @@
 //! by default — O(|C| + k log k) per request instead of O(k·|C|), exact
 //! equivalence pinned by the chi-square conformance suite.
 
+use std::cmp::Ordering;
+
 use psr_graph::NodeId;
 use psr_utility::UtilityVector;
 use rand::Rng;
@@ -74,7 +76,9 @@ pub struct TopK {
 /// Draws `k` distinct recommendations by peeling: each round runs an
 /// Exponential-mechanism draw with budget `ε/k` (paper scaling,
 /// `exp(ε·u/Δf)`) over the still-unrecommended candidates, removing the
-/// winner in place.
+/// winner in place. One call prepares the first round and draws once
+/// (`PreparedPeel`); [`crate::Mechanism::prepare`] keeps the preparation
+/// for many draws.
 ///
 /// Zero-class accounting is guarded on both paths a draw can land in the
 /// zero class: a draw with the class already empty (reachable through
@@ -89,87 +93,196 @@ pub fn topk_exponential(
     sensitivity: f64,
     rng: &mut dyn rand::RngCore,
 ) -> TopK {
-    assert!(k >= 1, "k must be positive");
-    assert!(k <= u.len(), "cannot recommend more nodes than candidates");
-    assert!(eps >= 0.0, "privacy parameter must be non-negative");
-    assert!(sensitivity > 0.0, "sensitivity must be positive");
-    let rate = eps / k as f64 / sensitivity; // per-round exponent rate s
+    PreparedPeel::new(u, k, eps, sensitivity).draw(rng)
+}
 
-    // Live non-zero entries, peeled in place. `Vec::remove` keeps the
-    // sorted-by-id order the walk visits, matching the one-shot
-    // mechanism's semantics; the walk is already O(live), so the shift
-    // does not change the round's complexity.
-    let mut live: Vec<(NodeId, f64)> = u.nonzero().to_vec();
-    let mut zeros = u.num_zero();
-    let mut picks = Vec::with_capacity(k);
-    let mut total_utility = 0.0;
+/// The peel of [`topk_exponential`] with its first round prepared: the
+/// round's weights over all of `u` do not depend on the draw, so their
+/// running sums and total mass are computed once, and each draw finds its
+/// first pick by binary search instead of a walk. Later rounds peel the
+/// live list as before. A draw consumes the same random numbers and
+/// returns the same picks as the round-by-round walk.
+#[derive(Debug, Clone)]
+pub(crate) struct PreparedPeel<'a> {
+    u: &'a UtilityVector,
+    k: usize,
+    /// Per-round exponent rate `ε/(k·Δf)`.
+    rate: f64,
+    /// Running sums of the first round's live weights, in id order.
+    cumulative: Vec<f64>,
+    /// The first round's mass: the zero class's weight, then every live
+    /// weight added in id order.
+    mass: f64,
+}
 
-    fn take(
-        live: &mut Vec<(NodeId, f64)>,
-        picks: &mut Vec<Option<NodeId>>,
-        total: &mut f64,
-        idx: usize,
-    ) {
-        let (node, utility) = live.remove(idx);
-        *total += utility;
-        picks.push(Some(node));
-    }
+/// Where one peel round's draw landed.
+enum Slot {
+    /// The live entry at this index.
+    Live(usize),
+    /// The zero class.
+    Zero,
+}
 
-    for _ in 0..k {
-        if live.is_empty() {
-            // Only the zero class remains. The `k ≤ len` assertion plus
-            // one-candidate-per-round accounting make `zeros ≥ 1` here;
-            // the guard keeps a broken invariant from wrapping the
-            // counter in release builds.
-            if zeros == 0 {
-                break;
-            }
-            zeros -= 1;
-            picks.push(None);
-            continue;
-        }
-        // Weights shifted by the current max so the largest exponent is 0
-        // and the mass cannot overflow; recomputed per round because the
-        // max shrinks as top entries are peeled off. The fold must start
-        // from −∞: seeding it with 0.0 silently clamps the shift when all
-        // live utilities are negative (reachable only through serde — the
-        // sparse constructors reject negatives), underflowing every live
-        // weight at high rates and skewing the draw toward the zero class.
-        let u_max = live.iter().map(|&(_, x)| x).fold(f64::NEG_INFINITY, f64::max);
-        // Guard the empty class: `0.0 * exp(−rate·u_max)` is NaN once a
-        // negative `u_max` sends the exponential to +∞.
-        let mut mass: f64 = if zeros > 0 { zeros as f64 * (-rate * u_max).exp() } else { 0.0 };
-        for &(_, x) in live.iter() {
-            mass += (rate * (x - u_max)).exp();
-        }
-        let threshold = rng.gen::<f64>() * mass;
+impl<'a> PreparedPeel<'a> {
+    /// Prepares `k`-slot peels from `u` at budget `eps` and sensitivity Δf.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ k ≤ |u|`, `eps ≥ 0` and `sensitivity > 0`.
+    pub(crate) fn new(u: &'a UtilityVector, k: usize, eps: f64, sensitivity: f64) -> Self {
+        assert!(k >= 1, "k must be positive");
+        assert!(k <= u.len(), "cannot recommend more nodes than candidates");
+        assert!(eps >= 0.0, "privacy parameter must be non-negative");
+        assert!(sensitivity > 0.0, "sensitivity must be positive");
+        let rate = eps / k as f64 / sensitivity; // per-round exponent rate s
+        let live = u.nonzero();
+        let u_max = live_max(live);
+        let mut mass = zero_class_weight(u.num_zero(), rate, u_max);
         let mut acc = 0.0;
-        let mut chosen = None;
-        for (i, &(_, x)) in live.iter().enumerate() {
-            acc += (rate * (x - u_max)).exp();
-            if threshold < acc {
-                chosen = Some(i);
-                break;
+        let cumulative = live
+            .iter()
+            .map(|&(_, x)| {
+                let w = (rate * (x - u_max)).exp();
+                mass += w;
+                acc += w;
+                acc
+            })
+            .collect();
+        PreparedPeel { u, k, rate, cumulative, mass }
+    }
+
+    /// Draws one `k`-slot peel.
+    pub(crate) fn draw(&self, rng: &mut dyn rand::RngCore) -> TopK {
+        let nonzero = self.u.nonzero();
+        let mut zeros = self.u.num_zero();
+        let mut top = TopK { picks: Vec::with_capacity(self.k), total_utility: 0.0 };
+        let first = if nonzero.is_empty() {
+            (zeros > 0).then_some(Slot::Zero)
+        } else {
+            let threshold = rng.gen::<f64>() * self.mass;
+            // The walk's rule, the first index whose running sum exceeds
+            // the threshold (`threshold < acc`), as a binary search: the
+            // sums never decrease. A NaN threshold exceeds none, as in the
+            // walk.
+            let below = |acc: &f64| threshold.partial_cmp(acc) != Some(Ordering::Less);
+            let i = self.cumulative.partition_point(below);
+            Some(settle((i < nonzero.len()).then_some(i), nonzero.len(), zeros, rng))
+        };
+        let Some(first) = first else { return top };
+        if self.k == 1 {
+            // One slot: take the pick without copying the live list.
+            match first {
+                Slot::Live(i) => {
+                    let (node, utility) = nonzero[i];
+                    top.total_utility += utility;
+                    top.picks.push(Some(node));
+                }
+                Slot::Zero => top.picks.push(None),
+            }
+            return top;
+        }
+        // Live non-zero entries, peeled in place. `Vec::remove` keeps the
+        // sorted-by-id order the walk visits, matching the one-shot
+        // mechanism's semantics; the walk is already O(live), so the shift
+        // does not change the round's complexity.
+        let mut live: Vec<(NodeId, f64)> = nonzero.to_vec();
+        take(first, &mut live, &mut zeros, &mut top);
+        for _ in 1..self.k {
+            match peel_round(&live, zeros, self.rate, rng) {
+                Some(slot) => take(slot, &mut live, &mut zeros, &mut top),
+                None => break,
             }
         }
-        match chosen {
-            Some(i) => take(&mut live, &mut picks, &mut total_utility, i),
-            None if zeros > 0 => {
-                // The draw landed in the zero class: uniform member.
-                zeros -= 1;
-                picks.push(None);
-            }
-            None => {
-                // Floating-point residue past every live weight with an
-                // empty zero class (at most a few ulps of probability):
-                // charge the draw to a uniform live candidate instead of
-                // underflowing the zero counter.
-                let i = rng.gen_range(0..live.len());
-                take(&mut live, &mut picks, &mut total_utility, i);
-            }
+        top
+    }
+}
+
+/// The largest live utility. The fold must start from −∞: seeding it with
+/// 0.0 silently clamps the shift when all live utilities are negative
+/// (reachable only through serde — the sparse constructors reject
+/// negatives), underflowing every live weight at high rates and skewing
+/// the draw toward the zero class.
+fn live_max(live: &[(NodeId, f64)]) -> f64 {
+    live.iter().map(|&(_, x)| x).fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// The zero class's share of a round's mass, `zeros·e^{−rate·u_max}`.
+/// Guards the empty class: `0.0 * exp(−rate·u_max)` is NaN once a
+/// negative `u_max` sends the exponential to +∞.
+fn zero_class_weight(zeros: usize, rate: f64, u_max: f64) -> f64 {
+    if zeros > 0 {
+        zeros as f64 * (-rate * u_max).exp()
+    } else {
+        0.0
+    }
+}
+
+/// One peel round over the live entries (`None` once nothing is left).
+/// Weights are shifted by the current max so the largest exponent is 0
+/// and the mass cannot overflow; recomputed per round because the max
+/// shrinks as top entries are peeled off.
+fn peel_round(
+    live: &[(NodeId, f64)],
+    zeros: usize,
+    rate: f64,
+    rng: &mut dyn rand::RngCore,
+) -> Option<Slot> {
+    if live.is_empty() {
+        // Only the zero class remains. The `k ≤ len` assertion plus
+        // one-candidate-per-round accounting make `zeros ≥ 1` here; the
+        // guard keeps a broken invariant from wrapping the counter in
+        // release builds.
+        return (zeros > 0).then_some(Slot::Zero);
+    }
+    let u_max = live_max(live);
+    let mut mass = zero_class_weight(zeros, rate, u_max);
+    for &(_, x) in live {
+        mass += (rate * (x - u_max)).exp();
+    }
+    let threshold = rng.gen::<f64>() * mass;
+    let mut acc = 0.0;
+    let mut chosen = None;
+    for (i, &(_, x)) in live.iter().enumerate() {
+        acc += (rate * (x - u_max)).exp();
+        if threshold < acc {
+            chosen = Some(i);
+            break;
         }
     }
-    TopK { picks, total_utility }
+    Some(settle(chosen, live.len(), zeros, rng))
+}
+
+/// Where a round's walk ends: the chosen live entry; the zero class when
+/// the threshold passed every live weight; or, on floating-point residue
+/// past every live weight with an empty zero class (at most a few ulps of
+/// probability), a uniform live candidate instead of underflowing the
+/// zero counter.
+fn settle(
+    chosen: Option<usize>,
+    live_len: usize,
+    zeros: usize,
+    rng: &mut dyn rand::RngCore,
+) -> Slot {
+    match chosen {
+        Some(i) => Slot::Live(i),
+        None if zeros > 0 => Slot::Zero,
+        None => Slot::Live(rng.gen_range(0..live_len)),
+    }
+}
+
+/// Records a round's pick: removes a live entry, or consumes one uniform
+/// member of the zero class.
+fn take(slot: Slot, live: &mut Vec<(NodeId, f64)>, zeros: &mut usize, top: &mut TopK) {
+    match slot {
+        Slot::Live(i) => {
+            let (node, utility) = live.remove(i);
+            top.total_utility += utility;
+            top.picks.push(Some(node));
+        }
+        Slot::Zero => {
+            *zeros -= 1;
+            top.picks.push(None);
+        }
+    }
 }
 
 /// A standard Gumbel(0, 1) variate: `−ln(−ln U)`, `U ∈ [0, 1)`. A zero
@@ -257,12 +370,19 @@ pub fn topk_with_engine(
     }
 }
 
-/// The non-private optimum: sum of the `k` largest utilities. Denominator
-/// of top-`k` accuracy.
+/// The non-private optimum: sum of the `k` largest utilities, added in
+/// descending order. Denominator of top-`k` accuracy. One pass keeps the
+/// `k` largest values seen so far, so a call costs `O(|nonzero|)` for the
+/// small `k` of one answer instead of sorting the vector.
 pub fn topk_optimal_utility(u: &UtilityVector, k: usize) -> f64 {
-    let mut vals: Vec<f64> = u.nonzero().iter().map(|&(_, x)| x).collect();
-    vals.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-    vals.iter().take(k).sum()
+    let mut top: Vec<f64> = Vec::with_capacity(k + 1);
+    for &(_, x) in u.nonzero() {
+        if top.len() < k || top.last().is_some_and(|&last| x > last) {
+            top.insert(top.partition_point(|&y| y >= x), x);
+            top.truncate(k);
+        }
+    }
+    top.iter().sum()
 }
 
 #[cfg(test)]
@@ -303,6 +423,37 @@ mod tests {
         assert_eq!(topk_optimal_utility(&u, 1), 5.0);
         assert_eq!(topk_optimal_utility(&u, 2), 8.0);
         assert_eq!(topk_optimal_utility(&u, 5), 9.0); // only 3 non-zero
+    }
+
+    #[test]
+    fn optimal_utility_equals_the_sorted_sum() {
+        // The former sort of every non-zero value, summed from the top.
+        let sorted_sum = |u: &UtilityVector, k: usize| -> f64 {
+            let mut vals: Vec<f64> = u.nonzero().iter().map(|&(_, x)| x).collect();
+            vals.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+            vals.iter().take(k).sum()
+        };
+        let mut r = rng(21);
+        for len in [0usize, 1, 2, 7, 60] {
+            for _ in 0..20 {
+                // Few distinct values, so ties straddle the k-th place, or
+                // all distinct, so the order of the sum shows.
+                let ties = r.gen::<bool>();
+                let value = |r: &mut rand::rngs::StdRng| {
+                    if ties {
+                        f64::from(r.gen_range(1..6u32)) * 0.25
+                    } else {
+                        r.gen::<f64>() + 0.01
+                    }
+                };
+                let entries = (0..len as NodeId).map(|v| (v, value(&mut r))).collect();
+                let u = UtilityVector::from_sparse(entries, 3);
+                for k in 0..=len + 2 {
+                    let (got, want) = (topk_optimal_utility(&u, k), sorted_sum(&u, k));
+                    assert_eq!(got.to_bits(), want.to_bits(), "len {len}, k {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use psr_attack::{default_rewire_target, node_observers, search_node_rewire};
+use psr_datasets::Preset;
 use psr_frontier::{run_sweep, DatasetSpec, ExperimentPlan, FrontierReport, SweepOptions};
+use psr_utility::UtilityKind;
 
 /// The acceptance grid: 1 dataset × 2 utilities × 2 adjacencies ×
 /// (exponential at 3 ε + ε-free non-private) = 16 cells.
@@ -164,4 +167,78 @@ fn killed_sweep_resumes_to_a_byte_identical_report() {
     assert_eq!(second.resumed, 5, "journalled cells must not be recomputed");
     let resumed = FrontierReport::assemble(&plan, second.fingerprint, second.results);
     assert_eq!(resumed.to_json(), reference.to_json(), "resume must be byte-identical");
+}
+
+/// The toy plan over `mechanisms` × both adjacencies at `k` slots.
+fn toy_plan_over(mechanisms: &[&str], k: usize) -> ExperimentPlan {
+    ExperimentPlan {
+        mechanisms: mechanisms.iter().map(|&m| m.to_owned()).collect(),
+        adjacencies: vec!["edge".to_owned(), "node".to_owned()],
+        k,
+        ..ExperimentPlan::toy()
+    }
+}
+
+/// Sweeps `plan` and checks its report byte for byte against a committed
+/// golden copy, rendered as `psr frontier` writes it.
+fn assert_golden_report(plan: &ExperimentPlan, golden: &str) {
+    let outcome =
+        run_sweep(plan, &SweepOptions { threads: Some(2), ..Default::default() }).unwrap();
+    let report = FrontierReport::assemble(plan, outcome.fingerprint, outcome.results);
+    let json = report.to_json() + "\n";
+    if let Some((line, (got, want))) =
+        json.lines().zip(golden.lines()).enumerate().find(|(_, (got, want))| got != want)
+    {
+        panic!("report line {}: {got:?}, golden copy {want:?}", line + 1);
+    }
+    assert_eq!(json.len(), golden.len(), "the report's length moved off its golden copy");
+}
+
+#[test]
+fn wide_toy_plan_reproduces_its_golden_report() {
+    let plan = toy_plan_over(&["exponential", "laplace", "non-private", "smoothing"], 1);
+    assert_golden_report(&plan, include_str!("golden/frontier-wide.json"));
+}
+
+#[test]
+fn top_2_toy_plan_reproduces_its_golden_report() {
+    let plan = toy_plan_over(&["exponential", "non-private"], 2);
+    assert_golden_report(&plan, include_str!("golden/frontier-k2.json"));
+}
+
+#[test]
+fn node_cells_fall_back_to_a_default_rewire_when_nothing_leaks() {
+    // At γ = 0.5 weighted paths finds no leaking rewire on wiki 0.1
+    // within the search budget; the cell rewires the first node that has
+    // a rewire target and an observer instead of failing the sweep.
+    let plan = ExperimentPlan {
+        datasets: vec![DatasetSpec { scale: 0.1, ..DatasetSpec::from_preset(Preset::Wiki) }],
+        mechanisms: vec!["exponential".to_owned()],
+        utilities: vec!["weighted-paths".to_owned()],
+        adjacencies: vec!["node".to_owned()],
+        epsilons: vec![1.0],
+        trials_per_world: 4,
+        ..ExperimentPlan::toy()
+    };
+    let graph = plan.datasets[0].load(plan.seed).unwrap().0.to_graph_arc();
+    let utility = "weighted-paths".parse::<UtilityKind>().unwrap().build(plan.gamma);
+    let cap = plan.observer_cap;
+    // No leak is found, so the search returns the fallback: the first
+    // node with a rewire target and an observer.
+    let (node, new_neighbours, observers) =
+        search_node_rewire(&graph, utility.as_ref(), cap).expect("a fallback rewire");
+    let first = graph
+        .nodes()
+        .find(|&v| {
+            default_rewire_target(&graph, v)
+                .is_some_and(|new| !node_observers(&graph, v, &new, cap).is_empty())
+        })
+        .unwrap();
+    assert_eq!(node, first);
+    assert_eq!(Some(new_neighbours.clone()), default_rewire_target(&graph, node));
+    assert_eq!(observers, node_observers(&graph, node, &new_neighbours, cap));
+
+    let outcome = run_sweep(&plan, &SweepOptions::default()).unwrap();
+    assert!(outcome.complete);
+    assert_eq!(outcome.results.len(), 1);
 }
